@@ -1,35 +1,16 @@
-// Fleet scenario implementation. Three phases:
-//
-//   1. Single-threaded setup: per-pair topology + sessions, then the
-//      cross-shard ring links and connection establishment, run in exact
-//      global event order (establishment coroutines hop between shards).
-//   2. The parallel run: transfers plus ring flows under
-//      sim::Cluster::run(), whose executed schedule is worker-count
-//      independent.
-//   3. Deterministic merge: QP ledgers folded in rank order, per-shard
-//      auditors finalized, stats/trace shards merged, and a one-line
-//      digest of every output (minus wall-clock) for golden tests.
+// Fleet scenario implementation on exp::PairFleet. Per pair: one RFTP
+// session over the intra-pair link. Across pairs: a ring of background
+// RDMA Writes, whose connections are established in exact global order
+// before the parallel run.
 #include "exp/fleet.hpp"
 
-#include <chrono>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
-#include "check/audit.hpp"
-#include "exp/runner.hpp"
-#include "fault/injector.hpp"
-#include "model/host_profile.hpp"
-#include "net/link.hpp"
-#include "numa/host.hpp"
-#include "numa/process.hpp"
+#include "exp/pair_fleet.hpp"
 #include "rdma/cm.hpp"
 #include "rftp/rftp.hpp"
-#include "sim/cluster.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::exp {
 
@@ -45,37 +26,29 @@ struct RingState {
   mem::Buffer local{};
   mem::Buffer remote{};  // storage in the next pair's receiver process
   std::unique_ptr<sim::Semaphore> window;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t completed = 0;
+  std::uint64_t messages = 0, bytes = 0, completed = 0;
   bool established = false;
 };
 
-/// Everything one fleet pair owns. One engine shard per pair; member order
-/// is destruction-safe (session tears down before links/devices/hosts,
-/// which tear down before the engine).
-struct PairRig {
-  std::unique_ptr<sim::Engine> eng;
-  std::unique_ptr<stats::Registry> stats;
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<check::Auditor> audit;
-  std::unique_ptr<numa::Host> a, b;
-  std::unique_ptr<rdma::Device> da, db;
-  std::unique_ptr<net::Link> link;  // intra-pair, single-engine
-  std::unique_ptr<numa::Process> pa, pb;
-  std::unique_ptr<net::Link> ring_link;  // to the next pair (cross-shard)
-  std::unique_ptr<rdma::ConnectedPair> ring_cp;
+/// One fleet pair's scenario state: its transfer and its ring flow.
+struct PairRig final : PairFleet::Rig {
   std::unique_ptr<rftp::RftpSession> sess;
   std::unique_ptr<rftp::MemorySource> src;
   std::unique_ptr<rftp::MemorySink> sink;
-  std::unique_ptr<fault::FaultInjector> inj;
   RingState ring;
   rftp::TransferResult res{};
   bool done = false;
+
+  void on_qp_kill(int qp) override {
+    sess->kill_stream(qp % sess->config().streams);
+  }
+  void on_crash(int host, sim::SimDuration down) override {
+    sess->crash_host(host, down);
+  }
 };
 
 sim::Task<> fleet_establish(PairRig* rig, numa::Thread* tb) {
-  co_await rig->ring_cp->establish(*rig->ring.post_th, *tb);
+  co_await rig->ring.cp->establish(*rig->ring.post_th, *tb);
   rig->ring.established = true;
 }
 
@@ -107,226 +80,102 @@ sim::Task<> fleet_transfer(PairRig* rig, std::uint64_t bytes) {
   rig->done = true;
 }
 
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 FleetResult run_fleet(const FleetParams& p) {
-  if (p.pairs < 1) throw std::invalid_argument("fleet: pairs must be >= 1");
-  if (p.shards < 1 || p.shards > p.pairs)
-    throw std::invalid_argument("fleet: shards must be in [1, pairs]");
-
-  const int P = p.pairs;
-  sim::Cluster cluster(p.shards);
-  std::vector<std::unique_ptr<PairRig>> rigs;
-  rigs.reserve(static_cast<std::size_t>(P));
-
-  for (int i = 0; i < P; ++i) {
+  const PairFleet::Config fc{
+      .pairs = p.pairs, .shards = p.shards, .stats = p.stats,
+      .trace = p.trace, .audit = p.audit, .fault_seed = p.fault_seed,
+      .chaos = {.links = 1, .qps = p.streams, .hosts = 2, .crashes = 1},
+      .tag = "p", .names = {"-a", "-b", "-lan", "-send", "-recv"},
+      .ring_tag = "ring", .link = &net::make_roce_lan};
+  std::vector<PairRig*> rigs;
+  PairFleet fleet(fc, [&](int, sim::Engine&, HostPair& hp) {
     auto rig = std::make_unique<PairRig>();
-    rig->eng = std::make_unique<sim::Engine>();
-    cluster.add(*rig->eng);
-    sim::Engine& eng = *rig->eng;
-    if (p.stats) {
-      rig->stats = std::make_unique<stats::Registry>(eng);
-      rig->stats->install();
-    }
-    if (p.trace) {
-      rig->tracer = std::make_unique<trace::Tracer>(eng);
-      rig->tracer->install();
-    }
-    if (p.audit) rig->audit = std::make_unique<check::Auditor>(eng);
-
-    const std::string tag = "p" + std::to_string(i);
-    rig->a = std::make_unique<numa::Host>(
-        eng, model::front_end_lan_host(tag + "-a"));
-    rig->b = std::make_unique<numa::Host>(
-        eng, model::front_end_lan_host(tag + "-b"));
-    rig->da =
-        std::make_unique<rdma::Device>(*rig->a, rig->a->profile().nics[0]);
-    rig->db =
-        std::make_unique<rdma::Device>(*rig->b, rig->b->profile().nics[0]);
-    rig->link = net::make_roce_lan(eng, tag + "-lan");
-    rig->link->bind_endpoints(rig->a.get(), rig->b.get());
-    rig->pa = std::make_unique<numa::Process>(
-        *rig->a, tag + "-send", numa::NumaBinding::bound(rig->da->node()));
-    rig->pb = std::make_unique<numa::Process>(
-        *rig->b, tag + "-recv", numa::NumaBinding::bound(rig->db->node()));
-
     rftp::RftpConfig cfg;
     cfg.block_bytes = p.block_bytes;
     cfg.streams = p.streams;
     cfg.credits_per_stream = p.credits;
     cfg.checkpoint_blocks = p.checkpoint_blocks;
-    cfg.fast_forward = p.fast_forward;  // inert under a Cluster (see hpp)
     rig->sess = std::make_unique<rftp::RftpSession>(
-        rftp::EndpointConfig{rig->pa.get(), {rig->da.get()}},
-        rftp::EndpointConfig{rig->pb.get(), {rig->db.get()}},
-        std::vector<net::Link*>{rig->link.get()}, cfg);
+        rftp::EndpointConfig{&hp.pa, {&hp.da}},
+        rftp::EndpointConfig{&hp.pb, {&hp.db}},
+        std::vector<net::Link*>{hp.link.get()}, cfg);
     rig->src = std::make_unique<rftp::MemorySource>(p.bytes_per_pair,
                                                     numa::Placement::on(0));
     rig->sink = std::make_unique<rftp::MemorySink>();
-
-    if (p.fault_seed != 0) {
-      // Chaos stays shard-local: each pair draws its own plan against its
-      // intra-pair link and session, so fault timing never depends on the
-      // worker count.
-      fault::FaultPlan::RandomParams rp;
-      rp.links = 1;
-      rp.qps = p.streams;
-      rp.hosts = 2;
-      rp.crashes = 1;
-      auto plan = fault::FaultPlan::random(
-          p.fault_seed + 1000003ull * static_cast<std::uint64_t>(i), rp);
-      rig->inj = std::make_unique<fault::FaultInjector>(eng, std::move(plan));
-      rig->inj->attach(*rig->link);
-      auto* sess = rig->sess.get();
-      const int streams = p.streams;
-      rig->inj->set_qp_kill_handler(
-          [sess, streams](int qp) { sess->kill_stream(qp % streams); });
-      rig->inj->set_crash_handler([sess](int host, sim::SimDuration down) {
-        sess->crash_host(host, down);
-      });
-      rig->inj->arm();
-    }
-    rigs.push_back(std::move(rig));
-  }
+    rigs.push_back(rig.get());
+    return rig;
+  });
 
   // Cross-shard ring: pair i's sender host writes into pair (i+1)%P's
   // receiver host. Needs at least two pairs to form a seam.
+  const int P = p.pairs;
   const bool ring_on = P > 1 && p.ring_messages > 0;
   if (ring_on) {
+    fleet.link_ring([&](int i, HostPair& self, HostPair& next,
+                        rdma::ConnectedPair& cp) {
+      RingState& ring = rigs[static_cast<std::size_t>(i)]->ring;
+      ring.cp = &cp;
+      ring.post_th = &self.pa.spawn_thread(self.da.node());
+      ring.reap_th = &self.pa.spawn_thread(self.da.node());
+      ring.local.placement = self.pa.alloc(p.ring_msg_bytes, self.da.node());
+      ring.remote.placement =
+          next.pb.alloc(p.ring_msg_bytes, next.db.node());
+      ring.local.registered = ring.remote.registered = true;
+      ring.window = std::make_unique<sim::Semaphore>(self.a.engine(), 4);
+      ring.messages = p.ring_messages;
+      ring.bytes = p.ring_msg_bytes;
+    });
     for (int i = 0; i < P; ++i) {
-      PairRig& rig = *rigs[static_cast<std::size_t>(i)];
-      PairRig& next = *rigs[static_cast<std::size_t>((i + 1) % P)];
-      rig.ring_link = net::make_roce_lan(*rig.eng, *next.eng,
-                                         "ring" + std::to_string(i));
-      rig.ring_link->bind_endpoints(rig.a.get(), next.b.get());
-      rig.ring_cp = std::make_unique<rdma::ConnectedPair>(*rig.da, *next.db,
-                                                          *rig.ring_link);
-      rig.ring.cp = rig.ring_cp.get();
-      rig.ring.post_th = &rig.pa->spawn_thread(rig.da->node());
-      rig.ring.reap_th = &rig.pa->spawn_thread(rig.da->node());
-      rig.ring.local.placement =
-          rig.pa->alloc(p.ring_msg_bytes, rig.da->node());
-      rig.ring.remote.placement =
-          next.pb->alloc(p.ring_msg_bytes, next.db->node());
-      rig.ring.local.registered = rig.ring.remote.registered = true;
-      rig.ring.window = std::make_unique<sim::Semaphore>(*rig.eng, 4);
-      rig.ring.messages = p.ring_messages;
-      rig.ring.bytes = p.ring_msg_bytes;
+      HostPair& next = fleet.hosts((i + 1) % P);
+      numa::Thread& tb = next.pb.spawn_thread(next.db.node());
+      sim::co_spawn(fleet_establish(rigs[static_cast<std::size_t>(i)], &tb));
     }
-    // Phase 1: connection establishment hops between shards with blocking
-    // handshakes, so run it in exact global sequential order.
-    for (int i = 0; i < P; ++i) {
-      PairRig& rig = *rigs[static_cast<std::size_t>(i)];
-      PairRig& next = *rigs[static_cast<std::size_t>((i + 1) % P)];
-      numa::Thread& tb = next.pb->spawn_thread(next.db->node());
-      sim::co_spawn(fleet_establish(&rig, &tb));
-    }
-    cluster.run_sequential();
-    for (const auto& rig : rigs)
-      if (!rig->ring.established)
-        throw std::runtime_error("fleet: ring establish did not complete");
+    fleet.establish([&](int i) {
+      return rigs[static_cast<std::size_t>(i)]->ring.established;
+    });
   }
 
-  // Phase 2: the parallel run. Spawn order is pair order (deterministic).
-  for (auto& rigp : rigs) {
-    PairRig& rig = *rigp;
-    sim::co_spawn(fleet_transfer(&rig, p.bytes_per_pair));
+  // The parallel run. Spawn order is pair order (deterministic).
+  for (PairRig* rig : rigs) {
+    sim::co_spawn(fleet_transfer(rig, p.bytes_per_pair));
     if (ring_on) {
-      sim::co_spawn(fleet_ring_poster(&rig.ring));
-      sim::co_spawn(fleet_ring_reaper(&rig.ring));
+      sim::co_spawn(fleet_ring_poster(&rig->ring));
+      sim::co_spawn(fleet_ring_reaper(&rig->ring));
     }
   }
+  const PairFleet::RunStats run = fleet.run();
+  PairFleet::Merged merged = fleet.finish();
 
-  const std::uint64_t events0 = cluster.events_processed();
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.run();
   FleetResult out;
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  out.sim_events = cluster.events_processed() - events0;
-  out.windows = cluster.windows();
-  out.cross_posts = cluster.cross_posts();
-
-  // Each ring flow's bytes ledger is split across two shards; fold the
-  // ledgers (rank order) before finalizing each shard's auditor.
-  if (p.audit) {
-    std::vector<check::Auditor*> audits;
-    for (const auto& rig : rigs) audits.push_back(rig->audit.get());
-    check::Auditor::merge_qp_ledgers(audits);
-    for (const auto& rig : rigs) {
-      rig->audit->finalize();
-      out.audit_ok = out.audit_ok && rig->audit->ok();
-      out.audit_violations += rig->audit->violations().size();
-    }
+  out.wall_seconds = run.wall_seconds;
+  out.sim_events = run.events;
+  out.windows = run.windows;
+  out.cross_posts = run.cross_posts;
+  out.audit_ok = merged.audit_ok;
+  out.audit_violations = merged.audit_violations;
+  for (const PairRig* rig : rigs) {
+    out.complete = out.complete && rig->done && rig->res.complete;
+    out.integrity_ok = out.integrity_ok && rig->res.integrity_ok;
+    out.pair_gbps.push_back(rig->res.goodput_gbps);
+    out.aggregate_gbps += rig->res.goodput_gbps;
+    out.ring_completed += rig->ring.completed;
   }
 
-  for (const auto& rigp : rigs) {
-    const PairRig& rig = *rigp;
-    out.complete = out.complete && rig.done && rig.res.complete;
-    out.integrity_ok = out.integrity_ok && rig.res.integrity_ok;
-    out.pair_gbps.push_back(rig.res.goodput_gbps);
-    out.aggregate_gbps += rig.res.goodput_gbps;
-    out.ring_completed += rig.ring.completed;
-  }
-
-  if (p.stats) {
-    std::vector<const stats::Registry*> regs;
-    for (const auto& rig : rigs) regs.push_back(rig->stats.get());
-    std::ostringstream os;
-    stats::Registry::write_merged_json(os, regs);
-    out.stats_json = os.str();
-  }
-  if (p.trace) {
-    std::vector<const trace::Tracer*> trs;
-    for (const auto& rig : rigs) trs.push_back(rig->tracer.get());
-    std::ostringstream os;
-    trace::write_merged_chrome_trace(os, trs);
-    out.trace_json = os.str();
-  }
-
-  // Deterministic fingerprint: every output except wall_seconds, printed
-  // with exact integer / %.9g formatting.
+  // Deterministic fingerprint: every output except wall_seconds.
   std::ostringstream dg;
   dg << "fleet-v1 pairs=" << P << " bytes=" << p.bytes_per_pair
      << " seed=" << p.fault_seed << " complete=" << out.complete
      << " integrity=" << out.integrity_ok
      << " audit_viol=" << out.audit_violations
      << " ring=" << out.ring_completed << " events=" << out.sim_events
-     << " windows=" << out.windows << " cross=" << out.cross_posts << " t=[";
-  for (int i = 0; i < P; ++i)
-    dg << (i ? "," : "") << rigs[static_cast<std::size_t>(i)]->eng->now();
-  dg << "] gbps=[";
-  for (int i = 0; i < P; ++i) {
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.9g",
-                  out.pair_gbps[static_cast<std::size_t>(i)]);
-    dg << (i ? "," : "") << buf;
-  }
-  dg << "]";
-  if (p.stats) dg << " stats_fnv=" << fnv1a(out.stats_json);
-  if (p.trace) dg << " trace_fnv=" << fnv1a(out.trace_json);
+     << " windows=" << out.windows << " cross=" << out.cross_posts
+     << " t=" << fleet.clocks() << " gbps=" << PairFleet::g9(out.pair_gbps)
+     << fleet.hashes(merged);
   out.digest = dg.str();
-
-  // Ordered ring teardown: rig i's cross-engine ring_link holds a Resource
-  // registered on rig (i+1)%P's engine, so the wraparound pair would
-  // deregister from a destroyed engine if the rigs vector tore down
-  // front-to-back. Drop connections then links across ALL rigs while every
-  // engine is still alive; runs after the digest, so output is unaffected.
-  for (auto& rig : rigs) {
-    rig->ring.cp = nullptr;
-    rig->ring_cp.reset();
-    rig->ring_link.reset();
-  }
+  out.stats_json = std::move(merged.stats_json);
+  out.trace_json = std::move(merged.trace_json);
   return out;
 }
 

@@ -6,7 +6,9 @@
 // cluster's conservative-lookahead merge path carries real traffic every
 // window. `shards` selects only the worker-thread count; the executed
 // event schedule — and therefore every output — is bit-identical for any
-// value (see sim/cluster.hpp for the argument).
+// value (see sim/cluster.hpp for the argument). Built on exp::PairFleet
+// (exp/pair_fleet.hpp). Fast-forward never applies here: skipping time on
+// one shard would break the cluster's conservative lookahead.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +28,7 @@ struct FleetParams {
   std::uint64_t ring_messages = 32;  // cross-shard writes per pair
   std::uint64_t ring_msg_bytes = 1ull << 20;
   std::uint64_t fault_seed = 0;  // != 0: seeded per-pair chaos plans
-  // Accepted for CLI symmetry but inert: sharded engines run under a
-  // Cluster, and RftpSession only constructs the fast-forward detector on
-  // a single-engine run (skip_time on a shard would break the conservative
-  // lookahead protocol).
-  bool fast_forward = false;
-  bool audit = true;             // per-shard auditors + merged QP ledgers
+  bool audit = true;            // per-shard auditors + merged QP ledgers
   bool stats = false;            // capture merged stats JSON in the result
   bool trace = false;            // capture merged Chrome trace JSON
 };

@@ -1,50 +1,31 @@
-// KV scenario implementation. Same three-phase shape as fleet.cpp:
-//
-//   1. Single-threaded setup, then registration + connection establishment
-//      (including the cross-shard ring rpc connections) in exact global
-//      sequential order.
-//   2. The parallel closed-loop workload under sim::Cluster::run().
-//   3. Deterministic merge: QP ledgers folded in rank order, latency
-//      histograms folded across pairs, and a one-line digest of every
-//      output (minus wall-clock) for golden tests.
+// KV scenario implementation on exp::PairFleet. Per pair: a sharded store
+// behind an rpc server, its client, and (in read mode) one READ connection
+// per closed-loop worker. Across pairs: a ring of rpc connections, client i
+// into server (i+1)%P. Registration and every connection are established
+// in exact global order before the parallel closed loop; latency
+// histograms are folded across pairs afterwards.
 #include "exp/kv_scenario.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <string_view>
 
 #include "apps/kv.hpp"
-#include "check/audit.hpp"
-#include "fault/injector.hpp"
-#include "model/host_profile.hpp"
-#include "net/link.hpp"
-#include "numa/host.hpp"
-#include "numa/process.hpp"
+#include "exp/pair_fleet.hpp"
 #include "rdma/cm.hpp"
 #include "rpc/rpc.hpp"
-#include "sim/cluster.hpp"
 #include "stats/histogram.hpp"
-#include "stats/registry.hpp"
 
 namespace e2e::exp {
 
 namespace {
 
-/// Everything one kv pair owns. Member order is destruction-safe: rpc
-/// endpoints (whose channels live on the engine) tear down before the
-/// connections, which tear down before devices/hosts, before the engine.
-struct KvRig {
-  std::unique_ptr<sim::Engine> eng;
-  std::unique_ptr<stats::Registry> stats;
-  std::unique_ptr<check::Auditor> audit;
-  std::unique_ptr<numa::Host> a, b;  // a = client, b = server
-  std::unique_ptr<rdma::Device> da, db;
-  std::unique_ptr<net::Link> link;  // intra-pair rack link
-  std::unique_ptr<numa::Process> pa, pb;
+/// One kv pair's scenario state (host a = client, host b = server). Member
+/// order is destruction-safe: rpc endpoints (whose channels live on the
+/// engine) tear down before the connections they use.
+struct KvRig final : PairFleet::Rig {
+  sim::Engine* eng = nullptr;
   std::unique_ptr<rdma::ProtectionDomain> pd_a, pd_b;
 
   numa::Thread* c_post = nullptr;  // client post/reap
@@ -70,8 +51,7 @@ struct KvRig {
   // Cross-shard ring rpc: this rig's client into the next rig's server.
   // The b-side endpoint (ring_server) is built from the *next* rig's
   // process/threads/buffer, mirroring fleet's ring ownership.
-  std::unique_ptr<net::Link> ring_link;
-  std::unique_ptr<rdma::ConnectedPair> ring_cp;
+  rdma::ConnectedPair* ring_cp = nullptr;  // owned by the fleet
   numa::Thread* ring_c_post = nullptr;
   numa::Thread* ring_c_reap = nullptr;
   numa::Thread* ring_s_post = nullptr;  // spawned from next->pb
@@ -79,8 +59,6 @@ struct KvRig {
   mem::Buffer ring_client_ring{}, ring_server_ring{};
   std::unique_ptr<rpc::RpcClient> ring_client;
   std::unique_ptr<rpc::RpcServer> ring_server;
-
-  std::unique_ptr<fault::FaultInjector> inj;
 
   // Workload state.
   std::unique_ptr<sim::Rng> rng;
@@ -94,6 +72,15 @@ struct KvRig {
   sim::SimTime last_done = 0;
   bool established = false;
   bool ring_established = false;
+
+  // A qp kill drops the rpc plane into its error epoch; client retry
+  // timers carry the calls across the outage while one recovery coroutine
+  // re-establishes.
+  void on_qp_kill(int qp) override;
+  void drop_ring() noexcept override {
+    ring_client.reset();
+    ring_server.reset();
+  }
 };
 
 sim::Task<> kv_establish(KvRig* rig) {
@@ -124,6 +111,11 @@ sim::Task<> kv_ring_establish(KvRig* rig, KvRig* next) {
 
 sim::Task<> kv_recover(KvRig* rig) {
   co_await rig->cp->reestablish(*rig->c_rec, *rig->s_rec);
+}
+
+void KvRig::on_qp_kill(int) {
+  cp->kill();
+  sim::co_spawn(kv_recover(this));
 }
 
 /// One-sided GET: READ the index entry, then the value, from the shard's
@@ -197,21 +189,9 @@ sim::Task<> kv_worker(KvRig* rig, const KvParams* p, int w,
   --rig->workers_live;
 }
 
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 }  // namespace
 
 KvResult run_kv(const KvParams& p) {
-  if (p.pairs < 1) throw std::invalid_argument("kv: pairs must be >= 1");
-  if (p.shards < 1 || p.shards > p.pairs)
-    throw std::invalid_argument("kv: shards must be in [1, pairs]");
   if (p.depth < 1) throw std::invalid_argument("kv: depth must be >= 1");
   if (p.ops_per_pair < 1)
     throw std::invalid_argument("kv: ops must be >= 1");
@@ -228,59 +208,37 @@ KvResult run_kv(const KvParams& p) {
   }();
   const std::uint64_t max_msg = cfg.header_bytes + p.value_bytes;
 
-  const int P = p.pairs;
-  sim::Cluster cluster(p.shards);
-  std::vector<std::unique_ptr<KvRig>> rigs;
-  rigs.reserve(static_cast<std::size_t>(P));
-
-  for (int i = 0; i < P; ++i) {
+  const PairFleet::Config fc{
+      .pairs = p.pairs, .shards = p.shards, .stats = p.stats,
+      .audit = p.audit, .fault_seed = p.fault_seed,
+      .chaos = {.links = 1, .qps = 1, .qp_kills = 2},
+      .tag = "kv", .names = {"-c", "-s", "-rack", "-cli", "-srv"},
+      .ring_tag = "kvring", .link = &net::make_roce_rack};
+  std::vector<KvRig*> rigs;
+  PairFleet fleet(fc, [&](int i, sim::Engine& eng, HostPair& hp) {
     auto rig = std::make_unique<KvRig>();
-    rig->eng = std::make_unique<sim::Engine>();
-    cluster.add(*rig->eng);
-    sim::Engine& eng = *rig->eng;
-    if (p.stats) {
-      rig->stats = std::make_unique<stats::Registry>(eng);
-      rig->stats->install();
-    }
-    if (p.audit) rig->audit = std::make_unique<check::Auditor>(eng);
+    rig->eng = &eng;
+    rig->pd_a = std::make_unique<rdma::ProtectionDomain>(hp.a);
+    rig->pd_b = std::make_unique<rdma::ProtectionDomain>(hp.b);
 
-    const std::string tag = "kv" + std::to_string(i);
-    rig->a = std::make_unique<numa::Host>(
-        eng, model::front_end_lan_host(tag + "-c"));
-    rig->b = std::make_unique<numa::Host>(
-        eng, model::front_end_lan_host(tag + "-s"));
-    rig->da =
-        std::make_unique<rdma::Device>(*rig->a, rig->a->profile().nics[0]);
-    rig->db =
-        std::make_unique<rdma::Device>(*rig->b, rig->b->profile().nics[0]);
-    rig->link = net::make_roce_rack(eng, tag + "-rack");
-    rig->link->bind_endpoints(rig->a.get(), rig->b.get());
-    rig->pa = std::make_unique<numa::Process>(
-        *rig->a, tag + "-cli", numa::NumaBinding::bound(rig->da->node()));
-    rig->pb = std::make_unique<numa::Process>(
-        *rig->b, tag + "-srv", numa::NumaBinding::bound(rig->db->node()));
-    rig->pd_a = std::make_unique<rdma::ProtectionDomain>(*rig->a);
-    rig->pd_b = std::make_unique<rdma::ProtectionDomain>(*rig->b);
-
-    rig->c_post = &rig->pa->spawn_thread(rig->da->node());
-    rig->c_reap = &rig->pa->spawn_thread(rig->da->node());
-    rig->s_post = &rig->pb->spawn_thread(rig->db->node());
-    rig->s_reap = &rig->pb->spawn_thread(rig->db->node());
-    rig->c_rec = &rig->pa->spawn_thread(rig->da->node());
-    rig->s_rec = &rig->pb->spawn_thread(rig->db->node());
+    rig->c_post = &hp.pa.spawn_thread(hp.da.node());
+    rig->c_reap = &hp.pa.spawn_thread(hp.da.node());
+    rig->s_post = &hp.pb.spawn_thread(hp.db.node());
+    rig->s_reap = &hp.pb.spawn_thread(hp.db.node());
+    rig->c_rec = &hp.pa.spawn_thread(hp.da.node());
+    rig->s_rec = &hp.pb.spawn_thread(hp.db.node());
 
     rig->client_ring.bytes = max_msg;
-    rig->client_ring.placement = rig->pa->alloc(max_msg, rig->da->node());
+    rig->client_ring.placement = hp.pa.alloc(max_msg, hp.da.node());
     rig->server_ring.bytes = max_msg;
-    rig->server_ring.placement = rig->pb->alloc(max_msg, rig->db->node());
+    rig->server_ring.placement = hp.pb.alloc(max_msg, hp.db.node());
 
-    rig->store = std::make_unique<apps::KvStore>(*rig->pb, p.keys,
+    rig->store = std::make_unique<apps::KvStore>(hp.pb, p.keys,
                                                  p.value_bytes,
                                                  p.store_shards);
     rig->handler = std::make_unique<apps::KvHandler>(
         *rig->store, rig->server_ring, cfg.header_bytes);
-    rig->cp = std::make_unique<rdma::ConnectedPair>(*rig->da, *rig->db,
-                                                    *rig->link);
+    rig->cp = std::make_unique<rdma::ConnectedPair>(hp.da, hp.db, *hp.link);
     rig->client = std::make_unique<rpc::RpcClient>(
         rig->cp->a(), *rig->c_post, *rig->c_reap, rig->client_ring, cfg);
     rig->server = std::make_unique<rpc::RpcServer>(
@@ -292,161 +250,113 @@ KvResult run_kv(const KvParams& p) {
           std::max<std::uint64_t>(p.value_bytes,
                                   apps::KvStore::kIndexEntryBytes);
       rig->read_local.placement =
-          rig->pa->alloc(rig->read_local.bytes, rig->da->node());
+          hp.pa.alloc(rig->read_local.bytes, hp.da.node());
       for (int w = 0; w < p.depth; ++w) {
-        rig->read_th.push_back(&rig->pa->spawn_thread(rig->da->node()));
-        rig->read_cps.push_back(std::make_unique<rdma::ConnectedPair>(
-            *rig->da, *rig->db, *rig->link));
+        rig->read_th.push_back(&hp.pa.spawn_thread(hp.da.node()));
+        rig->read_cps.push_back(
+            std::make_unique<rdma::ConnectedPair>(hp.da, hp.db, *hp.link));
       }
     }
 
     rig->rng = std::make_unique<sim::Rng>(
         p.seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(i + 1));
     rig->zipf = std::make_unique<apps::Zipf>(p.keys, p.zipf_theta);
-
-    if (p.fault_seed != 0) {
-      // Chaos stays shard-local: each pair draws its own plan against its
-      // intra-pair link and rpc connection. The kill handler drops the rpc
-      // plane into its error epoch; client retry timers carry the calls
-      // across the outage while one recovery coroutine re-establishes.
-      fault::FaultPlan::RandomParams rp;
-      rp.links = 1;
-      rp.qps = 1;
-      rp.qp_kills = 2;
-      auto plan = fault::FaultPlan::random(
-          p.fault_seed + 1000003ull * static_cast<std::uint64_t>(i), rp);
-      rig->inj = std::make_unique<fault::FaultInjector>(eng, std::move(plan));
-      rig->inj->attach(*rig->link);
-      KvRig* r = rig.get();
-      rig->inj->set_qp_kill_handler([r](int) {
-        r->cp->kill();
-        sim::co_spawn(kv_recover(r));
-      });
-      rig->inj->arm();
-    }
-    rigs.push_back(std::move(rig));
-  }
+    rigs.push_back(rig.get());
+    return rig;
+  });
 
   // Cross-shard rpc ring: pair i's client calls into pair (i+1)%P's
   // server. Needs at least two pairs to form a seam.
+  const int P = p.pairs;
   const bool ring_on = P > 1 && p.remote_every > 0;
   if (ring_on) {
-    for (int i = 0; i < P; ++i) {
+    fleet.link_ring([&](int i, HostPair& self, HostPair& next,
+                        rdma::ConnectedPair& cp) {
       KvRig& rig = *rigs[static_cast<std::size_t>(i)];
-      KvRig& next = *rigs[static_cast<std::size_t>((i + 1) % P)];
-      rig.ring_link = net::make_roce_rack(*rig.eng, *next.eng,
-                                          "kvring" + std::to_string(i));
-      rig.ring_link->bind_endpoints(rig.a.get(), next.b.get());
-      rig.ring_cp = std::make_unique<rdma::ConnectedPair>(*rig.da, *next.db,
-                                                          *rig.ring_link);
-      rig.ring_c_post = &rig.pa->spawn_thread(rig.da->node());
-      rig.ring_c_reap = &rig.pa->spawn_thread(rig.da->node());
-      rig.ring_s_post = &next.pb->spawn_thread(next.db->node());
-      rig.ring_s_reap = &next.pb->spawn_thread(next.db->node());
+      const KvRig& next_rig = *rigs[static_cast<std::size_t>((i + 1) % P)];
+      rig.ring_cp = &cp;
+      rig.ring_c_post = &self.pa.spawn_thread(self.da.node());
+      rig.ring_c_reap = &self.pa.spawn_thread(self.da.node());
+      rig.ring_s_post = &next.pb.spawn_thread(next.db.node());
+      rig.ring_s_reap = &next.pb.spawn_thread(next.db.node());
       rig.ring_client_ring.bytes = max_msg;
-      rig.ring_client_ring.placement =
-          rig.pa->alloc(max_msg, rig.da->node());
+      rig.ring_client_ring.placement = self.pa.alloc(max_msg, self.da.node());
       rig.ring_server_ring.bytes = max_msg;
-      rig.ring_server_ring.placement =
-          next.pb->alloc(max_msg, next.db->node());
+      rig.ring_server_ring.placement = next.pb.alloc(max_msg, next.db.node());
       rig.ring_client = std::make_unique<rpc::RpcClient>(
-          rig.ring_cp->a(), *rig.ring_c_post, *rig.ring_c_reap,
-          rig.ring_client_ring, cfg);
+          cp.a(), *rig.ring_c_post, *rig.ring_c_reap, rig.ring_client_ring,
+          cfg);
       rig.ring_server = std::make_unique<rpc::RpcServer>(
-          rig.ring_cp->b(), *rig.ring_s_post, *rig.ring_s_reap,
-          rig.ring_server_ring, *next.handler, cfg);
-    }
+          cp.b(), *rig.ring_s_post, *rig.ring_s_reap, rig.ring_server_ring,
+          *next_rig.handler, cfg);
+    });
   }
 
-  // Phase 1: registration + establishment, exact global sequential order
-  // (ring handshakes and ring-server ring posts hop between shards).
-  for (int i = 0; i < P; ++i)
-    sim::co_spawn(kv_establish(rigs[static_cast<std::size_t>(i)].get()));
+  // Registration + establishment, exact global sequential order (ring
+  // handshakes and ring-server ring posts hop between shards).
+  for (KvRig* rig : rigs) sim::co_spawn(kv_establish(rig));
   if (ring_on) {
     for (int i = 0; i < P; ++i)
       sim::co_spawn(kv_ring_establish(
-          rigs[static_cast<std::size_t>(i)].get(),
-          rigs[static_cast<std::size_t>((i + 1) % P)].get()));
+          rigs[static_cast<std::size_t>(i)],
+          rigs[static_cast<std::size_t>((i + 1) % P)]));
   }
-  cluster.run_sequential();
-  for (const auto& rig : rigs) {
-    if (!rig->established)
-      throw std::runtime_error("kv: establish did not complete");
-    if (ring_on && !rig->ring_established)
-      throw std::runtime_error("kv: ring establish did not complete");
-  }
+  fleet.establish([&](int i) {
+    const KvRig& rig = *rigs[static_cast<std::size_t>(i)];
+    return rig.established && (!ring_on || rig.ring_established);
+  });
 
-  // Phase 2: the parallel closed loop. Spawn order is pair order.
+  // The parallel closed loop. Spawn order is pair order.
   const std::uint64_t header_bytes = cfg.header_bytes;
-  for (auto& rigp : rigs) {
-    KvRig& rig = *rigp;
-    rig.t_start = rig.eng->now();
-    rig.workers_live = p.depth;
+  for (KvRig* rig : rigs) {
+    rig->t_start = rig->eng->now();
+    rig->workers_live = p.depth;
     for (int w = 0; w < p.depth; ++w)
-      sim::co_spawn(kv_worker(&rig, &p, w, header_bytes));
+      sim::co_spawn(kv_worker(rig, &p, w, header_bytes));
   }
+  const PairFleet::RunStats run = fleet.run();
+  PairFleet::Merged merged = fleet.finish();
 
-  const std::uint64_t events0 = cluster.events_processed();
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.run();
   KvResult out;
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  out.sim_events = cluster.events_processed() - events0;
-  out.windows = cluster.windows();
-  out.cross_posts = cluster.cross_posts();
-
-  // The ring connections' byte ledgers are split across two shards; fold
-  // them (rank order) before finalizing each shard's auditor.
-  if (p.audit) {
-    std::vector<check::Auditor*> audits;
-    for (const auto& rig : rigs) audits.push_back(rig->audit.get());
-    check::Auditor::merge_qp_ledgers(audits);
-    for (const auto& rig : rigs) {
-      rig->audit->finalize();
-      out.audit_ok = out.audit_ok && rig->audit->ok();
-      out.audit_violations += rig->audit->violations().size();
-    }
-  }
-
+  out.wall_seconds = run.wall_seconds;
+  out.sim_events = run.events;
+  out.windows = run.windows;
+  out.cross_posts = run.cross_posts;
+  out.audit_ok = merged.audit_ok;
+  out.audit_violations = merged.audit_violations;
+  // Per-endpoint batching counters, every endpoint (ring included).
+  const auto add_batching = [&out](const auto& ep) {
+    out.doorbells += ep.doorbells();
+    out.doorbell_wrs += ep.doorbell_wrs();
+    out.poll_batches += ep.poll_batches();
+    out.poll_cqes += ep.poll_cqes();
+  };
   stats::Histogram get_lat, put_lat;
-  for (const auto& rigp : rigs) {
-    const KvRig& rig = *rigp;
-    out.complete = out.complete && rig.workers_live == 0 &&
-                   rig.ops_done == p.ops_per_pair;
-    if (p.fault_seed == 0) out.complete = out.complete && rig.failed == 0;
-    out.ops_done += rig.ops_done;
-    out.gets += rig.gets;
-    out.puts += rig.puts;
-    out.remote_ops += rig.remote_ops;
-    out.failed_ops += rig.failed;
-    out.rpc_retries += rig.client->retries();
-    out.stale_responses += rig.client->stale_responses();
-    out.calls_served += rig.handler->gets() + rig.handler->puts();
-    out.doorbells += rig.client->doorbells() + rig.server->doorbells();
-    out.doorbell_wrs +=
-        rig.client->doorbell_wrs() + rig.server->doorbell_wrs();
-    out.poll_batches +=
-        rig.client->poll_batches() + rig.server->poll_batches();
-    out.poll_cqes += rig.client->poll_cqes() + rig.server->poll_cqes();
-    if (rig.ring_client) {
-      out.rpc_retries += rig.ring_client->retries();
-      out.stale_responses += rig.ring_client->stale_responses();
-      out.doorbells +=
-          rig.ring_client->doorbells() + rig.ring_server->doorbells();
-      out.doorbell_wrs += rig.ring_client->doorbell_wrs() +
-                          rig.ring_server->doorbell_wrs();
-      out.poll_batches += rig.ring_client->poll_batches() +
-                          rig.ring_server->poll_batches();
-      out.poll_cqes +=
-          rig.ring_client->poll_cqes() + rig.ring_server->poll_cqes();
+  for (const KvRig* rig : rigs) {
+    out.complete = out.complete && rig->workers_live == 0 &&
+                   rig->ops_done == p.ops_per_pair;
+    if (p.fault_seed == 0) out.complete = out.complete && rig->failed == 0;
+    out.ops_done += rig->ops_done;
+    out.gets += rig->gets;
+    out.puts += rig->puts;
+    out.remote_ops += rig->remote_ops;
+    out.failed_ops += rig->failed;
+    out.rpc_retries += rig->client->retries();
+    out.stale_responses += rig->client->stale_responses();
+    out.calls_served += rig->handler->gets() + rig->handler->puts();
+    add_batching(*rig->client);
+    add_batching(*rig->server);
+    if (rig->ring_client) {
+      out.rpc_retries += rig->ring_client->retries();
+      out.stale_responses += rig->ring_client->stale_responses();
+      add_batching(*rig->ring_client);
+      add_batching(*rig->ring_server);
     }
-    get_lat.merge(rig.get_lat);
-    put_lat.merge(rig.put_lat);
-    const sim::SimTime span = rig.last_done - rig.t_start;
+    get_lat.merge(rig->get_lat);
+    put_lat.merge(rig->put_lat);
+    const sim::SimTime span = rig->last_done - rig->t_start;
     const double mops =
-        span > 0 ? static_cast<double>(rig.ops_done) * 1e3 /
+        span > 0 ? static_cast<double>(rig->ops_done) * 1e3 /
                        static_cast<double>(span)
                  : 0.0;
     out.pair_mops.push_back(mops);
@@ -463,17 +373,8 @@ KvResult run_kv(const KvParams& p) {
     out.put_p999_ns = put_lat.p999();
   }
 
-  if (p.stats) {
-    std::vector<const stats::Registry*> regs;
-    for (const auto& rig : rigs) regs.push_back(rig->stats.get());
-    std::ostringstream os;
-    stats::Registry::write_merged_json(os, regs);
-    out.stats_json = os.str();
-  }
-
   // Deterministic fingerprint: every output except wall_seconds.
   std::ostringstream dg;
-  char buf[48];
   dg << "kv-v1 pairs=" << P << " keys=" << p.keys
      << " ops=" << p.ops_per_pair << " value=" << p.value_bytes
      << " depth=" << p.depth << " mode=" << (p.get_via_read ? "read" : "rpc")
@@ -486,37 +387,13 @@ KvResult run_kv(const KvParams& p) {
      << " doorbells=" << out.doorbells << "/" << out.doorbell_wrs
      << " polls=" << out.poll_batches << "/" << out.poll_cqes
      << " events=" << out.sim_events << " windows=" << out.windows
-     << " cross=" << out.cross_posts << " t=[";
-  for (int i = 0; i < P; ++i)
-    dg << (i ? "," : "") << rigs[static_cast<std::size_t>(i)]->eng->now();
-  dg << "] mops=[";
-  for (int i = 0; i < P; ++i) {
-    std::snprintf(buf, sizeof buf, "%.9g",
-                  out.pair_mops[static_cast<std::size_t>(i)]);
-    dg << (i ? "," : "") << buf;
-  }
-  dg << "] get_ns=[" << out.get_p50_ns << "," << out.get_p99_ns << ","
-     << out.get_p999_ns << "] put_ns=[" << out.put_p50_ns << ","
-     << out.put_p99_ns << "," << out.put_p999_ns << "]";
-  if (p.stats) dg << " stats_fnv=" << fnv1a(out.stats_json);
+     << " cross=" << out.cross_posts << " t=" << fleet.clocks()
+     << " mops=" << PairFleet::g9(out.pair_mops) << " get_ns=["
+     << out.get_p50_ns << "," << out.get_p99_ns << "," << out.get_p999_ns
+     << "] put_ns=[" << out.put_p50_ns << "," << out.put_p99_ns << ","
+     << out.put_p999_ns << "]" << fleet.hashes(merged);
   out.digest = dg.str();
-
-  // Ordered ring teardown. A cross-engine Link owns one Resource per
-  // direction, each registered on its source engine — so rig i's ring_link
-  // holds a Resource registered on rig (i+1)%P's engine, and the last
-  // rig's partner is rig 0. Letting the rigs vector destruct front-to-back
-  // would have that Resource deregister from an already-destroyed engine.
-  // Tear the ring down across ALL rigs (endpoints, then connection, then
-  // link) while every engine is still alive; this runs after the digest,
-  // so no observable output depends on it.
-  for (auto& rigp : rigs) {
-    rigp->ring_client.reset();
-    rigp->ring_server.reset();
-  }
-  for (auto& rigp : rigs) {
-    rigp->ring_cp.reset();
-    rigp->ring_link.reset();
-  }
+  out.stats_json = std::move(merged.stats_json);
   return out;
 }
 

@@ -2,6 +2,5 @@
 #pragma once
 
 #include "metrics/cpu_usage.hpp"
-#include "metrics/stats.hpp"
 #include "metrics/table.hpp"
 #include "metrics/throughput.hpp"

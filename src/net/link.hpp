@@ -210,12 +210,8 @@ inline std::unique_ptr<Link> make_roce_lan(sim::Engine& eng_a,
 /// 64 B..256 KiB value sweep (bench/bench_rpc.cpp).
 inline constexpr sim::SimDuration kRackOneWay = 2 * sim::kMicrosecond;
 
-inline std::unique_ptr<Link> make_roce_rack(sim::Engine& eng,
-                                            const std::string& name) {
-  return std::make_unique<Link>(eng, name, 40.0, kRackOneWay, 9000);
-}
-
-/// Cross-shard rack link (side A on `eng_a`, side B on `eng_b`).
+/// Side A on `eng_a`, side B on `eng_b` (the same engine for a one-shard
+/// link).
 inline std::unique_ptr<Link> make_roce_rack(sim::Engine& eng_a,
                                             sim::Engine& eng_b,
                                             const std::string& name) {

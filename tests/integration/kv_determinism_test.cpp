@@ -12,6 +12,28 @@
 namespace e2e::exp {
 namespace {
 
+// Digests recorded from the hand-rolled run_kv that predates
+// exp::PairFleet, so a change that shifts every run equally (which the
+// run-vs-run comparisons below would pass) still fails.
+constexpr const char* kTinyKvRpcDigest =
+    "kv-v1 pairs=4 keys=1024 ops=512 value=1024 depth=4 mode=rpc"
+    " store_shards=2 seed=42 fseed=0 complete=1 audit_viol=0"
+    " gets=1835 puts=213 remote=128 failed=0 retries=0 stale=0"
+    " served=2048 doorbells=4081/4096 polls=4073/4096 events=58810"
+    " windows=849 cross=256 t=[6268821,6268129,6267944,6266437]"
+    " mops=[0.548716839,0.548972178,0.549233647,0.550122972]"
+    " get_ns=[7423,8191,9215] put_ns=[7423,8191,8907]"
+    " stats_fnv=14517833092078859544";
+constexpr const char* kTinyKvReadDigest =
+    "kv-v1 pairs=4 keys=1024 ops=512 value=1024 depth=4 mode=read"
+    " store_shards=2 seed=42 fseed=0 complete=1 audit_viol=0"
+    " gets=1835 puts=213 remote=128 failed=0 retries=0 stale=0"
+    " served=326 doorbells=652/652 polls=651/652 events=40461"
+    " windows=829 cross=256 t=[7864188,7842705,7850031,7866761]"
+    " mops=[0.407550834,0.406537956,0.407159648,0.407380591]"
+    " get_ns=[10751,10751,10751] put_ns=[7167,8703,8709]"
+    " stats_fnv=16179756820889858341";
+
 KvParams tiny_kv(int shards) {
   KvParams p;
   p.pairs = 4;
@@ -36,6 +58,7 @@ TEST(KvDeterminismTest, DigestInvariantAcrossShardCounts) {
   ASSERT_TRUE(par.complete);
   ASSERT_TRUE(par.audit_ok) << par.audit_violations;
   EXPECT_EQ(seq.digest, par.digest);
+  EXPECT_EQ(seq.digest, kTinyKvRpcDigest);
   EXPECT_EQ(seq.stats_json, par.stats_json);
   EXPECT_FALSE(seq.stats_json.empty());
 }
@@ -58,6 +81,7 @@ TEST(KvDeterminismTest, ReadModeIsDeterministicToo) {
   ASSERT_TRUE(a.audit_ok) << a.audit_violations;
   EXPECT_GT(a.gets, 0u);
   EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.digest, kTinyKvReadDigest);  // shard-invariant, so = tiny_kv(1)
 }
 
 TEST(KvDeterminismTest, DifferentSeedsDiverge) {

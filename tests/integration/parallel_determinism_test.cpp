@@ -16,6 +16,23 @@
 namespace e2e {
 namespace {
 
+// Digests recorded from the hand-rolled run_fleet that predates
+// exp::PairFleet. Every other test here compares runs of one build with each
+// other, which a change that shifts every run equally would pass; these pin
+// the outputs across commits.
+constexpr const char* kTinyFleet4Digest =
+    "fleet-v1 pairs=4 bytes=8388608 seed=0 complete=1 integrity=1"
+    " audit_viol=0 ring=32 events=1920 windows=38 cross=32"
+    " t=[502187343,502187343,502187343,502187343]"
+    " gbps=[29.4171071,29.4171071,29.4171071,29.4171071]"
+    " stats_fnv=2173652279729502726 trace_fnv=18256530538551028774";
+constexpr const char* kTinyFleet4ChaosDigest =
+    "fleet-v1 pairs=4 bytes=33554432 seed=20260809 complete=1"
+    " integrity=1 audit_viol=0 ring=32 events=4584 windows=366"
+    " cross=32 t=[2256226967,2281068313,2432627113,2173214803]"
+    " gbps=[34.1969674,30.8761214,34.1969674,27.5338749]"
+    " stats_fnv=9974140575125026399 trace_fnv=9111714202280270616";
+
 exp::FleetParams tiny_fleet(int pairs, int shards) {
   exp::FleetParams p;
   p.pairs = pairs;
@@ -66,6 +83,7 @@ TEST(ParallelDeterminismTest, ChaosScheduleSurvivesWorkerCountChanges) {
     runs.push_back(exp::run_fleet(p));
   }
   EXPECT_EQ(runs[0].digest, runs[1].digest);
+  EXPECT_EQ(runs[0].digest, kTinyFleet4ChaosDigest);
   EXPECT_EQ(runs[0].stats_json, runs[1].stats_json);
   EXPECT_EQ(runs[0].trace_json, runs[1].trace_json);
   EXPECT_TRUE(runs[0].integrity_ok);
@@ -77,6 +95,7 @@ TEST(ParallelDeterminismTest, RepeatedRunsAreBitIdentical) {
   const auto a = exp::run_fleet(tiny_fleet(4, 2));
   const auto b = exp::run_fleet(tiny_fleet(4, 2));
   EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(a.digest, kTinyFleet4Digest);  // shard-invariant, so = (4, 1)
   EXPECT_EQ(a.stats_json, b.stats_json);
   EXPECT_EQ(a.trace_json, b.trace_json);
 }

@@ -143,25 +143,6 @@ TEST(ThroughputMeter, SingleRecordHasNoActiveWindow) {
   EXPECT_GT(m.mean_gbps(), 0.0);
 }
 
-TEST(StatAccumulator, Moments) {
-  StatAccumulator s;
-  for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 0.001);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(StatAccumulator, EmptyIsZero) {
-  StatAccumulator s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-}
-
 TEST(Table, AsciiRendering) {
   Table t("demo");
   t.header({"name", "gbps"});

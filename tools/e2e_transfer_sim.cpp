@@ -5,16 +5,16 @@
 //   e2e_transfer_sim wan --streams 4 --block 8m    # ANI 95 ms loop
 //   e2e_transfer_sim san --write --numa 0          # iSER fio back-end
 //   e2e_transfer_sim motivating                    # Sec 2.3 iperf study
+//   e2e_transfer_sim fleet --pairs 8 --shards 4    # sharded RFTP pairs
+//   e2e_transfer_sim kv --get-mode read            # small-message tier
 //
-// Options: --gib N, --block N[k|m|g], --streams N, --credits N, --numa 0|1,
-//          --write, --duration SECONDS, --files N (multi-file e2e),
-//          --trace FILE (Perfetto JSON), --report FILE (run report),
-//          --fault-plan SPEC (scripted faults), --fault-seed N (random plan)
+// Options: see usage() (run with no arguments).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -27,6 +27,7 @@
 #include "exp/exp.hpp"
 #include "exp/fleet.hpp"
 #include "exp/kv_scenario.hpp"
+#include "exp/pair_fleet.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "metrics/metrics.hpp"
@@ -94,7 +95,8 @@ struct Options {
       "  --fault-plan S   inject scripted faults, e.g.\n"
       "                   'loss@500ms:n=5;flap@1s:dur=20ms;qpkill@1500ms:qp=0;"
       "crash@1s:host=1,down=50ms'\n"
-      "  --fault-seed N   inject a seeded random fault plan (rftp scenarios)\n"
+      "  --fault-seed N   inject a seeded random fault plan (rftp scenarios;\n"
+      "                   fleet/kv draw one plan per pair)\n"
       "  --checkpoint N   rftp acked-block ledger checkpoint interval in\n"
       "                   blocks (default 1 = every ack durable; 0 disables,\n"
       "                   so a receiver crash restarts from byte zero)\n"
@@ -126,7 +128,8 @@ struct Options {
       "  --fast-forward 0|1  collapse proven steady-state bulk phases into\n"
       "                   closed-form spans (default 0 = event-exact; final\n"
       "                   metrics are identical either way; rftp transfer\n"
-      "                   scenarios only — inert for san/motivating/fleet)\n",
+      "                   scenarios only — inert for san/motivating,\n"
+      "                   rejected by the sharded fleet/kv)\n",
       stderr);
   std::exit(2);
 }
@@ -231,6 +234,19 @@ Options parse(int argc, char** argv) {
   return o;
 }
 
+/// Writes `path` with `fill` (nothing when `path` is empty), or exits 1
+/// with "cannot write <path>".
+void write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& fill) {
+  if (path.empty()) return;
+  std::ofstream os(path);
+  if (!os) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+  fill(os);
+}
+
 /// Optional tracing for one scenario run. Construct right before the
 /// measured engine run — after any setup-phase runs, so the sampler tick
 /// arms for the transfer itself — and call finish() after it to write the
@@ -253,26 +269,14 @@ class TraceScope {
   void finish() {
     if (!tracer_) return;
     tracer_->sample_now();  // closing snapshot at end-of-run time
-    if (!o_.trace_file.empty()) {
-      std::ofstream os(o_.trace_file);
-      if (!os) {
-        std::fprintf(stderr, "cannot write %s\n", o_.trace_file.c_str());
-        std::exit(1);
-      }
-      tracer_->write_chrome_trace(os);
-    }
-    if (!o_.report_file.empty()) {
-      std::ofstream os(o_.report_file);
-      if (!os) {
-        std::fprintf(stderr, "cannot write %s\n", o_.report_file.c_str());
-        std::exit(1);
-      }
-      if (o_.report_file.size() >= 4 &&
-          o_.report_file.compare(o_.report_file.size() - 4, 4, ".csv") == 0)
+    write_file(o_.trace_file,
+               [&](std::ostream& os) { tracer_->write_chrome_trace(os); });
+    write_file(o_.report_file, [&](std::ostream& os) {
+      if (o_.report_file.ends_with(".csv"))
         tracer_->write_report_csv(os);
       else
         tracer_->write_report_json(os);
-    }
+    });
     tracer_.reset();
   }
 
@@ -303,18 +307,12 @@ class StatsScope {
     if (!stats_) return;
     if (exit_code != 0 && !stats_->flight_dump_triggered())
       stats_->trigger_flight_dump("cli:nonzero-exit");
-    if (!o_.stats_out.empty()) {
-      std::ofstream os(o_.stats_out);
-      if (!os) {
-        std::fprintf(stderr, "cannot write %s\n", o_.stats_out.c_str());
-        std::exit(1);
-      }
-      if (o_.stats_out.size() >= 4 &&
-          o_.stats_out.compare(o_.stats_out.size() - 4, 4, ".csv") == 0)
+    write_file(o_.stats_out, [&](std::ostream& os) {
+      if (o_.stats_out.ends_with(".csv"))
         stats_->write_csv(os);
       else
         stats_->write_json(os);
-    }
+    });
     stats_.reset();
   }
 
@@ -468,14 +466,8 @@ class FaultScope {
 
 int run_quick(const Options& o) {
   sim::Engine eng;
-  numa::Host a(eng, model::front_end_lan_host("a"));
-  numa::Host b(eng, model::front_end_lan_host("b"));
-  rdma::Device da(a, a.profile().nics[0]);
-  rdma::Device db(b, b.profile().nics[0]);
-  auto link = net::make_roce_lan(eng, "wire");
-  link->bind_endpoints(&a, &b);
-  numa::Process pa(a, "client", numa::NumaBinding::bound(da.node()));
-  numa::Process pb(b, "server", numa::NumaBinding::bound(db.node()));
+  exp::HostPair hp(eng, {"a", "b", "wire", "client", "server"},
+                   &net::make_roce_lan);
   rftp::RftpConfig cfg;
   cfg.streams = o.streams > 0 ? o.streams : 1;
   cfg.block_bytes = o.block;
@@ -483,14 +475,15 @@ int run_quick(const Options& o) {
   cfg.numa_aware = o.numa;
   cfg.checkpoint_blocks = o.checkpoint;
   auto plan = make_fault_plan(o, 1, cfg.streams);
-  apply_fast_forward(cfg, o, plan, link->rtt());
-  rftp::RftpSession sess({&pa, {&da}}, {&pb, {&db}}, {link.get()}, cfg);
+  apply_fast_forward(cfg, o, plan, hp.link->rtt());
+  rftp::RftpSession sess({&hp.pa, {&hp.da}}, {&hp.pb, {&hp.db}},
+                         {hp.link.get()}, cfg);
   rftp::MemorySource src(o.gib << 30, numa::Placement::on(0));
   rftp::MemorySink dst;
   StatsScope ss(eng, o);
   AuditScope as(eng, o);
   TraceScope ts(eng, o);
-  FaultScope fs(eng, std::move(plan), {link.get()}, &sess, cfg.streams);
+  FaultScope fs(eng, std::move(plan), {hp.link.get()}, &sess, cfg.streams);
   const auto r = exp::run_task(eng, sess.run(src, dst, o.gib << 30));
   if (auto* tr = ts.get()) tr->note("goodput_gbps", r.goodput_gbps);
   ts.finish();
@@ -626,6 +619,31 @@ int run_san(const Options& o) {
   return rc;
 }
 
+/// Shared tail of the sharded scenarios: the simulator-cost line, the
+/// digest (the golden-determinism handle: byte-identical for any --shards
+/// value, so tests diff this line across worker counts), any audit
+/// violations, and the merged stats dump (JSON-only: one write_json
+/// document per shard).
+template <class Result>
+void fleet_tail(const Options& o, const Result& r, std::uint64_t n,
+                const char* what) {
+  const char* name = o.scenario.c_str();
+  std::printf(
+      "%s: %llu events in %.2f s wall (%.0f ev/s), %llu windows, "
+      "%llu cross-shard posts, %llu %s\n",
+      name, static_cast<unsigned long long>(r.sim_events), r.wall_seconds,
+      r.wall_seconds > 0 ? static_cast<double>(r.sim_events) / r.wall_seconds
+                         : 0.0,
+      static_cast<unsigned long long>(r.windows),
+      static_cast<unsigned long long>(r.cross_posts),
+      static_cast<unsigned long long>(n), what);
+  std::printf("digest: %s\n", r.digest.c_str());
+  if (!r.audit_ok)
+    std::printf("%s: %llu audit violation(s)\n", name,
+                static_cast<unsigned long long>(r.audit_violations));
+  write_file(o.stats_out, [&](std::ostream& os) { os << r.stats_json; });
+}
+
 int run_fleet(const Options& o) {
   exp::FleetParams fp;
   fp.pairs = o.pairs;
@@ -636,7 +654,6 @@ int run_fleet(const Options& o) {
   fp.credits = o.credits;
   fp.checkpoint_blocks = o.checkpoint;
   fp.fault_seed = o.fault_seed;
-  fp.fast_forward = o.fast_forward;  // accepted but inert (cluster guard)
   fp.audit = o.audit;
   fp.stats = o.stats;
   fp.trace = !o.trace_file.empty();
@@ -647,38 +664,8 @@ int run_fleet(const Options& o) {
       fp.pairs, static_cast<unsigned long long>(o.gib), fp.shards,
       fp.shards == 1 ? "" : "s",
       r.aggregate_gbps);
-  std::printf(
-      "fleet: %llu events in %.2f s wall (%.0f ev/s), %llu windows, "
-      "%llu cross-shard posts, %llu ring writes\n",
-      static_cast<unsigned long long>(r.sim_events), r.wall_seconds,
-      r.wall_seconds > 0 ? static_cast<double>(r.sim_events) / r.wall_seconds
-                         : 0.0,
-      static_cast<unsigned long long>(r.windows),
-      static_cast<unsigned long long>(r.cross_posts),
-      static_cast<unsigned long long>(r.ring_completed));
-  // The digest is the golden-determinism handle: byte-identical for any
-  // --shards value (tests diff this line across worker counts).
-  std::printf("digest: %s\n", r.digest.c_str());
-  if (!r.audit_ok)
-    std::printf("fleet: %llu audit violation(s)\n",
-                static_cast<unsigned long long>(r.audit_violations));
-  if (!o.trace_file.empty()) {
-    std::ofstream os(o.trace_file);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", o.trace_file.c_str());
-      return 1;
-    }
-    os << r.trace_json;
-  }
-  if (!o.stats_out.empty()) {
-    // Merged cluster dump is JSON-only (one write_json document per shard).
-    std::ofstream os(o.stats_out);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", o.stats_out.c_str());
-      return 1;
-    }
-    os << r.stats_json;
-  }
+  fleet_tail(o, r, r.ring_completed, "ring writes");
+  write_file(o.trace_file, [&](std::ostream& os) { os << r.trace_json; });
   return r.complete && r.integrity_ok && r.audit_ok ? 0 : 1;
 }
 
@@ -719,29 +706,7 @@ int run_kv(const Options& o) {
       static_cast<double>(r.put_p999_ns) / 1e3,
       static_cast<unsigned long long>(r.rpc_retries),
       static_cast<unsigned long long>(r.failed_ops));
-  std::printf(
-      "kv: %llu events in %.2f s wall (%.0f ev/s), %llu windows, "
-      "%llu cross-shard posts, %llu remote ops\n",
-      static_cast<unsigned long long>(r.sim_events), r.wall_seconds,
-      r.wall_seconds > 0 ? static_cast<double>(r.sim_events) / r.wall_seconds
-                         : 0.0,
-      static_cast<unsigned long long>(r.windows),
-      static_cast<unsigned long long>(r.cross_posts),
-      static_cast<unsigned long long>(r.remote_ops));
-  // The digest is the golden-determinism handle: byte-identical for any
-  // --shards value (tests diff this line across worker counts).
-  std::printf("digest: %s\n", r.digest.c_str());
-  if (!r.audit_ok)
-    std::printf("kv: %llu audit violation(s)\n",
-                static_cast<unsigned long long>(r.audit_violations));
-  if (!o.stats_out.empty()) {
-    std::ofstream os(o.stats_out);
-    if (!os) {
-      std::fprintf(stderr, "cannot write %s\n", o.stats_out.c_str());
-      return 1;
-    }
-    os << r.stats_json;
-  }
+  fleet_tail(o, r, r.remote_ops, "remote ops");
   return r.complete && r.audit_ok ? 0 : 1;
 }
 
@@ -782,12 +747,7 @@ int run_motivating(const Options& o) {
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
   if (o.scenario == "fleet" || o.scenario == "kv") {
-    if (o.pairs < 1) {
-      std::fprintf(stderr, "bad --pairs %d: need at least one pair\n",
-                   o.pairs);
-      usage();
-    }
-    if (o.shards < 1 || o.shards > o.pairs) {
+    if (o.shards > o.pairs) {  // both parse as >= 1
       std::fprintf(stderr,
                    "bad --shards %d: must be in [1, --pairs=%d] (one engine "
                    "shard per host pair)\n",
@@ -801,12 +761,19 @@ int main(int argc, char** argv) {
                    o.scenario.c_str());
       usage();
     }
+    if (o.fast_forward) {
+      std::fprintf(stderr,
+                   "bad --fast-forward 1: %s runs its pairs as shards of one "
+                   "cluster, which cannot skip time\n",
+                   o.scenario.c_str());
+      usage();
+    }
     return o.scenario == "kv" ? run_kv(o) : run_fleet(o);
   }
   if (o.shards != 1) {
     std::fprintf(stderr,
-                 "bad --shards %d: only the fleet scenario is sharded (%s "
-                 "runs one engine)\n",
+                 "bad --shards %d: only the fleet and kv scenarios are "
+                 "sharded (%s runs one engine)\n",
                  o.shards, o.scenario.c_str());
     usage();
   }
