@@ -144,8 +144,8 @@ sim::Task<bool> kv_read_get(KvRig* rig, std::uint64_t key, int w) {
   co_return false;
 }
 
-sim::Task<bool> kv_rpc_op(KvRig* rig, rpc::RpcClient* cl, bool put,
-                          std::uint64_t key, std::uint64_t value_bytes,
+sim::Task<bool> kv_rpc_op(rpc::RpcClient* cl, bool put, std::uint64_t key,
+                          std::uint64_t value_bytes,
                           std::uint64_t header_bytes) {
   apps::KvMsg m;
   m.op = put ? apps::KvMsg::Op::kPut : apps::KvMsg::Op::kGet;
@@ -171,8 +171,7 @@ sim::Task<> kv_worker(KvRig* rig, const KvParams* p, int w,
       ok = co_await kv_read_get(rig, key, w);
     } else {
       rpc::RpcClient* cl = remote ? rig->ring_client.get() : rig->client.get();
-      ok = co_await kv_rpc_op(rig, cl, put, key, p->value_bytes,
-                              header_bytes);
+      ok = co_await kv_rpc_op(cl, put, key, p->value_bytes, header_bytes);
     }
     const sim::SimTime now = rig->eng->now();
     (put ? rig->put_lat : rig->get_lat)

@@ -134,6 +134,15 @@ class MsgPool {
       return;
     }
 #endif
+    release(h);
+  }
+
+  /// Kept out of line: inlined into a MsgPtr destructor, GCC 12's
+  /// -Wuse-after-free follows the path where one copy's decrement frees
+  /// the header and a second copy's decrement then reads it. The shared
+  /// count makes that path infeasible (only the last reference frees),
+  /// but the analysis cannot see the count's value, so it warns.
+  [[gnu::noinline]] static void release(MsgHeader* h) noexcept {
     ::operator delete(h);
   }
 

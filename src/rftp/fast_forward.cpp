@@ -245,6 +245,10 @@ void FastForward::collapse() {
   const sim::SimDuration period_ns =
       drains_[n % cap_].at - drains_[(n - period_) % cap_].at;
   const std::uint64_t bb = sess_.cfg_.block_bytes;
+  const std::uint64_t cb =
+      sess_.cfg_.checkpoint_blocks > 0
+          ? static_cast<std::uint64_t>(sess_.cfg_.checkpoint_blocks)
+          : 0;
 
   // Window-2 claim pattern and drain-record times, in order.
   std::vector<ClaimRec> pattern(period_);
@@ -295,6 +299,9 @@ void FastForward::collapse() {
     for (std::size_t j = 0; j < period_; ++j) {
       const std::uint64_t idx = popped[j];
       sess_.drained_[idx] = 1;
+      // Pending until the boundary check below; past checkpoint_blocks
+      // the span crosses a boundary and publishes in full instead.
+      if (sess_.unledgered_.size() < cb) sess_.unledgered_.push_back(idx);
       sess_.sink_digest_ ^= fault::rftp_block_tag(idx, bb);
       if (sess_.meter_ != nullptr)
         sess_.meter_->record_at(
@@ -314,17 +321,19 @@ void FastForward::collapse() {
   }
   const std::uint64_t kr = k_done * period_;
   // Checkpoint bookkeeping advances analytically: `boundaries` checkpoints
-  // fired inside the span; one ledger publication at the last of them
+  // fired inside the span; one full ledger publication at the last of them
   // covers every replayed block (the auditor only requires ledgered ⊆
-  // drained, and the post-span cadence continues on the same phase).
-  if (sess_.cfg_.checkpoint_blocks > 0) {
-    const auto cb = static_cast<std::uint64_t>(sess_.cfg_.checkpoint_blocks);
+  // drained, and the post-span cadence continues on the same phase). A
+  // span that crosses no boundary leaves its blocks pending, already
+  // appended to unledgered_ by the replay loop above.
+  if (cb > 0) {
     const auto pre = static_cast<std::uint64_t>(sess_.drains_since_ckpt_);
     const std::uint64_t boundaries = (pre + kr) / cb;
     sess_.drains_since_ckpt_ = static_cast<int>((pre + kr) % cb);
     if (boundaries > 0) {
       sess_.checkpoints += boundaries;
       sess_.ledger_ = sess_.drained_;
+      sess_.unledgered_.clear();
       if (au != nullptr) au->rftp_checkpoint(&sess_, sess_.ledger_);
     }
   }

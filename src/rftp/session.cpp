@@ -155,6 +155,7 @@ sim::Task<TransferResult> RftpSession::run(DataSource& src, DataSink& dst,
   meter_ = meter;
   drained_.assign(total_blocks_, 0);
   ledger_.assign(total_blocks_, 0);
+  unledgered_.clear();
   drains_since_ckpt_ = 0;
   crashed_ = false;
   resume_pending_ = false;
@@ -638,15 +639,18 @@ sim::Task<> RftpSession::drainer(Stream& s, numa::Thread& th, DataSink& dst,
                         "resume_ns")
               .record(static_cast<std::uint64_t>(eng_.now() - crash_t0_));
       }
-      ++drains_since_ckpt_;
-      if (cfg_.checkpoint_blocks > 0 &&
-          drains_since_ckpt_ >= cfg_.checkpoint_blocks) {
-        drains_since_ckpt_ = 0;
-        ledger_ = drained_;
-        ++checkpoints;
-        if (auto* au = check::of(eng_)) au->rftp_checkpoint(this, ledger_);
-        if (auto* tr = trace::of(eng_))
-          tr->counter("rftp/checkpoints").add(1);
+      // A checkpoint publishes only the drains since the previous one.
+      if (cfg_.checkpoint_blocks > 0) {
+        unledgered_.push_back(a->block_idx);
+        if (++drains_since_ckpt_ >= cfg_.checkpoint_blocks) {
+          drains_since_ckpt_ = 0;
+          for (const std::uint64_t idx : unledgered_) ledger_[idx] = 1;
+          unledgered_.clear();
+          ++checkpoints;
+          if (auto* au = check::of(eng_)) au->rftp_checkpoint(this, ledger_);
+          if (auto* tr = trace::of(eng_))
+            tr->counter("rftp/checkpoints").add(1);
+        }
       }
     }
 
@@ -836,6 +840,7 @@ void RftpSession::crash_host(int host, sim::SimDuration down) {
         tr->counter("rftp/rolled_back_blocks").add(1);
       requeue_block(idx);
     }
+    unledgered_.clear();  // every pending block just rolled back
   }
 
   if (down > 0) {

@@ -39,7 +39,7 @@
 #include "rftp/config.hpp"
 #include "rftp/source_sink.hpp"
 #include "sim/channel.hpp"
-#include "sim/ring_queue.hpp"
+#include "sim/run_queue.hpp"
 #include "sim/sync.hpp"
 #include "stats/registry.hpp"
 #include "trace/tracer.hpp"
@@ -257,7 +257,7 @@ class RftpSession {
   [[nodiscard]] std::optional<ClaimDecision> decide_claim(
       numa::NodeId node) const;
   /// Pops the decided block and bumps the claim counters; the inverse (for
-  /// a fast-forward undo) is RingQueue::push_front/push_back plus counter
+  /// a fast-forward undo) is RunQueue::push_front/push_back plus counter
   /// decrements in rftp::FastForward.
   std::uint64_t apply_claim(const ClaimDecision& d);
 
@@ -270,8 +270,9 @@ class RftpSession {
   std::uint64_t total_bytes_ = 0;
   std::uint64_t total_blocks_ = 0;
   // block_queues_[node] holds blocks homed on that node; the last entry
-  // holds blocks with no known home.
-  std::vector<sim::RingQueue<std::uint64_t>> block_queues_;
+  // holds blocks with no known home. Run-length: a contiguous plan is one
+  // run, so a TB-scale transfer plans in O(nodes) memory.
+  std::vector<sim::RunQueue> block_queues_;
   std::vector<int> streams_on_node_;
 
  public:
@@ -307,10 +308,16 @@ class RftpSession {
   DataSink* dst_ = nullptr;
   metrics::ThroughputMeter* meter_ = nullptr;
   std::vector<char> drained_;       // per-block: already at the sink
-  // Crash/resume state: the durable acked-block ledger (a checkpointed
-  // copy of drained_ — what survives a receiver reboot), plus the epoch
-  // bookkeeping for the one outstanding crash.
+  // Crash/resume state: the durable acked-block ledger (drained_ as of the
+  // last checkpoint — what survives a receiver reboot), plus the epoch
+  // bookkeeping for the one outstanding crash. Checkpoints publish
+  // incrementally: unledgered_ lists the blocks drained since the last
+  // publication (at most checkpoint_blocks of them; always empty with
+  // checkpointing off), so a checkpoint costs O(checkpoint_blocks), not
+  // O(total_blocks). drained_ minus ledger_ is exactly unledgered_ when
+  // checkpointing is on.
   std::vector<char> ledger_;
+  std::vector<std::uint64_t> unledgered_;
   int drains_since_ckpt_ = 0;
   bool crashed_ = false;            // a crash-stop is in progress
   bool resume_pending_ = false;     // first post-resume drain not yet seen

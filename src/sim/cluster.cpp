@@ -56,22 +56,17 @@ void Cluster::deliver_outboxes() {
   // dispatch — never wall-clock arrival order. Destination sequence
   // numbers are assigned here, between windows, so they are a pure
   // function of the logical schedule, not of worker interleaving.
-  struct Keyed {
-    SimTime t;
-    int src;
-    std::uint64_t seq;
-    Msg* m;
-  };
-  std::vector<Keyed> keyed;
+  keyed_.clear();
   for (int src = 0; src < static_cast<int>(outboxes_.size()); ++src)
     for (Msg& m : outboxes_[src]->msgs)
-      keyed.push_back(Keyed{m.t, src, m.seq, &m});
-  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+      keyed_.push_back(Keyed{m.t, src, m.seq, &m});
+  if (keyed_.empty()) return;
+  std::sort(keyed_.begin(), keyed_.end(), [](const Keyed& a, const Keyed& b) {
     if (a.t != b.t) return a.t < b.t;
     if (a.src != b.src) return a.src < b.src;
     return a.seq < b.seq;
   });
-  for (Keyed& k : keyed) {
+  for (Keyed& k : keyed_) {
     if (shards_[k.m->dst] == nullptr) continue;  // dead shard: drop the msg
     Engine& dst = *shards_[k.m->dst];
     assert(k.t >= dst.now());

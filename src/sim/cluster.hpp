@@ -114,6 +114,13 @@ class Cluster {
     std::vector<Msg> msgs;
     std::uint64_t next_seq = 0;
   };
+  /// A buffered message's merge key (see deliver_outboxes).
+  struct Keyed {
+    SimTime t;
+    int src;
+    std::uint64_t seq;
+    Msg* m;
+  };
 
   [[nodiscard]] int effective_workers() const noexcept {
     const int n = static_cast<int>(shards_.size());
@@ -128,6 +135,7 @@ class Cluster {
   std::vector<Engine*> shards_;
   std::vector<std::unique_ptr<Outbox>> outboxes_;  // stable addresses
   std::vector<std::exception_ptr> errors_;
+  std::vector<Keyed> keyed_;  // deliver_outboxes scratch, kept across windows
   SimDuration lookahead_ = kTimeInfinity;
   SimTime horizon_ = 0;   // current window's exclusive upper bound
   bool parallel_ = false;  // inside run(): post() buffers instead of

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "sim/resource.hpp"
 
@@ -166,8 +167,12 @@ void Tracer::note(std::string_view key, double value) {
 }
 
 void Tracer::note(std::string_view key, std::string_view value) {
-  notes_.emplace_back(std::string(key),
-                      "\"" + std::string(value) + "\"");
+  std::string quoted;
+  quoted.reserve(value.size() + 2);
+  quoted += '"';
+  quoted += value;
+  quoted += '"';
+  notes_.emplace_back(std::string(key), std::move(quoted));
 }
 
 }  // namespace e2e::trace

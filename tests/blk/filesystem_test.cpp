@@ -153,7 +153,9 @@ TEST_F(FsRig, XfsParallelWritersBeatExt4Journal) {
   auto run_fs = [&](FileSystem& fs) {
     sim::WaitGroup wg(eng);
     for (int i = 0; i < 8; ++i) {
-      File& f = fs.create("f" + std::to_string(i), 2 << 20);
+      std::string name = "f";
+      name += std::to_string(i);
+      File& f = fs.create(name, 2 << 20);
       numa::Thread& th = app.spawn_thread(i % 2);
       wg.add();
       sim::co_spawn([](FileSystem& xfs, numa::Thread& t, File& file,

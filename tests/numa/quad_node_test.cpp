@@ -76,7 +76,9 @@ TEST(QuadNode, BindNodeRoundRobinsWithinEachNode) {
   sim::Engine eng;
   Host h(eng, quad_host());
   for (NodeId n = 0; n < 4; ++n) {
-    Process p(h, "p" + std::to_string(n), NumaBinding::bound(n));
+    std::string name = "p";
+    name += std::to_string(n);
+    Process p(h, name, NumaBinding::bound(n));
     for (int i = 0; i < 8; ++i) EXPECT_EQ(p.spawn_thread().node(), n);
   }
 }

@@ -118,6 +118,44 @@ TEST_F(RftpCrashTest, ReceiverCrashRollsBackUnledgeredBlocksAndResends) {
   expect_audit_ok();
 }
 
+// A ledger interval that does not divide the claim period R = streams x
+// credits_per_stream (2 x 8 = 16), so checkpoints fall mid-period and the
+// crash rolls back a partial interval. The ledger outcome is pinned to
+// values recorded before checkpoints became incremental, with
+// fast-forward off (param false) and on (true). On this rig the restarted
+// pipeline never settles into an R-periodic steady state, so the
+// fast-forward leg checks that an armed, idle detector changes nothing.
+struct RftpCrashLedgerTest : RftpCrashTest,
+                             ::testing::WithParamInterface<bool> {};
+
+TEST_P(RftpCrashLedgerTest, NonDividingIntervalKeepsRecordedLedger) {
+  RftpConfig cfg;
+  cfg.streams = 2;
+  cfg.credits_per_stream = 8;
+  cfg.block_bytes = 256 * 1024;
+  cfg.checkpoint_blocks = 5;
+  cfg.fast_forward = GetParam();
+  cfg.ff_quiet_after = 20 * sim::kMillisecond;  // after the restart
+  auto sess = make_session(cfg);
+  const std::uint64_t total = 192ull << 20;
+  rig.eng.schedule_after(6 * sim::kMillisecond, [&] {
+    sess->crash_host(1, 2 * sim::kMillisecond);
+  });
+  ZeroSource src(total);
+  NullSink dst;
+  const auto r = exp::run_task(rig.eng, sess->run(src, dst, total));
+  EXPECT_TRUE(r.complete);
+  EXPECT_TRUE(r.integrity_ok);
+  EXPECT_EQ(r.bytes, total);
+  EXPECT_EQ(r.resumes, 1u);
+  EXPECT_EQ(sess->checkpoints, 154u);
+  EXPECT_EQ(sess->rolled_back_blocks, 3u);
+  EXPECT_EQ(sess->sink_digest(), 14109405482504720321ull);
+  expect_audit_ok();
+}
+
+INSTANTIATE_TEST_SUITE_P(FastForward, RftpCrashLedgerTest, ::testing::Bool());
+
 TEST_F(RftpCrashTest, DisabledLedgerRestartsReceiverFromScratch) {
   RftpConfig cfg;
   cfg.streams = 1;

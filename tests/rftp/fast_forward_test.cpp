@@ -103,6 +103,7 @@ struct Case {
   std::uint64_t total_bytes = 0;
   std::string plan_spec;       // scripted plan, "" = none
   std::uint64_t fault_seed = 0;  // != 0: seeded random plan instead
+  int checkpoint_blocks = 1;
 };
 
 std::optional<fault::FaultPlan> make_plan(const Case& c, int streams) {
@@ -132,6 +133,7 @@ Outcome run_once(const Case& c, bool fast_forward) {
   cfg.streams = 2;
   cfg.credits_per_stream = 8;
   cfg.block_bytes = 256 * 1024;
+  cfg.checkpoint_blocks = c.checkpoint_blocks;
   auto plan = make_plan(c, cfg.streams);
   cfg.fast_forward = fast_forward;
   if (fast_forward) {
@@ -193,10 +195,13 @@ Outcome run_once(const Case& c, bool fast_forward) {
   return o;
 }
 
-void expect_equivalent(const Case& c, bool require_engagement) {
+/// Returns the fast-forwarded outcome (equal to the event-exact one when
+/// the expectations hold).
+Outcome expect_equivalent(const Case& c, bool require_engagement) {
   SCOPED_TRACE(::testing::Message()
                << "total=" << c.total_bytes << " plan='" << c.plan_spec
-               << "' seed=" << c.fault_seed);
+               << "' seed=" << c.fault_seed
+               << " checkpoint=" << c.checkpoint_blocks);
   const Outcome exact = run_once(c, false);
   const Outcome ff = run_once(c, true);
   EXPECT_TRUE(exact == ff) << "exact: " << exact << "\n   ff: " << ff;
@@ -207,6 +212,7 @@ void expect_equivalent(const Case& c, bool require_engagement) {
     EXPECT_GT(ff.ff_spans, 0u);
     EXPECT_GT(ff.ff_blocks, 0u);
   }
+  return ff;
 }
 
 // Block counts chosen to be deep into bulk territory on the tiny rig:
@@ -244,6 +250,30 @@ TEST(FastForwardGolden, ScriptedCrashResumeMatches) {
   // event-exactly; final ledgers still must match bit-for-bit.
   const std::string spec = "crash@6ms:host=1,down=2ms";
   expect_equivalent({kMedium, spec, 0}, /*require_engagement=*/false);
+}
+
+// checkpoint_blocks = 5 does not divide the period R = 2 x 8: checkpoints
+// fall mid-period, and a collapse's full ledger publication leaves a
+// partial interval counting toward the next one. Beyond ff == exact, the
+// ledger outcome is pinned to values recorded before checkpoints became
+// incremental.
+TEST(FastForwardGolden, NonDividingLedgerIntervalMatches) {
+  const Outcome o = expect_equivalent({kMedium, "", 0, 5},
+                                      /*require_engagement=*/true);
+  EXPECT_EQ(o.checkpoints, 153u);
+  EXPECT_EQ(o.rolled_back_blocks, 0u);
+  EXPECT_EQ(o.bytes, kMedium);
+  EXPECT_EQ(o.digest, 14109405482504720321ull);
+}
+
+TEST(FastForwardGolden, CrashResumeWithNonDividingLedgerIntervalMatches) {
+  const Outcome o =
+      expect_equivalent({kMedium, "crash@6ms:host=1,down=2ms", 0, 5},
+                        /*require_engagement=*/false);
+  EXPECT_EQ(o.checkpoints, 154u);
+  EXPECT_EQ(o.rolled_back_blocks, 4u);
+  EXPECT_EQ(o.bytes, kMedium);
+  EXPECT_EQ(o.digest, 14109405482504720321ull);
 }
 
 TEST(FastForwardGolden, SeededChaosMatchesAcrossSeeds) {
