@@ -19,22 +19,18 @@ namespace e2e::bench {
 
 /// Opt-in tracing for scenario runs, shared by the bench drivers.
 ///
-/// When the environment names output files —
-///   E2E_TRACE=out.json   Chrome/Perfetto trace-event JSON
-///   E2E_REPORT=out.json  flat run report (.csv suffix -> CSV)
-/// — constructing a ScopedTrace installs a tracer (plus a 10 ms resource
-/// sampler) on `eng` and writes the file(s) on destruction. With neither
-/// variable set no tracer is installed, so benchmark numbers are the
-/// untraced numbers. Repeated scenario runs overwrite the same files; the
-/// surviving trace describes the last run.
+/// When E2E_TRACE=out.json names a Chrome/Perfetto trace-event JSON file,
+/// constructing a ScopedTrace installs a tracer (plus a 10 ms resource
+/// sampler) on `eng` and writes the file on destruction. Without it no
+/// tracer is installed, so benchmark numbers are the untraced numbers.
+/// Repeated scenario runs overwrite the same file; the surviving trace
+/// describes the last run.
 class ScopedTrace {
  public:
   explicit ScopedTrace(sim::Engine& eng) {
     const char* trace_file = std::getenv("E2E_TRACE");
-    const char* report_file = std::getenv("E2E_REPORT");
     if (trace_file != nullptr) trace_file_ = trace_file;
-    if (report_file != nullptr) report_file_ = report_file;
-    if (trace_file_.empty() && report_file_.empty()) return;
+    if (trace_file_.empty()) return;
     tracer_ = std::make_unique<trace::Tracer>(eng);
     tracer_->install();
     tracer_->enable_resource_sampler(10 * sim::kMillisecond);
@@ -44,26 +40,12 @@ class ScopedTrace {
   ~ScopedTrace() {
     if (!tracer_) return;
     tracer_->sample_now();
-    if (!trace_file_.empty()) {
-      std::ofstream os(trace_file_);
-      if (os) tracer_->write_chrome_trace(os);
-    }
-    if (!report_file_.empty()) {
-      std::ofstream os(report_file_);
-      if (!os) return;
-      if (report_file_.size() >= 4 &&
-          report_file_.compare(report_file_.size() - 4, 4, ".csv") == 0)
-        tracer_->write_report_csv(os);
-      else
-        tracer_->write_report_json(os);
-    }
+    std::ofstream os(trace_file_);
+    if (os) tracer_->write_chrome_trace(os);
   }
-
-  [[nodiscard]] trace::Tracer* get() noexcept { return tracer_.get(); }
 
  private:
   std::string trace_file_;
-  std::string report_file_;
   std::unique_ptr<trace::Tracer> tracer_;
 };
 

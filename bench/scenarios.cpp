@@ -160,13 +160,12 @@ E2eResult run_e2e_rftp(std::uint64_t dataset, bool numa_tuned) {
                        });
   rftp::FileSink dst(*tb.dst_fs, *tb.dst_file);
   metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
-  ScopedTrace ts(tb.eng);  // opt-in via E2E_TRACE / E2E_REPORT
+  ScopedTrace ts(tb.eng);  // opt-in via E2E_TRACE
   ScopedStats ss(tb.eng);  // always-on; dump opt-in via E2E_STATS
   const sim::SimTime t0 = tb.eng.now();
   const SimCostProbe probe(tb.eng);
   const auto res =
       exp::run_task(tb.eng, sess.run(src, dst, dataset, &meter));
-  if (auto* tr = ts.get()) tr->note("goodput_gbps", res.goodput_gbps);
   auto out = finish_e2e(tb, res, meter, tb.eng.now() - t0);
   probe.finish(out);
   out.drain_hist = ss.merged("drain_ns");

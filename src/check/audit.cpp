@@ -10,12 +10,13 @@
 
 #include "fault/integrity.hpp"
 #include "sim/resource.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::check {
 
 namespace {
+
+constexpr obs::Incident kViolation{.trace_counter = "check/violations",
+                                   .dump = "audit"};
 
 std::string ptr_tag(std::string_view prefix, const void* p) {
   std::ostringstream os;
@@ -70,16 +71,11 @@ void Auditor::violate(std::string_view rule, std::string detail) {
                  static_cast<unsigned long long>(v.when), v.rule.c_str(),
                  v.detail.c_str());
   // Violations surface in the trace too (lazily: zero-violation runs emit
-  // nothing, keeping audited traces byte-identical to unaudited ones).
-  if (auto* tr = trace::of(eng_)) {
-    tr->instant(tr->track(trace::Layer::kApp, "check/violations"), v.rule);
-    tr->counter("check/violations").add(1);
-  }
-  // An invariant break is exactly what the flight recorder exists for:
-  // dump the window of records leading up to it (first violation only —
+  // nothing, keeping audited traces byte-identical to unaudited ones). An
+  // invariant break is exactly what the flight recorder exists for: dump
+  // the window of records leading up to it (first violation only —
   // trigger_flight_dump latches).
-  if (auto* st = stats::of(eng_))
-    st->trigger_flight_dump("audit:" + v.rule);
+  obs_.report(eng_, kViolation, violation_, {.event = v.rule});
   violations_.push_back(std::move(v));
 }
 

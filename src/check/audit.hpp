@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "metrics/cpu_usage.hpp"
+#include "obs/probe.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -336,6 +337,9 @@ class Auditor final : public sim::AuditHook {
   sim::Engine& eng_;
   Policy policy_;
   bool log_ = true;
+  // Violations trace on the shared "check/violations" track.
+  obs::Actor obs_{obs::Layer::kApp, obs::named("check/violations"), {}};
+  obs::Site violation_;
   sim::SimDuration skipped_ = 0;  // modeled time absorbed by Engine::skip_time
   std::vector<Violation> violations_;
 

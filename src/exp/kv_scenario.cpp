@@ -209,7 +209,7 @@ KvResult run_kv(const KvParams& p) {
 
   const PairFleet::Config fc{
       .pairs = p.pairs, .shards = p.shards, .stats = p.stats,
-      .audit = p.audit, .fault_seed = p.fault_seed,
+      .trace = p.trace, .audit = p.audit, .fault_seed = p.fault_seed,
       .chaos = {.links = 1, .qps = 1, .qp_kills = 2},
       .tag = "kv", .names = {"-c", "-s", "-rack", "-cli", "-srv"},
       .ring_tag = "kvring", .link = &net::make_roce_rack};
@@ -393,6 +393,7 @@ KvResult run_kv(const KvParams& p) {
      << out.put_p999_ns << "]" << fleet.hashes(merged);
   out.digest = dg.str();
   out.stats_json = std::move(merged.stats_json);
+  out.trace_json = std::move(merged.trace_json);
   return out;
 }
 

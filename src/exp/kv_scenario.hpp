@@ -38,6 +38,7 @@ struct KvParams {
   std::uint64_t fault_seed = 0;  // != 0: seeded per-pair chaos plans
   bool audit = true;
   bool stats = false;
+  bool trace = false;  // capture merged Chrome trace JSON
 };
 
 struct KvResult {
@@ -66,6 +67,7 @@ struct KvResult {
   std::uint64_t get_p50_ns = 0, get_p99_ns = 0, get_p999_ns = 0;
   std::uint64_t put_p50_ns = 0, put_p99_ns = 0, put_p999_ns = 0;
   std::string stats_json;  // merged registry dump (params.stats)
+  std::string trace_json;  // merged Chrome trace (params.trace)
   /// One-line fingerprint of every deterministic output above;
   /// bit-identical across shard counts.
   std::string digest;

@@ -6,6 +6,16 @@
 
 namespace e2e::fault {
 
+namespace {
+
+// Trace-only incidents; their instants are named at run time (the fault
+// kind, or the cause of a dropped message).
+constexpr obs::Incident kInjected{.trace_counter = "fault/injected"};
+constexpr obs::Incident kCleared{};
+constexpr obs::Incident kMessageFailed{.trace_counter = "fault/messages_failed"};
+
+}  // namespace
+
 FaultInjector::FaultInjector(sim::Engine& eng, FaultPlan plan)
     : eng_(eng), plan_(std::move(plan)) {}
 
@@ -22,6 +32,7 @@ void FaultInjector::attach(net::Link& link) {
       throw std::logic_error("link attached twice: " + link.name());
   LinkState ls;
   ls.link = &link;
+  ls.obs = obs::Actor(obs::Layer::kFault, {"fault/" + link.name()}, {});
   links_.push_back(ls);
   link.set_fault_hook(this);
 }
@@ -45,35 +56,21 @@ void FaultInjector::arm() {
 // Emits the injection-time trace instant + counters for one plan event.
 void FaultInjector::fire(LinkState& ls, const char* name) {
   ++faults_injected_;
-  if (auto* tr = trace::of(eng_)) {
-    const auto tk = ls.trk.get(tr, trace::Layer::kFault,
-                               "fault/" + ls.link->name());
-    tr->instant(tk, name);
-    tr->counter("fault/injected").add(1);
-  }
+  ls.obs.report(eng_, kInjected, ls.injected, {.event = name});
 }
 
 void FaultInjector::apply(const FaultEvent& ev) {
   if (ev.type == FaultType::kQpKill) {
     ++faults_injected_;
-    if (auto* tr = trace::of(eng_)) {
-      const auto tk =
-          plan_trk_.get(tr, trace::Layer::kFault, "fault/plan");
-      tr->instant(tk, "qp-kill");
-      tr->counter("fault/injected").add(1);
-    }
+    plan_obs_.report(eng_, kInjected, plan_injected_, {.event = "qp-kill"});
     if (qp_kill_) qp_kill_(ev.qp);
     else ++skipped_events_;
     return;
   }
   if (ev.type == FaultType::kCrash) {
     ++faults_injected_;
-    if (auto* tr = trace::of(eng_)) {
-      const auto tk =
-          plan_trk_.get(tr, trace::Layer::kFault, "fault/plan");
-      tr->instant(tk, "host-crash");
-      tr->counter("fault/injected").add(1);
-    }
+    plan_obs_.report(eng_, kInjected, plan_injected_,
+                     {.event = "host-crash"});
     if (crash_) crash_(ev.host, ev.down);
     else ++skipped_events_;
     return;
@@ -95,10 +92,7 @@ void FaultInjector::apply(const FaultEvent& ev) {
       fire(ls, "link-down");
       eng_.schedule_after(ev.duration, [this, &ls] {
         ls.down = false;
-        if (auto* tr = trace::of(eng_))
-          tr->instant(ls.trk.get(tr, trace::Layer::kFault,
-                                 "fault/" + ls.link->name()),
-                      "link-up");
+        ls.obs.report(eng_, kCleared, ls.cleared, {.event = "link-up"});
       });
       break;
     }
@@ -108,10 +102,8 @@ void FaultInjector::apply(const FaultEvent& ev) {
       fire(ls, "latency-spike");
       eng_.schedule_after(ev.duration, [this, &ls, add] {
         ls.extra_latency -= add;
-        if (auto* tr = trace::of(eng_))
-          tr->instant(ls.trk.get(tr, trace::Layer::kFault,
-                                 "fault/" + ls.link->name()),
-                      "latency-normal");
+        ls.obs.report(eng_, kCleared, ls.cleared,
+                      {.event = "latency-normal"});
       });
       break;
     }
@@ -121,10 +113,7 @@ void FaultInjector::apply(const FaultEvent& ev) {
       fire(ls, "blackhole");
       eng_.schedule_after(ev.duration, [this, &ls, d] {
         ls.hole[d] = false;
-        if (auto* tr = trace::of(eng_))
-          tr->instant(ls.trk.get(tr, trace::Layer::kFault,
-                                 "fault/" + ls.link->name()),
-                      "blackhole-end");
+        ls.obs.report(eng_, kCleared, ls.cleared, {.event = "blackhole-end"});
       });
       break;
     }
@@ -168,12 +157,7 @@ net::TxFate FaultInjector::on_transmit(net::Link& link, net::Direction d,
   fate.extra_latency = state->extra_latency;
   if (fate.fail) {
     ++messages_failed_;
-    if (auto* tr = trace::of(eng_)) {
-      const auto tk = state->trk.get(tr, trace::Layer::kFault,
-                                     "fault/" + link.name());
-      tr->instant(tk, cause);
-      tr->counter("fault/messages_failed").add(1);
-    }
+    state->obs.report(eng_, kMessageFailed, state->failed, {.event = cause});
   }
   return fate;
 }

@@ -17,7 +17,7 @@
 #include "fault/plan.hpp"
 #include "net/link.hpp"
 #include "sim/engine.hpp"
-#include "trace/tracer.hpp"
+#include "obs/probe.hpp"
 
 namespace e2e::fault {
 
@@ -87,7 +87,8 @@ class FaultInjector final : public net::FaultHook {
     bool down = false;             // inside a flap window
     bool hole[2] = {false, false};  // per-direction blackhole window
     sim::SimDuration extra_latency = 0;  // active spike magnitude
-    trace::CachedTrack trk;
+    obs::Actor obs;  // "fault/<link>" track
+    obs::Site injected, cleared, failed;
   };
 
   void apply(const FaultEvent& ev);
@@ -103,7 +104,8 @@ class FaultInjector final : public net::FaultHook {
   std::uint64_t faults_injected_ = 0;
   std::uint64_t messages_failed_ = 0;
   std::uint64_t skipped_events_ = 0;
-  trace::CachedTrack plan_trk_;
+  obs::Actor plan_obs_{obs::Layer::kFault, {"fault/plan"}, {}};
+  obs::Site plan_injected_;
 };
 
 }  // namespace e2e::fault

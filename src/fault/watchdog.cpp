@@ -1,8 +1,12 @@
 #include "fault/watchdog.hpp"
 
-#include "trace/tracer.hpp"
-
 namespace e2e::fault {
+
+namespace {
+
+constexpr obs::Incident kVerdict{};  // instant named per verdict
+
+}  // namespace
 
 void Watchdog::arm(const Deadline& dl, std::function<void()> on_dead) {
   dl_ = dl;
@@ -28,9 +32,7 @@ void Watchdog::check(std::uint64_t gen) {
       // operators can tell an over-tight `quiet` from real instability.
       ++false_suspicions_;
       if (on_false_suspect_) on_false_suspect_();
-      if (auto* tr = trace::of(eng_))
-        tr->instant(tr->track(trace::Layer::kFault, "fault/watchdog"),
-                    "false-suspect");
+      obs_.report(eng_, kVerdict, verdict_, {.event = "false-suspect"});
     }
     suspicious_ = false;
     quiet_count_ = 0;
@@ -38,9 +40,7 @@ void Watchdog::check(std::uint64_t gen) {
     suspicious_ = true;
     ++suspicions_;
     ++quiet_count_;
-    if (auto* tr = trace::of(eng_))
-      tr->instant(tr->track(trace::Layer::kFault, "fault/watchdog"),
-                  "quiet-period");
+    obs_.report(eng_, kVerdict, verdict_, {.event = "quiet-period"});
   }
   const bool hard_blown =
       dl_.hard > 0 && eng_.now() - last_kick_ >= dl_.hard;
@@ -48,9 +48,7 @@ void Watchdog::check(std::uint64_t gen) {
     dead_ = true;
     armed_ = false;
     ++generation_;
-    if (auto* tr = trace::of(eng_))
-      tr->instant(tr->track(trace::Layer::kFault, "fault/watchdog"),
-                  "declared-dead");
+    obs_.report(eng_, kVerdict, verdict_, {.event = "declared-dead"});
     if (on_dead_) on_dead_();
     return;
   }

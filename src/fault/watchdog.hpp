@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 
+#include "obs/probe.hpp"
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
@@ -95,6 +96,9 @@ class Watchdog {
   std::uint64_t generation_ = 0;
   std::uint64_t suspicions_ = 0;
   std::uint64_t false_suspicions_ = 0;
+  // Verdicts trace as instants on the shared "fault/watchdog" track.
+  obs::Actor obs_{obs::Layer::kFault, obs::named("fault/watchdog"), {}};
+  obs::Site verdict_;
 };
 
 /// Exponential retry-delay schedule with cap and bounded jitter. next()

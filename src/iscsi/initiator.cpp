@@ -9,6 +9,26 @@
 
 namespace e2e::iscsi {
 
+namespace {
+
+constexpr obs::Incident kSubmitted{.trace_counter = "iscsi/tasks_submitted"};
+constexpr obs::Incident kAbandoned{.name = "command-abandoned",
+                                   .counter = "command_failures",
+                                   .dump = "iscsi"};
+constexpr obs::Incident kRetry{.name = "command-retry",
+                               .counter = "command_retries"};
+// Task ends close the task's async span, named at run time.
+constexpr obs::Incident kCompleted{.counter = "tasks_completed",
+                                   .hist = "cmd_ns"};
+constexpr obs::Incident kFailed{.counter = "tasks_failed", .hist = "cmd_ns"};
+constexpr obs::Incident kDigest{.name = "digest-mismatch",
+                                .counter = "digest_errors",
+                                .code = obs::kSkip};
+constexpr obs::Incident kDigestGaveUp{
+    .trace_counter = "iscsi/command_failures"};
+
+}  // namespace
+
 sim::Task<bool> Initiator::login(numa::Thread& th, const LoginParams& params) {
   Pdu req;
   req.type = PduType::kLoginRequest;
@@ -74,12 +94,9 @@ sim::Task<scsi::Status> Initiator::submit_io(numa::Thread& th, scsi::OpCode op,
   // Concurrent SCSI tasks overlap, so each traces as an async span keyed
   // by its initiator task tag, from submission to response.
   const char* span = op == scsi::OpCode::kRead16 ? "scsi-read" : "scsi-write";
-  if (auto* tr = trace::of(eng)) {
-    tr->async_begin(trace_trk_.get(tr, trace::Layer::kIscsi,
-                                   proc_.host().name() + "/initiator"),
-                    span, cmd.itt);
-    tr->counter("iscsi/tasks_submitted").add(1);
-  }
+  if (auto* tr = trace::of(eng))
+    tr->async_begin(obs_.track(tr), span, cmd.itt);
+  obs_.report(eng, kSubmitted, submitted_);
 
   // Initiator-side task bookkeeping (tag allocation, SGL mapping).
   co_await th.compute(th.host().costs().iser_initiator_cycles,
@@ -111,21 +128,9 @@ sim::Task<scsi::Status> Initiator::submit_io(numa::Thread& th, scsi::OpCode op,
       pending_.erase(cmd.itt);
       terminal = true;
       ++command_failures_;
-      if (auto* tr = trace::of(eng)) {
-        tr->instant(trace_trk_.get(tr, trace::Layer::kIscsi,
-                                   proc_.host().name() + "/initiator"),
-                    "command-abandoned");
-        tr->counter("iscsi/command_failures").add(1);
-      }
-      if (auto* st = stats::of(eng)) {
-        const auto e = stats_entity(st);
-        sctr_failures_.get(st, e, "command_failures").add(1);
-        st->flight(stats::Layer::kIscsi, e,
-                   code_abandon_.get(st, "command-abandoned"), cmd.itt);
-        // A command going terminal is the recovery chain giving up: dump
-        // the flight window while the lead-up is still in the ring.
-        st->trigger_flight_dump("iscsi:command-abandoned");
-      }
+      // A command going terminal is the recovery chain giving up: the
+      // report dumps the flight window while the lead-up is in the ring.
+      obs_.report(eng, kAbandoned, abandoned_, {.arg = cmd.itt});
       break;
     }
     // Timed out: retransmit the same task tag with the timeout grown by
@@ -134,32 +139,11 @@ sim::Task<scsi::Status> Initiator::submit_io(numa::Thread& th, scsi::OpCode op,
     ++command_retries_;
     timeout =
         fault::grow(timeout, policy_.backoff_multiplier, policy_.backoff_cap);
-    if (auto* tr = trace::of(eng)) {
-      tr->instant(trace_trk_.get(tr, trace::Layer::kIscsi,
-                                 proc_.host().name() + "/initiator"),
-                  "command-retry");
-      tr->counter("iscsi/command_retries").add(1);
-    }
-    if (auto* st = stats::of(eng)) {
-      const auto e = stats_entity(st);
-      sctr_retries_.get(st, e, "command_retries").add(1);
-      st->flight(stats::Layer::kIscsi, e,
-                 code_retry_.get(st, "command-retry"), cmd.itt);
-    }
+    obs_.report(eng, kRetry, retry_, {.arg = cmd.itt});
   }
-  if (auto* tr = trace::of(eng)) {
-    tr->async_end(trace_trk_.get(tr, trace::Layer::kIscsi,
-                                 proc_.host().name() + "/initiator"),
-                  span, cmd.itt);
-    tr->counter(terminal ? "iscsi/tasks_failed" : "iscsi/tasks_completed")
-        .add(1);
-  }
-  if (auto* st = stats::of(eng)) {
-    const auto e = stats_entity(st);
-    hist_cmd_.get(st, e, "cmd_ns")
-        .record(static_cast<std::uint64_t>(eng.now() - cmd_t0));
-    st->counter(e, terminal ? "tasks_failed" : "tasks_completed").add(1);
-  }
+  obs_.span_end(eng, terminal ? kFailed : kCompleted,
+                terminal ? failed_ : completed_, cmd_t0, cmd.itt,
+                {.event = span});
   if (terminal) co_return scsi::Status::kTransportError;
   // Release the rendezvous slot for recycling only after the status is out
   // of it (the terminal path released it when it abandoned the task).
@@ -189,18 +173,10 @@ sim::Task<scsi::Status> Initiator::submit_read(numa::Thread& th,
     if (st != scsi::Status::kGood) co_return st;
     if (data.content_tag == expected) co_return scsi::Status::kGood;
     ++digest_errors_;
-    if (auto* tr = trace::of(eng)) {
-      tr->instant(trace_trk_.get(tr, trace::Layer::kIscsi,
-                                 proc_.host().name() + "/initiator"),
-                  "digest-mismatch");
-      tr->counter("iscsi/digest_errors").add(1);
-    }
-    if (auto* sr = stats::of(eng))
-      sr->counter(stats_entity(sr), "digest_errors").add(1);
+    obs_.report(eng, kDigest, digest_);
     if (attempt >= policy_.max_digest_retries) {
       ++command_failures_;
-      if (auto* tr = trace::of(eng))
-        tr->counter("iscsi/command_failures").add(1);
+      obs_.report(eng, kDigestGaveUp, digest_gave_up_);
       co_return scsi::Status::kTransportError;
     }
   }

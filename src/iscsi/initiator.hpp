@@ -13,11 +13,10 @@
 #include "mem/buffer.hpp"
 #include "mem/flat_table.hpp"
 #include "numa/process.hpp"
+#include "obs/probe.hpp"
 #include "sim/channel.hpp"
 #include "sim/rng.hpp"
 #include "sim/sync.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::iscsi {
 
@@ -59,7 +58,9 @@ class Initiator {
         dm_(dm),
         command_timeout_(command_timeout),
         policy_(policy),
-        jitter_rng_(policy.jitter_seed) {}
+        jitter_rng_(policy.jitter_seed),
+        obs_(obs::Layer::kIscsi, {proc.host().name() + "/initiator"},
+             {proc.host().name() + "/initiator"}) {}
   Initiator(const Initiator&) = delete;
   Initiator& operator=(const Initiator&) = delete;
 
@@ -148,22 +149,13 @@ class Initiator {
   // recycled across commands; timers hold generation-counted Refs that go
   // stale on erase instead of keeping the object alive.
   mem::PendingTable<Pending> pending_;
-  trace::CachedTrack trace_trk_;
-
-  // Stats handles: command-latency histogram plus retry/failure counters,
-  // with flight records for every retransmission and abandonment.
-  stats::CachedEntity stats_ent_;
-  stats::CachedHistogram hist_cmd_;
-  stats::CachedCounter sctr_retries_;
-  stats::CachedCounter sctr_failures_;
-  stats::CachedCode code_retry_;
-  stats::CachedCode code_abandon_;
-
-  stats::EntityId stats_entity(stats::Registry* st) {
-    return stats_ent_.get_lazy(st, stats::Layer::kIscsi, [this] {
-      return proc_.host().name() + "/initiator";
-    });
-  }
+  // Observability: SCSI tasks trace as async spans keyed by task tag; the
+  // stats entity carries the command-latency histogram plus retry/failure
+  // counters, with flight records for every retransmission and
+  // abandonment.
+  obs::Actor obs_;
+  obs::Site submitted_, abandoned_, retry_, completed_, failed_, digest_,
+      digest_gave_up_;
 };
 
 }  // namespace e2e::iscsi

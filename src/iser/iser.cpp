@@ -9,6 +9,25 @@
 namespace e2e::iser {
 
 namespace {
+
+constexpr obs::Incident kPduSent{.trace_counter = "iser/pdus_sent"};
+constexpr obs::Incident kPduReceived{.trace_counter = "iser/pdus_received"};
+constexpr obs::Incident kDataBytes{.trace_counter = "iser/data_bytes"};
+constexpr obs::Incident kDataOps{.trace_counter = "iser/data_ops"};
+constexpr obs::Incident kDataLoss{.name = "data-loss",
+                                  .counter = "data_losses"};
+constexpr obs::Incident kWriteEnd{.name = "rdma-write", .code = obs::kSkip};
+constexpr obs::Incident kDataAbort{.name = "data-abort",
+                                   .counter = "data_aborts"};
+constexpr obs::Incident kDataRetry{.name = "data-retry",
+                                   .counter = "data_retries"};
+// Awaited data ops close their async span, named at run time.
+constexpr obs::Incident kDataOpEnd{};
+constexpr obs::Incident kDataOpDone{.hist = "data_op_ns"};
+
+}  // namespace
+
+namespace {
 constexpr std::uint64_t kCtrlBufBytes = 512;
 }
 
@@ -18,7 +37,9 @@ IserEndpoint::IserEndpoint(rdma::QueuePair& qp, numa::Process& proc,
       proc_(proc),
       pd_(proc.host()),
       ctrl_depth_(ctrl_depth),
-      rx_pdus_(proc.host().engine()) {
+      rx_pdus_(proc.host().engine()),
+      obs_(obs::Layer::kIser, {proc.host().name() + "/iser"},
+           {proc.host().name() + "/iser"}) {
   ctrl_buf_.bytes = kCtrlBufBytes;
   ctrl_buf_.placement = proc.alloc(kCtrlBufBytes, qp.device().node());
   recv_buf_.bytes = kCtrlBufBytes;
@@ -60,19 +81,11 @@ sim::Task<> IserEndpoint::send_cq_loop(numa::Thread& th) {
         }
         if (!wc.success) {
           ++data_losses_;
-          if (auto* tr = trace::of(proc_.host().engine())) {
-            tr->instant(trace_track(tr), "data-loss");
-            tr->counter("iser/data_losses").add(1);
-          }
-          if (auto* st = stats::of(proc_.host().engine())) {
-            const auto e = stats_entity(st);
-            sctr_losses_.get(st, e, "data_losses").add(1);
-            st->flight(stats::Layer::kIser, e,
-                       code_loss_.get(st, "data-loss"), wc.wr_id);
-          }
+          obs_.report(proc_.host().engine(), kDataLoss, data_loss_,
+                      {.arg = wc.wr_id});
         }
-        if (auto* tr = trace::of(proc_.host().engine()))
-          tr->async_end(trace_track(tr), "rdma-write", sc.span_id);
+        obs_.span_end(proc_.host().engine(), kWriteEnd, write_end_, 0,
+                      sc.span_id);
         sc.on_complete();
       } else {
         *sc.ok = wc.success;
@@ -105,10 +118,17 @@ sim::Task<> IserEndpoint::send_pdu(numa::Thread& th, const iscsi::Pdu& pdu) {
   wr.payload = mem::make_msg<iscsi::Pdu>(pdu);
   co_await qp_.post_send(th, wr);
   ++pdus_sent_;
-  if (auto* tr = trace::of(proc_.host().engine())) {
-    tr->instant(trace_track(tr), pdu_name(tr, pdu.type));
-    ctr_pdus_sent_.get(tr, "iser/pdus_sent").add(1);
+  auto& eng = proc_.host().engine();
+  if (auto* tr = trace::of(eng)) {
+    // Per-PDU-type "pdu:<type>" marker name, built and interned once.
+    const auto t = pdu.type;
+    tr->instant(obs_.track(tr),
+                pdu_names_[static_cast<std::size_t>(t)].get(tr, [&] {
+                  return tr->name_id(std::string("pdu:") +
+                                     iscsi::to_string(t));
+                }));
   }
+  obs_.report(eng, kPduSent, pdu_sent_);
 }
 
 sim::Task<std::optional<iscsi::Pdu>> IserEndpoint::recv_pdu(
@@ -117,21 +137,14 @@ sim::Task<std::optional<iscsi::Pdu>> IserEndpoint::recv_pdu(
   if (!pdu) co_return std::nullopt;
   co_await th.compute(th.host().costs().iscsi_pdu_cycles,
                       metrics::CpuCategory::kUserProto);
-  if (auto* tr = trace::of(proc_.host().engine()))
-    ctr_pdus_received_.get(tr, "iser/pdus_received").add(1);
+  obs_.report(proc_.host().engine(), kPduReceived, pdu_received_);
   co_return *pdu;
 }
 
 sim::Task<> IserEndpoint::await_data_op(numa::Thread& th, rdma::SendWr wr,
                                         const char* span_name) {
   auto& eng = th.host().engine();
-  // Data ops from concurrent submitters overlap, so they trace as async
-  // spans keyed by wr_id.
-  if (auto* tr = trace::of(eng)) {
-    tr->async_begin(trace_track(tr), span_name, wr.wr_id);
-    ctr_data_bytes_.get(tr, "iser/data_bytes").add(wr.bytes);
-    ctr_data_ops_.get(tr, "iser/data_ops").add(1);
-  }
+  begin_data_op(eng, span_name, wr.wr_id, wr.bytes);
   if (auto* au = check::of(eng)) au->flow_in(this, "iser.data", wr.bytes);
   const std::uint64_t span_id = wr.wr_id;
   const sim::SimTime op_t0 = eng.now();
@@ -155,30 +168,14 @@ sim::Task<> IserEndpoint::await_data_op(numa::Thread& th, rdma::SendWr wr,
       // (READ digest mismatch at the initiator, write-ledger divergence at
       // the LUN), and the session layer decides the command's fate.
       ++data_aborts_;
-      if (auto* tr = trace::of(eng)) {
-        tr->instant(trace_track(tr), "data-abort");
-        tr->counter("iser/data_aborts").add(1);
-        tr->async_end(trace_track(tr), span_name, span_id);
-      }
-      if (auto* st = stats::of(eng)) {
-        const auto e = stats_entity(st);
-        sctr_aborts_.get(st, e, "data_aborts").add(1);
-        st->flight(stats::Layer::kIser, e, code_abort_.get(st, "data-abort"),
-                   span_id);
-      }
+      obs_.report(eng, kDataAbort, data_abort_, {.arg = span_id});
+      obs_.span_end(eng, kDataOpEnd, data_op_end_, op_t0, span_id,
+                    {.event = span_name});
       co_return;
     }
     ++data_retries_;
-    if (auto* tr = trace::of(eng)) {
-      tr->instant(trace_track(tr), "data-retry");
-      tr->counter("iser/data_retries").add(1);
-    }
-    if (auto* st = stats::of(eng)) {
-      const auto e = stats_entity(st);
-      sctr_retries_.get(st, e, "data_retries").add(1);
-      st->flight(stats::Layer::kIser, e, code_retry_.get(st, "data-retry"),
-                 static_cast<std::uint64_t>(attempt));
-    }
+    obs_.report(eng, kDataRetry, data_retry_,
+                {.arg = static_cast<std::uint64_t>(attempt)});
     if (!qp_.alive()) {
       // QP died: wait for the session supervisor to walk it back to RTS
       // (MR revalidation included) before reposting.
@@ -190,11 +187,18 @@ sim::Task<> IserEndpoint::await_data_op(numa::Thread& th, rdma::SendWr wr,
     wr.wr_id = next_wr_++;  // fresh id: the old completion is consumed
   }
   ++data_ops_;
+  obs_.span_end(eng, kDataOpDone, data_op_done_, op_t0, span_id,
+                {.event = span_name});
+}
+
+void IserEndpoint::begin_data_op(sim::Engine& eng, const char* span_name,
+                                 std::uint64_t wr_id, std::uint64_t bytes) {
+  // Data ops from concurrent submitters overlap, so they trace as async
+  // spans keyed by wr_id.
   if (auto* tr = trace::of(eng))
-    tr->async_end(trace_track(tr), span_name, span_id);
-  if (auto* st = stats::of(eng))
-    hist_data_.get(st, stats_entity(st), "data_op_ns")
-        .record(static_cast<std::uint64_t>(eng.now() - op_t0));
+    tr->async_begin(obs_.track(tr), span_name, wr_id);
+  obs_.report(eng, kDataBytes, data_bytes_, {.n = bytes});
+  obs_.report(eng, kDataOps, data_ops_begun_);
 }
 
 sim::Task<> IserEndpoint::put_data(numa::Thread& th, mem::Buffer& staging,
@@ -227,11 +231,7 @@ sim::Task<> IserEndpoint::put_data_nowait(numa::Thread& th,
   wr.content_tag = staging.content_tag;
   ++data_ops_;
   auto& eng = th.host().engine();
-  if (auto* tr = trace::of(eng)) {
-    tr->async_begin(trace_track(tr), "rdma-write", wr.wr_id);
-    ctr_data_bytes_.get(tr, "iser/data_bytes").add(bytes);
-    ctr_data_ops_.get(tr, "iser/data_ops").add(1);
-  }
+  begin_data_op(eng, "rdma-write", wr.wr_id, bytes);
   if (auto* au = check::of(eng)) au->flow_in(this, "iser.data", bytes);
   // Loss accounting and the span close happen in send_cq_loop when this
   // record is consumed (see SendCompletion).

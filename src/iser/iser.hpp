@@ -21,11 +21,10 @@
 #include "iscsi/pdu.hpp"
 #include "mem/flat_table.hpp"
 #include "numa/process.hpp"
+#include "obs/probe.hpp"
 #include "rdma/qp.hpp"
 #include "sim/channel.hpp"
 #include "sim/sync.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::iser {
 
@@ -91,18 +90,9 @@ class IserEndpoint final : public iscsi::Datamover {
   sim::Task<> await_data_op(numa::Thread& th, rdma::SendWr wr,
                             const char* span_name);
 
-  /// This endpoint's trace track ("<host>/iser#n"), minted lazily.
-  trace::TrackId trace_track(trace::Tracer* tr) {
-    return trace_trk_.get_lazy(
-        tr, trace::Layer::kIser,
-        [this] { return proc_.host().name() + "/iser"; });
-  }
-
-  /// Per-PDU-type "pdu:<type>" marker name, built and interned once.
-  trace::NameId pdu_name(trace::Tracer* tr, iscsi::PduType t) {
-    return pdu_names_[static_cast<std::size_t>(t)].get_lazy(
-        tr, [t] { return std::string("pdu:") + iscsi::to_string(t); });
-  }
+  /// Opens a data op's async span and counts it.
+  void begin_data_op(sim::Engine& eng, const char* span_name,
+                     std::uint64_t wr_id, std::uint64_t bytes);
 
   /// What to do when a data op's send completion arrives. Awaited ops park
   /// on an event; fire-and-forget (nowait) ops carry their release callback
@@ -134,29 +124,15 @@ class IserEndpoint final : public iscsi::Datamover {
   std::uint64_t data_losses_ = 0;
   int data_retry_limit_ = 12;
   bool started_ = false;
-  trace::CachedTrack trace_trk_;
-  trace::CachedSeries pdu_names_[11];  // indexed by iscsi::PduType
-  trace::CachedCounter ctr_pdus_sent_;
-  trace::CachedCounter ctr_pdus_received_;
-  trace::CachedCounter ctr_data_bytes_;
-  trace::CachedCounter ctr_data_ops_;
-
-  // Stats handles: one entity per endpoint, data-op round-trip histogram
-  // plus retry/abort/loss counters and matching flight records.
-  stats::CachedEntity stats_ent_;
-  stats::CachedHistogram hist_data_;
-  stats::CachedCounter sctr_retries_;
-  stats::CachedCounter sctr_aborts_;
-  stats::CachedCounter sctr_losses_;
-  stats::CachedCode code_retry_;
-  stats::CachedCode code_abort_;
-  stats::CachedCode code_loss_;
-
-  stats::EntityId stats_entity(stats::Registry* st) {
-    return stats_ent_.get_lazy(st, stats::Layer::kIser, [this] {
-      return proc_.host().name() + "/iser";
-    });
-  }
+  // Observability: the "<host>/iser#n" track and entity. Data ops trace
+  // as async spans keyed by wr_id; the entity carries the data-op
+  // round-trip histogram plus retry/abort/loss counters and matching
+  // flight records.
+  obs::Actor obs_;
+  obs::Cached<trace::Tracer, trace::NameId> pdu_names_[11];  // by PduType
+  obs::Site pdu_sent_, pdu_received_, data_bytes_, data_ops_begun_,
+      data_loss_, write_end_, data_abort_, data_retry_, data_op_end_,
+      data_op_done_;
 };
 
 }  // namespace e2e::iser

@@ -10,8 +10,6 @@
 #include "net/link.hpp"
 #include "rdma/cm.hpp"
 #include "sim/rng.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::iser {
 
@@ -120,18 +118,10 @@ class IserSession {
         abandoned_ = true;
         initiator_ep_.close();
         target_ep_.close();
-        if (auto* tr = trace::of(eng))
-          tr->counter("iser/sessions_abandoned").add(1);
-        if (auto* st = stats::of(eng)) {
-          // Terminal escalation: the fleet arc's "what happened just
-          // before this endpoint gave up" case — dump the flight window.
-          const auto e = st->entity(stats::Layer::kIser, "session");
-          st->counter(e, "sessions_abandoned").add(1);
-          st->flight(stats::Layer::kIser, e,
-                     st->code("session-abandoned"),
-                     static_cast<std::uint64_t>(consecutive_failures));
-          st->trigger_flight_dump("iser:session-abandoned");
-        }
+        // Terminal escalation: the fleet arc's "what happened just before
+        // this endpoint gave up" case — the report dumps the flight window.
+        obs_.report(eng, kAbandoned, abandoned_site_,
+                    {.arg = static_cast<std::uint64_t>(consecutive_failures)});
         co_return;
       }
       if (eng.now() < down_until_) {
@@ -140,8 +130,7 @@ class IserSession {
         // initiator discovers a crashed target, one refused login at a
         // time.
         ++relogins_refused_;
-        if (auto* tr = trace::of(eng))
-          tr->counter("iser/relogins_refused").add(1);
+        obs_.report(eng, kReloginRefused, relogin_refused_);
         continue;
       }
       co_await pair_.reestablish(init_th, tgt_th, policy_.mr_bytes_initiator,
@@ -154,12 +143,7 @@ class IserSession {
         }
         backoff.reset();
         ++recoveries_;
-        if (auto* tr = trace::of(eng))
-          tr->counter("iser/session_recoveries").add(1);
-        if (auto* st = stats::of(eng))
-          st->counter(st->entity(stats::Layer::kIser, "session"),
-                      "session_recoveries")
-              .add(1);
+        obs_.report(eng, kRecovered, recovered_);
       }
     }
   }
@@ -174,6 +158,16 @@ class IserSession {
   std::uint64_t recoveries_ = 0;
   std::uint64_t relogins_refused_ = 0;
   sim::SimTime down_until_ = 0;  // crash(): re-logins refused until here
+  // Supervisor incidents, on the shared "session" stats entity.
+  static constexpr obs::Incident kAbandoned{.name = "session-abandoned",
+                                            .counter = "sessions_abandoned",
+                                            .event = obs::kSkip,
+                                            .dump = "iser"};
+  static constexpr obs::Incident kReloginRefused{
+      .trace_counter = "iser/relogins_refused"};
+  static constexpr obs::Incident kRecovered{.counter = "session_recoveries"};
+  obs::Actor obs_{obs::Layer::kIser, {}, obs::named("session")};
+  obs::Site abandoned_site_, relogin_refused_, recovered_;
 };
 
 }  // namespace e2e::iser

@@ -1,11 +1,60 @@
 #include "rdma/qp.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "check/audit.hpp"
 #include "sim/sync.hpp"
 
 namespace e2e::rdma {
+
+namespace {
+
+// Incident descriptors. The trace names of the fault incidents predate the
+// flight codes (qp-error vs qp-kill, flush-err vs wr-flush, ...); both are
+// kept so traces and flight dumps read as they always have.
+constexpr obs::Incident kKill{.name = "qp-kill",
+                              .event = "qp-error",
+                              .trace_counter = "rdma/qp_errors"};
+constexpr obs::Incident kRecover{.name = "qp-recover",
+                                 .counter = "recoveries",
+                                 .event = "qp-rts",
+                                 .trace_counter = "rdma/qp_recoveries"};
+constexpr obs::Incident kPosted{.counter = "wr_posted"};
+constexpr obs::Incident kFlush{
+    .name = "wr-flush", .counter = "sends_flushed", .event = "flush-err"};
+// A WR the QP's death caught on the wire fails like a wire fault but
+// traces as a flush.
+constexpr obs::Incident kFlushInFlight{
+    .name = "wire-failure", .counter = "wire_failures", .event = "flush-err"};
+constexpr obs::Incident kWireFail{.name = "wire-failure",
+                                  .counter = "wire_failures"};
+constexpr obs::Incident kDrop{
+    .name = "rx-drop", .counter = "inbound_dropped", .event = "drop-err"};
+constexpr obs::Incident kRnr{.name = "rnr", .counter = "rnr_waits"};
+constexpr obs::Incident kCqCompletion{.trace_counter = "rdma/cq_completions"};
+
+// Per-opcode WR spans, indexed by Opcode: sender (latency histogram, bytes
+// posted) and receiver (bytes delivered). No flight records per WR.
+constexpr std::array<obs::Incident, 4> per_op(std::string_view hist,
+                                              std::string_view bytes) {
+  std::array<obs::Incident, 4> out{};
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out[i] = {.name = to_string(static_cast<Opcode>(i)), .hist = hist,
+              .code = obs::kSkip, .trace_counter = bytes};
+  return out;
+}
+constexpr auto kWrDone = per_op("wr_ns", "rdma/bytes_posted");
+constexpr auto kWrFailed = per_op({}, obs::kSkip);
+constexpr auto kDelivered = per_op({}, "rdma/bytes_delivered");
+constexpr obs::Incident kReadDone{.name = "read",
+                                  .hist = "read_ns",
+                                  .code = obs::kSkip,
+                                  .trace_counter = "rdma/bytes_posted"};
+
+constexpr std::size_t idx(Opcode op) { return static_cast<std::size_t>(op); }
+
+}  // namespace
 
 QueuePair::QueuePair(Device& dev, CompletionQueue& send_cq,
                      CompletionQueue& recv_cq)
@@ -16,20 +65,11 @@ QueuePair::QueuePair(Device& dev, CompletionQueue& send_cq,
       inbound_(dev.host().engine()),
       recv_q_(dev.host().engine()),
       error_event_(dev.host().engine()),
-      ready_event_(dev.host().engine()) {
+      ready_event_(dev.host().engine()),
+      obs_(obs::Layer::kRdma, {dev.host().name() + "/qp-tx"},
+           {dev.host().name() + "/qp"}),
+      rx_track_(obs::Layer::kRdma, {dev.host().name() + "/qp-rx"}) {
   ready_event_.set();
-}
-
-trace::TrackId QueuePair::tx_track(trace::Tracer* tr) {
-  return trace_tx_.get_lazy(tr, trace::Layer::kRdma, [this] {
-    return dev_.host().name() + "/qp-tx";
-  });
-}
-
-trace::TrackId QueuePair::rx_track(trace::Tracer* tr) {
-  return trace_rx_.get_lazy(tr, trace::Layer::kRdma, [this] {
-    return dev_.host().name() + "/qp-rx";
-  });
 }
 
 void QueuePair::kill() {
@@ -38,15 +78,7 @@ void QueuePair::kill() {
   ++epoch_;
   ready_event_.reset();
   error_event_.set();
-  if (auto* tr = trace::of(dev_.host().engine())) {
-    const auto tk = tx_track(tr);
-    tr->instant(tk, "qp-error");
-    tr->counter("rdma/qp_errors").add(1);
-  }
-  if (auto* st = stats::of(dev_.host().engine())) {
-    const auto e = stats_entity(st);
-    st->flight(stats::Layer::kRdma, e, code_kill_.get(st, "qp-kill"), 0);
-  }
+  obs_.report(dev_.host().engine(), kKill, kill_);
 }
 
 void QueuePair::crash() {
@@ -78,17 +110,7 @@ sim::Task<> QueuePair::recover(numa::Thread& th,
   ++recoveries_;
   error_event_.reset();
   ready_event_.set();
-  if (auto* tr = trace::of(dev_.host().engine())) {
-    const auto tk = tx_track(tr);
-    tr->instant(tk, "qp-rts");
-    tr->counter("rdma/qp_recoveries").add(1);
-  }
-  if (auto* st = stats::of(dev_.host().engine())) {
-    const auto e = stats_entity(st);
-    st->counter(e, "recoveries").add(1);
-    st->flight(stats::Layer::kRdma, e, code_recover_.get(st, "qp-recover"),
-               recoveries_);
-  }
+  obs_.report(dev_.host().engine(), kRecover, recover_, {.arg = recoveries_});
 }
 
 void QueuePair::connect(QueuePair& a, QueuePair& b, net::Link& link) {
@@ -120,42 +142,24 @@ void QueuePair::validate_send(const SendWr& wr) const {
 }
 
 void QueuePair::enqueue_send(const SendWr& wr) {
-  if (auto* tr = trace::of(dev_.host().engine()))
-    ctr_wr_posted_.get(tr, "rdma/wr_posted").add(1);
-  if (auto* st = stats::of(dev_.host().engine())) {
-    const auto e = stats_entity(st);
-    sctr_posted_.get(st, e, "wr_posted").add(1);
-  }
+  auto& eng = dev_.host().engine();
+  obs_.report(eng, kPosted, posted_);
   // Posting to an error-state QP is legal but the WR must flush with a
   // failed completion right away and never reach the wire — queueing it
   // would let a recover() racing ahead of the NIC engine transmit a stale
   // WR, which verbs forbids.
   if (state_ == QpState::kError) {
     ++sends_flushed_;
-    if (auto* au = check::of(dev_.host().engine()))
+    if (auto* au = check::of(eng))
       au->on_qp_post_dead(this, dev_.host().name());
     scq_.push({wr.op, wr.wr_id, wr.bytes, 0, false, nullptr});
-    if (auto* tr = trace::of(dev_.host().engine())) {
-      const auto tk = tx_track(tr);
-      tr->instant(tk, "flush-err");
-      tr->counter("rdma/sends_flushed").add(1);
-      tr->counter("rdma/cq_completions").add(1);
-    }
-    if (auto* st = stats::of(dev_.host().engine())) {
-      const auto e = stats_entity(st);
-      sctr_flushed_.get(st, e, "sends_flushed").add(1);
-      st->flight(stats::Layer::kRdma, e, code_flush_.get(st, "wr-flush"),
-                 wr.wr_id);
-    }
+    obs_.report(eng, kFlush, flush_, {.arg = wr.wr_id});
+    obs_.report(eng, kCqCompletion, cq_completion_);
     return;
   }
   send_q_.send(wr);
   // Depth after queueing: how many WRs the NIC engine has not picked up.
-  if (auto* st = stats::of(dev_.host().engine())) {
-    const auto e = stats_entity(st);
-    gauge_sq_.get(st, e, "sq_depth")
-        .set(static_cast<double>(send_q_.size()));
-  }
+  obs_.gauge(eng, sq_depth_, static_cast<double>(send_q_.size()));
 }
 
 sim::Task<> QueuePair::post_send(numa::Thread& th, const SendWr& wr) {
@@ -237,7 +241,7 @@ void QueuePair::deliver_after_latency(Delivery d,
 // Pushes a failed completion for `wr`, after `delay` when the failure only
 // surfaces once transport-level retries exhaust (blackholed path).
 void QueuePair::fail_send(const SendWr& wr, sim::SimDuration delay,
-                          const char* what) {
+                          const obs::Incident& what, obs::Site& site) {
   auto& eng = dev_.host().engine();
   const WorkCompletion wc{wr.op, wr.wr_id, wr.bytes, 0, false, nullptr};
   if (delay > 0) {
@@ -246,18 +250,8 @@ void QueuePair::fail_send(const SendWr& wr, sim::SimDuration delay,
   } else {
     scq_.push(wc);
   }
-  if (auto* tr = trace::of(eng)) {
-    const auto tk = tx_track(tr);
-    tr->instant(tk, what);
-    tr->counter("rdma/wire_failures").add(1);
-    tr->counter("rdma/cq_completions").add(1);
-  }
-  if (auto* st = stats::of(eng)) {
-    const auto e = stats_entity(st);
-    st->counter(e, "wire_failures").add(1);
-    st->flight(stats::Layer::kRdma, e,
-               code_wire_fail_.get(st, "wire-failure"), wr.wr_id);
-  }
+  obs_.report(eng, what, site, {.arg = wr.wr_id});
+  obs_.report(eng, kCqCompletion, cq_completion_);
 }
 
 sim::Task<> QueuePair::sender_loop() {
@@ -270,18 +264,8 @@ sim::Task<> QueuePair::sender_loop() {
     if (state_ == QpState::kError) {
       ++sends_flushed_;
       scq_.push({wr->op, wr->wr_id, wr->bytes, 0, false, nullptr});
-      if (auto* tr = trace::of(eng)) {
-        const auto tk = tx_track(tr);
-        tr->instant(tk, "flush-err");
-        tr->counter("rdma/sends_flushed").add(1);
-        tr->counter("rdma/cq_completions").add(1);
-      }
-      if (auto* st = stats::of(eng)) {
-        const auto e = stats_entity(st);
-        sctr_flushed_.get(st, e, "sends_flushed").add(1);
-        st->flight(stats::Layer::kRdma, e, code_flush_.get(st, "wr-flush"),
-                   wr->wr_id);
-      }
+      obs_.report(eng, kFlush, flush_, {.arg = wr->wr_id});
+      obs_.report(eng, kCqCompletion, cq_completion_);
       continue;
     }
 
@@ -306,7 +290,7 @@ sim::Task<> QueuePair::sender_loop() {
     // The QP may have been killed while this WR waited on DMA/wire time.
     if (state_ == QpState::kError) {
       ++sends_flushed_;
-      fail_send(*wr, 0, "flush-err");
+      fail_send(*wr, 0, kFlushInFlight, flush_inflight_);
       continue;
     }
     // Injected wire faults surface as failed completions; the payload
@@ -315,30 +299,18 @@ sim::Task<> QueuePair::sender_loop() {
         dir(), link_->wire_bytes(static_cast<double>(wr->bytes),
                                  header_per_mtu()));
     if (fate.fail) {
-      if (auto* tr = trace::of(eng)) {
-        const auto tk = tx_track(tr);
-        tr->complete(tk, op_name(tr, wr->op), t0);
-      }
-      fail_send(*wr, fate.fail_delay, "wire-failure");
+      obs_.span(eng, kWrFailed[idx(wr->op)], wr_failed_[idx(wr->op)], t0);
+      fail_send(*wr, fate.fail_delay, kWireFail, wire_fail_);
       continue;
     }
     bytes_sent_ += wr->bytes;
     if (auto* au = check::of(eng))
       au->on_qp_tx(peer_, peer_->dev_.host().name(), wr->bytes);
     scq_.push({wr->op, wr->wr_id, wr->bytes, 0, true, nullptr});
-    if (auto* tr = trace::of(eng)) {
-      const auto tk = tx_track(tr);
-      tr->complete(tk, op_name(tr, wr->op), t0);
-      ctr_bytes_posted_.get(tr, "rdma/bytes_posted").add(wr->bytes);
-      cq_completions(tr).add(1);
-    }
-    if (auto* st = stats::of(eng)) {
-      const auto e = stats_entity(st);
-      hist_wr_.get(st, e, "wr_ns").record(
-          static_cast<std::uint64_t>(eng.now() - t0));
-      gauge_sq_.get(st, e, "sq_depth")
-          .set(static_cast<double>(send_q_.size()));
-    }
+    obs_.span(eng, kWrDone[idx(wr->op)], wr_done_[idx(wr->op)], t0,
+              {.n = wr->bytes});
+    obs_.report(eng, kCqCompletion, cq_completion_);
+    obs_.gauge(eng, sq_depth_, static_cast<double>(send_q_.size()));
     deliver_after_latency({wr->op, wr->bytes, wr->remote.buffer, wr->imm,
                            std::move(wr->payload), wr->content_tag},
                           fate.extra_latency);
@@ -350,17 +322,7 @@ void QueuePair::note_inbound_drop(const Delivery& d) {
   ++inbound_dropped_;
   if (auto* au = check::of(eng))
     au->on_qp_drop(this, dev_.host().name(), d.bytes);
-  if (auto* tr = trace::of(eng)) {
-    const auto tk = rx_track(tr);
-    tr->instant(tk, "drop-err");
-    tr->counter("rdma/inbound_dropped").add(1);
-  }
-  if (auto* st = stats::of(eng)) {
-    const auto e = stats_entity(st);
-    sctr_dropped_.get(st, e, "inbound_dropped").add(1);
-    st->flight(stats::Layer::kRdma, e, code_drop_.get(st, "rx-drop"),
-               d.bytes);
-  }
+  obs_.report(eng, kDrop, drop_, {.arg = d.bytes, .on = &rx_track_});
 }
 
 sim::Task<> QueuePair::receiver_loop() {
@@ -381,19 +343,8 @@ sim::Task<> QueuePair::receiver_loop() {
     // Receiver-not-ready: a two-sided arrival with no posted receive
     // stalls the inbound pipeline until the application posts one.
     if ((d->op == Opcode::kSend || d->op == Opcode::kWriteImm) &&
-        recv_q_.size() == 0) {
-      if (auto* tr = trace::of(eng)) {
-        const auto tk = rx_track(tr);
-        tr->instant(tk, "rnr");
-        tr->counter("rdma/rnr_waits").add(1);
-      }
-      if (auto* st = stats::of(eng)) {
-        const auto e = stats_entity(st);
-        st->counter(e, "rnr_waits").add(1);
-        st->flight(stats::Layer::kRdma, e, code_rnr_.get(st, "rnr"),
-                   d->bytes);
-      }
-    }
+        recv_q_.size() == 0)
+      obs_.report(eng, kRnr, rnr_, {.arg = d->bytes, .on = &rx_track_});
 
     switch (d->op) {
       case Opcode::kSend: {
@@ -473,12 +424,10 @@ sim::Task<> QueuePair::receiver_loop() {
       case Opcode::kRead:
         throw std::logic_error("read delivered to receiver loop");
     }
-    if (auto* tr = trace::of(eng)) {
-      const auto tk = rx_track(tr);
-      tr->complete(tk, op_name(tr, d->op), t0);
-      ctr_bytes_delivered_.get(tr, "rdma/bytes_delivered").add(d->bytes);
-      if (d->op != Opcode::kWrite) cq_completions(tr).add(1);
-    }
+    obs_.span(eng, kDelivered[idx(d->op)], delivered_[idx(d->op)], t0,
+              {.n = d->bytes, .on = &rx_track_});
+    if (d->op != Opcode::kWrite)
+      obs_.report(eng, kCqCompletion, cq_completion_);
   }
 }
 
@@ -489,7 +438,7 @@ sim::Task<> QueuePair::serve_read(SendWr wr) {
   const sim::SimTime read_t0 = eng.now();
   // Reads overlap each other, so they trace as async spans keyed by wr_id.
   if (auto* tr = trace::of(eng))
-    tr->async_begin(tx_track(tr), "read", wr.wr_id);
+    tr->async_begin(obs_.track(tr), "read", wr.wr_id);
 
   // Read request travels to the responder...
   co_await link_->dir(dir_).acquire(64.0);
@@ -550,11 +499,10 @@ sim::Task<> QueuePair::serve_read(SendWr wr) {
                                        header_per_mtu()));
   }
   if (fate.fail) {
-    if (auto* tr = trace::of(eng)) {
-      const auto tk = tx_track(tr);
-      tr->async_end(tk, "read", wr.wr_id);
-    }
-    fail_send(wr, fate.fail_delay, "wire-failure");
+    obs_.span_end(eng, kWrFailed[idx(Opcode::kRead)],
+                  wr_failed_[idx(Opcode::kRead)], read_t0,
+                  wr.wr_id);
+    fail_send(wr, fate.fail_delay, kWireFail, wire_fail_);
     co_return;
   }
   if (fate.extra_latency > 0) co_await sim::Delay{eng, fate.extra_latency};
@@ -568,17 +516,9 @@ sim::Task<> QueuePair::serve_read(SendWr wr) {
   wr.local->content_tag =
       &resp_eng != &eng ? remote_tag : wr.remote.buffer->content_tag;
   scq_.push({Opcode::kRead, wr.wr_id, wr.bytes, 0, true, nullptr});
-  if (auto* tr = trace::of(eng)) {
-    const auto tk = tx_track(tr);
-    tr->async_end(tk, "read", wr.wr_id);
-    ctr_bytes_posted_.get(tr, "rdma/bytes_posted").add(wr.bytes);
-    cq_completions(tr).add(1);
-  }
-  if (auto* st = stats::of(eng)) {
-    const auto e = stats_entity(st);
-    hist_read_.get(st, e, "read_ns")
-        .record(static_cast<std::uint64_t>(eng.now() - read_t0));
-  }
+  obs_.span_end(eng, kReadDone, read_done_, read_t0, wr.wr_id,
+                {.n = wr.bytes});
+  obs_.report(eng, kCqCompletion, cq_completion_);
 }
 
 }  // namespace e2e::rdma

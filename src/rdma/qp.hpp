@@ -21,12 +21,11 @@
 #include <vector>
 
 #include "net/link.hpp"
+#include "obs/probe.hpp"
 #include "rdma/device.hpp"
 #include "rdma/verbs.hpp"
 #include "sim/channel.hpp"
 #include "sim/sync.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::rdma {
 
@@ -160,7 +159,8 @@ class QueuePair {
   sim::Task<> receiver_loop();
   sim::Task<> serve_read(SendWr wr);
   void deliver_after_latency(Delivery d, sim::SimDuration extra_latency);
-  void fail_send(const SendWr& wr, sim::SimDuration delay, const char* what);
+  void fail_send(const SendWr& wr, sim::SimDuration delay,
+                 const obs::Incident& what, obs::Site& site);
   void note_inbound_drop(const Delivery& d);
 
   [[nodiscard]] double header_per_mtu() const {
@@ -194,50 +194,15 @@ class QueuePair {
   std::uint64_t recoveries_ = 0;
   std::uint64_t recvs_dropped_ = 0;
   std::uint64_t cqes_dropped_ = 0;
-  // Trace handles for the NIC engine loops (null-tracer fast path skips all
-  // tracing). Tracks, hot counters, and per-opcode span names resolve once
-  // per tracer, so the per-WR paths do no string building or hashing.
-  trace::CachedTrack trace_tx_;
-  trace::CachedTrack trace_rx_;
-  trace::CachedCounter ctr_wr_posted_;
-  trace::CachedCounter ctr_bytes_posted_;
-  trace::CachedCounter ctr_bytes_delivered_;
-  trace::CachedCounter ctr_cq_completions_;
-  trace::CachedName op_names_[4];  // indexed by Opcode
-  trace::CachedName read_name_;    // async "read" spans
-
-  trace::TrackId tx_track(trace::Tracer* tr);
-  trace::TrackId rx_track(trace::Tracer* tr);
-  trace::NameId op_name(trace::Tracer* tr, Opcode op) {
-    return op_names_[static_cast<std::size_t>(op)].get(tr, to_string(op));
-  }
-  trace::Counter& cq_completions(trace::Tracer* tr) {
-    return ctr_cq_completions_.get(tr, "rdma/cq_completions");
-  }
-
-  // Stats handles (null-registry fast path skips everything): one minted
-  // entity per QP carrying the verbs-op latency histogram, the
-  // outstanding-WR depth gauge, and the fault counters the fleet arc
-  // wants per connection.
-  stats::CachedEntity stats_ent_;
-  stats::CachedHistogram hist_wr_;
-  stats::CachedHistogram hist_read_;
-  stats::CachedGauge gauge_sq_;
-  stats::CachedCounter sctr_posted_;
-  stats::CachedCounter sctr_flushed_;
-  stats::CachedCounter sctr_dropped_;
-  stats::CachedCode code_flush_;
-  stats::CachedCode code_wire_fail_;
-  stats::CachedCode code_kill_;
-  stats::CachedCode code_recover_;
-  stats::CachedCode code_rnr_;
-  stats::CachedCode code_drop_;
-
-  stats::EntityId stats_entity(stats::Registry* st) {
-    return stats_ent_.get_lazy(st, stats::Layer::kRdma, [this] {
-      return dev_.host().name() + "/qp";
-    });
-  }
+  // Observability: the actor reports on the tx track and the QP's stats
+  // entity; inbound drops and RNR waits go on the rx track. One Site per
+  // incident kind (qp.cpp holds the descriptors).
+  obs::Actor obs_;
+  obs::Track rx_track_;
+  obs::Site kill_, recover_, posted_, flush_, flush_inflight_, wire_fail_,
+      drop_, rnr_, cq_completion_, wr_done_[4], wr_failed_[4], read_done_,
+      delivered_[4];
+  obs::Gauge sq_depth_{"sq_depth"};
 };
 
 }  // namespace e2e::rdma

@@ -11,8 +11,73 @@
 namespace e2e::rftp {
 
 namespace {
-constexpr std::uint64_t kTinyBufBytes = 256;
+
+// Per-stream incidents.
+constexpr obs::Incident kFilled{.name = "fill",
+                                .hist = "fill_ns",
+                                .code = "block-filled",
+                                .trace_counter = "rftp/bytes_filled"};
+// A filled block that had to sit waiting for a credit token means the
+// receiver (or the wire) is the bottleneck right now.
+constexpr obs::Incident kCreditWait{.name = "credit-wait",
+                                    .code = obs::kSkip,
+                                    .trace_counter = "rftp/credit_stalls"};
+constexpr obs::Incident kPosted{.name = "block-posted",
+                                .counter = "blocks_posted",
+                                .hist = "credit_wait_ns",
+                                .event = obs::kSkip};
+constexpr obs::Incident kRetx{.name = "retransmit",
+                              .counter = "retransmissions"};
+constexpr obs::Incident kGrant{.trace_counter = "rftp/grants"};
+constexpr obs::Incident kGrantRetx{.name = "grant-retransmit",
+                                   .counter = "grant_retransmissions"};
+constexpr obs::Incident kDup{
+    .name = "dup-block", .counter = "duplicate_blocks", .event = obs::kSkip};
+constexpr obs::Incident kChecksum{.name = "checksum-mismatch",
+                                  .counter = "checksum_failures"};
+constexpr obs::Incident kDrained{
+    .name = "drain", .hist = "drain_ns", .code = "block-drained"};
+constexpr obs::Incident kBlockEnd{.name = "block",
+                                  .code = obs::kSkip,
+                                  .trace_counter = "rftp/bytes_delivered"};
+constexpr obs::Incident kDelivered{.counter = "blocks_delivered"};
+constexpr obs::Incident kStreamDead{.name = "stream-dead",
+                                    .counter = "failovers"};
+
+// Session-wide incidents.
+constexpr obs::Incident kFalseSuspect{.name = "false-suspect",
+                                      .counter = "false_suspicions",
+                                      .event = obs::kSkip,
+                                      .trace_counter = obs::kSkip};
+constexpr obs::Incident kFirstByte{.hist = "resume_ns"};
+constexpr obs::Incident kCheckpoint{.trace_counter = "rftp/checkpoints"};
+constexpr obs::Incident kCrash{.name = "crash", .counter = "host_crashes"};
+constexpr obs::Incident kRolledBack{
+    .trace_counter = "rftp/rolled_back_blocks"};
+constexpr obs::Incident kRestart{.name = "host-restart",
+                                 .code = obs::kSkip,
+                                 .trace_counter = "rftp/host_restarts"};
+constexpr obs::Incident kResume{.name = "resume", .counter = "resumes"};
+constexpr obs::Incident kMttr{.hist = "mttr_ns"};
+constexpr obs::Incident kWatchdogDead{
+    .name = "watchdog-dead", .counter = "watchdog_deaths", .code = obs::kSkip};
+constexpr obs::Incident kTransferFailed{.name = "transfer-failed",
+                                        .counter = "transfers_failed",
+                                        .code = obs::kSkip,
+                                        .dump = "rftp"};
+
+// "s<id>/<what>": one pipeline task's own trace lane (minted per task).
+obs::Track task_lane(int stream, std::string_view what) {
+  std::string name(1, 's');
+  name += std::to_string(stream);
+  name += '/';
+  name += what;
+  return {obs::Layer::kRftp, {std::move(name)}};
 }
+
+constexpr std::uint64_t kTinyBufBytes = 256;
+
+}  // namespace
 
 namespace {
 sim::Engine& engine_of(const EndpointConfig& e) {
@@ -40,6 +105,8 @@ RftpSession::RftpSession(EndpointConfig sender, EndpointConfig receiver,
   for (int i = 0; i < cfg_.streams; ++i) {
     auto s = std::make_unique<Stream>();
     s->id = i;
+    const std::string name = "stream" + std::to_string(i);
+    s->obs = obs::Actor(obs::Layer::kRftp, obs::named(name), obs::named(name));
     rdma::Device& snic = *sender_.nics[i % sender_.nics.size()];
     rdma::Device& rnic = *receiver_.nics[i % receiver_.nics.size()];
     net::Link& link = *links_[i % links_.size()];
@@ -206,13 +273,8 @@ sim::Task<TransferResult> RftpSession::run(DataSource& src, DataSink& dst,
   }
 
   if (cfg_.watchdog.quiet > 0) {
-    watchdog_.set_false_suspect_handler([this] {
-      if (auto* st = stats::of(eng_)) {
-        const auto e = st->entity(stats::Layer::kRftp, "session");
-        st->counter(e, "false_suspicions").add(1);
-        st->flight(stats::Layer::kRftp, e, st->code("false-suspect"), 0);
-      }
-    });
+    watchdog_.set_false_suspect_handler(
+        [this] { obs_.report(eng_, kFalseSuspect, false_suspect_); });
     watchdog_.arm(cfg_.watchdog, [this] { on_watchdog_dead(); });
   }
 
@@ -290,7 +352,7 @@ std::optional<std::uint64_t> RftpSession::claim_block(numa::NodeId node) {
 
 sim::Task<> RftpSession::filler(Stream& s, numa::Thread& th,
                                 DataSource& src) {
-  trace::CachedTrack fill_trk;  // this filler task's own lane
+  obs::Track lane = task_lane(s.id, "fill");
   for (;;) {
     if (s.dead) break;
     const auto claimed = claim_block(th.node());
@@ -303,9 +365,7 @@ sim::Task<> RftpSession::filler(Stream& s, numa::Thread& th,
       break;
     }
     if (auto* tr = trace::of(eng_))
-      tr->async_begin(s.trk.named(tr, trace::Layer::kRftp,
-                                  "stream" + std::to_string(s.id)),
-                      "block", idx);
+      tr->async_begin(s.obs.track(tr), "block", idx);
     const std::uint64_t offset = idx * cfg_.block_bytes;
     const std::uint64_t want =
         std::min<std::uint64_t>(cfg_.block_bytes, total_bytes_ - offset);
@@ -313,19 +373,8 @@ sim::Task<> RftpSession::filler(Stream& s, numa::Thread& th,
     const std::uint64_t got = co_await src.fill(th, *buf, offset, want);
     if (auto* au = check::of(eng_))
       if (got > 0) au->rftp_fill(this, idx, got);
-    if (auto* tr = trace::of(eng_)) {
-      tr->complete(fill_trk.get(tr, trace::Layer::kRftp,
-                                "s" + std::to_string(s.id) + "/fill"),
-                   "fill", fill_t0);
-      tr->counter("rftp/bytes_filled").add(got);
-    }
-    if (auto* st = stats::of(eng_)) {
-      const auto e = s.stats_entity(st);
-      s.hist_fill.get(st, e, "fill_ns")
-          .record(static_cast<std::uint64_t>(eng_.now() - fill_t0));
-      st->flight(stats::Layer::kRftp, e, s.code_fill.get(st, "block-filled"),
-                 idx);
-    }
+    s.obs.span(eng_, kFilled, s.filled, fill_t0,
+               {.arg = idx, .n = got, .on = &lane});
     if (got == 0) {  // premature EOF: surface as a truncated transfer
       s.send_pool->release(buf);
       break;
@@ -345,7 +394,7 @@ sim::Task<> RftpSession::filler(Stream& s, numa::Thread& th,
 
 sim::Task<> RftpSession::wire_sender(Stream& s, numa::Thread& th) {
   const auto& cm = th.host().costs();
-  trace::CachedTrack wire_trk;
+  obs::Track lane = task_lane(s.id, "wire");
   for (;;) {
     auto blk = co_await s.sendq->recv();
     if (!blk) co_return;
@@ -365,25 +414,9 @@ sim::Task<> RftpSession::wire_sender(Stream& s, numa::Thread& th) {
     }
     if (auto* au = check::of(eng_))
       au->rftp_credit_consumed(this, s.id, credit->token);
-    if (auto* tr = trace::of(eng_)) {
-      // A filled block that had to sit waiting for a credit token means
-      // the receiver (or the wire) is the bottleneck right now.
-      if (eng_.now() > credit_t0) {
-        tr->complete(wire_trk.get(tr, trace::Layer::kRftp,
-                                  "s" + std::to_string(s.id) + "/wire"),
-                     "credit-wait", credit_t0);
-        tr->counter("rftp/credit_stalls").add(1);
-      }
-      tr->counter("rftp/blocks_posted").add(1);
-    }
-    if (auto* st = stats::of(eng_)) {
-      const auto e = s.stats_entity(st);
-      s.hist_credit.get(st, e, "credit_wait_ns")
-          .record(static_cast<std::uint64_t>(eng_.now() - credit_t0));
-      s.sctr_posted.get(st, e, "blocks_posted").add(1);
-      st->flight(stats::Layer::kRftp, e, s.code_post.get(st, "block-posted"),
-                 blk->block_idx);
-    }
+    if (eng_.now() > credit_t0)
+      s.obs.span(eng_, kCreditWait, s.credit_wait, credit_t0, {.on = &lane});
+    s.obs.span(eng_, kPosted, s.posted, credit_t0, {.arg = blk->block_idx});
     co_await th.compute(cm.rftp_block_user_cycles,
                         metrics::CpuCategory::kUserProto);
     const std::uint64_t sum = fault::rftp_block_tag(blk->block_idx,
@@ -430,18 +463,7 @@ sim::Task<> RftpSession::send_reaper(Stream& s, numa::Thread& th) {
     // Wire fault: the block never reached the peer and the credit token is
     // still ours — repost the same block to the same remote buffer.
     ++retransmissions;
-    if (auto* tr = trace::of(eng_)) {
-      tr->instant(s.trk.named(tr, trace::Layer::kRftp,
-                              "stream" + std::to_string(s.id)),
-                  "retransmit");
-      tr->counter("rftp/retransmissions").add(1);
-    }
-    if (auto* st = stats::of(eng_)) {
-      const auto e = s.stats_entity(st);
-      s.sctr_retx.get(st, e, "retransmissions").add(1);
-      st->flight(stats::Layer::kRftp, e, s.code_retx.get(st, "retransmit"),
-                 blk.block_idx);
-    }
+    s.obs.report(eng_, kRetx, s.retx, {.arg = blk.block_idx});
     co_await th.compute(cm.rftp_block_user_cycles,
                         metrics::CpuCategory::kUserProto);
     const std::uint64_t sum = fault::rftp_block_tag(blk.block_idx, blk.bytes);
@@ -477,7 +499,7 @@ sim::Task<> RftpSession::grant_receiver(Stream& s, numa::Thread& th) {
     co_await th.compute(cm.rftp_control_msg_cycles,
                         metrics::CpuCategory::kUserProto);
     ++control_msgs_;
-    if (auto* tr = trace::of(eng_)) tr->counter("rftp/grants").add(1);
+    s.obs.report(eng_, kGrant, s.grant);
     if (auto* au = check::of(eng_))
       au->rftp_credit_received(this, s.id, g->token);
     s.credits->send(Credit{g->token, s.token_buffers.at(g->token)});
@@ -512,18 +534,7 @@ sim::Task<> RftpSession::grant_reaper(Stream& s, numa::Thread& th) {
     --ff_grant_retries_pending_;
     if (s.dead) continue;
     ++grant_retransmissions;
-    if (auto* tr = trace::of(eng_)) {
-      tr->instant(s.trk.named(tr, trace::Layer::kRftp,
-                              "stream" + std::to_string(s.id)),
-                  "grant-retransmit");
-      tr->counter("rftp/grant_retransmissions").add(1);
-    }
-    if (auto* st = stats::of(eng_)) {
-      const auto e = s.stats_entity(st);
-      st->counter(e, "grant_retransmissions").add(1);
-      st->flight(stats::Layer::kRftp, e,
-                 s.code_grant_retx.get(st, "grant-retransmit"), token);
-    }
+    s.obs.report(eng_, kGrantRetx, s.grant_retx, {.arg = token});
     co_await th.compute(cm.rftp_control_msg_cycles,
                         metrics::CpuCategory::kUserProto);
     // The 2-RTT pacing delay above can span a crash + restart or a drain:
@@ -559,7 +570,7 @@ sim::Task<> RftpSession::arrival_handler(Stream& s, numa::Thread& th) {
 sim::Task<> RftpSession::drainer(Stream& s, numa::Thread& th, DataSink& dst,
                                  metrics::ThroughputMeter* meter) {
   const auto& cm = th.host().costs();
-  trace::CachedTrack drain_trk;  // this drainer task's own lane
+  obs::Track lane = task_lane(s.id, "drain");
   for (;;) {
     auto a = co_await s.drainq->recv();
     if (!a) co_return;
@@ -577,28 +588,10 @@ sim::Task<> RftpSession::drainer(Stream& s, numa::Thread& th, DataSink& dst,
     if (dup) {
       // A failover re-send of a block the original stream had delivered.
       ++duplicate_blocks;
-      if (auto* tr = trace::of(eng_))
-        tr->counter("rftp/duplicate_blocks").add(1);
-      if (auto* st = stats::of(eng_)) {
-        const auto e = s.stats_entity(st);
-        st->counter(e, "duplicate_blocks").add(1);
-        st->flight(stats::Layer::kRftp, e, s.code_dup.get(st, "dup-block"),
-                   a->block_idx);
-      }
+      s.obs.report(eng_, kDup, s.dup, {.arg = a->block_idx});
     } else if (landed != a->checksum) {
       ++checksum_failures;
-      if (auto* tr = trace::of(eng_)) {
-        tr->instant(s.trk.named(tr, trace::Layer::kRftp,
-                                "stream" + std::to_string(s.id)),
-                    "checksum-mismatch");
-        tr->counter("rftp/checksum_failures").add(1);
-      }
-      if (auto* st = stats::of(eng_)) {
-        const auto e = s.stats_entity(st);
-        st->counter(e, "checksum_failures").add(1);
-        st->flight(stats::Layer::kRftp, e,
-                   s.code_cksum.get(st, "checksum-mismatch"), a->block_idx);
-      }
+      s.obs.report(eng_, kChecksum, s.cksum, {.arg = a->block_idx});
       requeue_block(a->block_idx);  // a survivor re-sends it
     } else {
       fresh = true;
@@ -611,33 +604,17 @@ sim::Task<> RftpSession::drainer(Stream& s, numa::Thread& th, DataSink& dst,
       sink_digest_ ^= landed;
       delivered_bytes_ += a->bytes;
       s.sent_unconfirmed.erase(a->block_idx);
-      if (auto* tr = trace::of(eng_)) {
-        tr->complete(drain_trk.get(tr, trace::Layer::kRftp,
-                                   "s" + std::to_string(s.id) + "/drain"),
-                     "drain", drain_t0);
-        tr->async_end(s.trk.named(tr, trace::Layer::kRftp,
-                                  "stream" + std::to_string(s.id)),
-                      "block", a->block_idx);
-        tr->counter("rftp/bytes_delivered").add(a->bytes);
-        tr->counter("rftp/blocks_delivered").add(1);
-      }
-      if (auto* st = stats::of(eng_)) {
-        const auto e = s.stats_entity(st);
-        s.hist_drain.get(st, e, "drain_ns")
-            .record(static_cast<std::uint64_t>(eng_.now() - drain_t0));
-        s.sctr_delivered.get(st, e, "blocks_delivered").add(1);
-        st->flight(stats::Layer::kRftp, e,
-                   s.code_drain.get(st, "block-drained"), a->block_idx);
-      }
+      s.obs.span(eng_, kDrained, s.drained, drain_t0,
+                 {.arg = a->block_idx, .on = &lane});
+      s.obs.span_end(eng_, kBlockEnd, s.block_end, 0, a->block_idx,
+                     {.n = a->bytes});
+      s.obs.report(eng_, kDelivered, s.delivered);
       // Forward progress: feed the liveness watchdog, time the first
       // byte after a resume, and roll the durable ledger forward.
       watchdog_.kick();
       if (resume_pending_) {
         resume_pending_ = false;
-        if (auto* st = stats::of(eng_))
-          st->histogram(st->entity(stats::Layer::kRftp, "session"),
-                        "resume_ns")
-              .record(static_cast<std::uint64_t>(eng_.now() - crash_t0_));
+        obs_.span(eng_, kFirstByte, first_byte_, crash_t0_);
       }
       // A checkpoint publishes only the drains since the previous one.
       if (cfg_.checkpoint_blocks > 0) {
@@ -648,8 +625,7 @@ sim::Task<> RftpSession::drainer(Stream& s, numa::Thread& th, DataSink& dst,
           unledgered_.clear();
           ++checkpoints;
           if (auto* au = check::of(eng_)) au->rftp_checkpoint(this, ledger_);
-          if (auto* tr = trace::of(eng_))
-            tr->counter("rftp/checkpoints").add(1);
+          obs_.report(eng_, kCheckpoint, checkpoint_);
         }
       }
     }
@@ -720,18 +696,8 @@ void RftpSession::handle_stream_death(Stream& s) {
   ++failovers;
   if (running_)
     if (auto* au = check::of(eng_)) au->rftp_stream_dead(this, s.id);
-  if (auto* tr = trace::of(eng_)) {
-    tr->instant(s.trk.named(tr, trace::Layer::kRftp,
-                            "stream" + std::to_string(s.id)),
-                "stream-dead");
-    tr->counter("rftp/failovers").add(1);
-  }
-  if (auto* st = stats::of(eng_)) {
-    const auto e = s.stats_entity(st);
-    st->counter(e, "failovers").add(1);
-    st->flight(stats::Layer::kRftp, e, s.code_dead.get(st, "stream-dead"),
-               static_cast<std::uint64_t>(s.id));
-  }
+  s.obs.report(eng_, kStreamDead, s.died,
+               {.arg = static_cast<std::uint64_t>(s.id)});
 
   // Reassign everything this stream still owed: blocks posted but not
   // completed, and blocks the wire acked that the sink never confirmed
@@ -771,17 +737,9 @@ void RftpSession::crash_host(int host, sim::SimDuration down) {
   ++host_crashes;
   crashed_streams_.clear();
   if (auto* au = check::of(eng_)) au->rftp_crash(this, host);
-  if (auto* tr = trace::of(eng_)) {
-    tr->instant(plan_trk_.get(tr, trace::Layer::kRftp, "rftp/session"),
-                host == 0 ? "sender-crash" : "receiver-crash");
-    tr->counter("rftp/host_crashes").add(1);
-  }
-  if (auto* st = stats::of(eng_)) {
-    const auto e = st->entity(stats::Layer::kRftp, "session");
-    st->counter(e, "host_crashes").add(1);
-    st->flight(stats::Layer::kRftp, e, st->code("crash"),
-               static_cast<std::uint64_t>(host));
-  }
+  obs_.report(eng_, kCrash, crash_,
+              {.arg = static_cast<std::uint64_t>(host),
+               .event = host == 0 ? "sender-crash" : "receiver-crash"});
 
   // Every stream dies at once. Zero the live count FIRST so the requeue
   // sweep parks blocks in the shared queue without respawning fillers
@@ -836,8 +794,7 @@ void RftpSession::crash_host(int host, sim::SimDuration down) {
       done_->add(1);
       if (auto* au = check::of(eng_))
         au->rftp_rollback(this, idx, bytes, tag);
-      if (auto* tr = trace::of(eng_))
-        tr->counter("rftp/rolled_back_blocks").add(1);
+      obs_.report(eng_, kRolledBack, rolled_back_);
       requeue_block(idx);
     }
     unledgered_.clear();  // every pending block just rolled back
@@ -858,11 +815,7 @@ void RftpSession::crash_host(int host, sim::SimDuration down) {
 
 sim::Task<> RftpSession::restart_host(int host) {
   if (!running_ || transfer_failed_) co_return;
-  if (auto* tr = trace::of(eng_)) {
-    tr->instant(plan_trk_.get(tr, trace::Layer::kRftp, "rftp/session"),
-                "host-restart");
-    tr->counter("rftp/host_restarts").add(1);
-  }
+  obs_.report(eng_, kRestart, restart_);
   for (const int id : crashed_streams_) {
     Stream& s = *streams_[static_cast<std::size_t>(id)];
     // Fresh channels: the old ones were closed at crash time, strictly
@@ -970,49 +923,23 @@ sim::Task<> RftpSession::restart_host(int host) {
   watchdog_.kick();
   if (auto* au = check::of(eng_)) au->rftp_resume(this);
   const sim::SimDuration mttr = eng_.now() - crash_t0_;
-  if (auto* tr = trace::of(eng_)) {
-    tr->instant(plan_trk_.get(tr, trace::Layer::kRftp, "rftp/session"),
-                "resume");
-    tr->counter("rftp/resumes").add(1);
-  }
-  if (auto* st = stats::of(eng_)) {
-    const auto e = st->entity(stats::Layer::kRftp, "session");
-    st->counter(e, "resumes").add(1);
-    st->histogram(e, "mttr_ns").record(static_cast<std::uint64_t>(mttr));
-    st->flight(stats::Layer::kRftp, e, st->code("resume"),
-               static_cast<std::uint64_t>(mttr));
-  }
+  obs_.report(eng_, kResume, resume_,
+              {.arg = static_cast<std::uint64_t>(mttr)});
+  obs_.span(eng_, kMttr, mttr_, crash_t0_);
 }
 
 void RftpSession::on_watchdog_dead() {
   if (!running_ || transfer_failed_) return;
-  if (auto* tr = trace::of(eng_)) {
-    tr->instant(plan_trk_.get(tr, trace::Layer::kRftp, "rftp/session"),
-                "watchdog-dead");
-    tr->counter("rftp/watchdog_deaths").add(1);
-  }
-  if (auto* st = stats::of(eng_)) {
-    const auto e = st->entity(stats::Layer::kRftp, "session");
-    st->counter(e, "watchdog_deaths").add(1);
-  }
+  obs_.report(eng_, kWatchdogDead, watchdog_dead_);
   fail_transfer();
 }
 
 void RftpSession::fail_transfer() {
   if (transfer_failed_) return;
   transfer_failed_ = true;
-  if (auto* tr = trace::of(eng_)) {
-    tr->instant(plan_trk_.get(tr, trace::Layer::kRftp, "rftp/session"),
-                "transfer-failed");
-    tr->counter("rftp/transfers_failed").add(1);
-  }
-  if (auto* st = stats::of(eng_)) {
-    st->counter(st->entity(stats::Layer::kRftp, "session"), "transfers_failed")
-        .add(1);
-    // Every stream is gone: recovery has escalated to terminal, so dump
-    // the flight window while the lead-up is still in the ring.
-    st->trigger_flight_dump("rftp:transfer-failed");
-  }
+  // Every stream is gone: recovery has escalated to terminal, so the
+  // report dumps the flight window while the lead-up is still in the ring.
+  obs_.report(eng_, kTransferFailed, failed_);
   // Release run(): undelivered blocks are never coming.
   while (done_ != nullptr && done_->pending() > 0) done_->done();
 }

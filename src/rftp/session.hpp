@@ -35,14 +35,13 @@
 #include "metrics/throughput.hpp"
 #include "net/link.hpp"
 #include "numa/process.hpp"
+#include "obs/probe.hpp"
 #include "rdma/cm.hpp"
 #include "rftp/config.hpp"
 #include "rftp/source_sink.hpp"
 #include "sim/channel.hpp"
 #include "sim/run_queue.hpp"
 #include "sim/sync.hpp"
-#include "stats/registry.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::rftp {
 
@@ -185,34 +184,14 @@ class RftpSession {
     /// stream requeues these alongside its in-flight blocks. Flat set
     /// (values unused); the death path drains it in key order.
     mem::FlatMap<char> sent_unconfirmed;
-    // Shared per-stream track: block lifetimes trace as async spans from
-    // fill-claim (sender) to drain (receiver), keyed by block index.
-    trace::CachedTrack trk;
-
-    // Stats handles: per-stream entity carrying the fill/drain latency and
-    // credit-wait histograms plus the failover counters, with flight
-    // records for every block milestone (the postmortem window).
-    stats::CachedEntity stats_ent;
-    stats::CachedHistogram hist_fill;
-    stats::CachedHistogram hist_credit;
-    stats::CachedHistogram hist_drain;
-    stats::CachedCounter sctr_posted;
-    stats::CachedCounter sctr_delivered;
-    stats::CachedCounter sctr_retx;
-    stats::CachedCode code_fill;
-    stats::CachedCode code_post;
-    stats::CachedCode code_drain;
-    stats::CachedCode code_retx;
-    stats::CachedCode code_grant_retx;
-    stats::CachedCode code_dup;
-    stats::CachedCode code_cksum;
-    stats::CachedCode code_dead;
-
-    stats::EntityId stats_entity(stats::Registry* st) {
-      return stats_ent.named_lazy(st, stats::Layer::kRftp, [this] {
-        return "stream" + std::to_string(id);
-      });
-    }
+    // Observability: block lifetimes trace as async spans on the stream's
+    // track from fill-claim (sender) to drain (receiver), keyed by block
+    // index; the stream's stats entity carries the fill/drain latency and
+    // credit-wait histograms, the failover counters, and a flight record
+    // for every block milestone (the postmortem window).
+    obs::Actor obs;
+    obs::Site filled, credit_wait, posted, retx, grant, grant_retx, dup,
+        cksum, drained, block_end, delivered, died;
   };
 
   // Pipeline tasks (one coroutine per thread).
@@ -341,7 +320,16 @@ class RftpSession {
   int alive_streams_ = 0;
   bool transfer_failed_ = false;
   std::size_t next_failover_stream_ = 0;  // round-robin requeue target
-  trace::CachedTrack plan_trk_;  // session-wide (non-stream) fault events
+  // Session-wide (non-stream) events: the "rftp/session" track and the
+  // "session" stats entity.
+  obs::Actor obs_{obs::Layer::kRftp, {"rftp/session"}, obs::named("session")};
+  obs::Site false_suspect_, first_byte_, checkpoint_, crash_, rolled_back_,
+      restart_, resume_, mttr_, watchdog_dead_, failed_,
+      stolen_claim_, local_claim_;
+  static constexpr obs::Incident kStolenClaim{
+      .trace_counter = "rftp/stolen_claims"};
+  static constexpr obs::Incident kLocalClaim{
+      .trace_counter = "rftp/local_claims"};
   // Steady-state fast-forward (cfg_.fast_forward): detector + collapser,
   // constructed per run() on standalone engines only. Null = event-exact.
   std::unique_ptr<FastForward> ff_;
@@ -406,11 +394,11 @@ inline std::uint64_t RftpSession::apply_claim(const ClaimDecision& d) {
   switch (d.kind) {
     case ClaimDecision::Kind::kStolen:
       ++stolen_claims;
-      if (auto* tr = trace::of(eng_)) tr->counter("rftp/stolen_claims").add(1);
+      obs_.report(eng_, kStolenClaim, stolen_claim_);
       break;
     case ClaimDecision::Kind::kLocal:
       ++local_claims;
-      if (auto* tr = trace::of(eng_)) tr->counter("rftp/local_claims").add(1);
+      obs_.report(eng_, kLocalClaim, local_claim_);
       break;
     case ClaimDecision::Kind::kShared:
     case ClaimDecision::Kind::kFallback:

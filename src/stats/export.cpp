@@ -3,43 +3,17 @@
 // Same determinism contract as trace/export.cpp: doubles print as "%.9g",
 // integers as integers, and every collection iterates in creation order,
 // so same-seed runs emit byte-identical files.
-#include <cstdio>
 #include <ostream>
 
+#include "obs/json.hpp"
 #include "stats/registry.hpp"
 
 namespace e2e::stats {
 
 namespace {
 
-void put_double(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
-/// Minimal JSON string escaping (entity names are ASCII identifiers, but a
-/// stray quote or backslash must not corrupt the file).
-void put_str(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
+using obs::put_double;
+using obs::put_str;
 
 void put_hist_summary(std::ostream& os, const Histogram& h) {
   os << "\"count\": " << h.count() << ", \"min\": " << h.min()

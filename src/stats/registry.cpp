@@ -11,7 +11,7 @@ Registry::Registry(sim::Engine& eng, Config cfg)
     : eng_(eng), max_entities_(cfg.max_entities < 2 ? 2 : cfg.max_entities) {
   // Reserved overflow entity: everything past the cardinality cap
   // aggregates here instead of growing the tables.
-  entities_.push_back(Entity{Layer::kSim, "<overflow>"});
+  entities_.push_back(Entity{obs::Layer::kSim, "<overflow>"});
   flight_ring_.resize(std::bit_ceil(
       cfg.flight_capacity < 16 ? std::size_t{16} : cfg.flight_capacity));
   flight_mask_ = flight_ring_.size() - 1;
@@ -27,7 +27,7 @@ std::uint32_t Registry::intern(std::string_view s) {
   return id;
 }
 
-EntityId Registry::entity(Layer layer, std::string_view name) {
+EntityId Registry::entity(obs::Layer layer, std::string_view name) {
   std::string key;
   key.reserve(to_string(layer).size() + 1 + name.size());
   key.append(to_string(layer));
@@ -45,7 +45,7 @@ EntityId Registry::entity(Layer layer, std::string_view name) {
   return id;
 }
 
-EntityId Registry::mint_entity(Layer layer, std::string_view base) {
+EntityId Registry::mint_entity(obs::Layer layer, std::string_view base) {
   if (entities_.size() >= max_entities_) {
     ++dropped_entities_;
     return kOverflowEntity;
@@ -240,7 +240,7 @@ void Registry::dump_flight(std::ostream& os) const {
     char buf[64];
     std::snprintf(buf, sizeof buf, "[%14llu ns] %-5s ",
                   static_cast<unsigned long long>(r.t),
-                  std::string(to_string(static_cast<Layer>(r.layer))).c_str());
+                  std::string(to_string(static_cast<obs::Layer>(r.layer))).c_str());
     os << buf << (r.entity < entities_.size() ? entities_[r.entity].name
                                               : std::string("?"))
        << ' ' << (r.code < codes_.size() ? codes_[r.code] : std::string("?"))

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -43,42 +42,12 @@
 #include <utility>
 #include <vector>
 
+#include "obs/core.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 #include "stats/histogram.hpp"
 
 namespace e2e::stats {
-
-/// Which layer of the stack a metric or flight record belongs to.
-/// Mirrors trace::Layer (kept separate so stats/ does not depend on
-/// trace/); exports group by this.
-enum class Layer : std::uint8_t {
-  kSim,    // engine resources
-  kRdma,   // verbs queue pairs
-  kTcp,    // TCP/IP connections
-  kIscsi,  // iSCSI session layer
-  kIser,   // iSER datamover
-  kRftp,   // RFTP transfer protocol
-  kBlk,    // block / filesystem
-  kApp,    // applications and drivers
-  kFault,  // fault injection and recovery
-};
-inline constexpr int kLayerCount = 9;
-
-constexpr std::string_view to_string(Layer l) noexcept {
-  switch (l) {
-    case Layer::kSim: return "sim";
-    case Layer::kRdma: return "rdma";
-    case Layer::kTcp: return "tcp";
-    case Layer::kIscsi: return "iscsi";
-    case Layer::kIser: return "iser";
-    case Layer::kRftp: return "rftp";
-    case Layer::kBlk: return "blk";
-    case Layer::kApp: return "app";
-    case Layer::kFault: return "fault";
-  }
-  return "?";
-}
 
 using EntityId = std::uint32_t;
 using CodeId = std::uint16_t;
@@ -169,8 +138,8 @@ class Registry final : public sim::StatsHook {
 
   static constexpr EntityId kOverflowEntity = 0;
 
-  EntityId entity(Layer layer, std::string_view name);
-  EntityId mint_entity(Layer layer, std::string_view base);
+  EntityId entity(obs::Layer layer, std::string_view name);
+  EntityId mint_entity(obs::Layer layer, std::string_view base);
 
   [[nodiscard]] std::size_t entity_count() const noexcept {
     return entities_.size();
@@ -181,15 +150,15 @@ class Registry final : public sim::StatsHook {
   [[nodiscard]] const std::string& entity_name(EntityId id) const {
     return entities_.at(id).name;
   }
-  [[nodiscard]] Layer entity_layer(EntityId id) const {
+  [[nodiscard]] obs::Layer entity_layer(EntityId id) const {
     return entities_.at(id).layer;
   }
 
   // --- metrics ------------------------------------------------------------
   // Created on first use, stable addresses for the registry's lifetime
-  // (deque-pooled). Call sites cache the returned reference in a
-  // CachedCounter/CachedGauge/CachedHistogram so the map probe happens
-  // once per site per registry.
+  // (deque-pooled). Call sites cache the returned reference in an
+  // obs::Cached handle so the map probe happens once per site per
+  // registry.
 
   Counter& counter(EntityId entity, std::string_view name);
   Gauge& gauge(EntityId entity, std::string_view name);
@@ -208,12 +177,12 @@ class Registry final : public sim::StatsHook {
 
   // --- flight recorder ----------------------------------------------------
 
-  /// Interns a record code (idempotent; cache via CachedCode).
+  /// Interns a record code (idempotent; cache via obs::Cached).
   CodeId code(std::string_view name);
 
   /// Appends one record to the ring. Constant time, allocation-free,
   /// overwrites the oldest record when full.
-  void flight(Layer layer, EntityId entity, CodeId code,
+  void flight(obs::Layer layer, EntityId entity, CodeId code,
               std::uint64_t arg) noexcept {
     FlightRecord& r = flight_ring_[flight_head_ & flight_mask_];
     r.t = eng_.now();
@@ -305,19 +274,8 @@ class Registry final : public sim::StatsHook {
 
  private:
   struct Entity {
-    Layer layer;
+    obs::Layer layer;
     std::string name;
-  };
-
-  /// Transparent hasher: string_view probes without temporary strings.
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-    std::size_t operator()(const std::string& s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
   };
 
   std::uint32_t intern(std::string_view s);
@@ -330,7 +288,8 @@ class Registry final : public sim::StatsHook {
   std::size_t max_entities_;
 
   std::vector<std::string> names_;  // metric-name intern table
-  std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>
+  std::unordered_map<std::string, std::uint32_t, obs::StringHash,
+                     std::equal_to<>>
       name_ids_;
 
   std::vector<Entity> entities_;
@@ -354,7 +313,7 @@ class Registry final : public sim::StatsHook {
   std::unordered_map<std::uint64_t, Histogram*> histogram_ids_;
 
   std::vector<std::string> codes_;  // flight-code intern table
-  std::unordered_map<std::string, CodeId, StringHash, std::equal_to<>>
+  std::unordered_map<std::string, CodeId, obs::StringHash, std::equal_to<>>
       code_ids_;
   std::vector<FlightRecord> flight_ring_;
   std::uint64_t flight_head_ = 0;
@@ -369,90 +328,5 @@ class Registry final : public sim::StatsHook {
 [[nodiscard]] inline Registry* of(sim::Engine& eng) noexcept {
   return static_cast<Registry*>(eng.stats_hook());
 }
-
-// --- per-site cached handles ----------------------------------------------
-// Same idiom as trace::CachedTrack/CachedCounter: the handle re-resolves
-// only when the installed registry changed, so steady state is one pointer
-// compare. Each cache instance serves one fixed (entity, name) site — give
-// per-QP/per-stream state its own instances.
-
-struct CachedEntity {
-  Registry* owner = nullptr;
-  EntityId id = 0;
-  /// Minted entity whose base name is built only on first use per registry.
-  template <typename MakeBase>
-  EntityId get_lazy(Registry* r, Layer layer, MakeBase&& make_base) {
-    if (owner != r) {
-      id = r->mint_entity(layer, make_base());
-      owner = r;
-    }
-    return id;
-  }
-  /// Idempotent named entity.
-  EntityId named(Registry* r, Layer layer, std::string_view name) {
-    if (owner != r) {
-      id = r->entity(layer, name);
-      owner = r;
-    }
-    return id;
-  }
-  /// Idempotent named entity whose name is built only on first use.
-  template <typename MakeName>
-  EntityId named_lazy(Registry* r, Layer layer, MakeName&& make_name) {
-    if (owner != r) {
-      id = r->entity(layer, make_name());
-      owner = r;
-    }
-    return id;
-  }
-};
-
-struct CachedCounter {
-  Registry* owner = nullptr;
-  Counter* c = nullptr;
-  Counter& get(Registry* r, EntityId entity, std::string_view name) {
-    if (owner != r) {
-      c = &r->counter(entity, name);
-      owner = r;
-    }
-    return *c;
-  }
-};
-
-struct CachedGauge {
-  Registry* owner = nullptr;
-  Gauge* g = nullptr;
-  Gauge& get(Registry* r, EntityId entity, std::string_view name) {
-    if (owner != r) {
-      g = &r->gauge(entity, name);
-      owner = r;
-    }
-    return *g;
-  }
-};
-
-struct CachedHistogram {
-  Registry* owner = nullptr;
-  Histogram* h = nullptr;
-  Histogram& get(Registry* r, EntityId entity, std::string_view name) {
-    if (owner != r) {
-      h = &r->histogram(entity, name);
-      owner = r;
-    }
-    return *h;
-  }
-};
-
-struct CachedCode {
-  Registry* owner = nullptr;
-  CodeId id = 0;
-  CodeId get(Registry* r, std::string_view name) {
-    if (owner != r) {
-      id = r->code(name);
-      owner = r;
-    }
-    return id;
-  }
-};
 
 }  // namespace e2e::stats

@@ -8,6 +8,20 @@
 
 namespace e2e::tcp {
 
+namespace {
+
+constexpr obs::Incident kAck{
+    .name = "ack", .code = obs::kSkip, .trace_counter = "tcp/acks"};
+constexpr obs::Incident kLoss{.name = "loss", .counter = "losses"};
+constexpr obs::Incident kRetx{.name = "retransmit", .counter = "retransmits"};
+constexpr obs::Incident kSent{
+    .name = "send", .code = obs::kSkip, .trace_counter = "tcp/bytes_sent"};
+constexpr obs::Incident kReceived{.name = "recv",
+                                  .code = obs::kSkip,
+                                  .trace_counter = "tcp/bytes_received"};
+
+}  // namespace
+
 Connection::Connection(numa::Host& host_a, numa::NodeId node_a,
                        numa::Host& host_b, numa::NodeId node_b,
                        net::Link& link, ConnectionOptions opts)
@@ -25,6 +39,9 @@ Connection::Connection(numa::Host& host_a, numa::NodeId node_a,
     ep.host = &h;
     ep.nic_node = n;
     ep.skb = numa::Placement::on(n);
+    ep.obs = obs::Actor(obs::Layer::kTcp, {h.name() + "/tcp"},
+                        {h.name() + "/tcp"});
+    ep.cwnd = obs::Gauge("cwnd_bytes", "tcp/cwnd/" + h.name());
     ep.inbound = std::make_unique<sim::Channel<Message>>(h.engine());
     if (opts_.flow_controlled) {
       ep.cubic = std::make_unique<Cubic>(static_cast<double>(link.mtu()),
@@ -69,18 +86,10 @@ sim::Task<> Connection::apply_window(Endpoint& ep, std::uint64_t bytes) {
       ep.loss_accum -= 1.0;
       ep.cubic->on_loss();
       ep.last_loss_time = eng.now();
-      if (auto* tr = trace::of(eng)) {
-        tr->instant(trace_track(tr, ep), ep.loss_name.get(tr, "loss"));
-        ep.losses.get(tr, "tcp/losses").add(1);
-        tr->value_sample(cwnd_series(tr, ep), ep.cubic->cwnd_bytes());
-      }
-      if (auto* st = stats::of(eng)) {
-        const auto e = stats_entity(st, ep);
-        ep.sctr_loss.get(st, e, "losses").add(1);
-        ep.g_cwnd.get(st, e, "cwnd_bytes").set(ep.cubic->cwnd_bytes());
-        st->flight(stats::Layer::kTcp, e, ep.code_loss.get(st, "loss"),
-                   static_cast<std::uint64_t>(ep.cubic->cwnd_bytes()));
-      }
+      const double cwnd = ep.cubic->cwnd_bytes();
+      ep.obs.report(eng, kLoss, ep.loss,
+                    {.arg = static_cast<std::uint64_t>(cwnd)});
+      ep.obs.gauge(eng, ep.cwnd, cwnd);
     }
   }
 
@@ -94,14 +103,9 @@ sim::Task<> Connection::apply_window(Endpoint& ep, std::uint64_t bytes) {
         pep->host->engine().now() - pep->last_loss_time;
     pep->cubic->on_ack(static_cast<double>(acked), since);
     pep->window->release();
-    if (auto* tr = trace::of(pep->host->engine())) {
-      tr->instant(trace_track(tr, *pep), pep->ack_name.get(tr, "ack"));
-      pep->acks.get(tr, "tcp/acks").add(1);
-      tr->value_sample(cwnd_series(tr, *pep), pep->cubic->cwnd_bytes());
-    }
-    if (auto* st = stats::of(pep->host->engine()))
-      pep->g_cwnd.get(st, stats_entity(st, *pep), "cwnd_bytes")
-          .set(pep->cubic->cwnd_bytes());
+    auto& peng = pep->host->engine();
+    pep->obs.report(peng, kAck, pep->ack);
+    pep->obs.gauge(peng, pep->cwnd, pep->cubic->cwnd_bytes());
   });
 }
 
@@ -155,18 +159,8 @@ sim::Task<> Connection::send(numa::Thread& th, const numa::Placement& user_src,
   sim::SimDuration rto = 2 * link_.rtt();
   while (fate.fail) {
     if (ep.cubic) ep.cubic->on_loss();
-    if (auto* tr = trace::of(eng)) {
-      tr->instant(trace_track(tr, ep), ep.rexmit_name.get(tr, "retransmit"));
-      ep.rexmits.get(tr, "tcp/retransmits").add(1);
-    }
-    if (auto* st = stats::of(eng)) {
-      const auto e = stats_entity(st, ep);
-      ep.sctr_retx.get(st, e, "retransmits").add(1);
-      if (ep.cubic)
-        ep.g_cwnd.get(st, e, "cwnd_bytes").set(ep.cubic->cwnd_bytes());
-      st->flight(stats::Layer::kTcp, e, ep.code_retx.get(st, "retransmit"),
-                 bytes);
-    }
+    ep.obs.report(eng, kRetx, ep.retx, {.arg = bytes});
+    if (ep.cubic) ep.obs.gauge(eng, ep.retx_cwnd, ep.cubic->cwnd_bytes());
     ++retransmits_;
     co_await sim::Delay{eng, fate.fail_delay + rto};
     rto = std::min(rto * 2, static_cast<sim::SimDuration>(60 * sim::kSecond));
@@ -177,10 +171,7 @@ sim::Task<> Connection::send(numa::Thread& th, const numa::Placement& user_src,
   ep.bytes_sent += bytes;
   ep.last_tx_done = tx_done;
   if (auto* au = check::of(eng)) au->flow_in(&ep, "tcp", bytes);
-  if (auto* tr = trace::of(eng)) {
-    tr->complete(trace_track(tr, ep), ep.send_name.get(tr, "send"), trace_t0);
-    ep.tx_bytes.get(tr, "tcp/bytes_sent").add(bytes);
-  }
+  ep.obs.span(eng, kSent, ep.sent, trace_t0, {.n = bytes});
   sim::Channel<Message>* dst = peer.inbound.get();
   eng.schedule_at(
       sim::Engine::saturating_add(tx_done, link_.latency() +
@@ -228,10 +219,8 @@ sim::Task<Connection::Message> Connection::recv_raw(numa::Thread& th) {
   ep.bytes_received += bytes;
   if (auto* au = check::of(th.host().engine()))
     au->flow_out(&ep_[1 - idx], "tcp", bytes);
-  if (auto* tr = trace::of(th.host().engine())) {
-    tr->complete(trace_track(tr, ep), ep.recv_name.get(tr, "recv"), trace_t0);
-    ep.rx_bytes.get(tr, "tcp/bytes_received").add(bytes);
-  }
+  ep.obs.span(th.host().engine(), kReceived, ep.received, trace_t0,
+              {.n = bytes});
   co_return Message{bytes, std::move(chunk->payload)};
 }
 

@@ -28,12 +28,11 @@
 #include "net/link.hpp"
 #include "numa/host.hpp"
 #include "numa/thread.hpp"
+#include "obs/probe.hpp"
 #include "sim/channel.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
-#include "stats/registry.hpp"
 #include "tcp/cubic.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::tcp {
 
@@ -129,48 +128,16 @@ class Connection {
     double loss_accum = 0.0;
     sim::SimTime last_loss_time = 0;
     sim::SimTime last_tx_done = 0;  // orders FIN behind queued data
-    // Per-endpoint trace handles, resolved once per tracer so the per-ACK/
-    // per-loss/per-chunk paths never build a name string or hash a lookup.
-    trace::CachedTrack trk;          // this endpoint's trace track
-    trace::CachedCounter acks;       // "tcp/acks"
-    trace::CachedCounter losses;     // "tcp/losses"
-    trace::CachedCounter rexmits;    // "tcp/retransmits"
-    trace::CachedCounter tx_bytes;   // "tcp/bytes_sent"
-    trace::CachedCounter rx_bytes;   // "tcp/bytes_received"
-    trace::CachedSeries cwnd;        // "tcp/cwnd/<host>"
-    trace::CachedName ack_name;      // "ack"
-    trace::CachedName loss_name;     // "loss"
-    trace::CachedName rexmit_name;   // "retransmit"
-    trace::CachedName send_name;     // "send"
-    trace::CachedName recv_name;     // "recv"
-
-    // Stats handles: the CUBIC cwnd gauge samples on every ACK/loss, so
-    // the handles resolve once per registry install like the trace ones.
-    stats::CachedEntity stats_ent;
-    stats::CachedGauge g_cwnd;       // "cwnd_bytes"
-    stats::CachedCounter sctr_loss;  // "losses"
-    stats::CachedCounter sctr_retx;  // "retransmits"
-    stats::CachedCode code_loss;     // "loss"
-    stats::CachedCode code_retx;     // "retransmit"
+    // Observability: the endpoint's "<host>/tcp#n" track and entity, one
+    // Site per incident, and the CUBIC cwnd, which samples on every ACK and
+    // loss (handles resolve once per sink, so the per-ACK path never
+    // builds a name or hashes a lookup). A retransmit updates the stats
+    // gauge without a trace sample.
+    obs::Actor obs;
+    obs::Site ack, loss, retx, sent, received;
+    obs::Gauge cwnd{"cwnd_bytes"};       // + trace series "tcp/cwnd/<host>"
+    obs::Gauge retx_cwnd{"cwnd_bytes"};  // stats only
   };
-
-  /// This endpoint's trace track ("<host>/tcp#n"), minted lazily.
-  trace::TrackId trace_track(trace::Tracer* tr, Endpoint& ep) {
-    return ep.trk.get_lazy(tr, trace::Layer::kTcp,
-                           [&ep] { return ep.host->name() + "/tcp"; });
-  }
-
-  /// This endpoint's cwnd series id ("tcp/cwnd/<host>"), interned lazily.
-  trace::NameId cwnd_series(trace::Tracer* tr, Endpoint& ep) {
-    return ep.cwnd.get_lazy(
-        tr, [&ep] { return "tcp/cwnd/" + ep.host->name(); });
-  }
-
-  /// This endpoint's stats entity ("<host>/tcp#n"), minted lazily.
-  stats::EntityId stats_entity(stats::Registry* st, Endpoint& ep) {
-    return ep.stats_ent.get_lazy(st, stats::Layer::kTcp,
-                                 [&ep] { return ep.host->name() + "/tcp"; });
-  }
 
   sim::Task<> apply_window(Endpoint& ep, std::uint64_t bytes);
 

@@ -1,4 +1,4 @@
-// Trace exporters: Chrome trace-event JSON and flat run reports.
+// Trace exporter: Chrome trace-event JSON.
 //
 // Formatting is fully deterministic: timestamps are printed as exact
 // microsecond fixed-point derived from integer nanoseconds, doubles use
@@ -6,12 +6,15 @@
 #include <cstdio>
 #include <ostream>
 
-#include "sim/resource.hpp"
+#include "obs/json.hpp"
 #include "trace/tracer.hpp"
 
 namespace e2e::trace {
 
 namespace {
+
+using obs::put_double;
+using obs::put_str;
 
 /// Chrome trace timestamps are microseconds; print ns as exact fixed-point.
 void put_us(std::ostream& os, sim::SimTime ns) {
@@ -20,35 +23,6 @@ void put_us(std::ostream& os, sim::SimTime ns) {
                 static_cast<unsigned long long>(ns / 1000),
                 static_cast<unsigned long long>(ns % 1000));
   os << buf;
-}
-
-void put_double(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
-/// Minimal JSON string escaping (names here are ASCII identifiers, but a
-/// stray quote or backslash must not corrupt the file).
-void put_str(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -72,11 +46,11 @@ void Tracer::write_chrome_events(std::ostream& os, int pid_base,
   sep();
   os << "{\"ph\":\"M\",\"pid\":" << pid_base
      << ",\"name\":\"process_name\",\"args\":{\"name\":\"counters\"}}";
-  for (int l = 0; l < kLayerCount; ++l) {
+  for (int l = 0; l < obs::kLayerCount; ++l) {
     sep();
     os << "{\"ph\":\"M\",\"pid\":" << (pid_base + l + 1)
        << ",\"name\":\"process_name\",\"args\":{\"name\":";
-    put_str(os, to_string(static_cast<Layer>(l)));
+    put_str(os, to_string(static_cast<obs::Layer>(l)));
     os << "}}";
   }
   // Thread metadata: one named thread per track, under its layer's pid.
@@ -147,67 +121,8 @@ void write_merged_chrome_trace(std::ostream& os,
   bool first = true;
   for (std::size_t s = 0; s < shards.size(); ++s)
     shards[s]->write_chrome_events(
-        os, static_cast<int>(s) * (kLayerCount + 1), first);
+        os, static_cast<int>(s) * (obs::kLayerCount + 1), first);
   os << "\n],\"displayTimeUnit\":\"ms\"}\n";
-}
-
-void Tracer::write_report_json(std::ostream& os) const {
-  os << "{\n  \"schema\": \"e2e-trace-report-v1\",\n";
-  os << "  \"sim_time_ns\": " << eng_.now() << ",\n";
-  os << "  \"events\": " << events_.size() << ",\n";
-  os << "  \"samples\": " << samples_.size() << ",\n";
-
-  os << "  \"notes\": {";
-  for (std::size_t i = 0; i < notes_.size(); ++i) {
-    os << (i ? ", " : "");
-    put_str(os, notes_[i].first);
-    os << ": " << notes_[i].second;
-  }
-  os << "},\n";
-
-  os << "  \"counters\": {";
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    os << (i ? ", " : "");
-    put_str(os, counters_[i].name());
-    os << ": " << counters_[i].value();
-  }
-  os << "},\n";
-
-  os << "  \"resources\": [";
-  bool first = true;
-  for (const sim::Resource* r : eng_.resources()) {
-    os << (first ? "\n" : ",\n") << "    {\"name\": ";
-    put_str(os, r->name());
-    os << ", \"rate_per_s\": ";
-    put_double(os, r->rate_per_second());
-    os << ", \"busy_ns\": " << r->busy_time() << ", \"units_served\": ";
-    put_double(os, r->units_served());
-    os << ", \"utilization\": ";
-    put_double(os, r->utilization());
-    os << "}";
-    first = false;
-  }
-  os << "\n  ]\n}\n";
-}
-
-void Tracer::write_report_csv(std::ostream& os) const {
-  os << "metric,value\n";
-  os << "sim_time_ns," << eng_.now() << "\n";
-  for (const auto& [k, v] : notes_) {
-    // Notes are stored pre-formatted as JSON scalars; strip string quotes.
-    std::string_view val = v;
-    if (val.size() >= 2 && val.front() == '"' && val.back() == '"')
-      val = val.substr(1, val.size() - 2);
-    os << "note." << k << "," << val << "\n";
-  }
-  for (const Counter& c : counters_)
-    os << "counter." << c.name() << "," << c.value() << "\n";
-  for (const sim::Resource* r : eng_.resources()) {
-    os << "resource." << r->name() << ".busy_ns," << r->busy_time() << "\n";
-    os << "resource." << r->name() << ".utilization,";
-    put_double(os, r->utilization());
-    os << "\n";
-  }
 }
 
 }  // namespace e2e::trace

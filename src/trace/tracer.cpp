@@ -1,6 +1,5 @@
 #include "trace/tracer.hpp"
 
-#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -17,7 +16,7 @@ NameId Tracer::intern(std::string_view s) {
   return id;
 }
 
-TrackId Tracer::track(Layer layer, std::string_view actor) {
+TrackId Tracer::track(obs::Layer layer, std::string_view actor) {
   std::string key = std::string(to_string(layer)) + "/" + std::string(actor);
   auto it = track_ids_.find(key);
   if (it != track_ids_.end()) return it->second;
@@ -27,7 +26,7 @@ TrackId Tracer::track(Layer layer, std::string_view actor) {
   return id;
 }
 
-TrackId Tracer::mint_track(Layer layer, std::string_view base) {
+TrackId Tracer::mint_track(obs::Layer layer, std::string_view base) {
   std::string key = std::string(to_string(layer)) + "/" + std::string(base);
   const int n = mint_counts_[key]++;
   return track(layer, std::string(base) + "#" + std::to_string(n));
@@ -41,16 +40,6 @@ void Tracer::begin(TrackId t, std::string_view name) {
 void Tracer::end(TrackId t) {
   --tracks_.at(t).depth;
   push({Event::Type::kEnd, t, 0, eng_.now(), 0, 0});
-}
-
-void Tracer::complete(TrackId t, std::string_view name, sim::SimTime start) {
-  const sim::SimTime now = eng_.now();
-  const sim::SimTime s = start > now ? now : start;
-  push({Event::Type::kComplete, t, intern(name), s, now - s, 0});
-}
-
-void Tracer::instant(TrackId t, std::string_view name) {
-  push({Event::Type::kInstant, t, intern(name), eng_.now(), 0, 0});
 }
 
 void Tracer::complete(TrackId t, NameId name, sim::SimTime start) {
@@ -84,10 +73,6 @@ std::uint64_t Tracer::counter_value(std::string_view name) const {
   return it == counter_ids_.end() ? 0 : counters_[it->second].value();
 }
 
-void Tracer::value_sample(std::string_view series, double value) {
-  samples_.push_back({intern(series), eng_.now(), value});
-}
-
 void Tracer::value_sample(NameId series, double value) {
   samples_.push_back({series, eng_.now(), value});
 }
@@ -104,7 +89,7 @@ void Tracer::on_resource_service(const sim::Resource& r, sim::SimTime start,
         r.name().empty()
             ? "res#" + std::to_string(res_tracks_.size())
             : r.name();
-    t = track(Layer::kSim, actor);
+    t = track(obs::Layer::kSim, actor);
     res_tracks_.emplace(&r, t);
   }
   (void)units;
@@ -158,21 +143,6 @@ void Tracer::sampler_tick() {
     return;
   }
   eng_.schedule_after(sampler_period_, [this] { sampler_tick(); });
-}
-
-void Tracer::note(std::string_view key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  notes_.emplace_back(std::string(key), std::string(buf));
-}
-
-void Tracer::note(std::string_view key, std::string_view value) {
-  std::string quoted;
-  quoted.reserve(value.size() + 2);
-  quoted += '"';
-  quoted += value;
-  quoted += '"';
-  notes_.emplace_back(std::string(key), std::move(quoted));
 }
 
 }  // namespace e2e::trace

@@ -2,8 +2,9 @@
 //
 // A Tracer records spans, instant events, counter series and periodic
 // resource-utilization samples against sim::Engine time, and exports them
-// as Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) or
-// as a flat machine-readable run report (JSON / CSV).
+// as Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
+// Every counter's final value and every resource's utilization series land
+// in the trace's closing sample_now() snapshot.
 //
 // Attachment: Tracer::install() registers the tracer as the engine's
 // TraceHook. Instrumented layers fetch it with trace::of(engine) — a
@@ -20,7 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -28,41 +28,11 @@
 #include <utility>
 #include <vector>
 
+#include "obs/core.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
 namespace e2e::trace {
-
-/// Which layer of the stack an event belongs to. Renders as one Perfetto
-/// process per layer, so the viewer groups tracks the way the paper's
-/// figures slice the system.
-enum class Layer : std::uint8_t {
-  kSim,    // engine resources (links, cores, memory channels, QPI, PCIe)
-  kRdma,   // verbs queue pairs
-  kTcp,    // TCP/IP connections
-  kIscsi,  // iSCSI session layer
-  kIser,   // iSER datamover
-  kRftp,   // RFTP transfer protocol
-  kBlk,    // block / filesystem
-  kApp,    // applications and drivers
-  kFault,  // fault injection (chaos plans, injected faults, recoveries)
-};
-inline constexpr int kLayerCount = 9;
-
-constexpr std::string_view to_string(Layer l) noexcept {
-  switch (l) {
-    case Layer::kSim: return "sim";
-    case Layer::kRdma: return "rdma";
-    case Layer::kTcp: return "tcp";
-    case Layer::kIscsi: return "iscsi";
-    case Layer::kIser: return "iser";
-    case Layer::kRftp: return "rftp";
-    case Layer::kBlk: return "blk";
-    case Layer::kApp: return "app";
-    case Layer::kFault: return "fault";
-  }
-  return "?";
-}
 
 using TrackId = std::uint32_t;
 using NameId = std::uint32_t;
@@ -106,8 +76,8 @@ class Tracer final : public sim::TraceHook {
   // appends "#<n>" to get a fresh track per caller (one per QP, stream,
   // filler, ...), numbered in first-mint order.
 
-  TrackId track(Layer layer, std::string_view actor);
-  TrackId mint_track(Layer layer, std::string_view base);
+  TrackId track(obs::Layer layer, std::string_view actor);
+  TrackId mint_track(obs::Layer layer, std::string_view base);
 
   // --- events -------------------------------------------------------------
 
@@ -115,16 +85,14 @@ class Tracer final : public sim::TraceHook {
   void begin(TrackId t, std::string_view name);
   void end(TrackId t);
 
+  // Event names are pre-interned (name_id()): sites resolve a name once
+  // per tracer (an obs::Cached handle) and then log with no hashing.
+
   /// Complete span covering [start, now] — for work whose duration is only
   /// known when it finishes.
-  void complete(TrackId t, std::string_view name, sim::SimTime start);
+  void complete(TrackId t, NameId name, sim::SimTime start);
 
   /// Zero-duration marker.
-  void instant(TrackId t, std::string_view name);
-
-  // NameId overloads for pre-interned event names: hot call sites resolve
-  // the name once (see CachedName/CachedSeries) and log with no hashing.
-  void complete(TrackId t, NameId name, sim::SimTime start);
   void instant(TrackId t, NameId name);
 
   /// Async span: may overlap other spans on the same track and may begin
@@ -141,11 +109,10 @@ class Tracer final : public sim::TraceHook {
 
   /// Records one point of a free-form value series (e.g. a cwnd that can
   /// shrink); rendered as a Perfetto counter track.
-  void value_sample(std::string_view series, double value);
   void value_sample(NameId series, double value);
 
   /// Interns `s` into the name table (idempotent). The returned id is valid
-  /// for this tracer's lifetime and is what the NameId overloads accept.
+  /// for this tracer's lifetime.
   NameId name_id(std::string_view s) { return intern(s); }
 
   // --- resource sampler ---------------------------------------------------
@@ -159,13 +126,6 @@ class Tracer final : public sim::TraceHook {
   /// One immediate snapshot of all resources and counters.
   void sample_now();
 
-  // --- run-report notes ---------------------------------------------------
-
-  /// Scalar facts about the run (goodput, scenario parameters, ...) that
-  /// belong in the machine-readable report.
-  void note(std::string_view key, double value);
-  void note(std::string_view key, std::string_view value);
-
   // --- export -------------------------------------------------------------
 
   /// Chrome trace-event JSON (the "traceEvents" envelope).
@@ -174,21 +134,14 @@ class Tracer final : public sim::TraceHook {
   /// Emits this tracer's metadata + event stream into an already-open
   /// "traceEvents" array, with every pid offset by `pid_base` so several
   /// shards' tracers coexist in one file (shard s uses
-  /// pid_base = s * (kLayerCount + 1)). write_chrome_trace() is exactly
+  /// pid_base = s * (obs::kLayerCount + 1)). write_chrome_trace() is exactly
   /// this with pid_base 0 inside the envelope.
   void write_chrome_events(std::ostream& os, int pid_base, bool& first) const;
 
-  /// Flat run report: counters, per-resource totals, notes.
-  void write_report_json(std::ostream& os) const;
-  void write_report_csv(std::ostream& os) const;
-
-  // --- introspection (tests, reports) ------------------------------------
+  // --- introspection (tests) --------------------------------------------
 
   [[nodiscard]] std::size_t event_count() const noexcept {
     return events_.size();
-  }
-  [[nodiscard]] std::size_t sample_count() const noexcept {
-    return samples_.size();
   }
   /// Currently open begin/end nesting depth of a track.
   [[nodiscard]] int open_depth(TrackId t) const {
@@ -231,7 +184,7 @@ class Tracer final : public sim::TraceHook {
     std::uint64_t id;      // async pairing id
   };
   struct Track {
-    Layer layer;
+    obs::Layer layer;
     std::string actor;
     int depth = 0;
   };
@@ -240,22 +193,10 @@ class Tracer final : public sim::TraceHook {
   void sampler_tick();
   void push(Event e) { events_.push_back(e); }
 
-  /// Transparent hasher so the string-keyed maps can be probed with a
-  /// string_view — no temporary std::string per hot-path lookup.
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-    std::size_t operator()(const std::string& s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   sim::Engine& eng_;
 
   std::vector<std::string> names_;
-  std::unordered_map<std::string, NameId, StringHash, std::equal_to<>>
+  std::unordered_map<std::string, NameId, obs::StringHash, std::equal_to<>>
       name_ids_;
 
   std::vector<Track> tracks_;
@@ -265,7 +206,8 @@ class Tracer final : public sim::TraceHook {
   std::vector<Event> events_;
 
   std::deque<Counter> counters_;  // stable addresses for handles
-  std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
+  std::unordered_map<std::string, std::size_t, obs::StringHash,
+                     std::equal_to<>>
       counter_ids_;
   std::vector<Sample> samples_;
 
@@ -280,7 +222,6 @@ class Tracer final : public sim::TraceHook {
   sim::SimDuration sampler_period_ = 0;
   bool sampler_armed_ = false;
 
-  std::vector<std::pair<std::string, std::string>> notes_;  // pre-formatted
 };
 
 /// The tracer installed on `eng`, or null when tracing is disabled.
@@ -290,83 +231,9 @@ inline Tracer* of(sim::Engine& eng) noexcept {
   return static_cast<Tracer*>(eng.trace_hook());
 }
 
-/// Per-site track cache: mints the site's track once per tracer and then
-/// resolves in O(1), keeping hot instrumentation free of hash lookups.
-struct CachedTrack {
-  Tracer* owner = nullptr;
-  TrackId id = 0;
-  TrackId get(Tracer* t, Layer layer, std::string_view base) {
-    if (owner != t) {
-      id = t->mint_track(layer, base);
-      owner = t;
-    }
-    return id;
-  }
-  /// Like get() but with a caller-chosen (already unique) actor name.
-  TrackId named(Tracer* t, Layer layer, std::string_view actor) {
-    if (owner != t) {
-      id = t->track(layer, actor);
-      owner = t;
-    }
-    return id;
-  }
-  /// Like get(), but the base name is built only on the mint (first use),
-  /// so steady-state call sites skip the string concatenation entirely.
-  template <typename MakeBase>
-  TrackId get_lazy(Tracer* t, Layer layer, MakeBase&& make_base) {
-    if (owner != t) {
-      id = t->mint_track(layer, make_base());
-      owner = t;
-    }
-    return id;
-  }
-};
-
-/// Per-site counter cache: one hash lookup per tracer, then add() is an
-/// inlined integer bump.
-struct CachedCounter {
-  Tracer* owner = nullptr;
-  Counter* c = nullptr;
-  Counter& get(Tracer* t, std::string_view name) {
-    if (owner != t) {
-      c = &t->counter(name);
-      owner = t;
-    }
-    return *c;
-  }
-};
-
-/// Per-site event-name cache for the instant()/complete() NameId overloads.
-struct CachedName {
-  Tracer* owner = nullptr;
-  NameId id = 0;
-  NameId get(Tracer* t, std::string_view name) {
-    if (owner != t) {
-      id = t->name_id(name);
-      owner = t;
-    }
-    return id;
-  }
-};
-
-/// Per-site value-series cache. The series name is built lazily on first
-/// use (per tracer), so hot samplers skip both the string build and the
-/// intern lookup.
-struct CachedSeries {
-  Tracer* owner = nullptr;
-  NameId id = 0;
-  template <typename MakeName>
-  NameId get_lazy(Tracer* t, MakeName&& make_name) {
-    if (owner != t) {
-      id = t->name_id(make_name());
-      owner = t;
-    }
-    return id;
-  }
-};
-
 /// One Chrome trace file covering several shards' tracers: shard s's
-/// processes occupy pids [s*(kLayerCount+1), (s+1)*(kLayerCount+1)). Pass
+/// processes occupy pids [s*(kLayerCount+1), (s+1)*(kLayerCount+1)) with
+/// obs::kLayerCount. Pass
 /// tracers in shard-rank order — the emission order (and therefore the
 /// byte stream) follows the vector, never wall-clock completion order.
 void write_merged_chrome_trace(std::ostream& os,

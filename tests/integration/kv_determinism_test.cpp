@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "exp/kv_scenario.hpp"
 
@@ -90,6 +91,53 @@ TEST(KvDeterminismTest, DifferentSeedsDiverge) {
   p.seed = 43;
   const auto b = run_kv(p);
   EXPECT_NE(a.digest, b.digest);
+}
+
+// True when `s` is one balanced JSON value: brackets nest and close
+// outside string literals (enough to catch a truncated or unterminated
+// trace file).
+bool json_balanced(const std::string& s) {
+  int depth = 0;
+  bool in_str = false;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (in_str) {
+      if (c == '\\') ++i;
+      else if (c == '"') in_str = false;
+    } else if (c == '"') {
+      in_str = true;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if (c == '}' || c == ']') {
+      if (--depth < 0) return false;
+    }
+  }
+  return depth == 0 && !in_str;
+}
+
+TEST(KvDeterminismTest, TraceOnlyAppendsItsHashToTheDigest) {
+  KvParams p = tiny_kv(2);
+  const auto plain = run_kv(p);
+  p.trace = true;
+  const auto traced = run_kv(p);
+  ASSERT_TRUE(traced.complete);
+  EXPECT_TRUE(plain.trace_json.empty());
+  const std::string suffix = " trace_fnv=";
+  ASSERT_GT(traced.digest.size(), plain.digest.size() + suffix.size());
+  EXPECT_EQ(traced.digest.substr(0, plain.digest.size() + suffix.size()),
+            plain.digest + suffix)
+      << "tracing must not move any modeled output";
+}
+
+TEST(KvDeterminismTest, TraceIsWellFormedChromeJson) {
+  KvParams p = tiny_kv(2);
+  p.trace = true;
+  const auto r = run_kv(p);
+  ASSERT_TRUE(r.complete);
+  EXPECT_EQ(r.trace_json.rfind("{\"traceEvents\":[\n{", 0), 0u)
+      << "traceEvents must be present and non-empty";
+  EXPECT_TRUE(json_balanced(r.trace_json));
+  EXPECT_NE(r.trace_json.find("\"ph\":\"X\""), std::string::npos);
 }
 
 TEST(KvDeterminismTest, RejectsBadParams) {

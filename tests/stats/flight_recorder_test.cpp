@@ -38,12 +38,12 @@ TEST(FlightRecorder, CapacityIsPowerOfTwoWithFloor) {
 
 TEST(FlightRecorder, WraparoundKeepsOnlyNewestRecords) {
   SmallRing r;
-  const EntityId e = r.st.entity(Layer::kApp, "job");
+  const EntityId e = r.st.entity(obs::Layer::kApp, "job");
   const CodeId old_code = r.st.code("old-event");
   const CodeId new_code = r.st.code("new-event");
   // 8 old records, then 16 new ones: the old 8 are fully overwritten.
-  for (int i = 0; i < 8; ++i) r.st.flight(Layer::kApp, e, old_code, i);
-  for (int i = 0; i < 16; ++i) r.st.flight(Layer::kApp, e, new_code, 100 + i);
+  for (int i = 0; i < 8; ++i) r.st.flight(obs::Layer::kApp, e, old_code, i);
+  for (int i = 0; i < 16; ++i) r.st.flight(obs::Layer::kApp, e, new_code, 100 + i);
   EXPECT_EQ(r.st.flight_written(), 24u);
 
   std::ostringstream os;
@@ -59,9 +59,9 @@ TEST(FlightRecorder, WraparoundKeepsOnlyNewestRecords) {
 
 TEST(FlightRecorder, DumpWithoutWraparoundOmitsOverwrittenLine) {
   SmallRing r;
-  const EntityId e = r.st.entity(Layer::kApp, "job");
+  const EntityId e = r.st.entity(obs::Layer::kApp, "job");
   const CodeId c = r.st.code("ev");
-  for (int i = 0; i < 5; ++i) r.st.flight(Layer::kApp, e, c, i);
+  for (int i = 0; i < 5; ++i) r.st.flight(obs::Layer::kApp, e, c, i);
   std::ostringstream os;
   r.st.dump_flight(os);
   EXPECT_EQ(os.str().find("overwritten"), std::string::npos) << os.str();
@@ -69,8 +69,8 @@ TEST(FlightRecorder, DumpWithoutWraparoundOmitsOverwrittenLine) {
 
 TEST(FlightRecorder, TriggerLatchesOnFirstReason) {
   SmallRing r;
-  const EntityId e = r.st.entity(Layer::kApp, "job");
-  r.st.flight(Layer::kApp, e, r.st.code("ev"), 1);
+  const EntityId e = r.st.entity(obs::Layer::kApp, "job");
+  r.st.flight(obs::Layer::kApp, e, r.st.code("ev"), 1);
 
   std::ostringstream os;
   r.st.set_flight_stream(&os);
@@ -91,8 +91,8 @@ TEST(FlightRecorder, TriggerLatchesOnFirstReason) {
 
 TEST(FlightRecorder, RecordsCarrySimTimestamps) {
   SmallRing r;
-  const EntityId e = r.st.entity(Layer::kApp, "job");
-  r.st.flight(Layer::kApp, e, r.st.code("ev"), 7);
+  const EntityId e = r.st.entity(obs::Layer::kApp, "job");
+  r.st.flight(obs::Layer::kApp, e, r.st.code("ev"), 7);
   std::ostringstream os;
   r.st.dump_flight(os);
   const std::string dump = os.str();

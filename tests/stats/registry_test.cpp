@@ -32,23 +32,23 @@ TEST(Registry, OfIsNullUntilInstalledAndAfterDestruction) {
 TEST(Registry, EntityIsIdempotentAndLayerScoped) {
   sim::Engine eng;
   Registry st(eng);
-  const EntityId a = st.entity(Layer::kRdma, "qp0");
+  const EntityId a = st.entity(obs::Layer::kRdma, "qp0");
   EXPECT_NE(a, Registry::kOverflowEntity);
-  EXPECT_EQ(st.entity(Layer::kRdma, "qp0"), a);
+  EXPECT_EQ(st.entity(obs::Layer::kRdma, "qp0"), a);
   // Same name under a different layer is a distinct entity.
-  const EntityId b = st.entity(Layer::kTcp, "qp0");
+  const EntityId b = st.entity(obs::Layer::kTcp, "qp0");
   EXPECT_NE(b, a);
   EXPECT_EQ(st.entity_name(a), "qp0");
-  EXPECT_EQ(st.entity_layer(a), Layer::kRdma);
-  EXPECT_EQ(st.entity_layer(b), Layer::kTcp);
+  EXPECT_EQ(st.entity_layer(a), obs::Layer::kRdma);
+  EXPECT_EQ(st.entity_layer(b), obs::Layer::kTcp);
 }
 
 TEST(Registry, MintEntityNumbersInstancesPerBaseName) {
   sim::Engine eng;
   Registry st(eng);
-  const EntityId s0 = st.mint_entity(Layer::kRftp, "stream");
-  const EntityId s1 = st.mint_entity(Layer::kRftp, "stream");
-  const EntityId q0 = st.mint_entity(Layer::kRdma, "qp");
+  const EntityId s0 = st.mint_entity(obs::Layer::kRftp, "stream");
+  const EntityId s1 = st.mint_entity(obs::Layer::kRftp, "stream");
+  const EntityId q0 = st.mint_entity(obs::Layer::kRdma, "qp");
   EXPECT_EQ(st.entity_name(s0), "stream#0");
   EXPECT_EQ(st.entity_name(s1), "stream#1");
   EXPECT_EQ(st.entity_name(q0), "qp#0");  // counter is per "layer/base"
@@ -59,15 +59,15 @@ TEST(Registry, CardinalityCapAliasesIntoOverflowEntity) {
   Config cfg;
   cfg.max_entities = 3;  // overflow + 2 real slots
   Registry st(eng, cfg);
-  const EntityId a = st.entity(Layer::kApp, "a");
-  const EntityId b = st.entity(Layer::kApp, "b");
+  const EntityId a = st.entity(obs::Layer::kApp, "a");
+  const EntityId b = st.entity(obs::Layer::kApp, "b");
   EXPECT_NE(a, Registry::kOverflowEntity);
   EXPECT_NE(b, Registry::kOverflowEntity);
   EXPECT_EQ(st.dropped_entities(), 0u);
 
   // Past the cap: new names alias to the overflow entity and are counted.
-  const EntityId c = st.entity(Layer::kApp, "c");
-  const EntityId d = st.mint_entity(Layer::kApp, "e");
+  const EntityId c = st.entity(obs::Layer::kApp, "c");
+  const EntityId d = st.mint_entity(obs::Layer::kApp, "e");
   EXPECT_EQ(c, Registry::kOverflowEntity);
   EXPECT_EQ(d, Registry::kOverflowEntity);
   EXPECT_EQ(st.dropped_entities(), 2u);
@@ -75,7 +75,7 @@ TEST(Registry, CardinalityCapAliasesIntoOverflowEntity) {
   EXPECT_EQ(st.entity_name(Registry::kOverflowEntity), "<overflow>");
 
   // Known entities keep resolving after the cap is hit...
-  EXPECT_EQ(st.entity(Layer::kApp, "a"), a);
+  EXPECT_EQ(st.entity(obs::Layer::kApp, "a"), a);
   // ...and metrics on the overflow entity still work (no UB, no crash).
   st.counter(c, "dropped_ops").add(7);
   EXPECT_EQ(st.counter_value(Registry::kOverflowEntity, "dropped_ops"), 7u);
@@ -84,13 +84,13 @@ TEST(Registry, CardinalityCapAliasesIntoOverflowEntity) {
 TEST(Registry, MetricStorageIsPooledAndAddressStable) {
   sim::Engine eng;
   Registry st(eng);
-  const EntityId e = st.entity(Layer::kRdma, "qp0");
+  const EntityId e = st.entity(obs::Layer::kRdma, "qp0");
   Counter& c = st.counter(e, "wr_posted");
   Histogram& h = st.histogram(e, "op_ns");
   Gauge& g = st.gauge(e, "sq_depth");
   // Force pool growth; earlier references must stay valid (deque-backed).
   for (int i = 0; i < 1000; ++i) {
-    const EntityId x = st.mint_entity(Layer::kApp, "filler");
+    const EntityId x = st.mint_entity(obs::Layer::kApp, "filler");
     st.counter(x, "n").add(1);
     st.histogram(x, "ns").record(static_cast<std::uint64_t>(i));
   }
@@ -109,8 +109,8 @@ TEST(Registry, MetricStorageIsPooledAndAddressStable) {
 TEST(Registry, MergedHistogramFoldsAcrossEntities) {
   sim::Engine eng;
   Registry st(eng);
-  const EntityId a = st.entity(Layer::kRftp, "stream0");
-  const EntityId b = st.entity(Layer::kRftp, "stream1");
+  const EntityId a = st.entity(obs::Layer::kRftp, "stream0");
+  const EntityId b = st.entity(obs::Layer::kRftp, "stream1");
   st.histogram(a, "drain_ns").record(100);
   st.histogram(a, "drain_ns").record(200);
   st.histogram(b, "drain_ns").record(300);
@@ -123,25 +123,28 @@ TEST(Registry, MergedHistogramFoldsAcrossEntities) {
 
 TEST(Registry, CachedHandlesReresolveWhenRegistryChanges) {
   sim::Engine eng;
-  CachedEntity ent;
-  CachedCounter ctr;
+  obs::Cached<Registry, EntityId> ent;
+  obs::Cached<Registry, Counter*> ctr;
   Registry st1(eng);
   Registry st2(eng);
 
   st1.install();
   Registry* p = of(eng);
-  const EntityId e1 = ent.named(p, Layer::kApp, "worker");
-  Counter& c1 = ctr.get(p, e1, "ops");
-  c1.add(1);
-  EXPECT_EQ(&ctr.get(p, e1, "ops"), &c1);  // steady state: cached
+  const EntityId e1 =
+      ent.get(p, [&] { return p->entity(obs::Layer::kApp, "worker"); });
+  Counter* c1 = ctr.get(p, [&] { return &p->counter(e1, "ops"); });
+  c1->add(1);
+  EXPECT_EQ(ctr.get(p, [] { return static_cast<Counter*>(nullptr); }),
+            c1);  // steady state: cached, resolver not called
   EXPECT_EQ(st1.counter_value(e1, "ops"), 1u);
 
   // Swapping the installed registry must re-resolve the handle into the
   // new registry's pools, not keep writing into st1's.
   st2.install();
   p = of(eng);
-  const EntityId e2 = ent.named(p, Layer::kApp, "worker");
-  ctr.get(p, e2, "ops").add(5);
+  const EntityId e2 =
+      ent.get(p, [&] { return p->entity(obs::Layer::kApp, "worker"); });
+  ctr.get(p, [&] { return &p->counter(e2, "ops"); })->add(5);
   EXPECT_EQ(st2.counter_value(e2, "ops"), 5u);
   EXPECT_EQ(st1.counter_value(e1, "ops"), 1u);  // st1 untouched
 }

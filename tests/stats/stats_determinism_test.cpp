@@ -112,9 +112,9 @@ TEST(StatsFlight, AuditViolationTriggersDumpWithPrecedingWindow) {
 
   // Seed the ring with ordinary-operation records so the dump shows the
   // window *before* the fault, not just the fault itself.
-  const EntityId e = st.entity(Layer::kRftp, "stream#0");
+  const EntityId e = st.entity(obs::Layer::kRftp, "stream#0");
   const CodeId drained = st.code("block-drained");
-  for (int i = 0; i < 5; ++i) st.flight(Layer::kRftp, e, drained, i);
+  for (int i = 0; i < 5; ++i) st.flight(obs::Layer::kRftp, e, drained, i);
 
   // Plant a violation: over-delivery fires the instant flow_out exceeds
   // flow_in, and Auditor::violate routes it into the flight recorder.

@@ -10,6 +10,7 @@
 #include "net/link.hpp"
 #include "numa/host.hpp"
 #include "numa/process.hpp"
+#include "obs/probe.hpp"
 #include "rdma/device.hpp"
 #include "rftp/rftp.hpp"
 #include "sim/engine.hpp"
@@ -34,7 +35,7 @@ TEST(Tracer, OfIsNullUntilInstalled) {
 TEST(Tracer, SpanNestingBalances) {
   sim::Engine eng;
   Tracer t(eng);
-  const TrackId trk = t.track(Layer::kApp, "worker");
+  const TrackId trk = t.track(obs::Layer::kApp, "worker");
   t.begin(trk, "outer");
   EXPECT_EQ(t.open_depth(trk), 1);
   t.begin(trk, "inner");
@@ -48,29 +49,29 @@ TEST(Tracer, SpanNestingBalances) {
 TEST(Tracer, TrackIsIdempotentAndMintNumbersInOrder) {
   sim::Engine eng;
   Tracer t(eng);
-  EXPECT_EQ(t.track(Layer::kRdma, "qp"), t.track(Layer::kRdma, "qp"));
+  EXPECT_EQ(t.track(obs::Layer::kRdma, "qp"), t.track(obs::Layer::kRdma, "qp"));
   // Same actor string under a different layer is a different track.
-  EXPECT_NE(t.track(Layer::kRdma, "qp"), t.track(Layer::kTcp, "qp"));
-  const TrackId a = t.mint_track(Layer::kRftp, "fill");
-  const TrackId b = t.mint_track(Layer::kRftp, "fill");
+  EXPECT_NE(t.track(obs::Layer::kRdma, "qp"), t.track(obs::Layer::kTcp, "qp"));
+  const TrackId a = t.mint_track(obs::Layer::kRftp, "fill");
+  const TrackId b = t.mint_track(obs::Layer::kRftp, "fill");
   EXPECT_NE(a, b);
 }
 
 TEST(Tracer, CachedTrackRemintsPerTracer) {
   sim::Engine eng;
-  CachedTrack site;
+  obs::Track site(obs::Layer::kRftp, {"s0/fill"});
   TrackId first;
   {
     Tracer t1(eng);
     t1.install();
-    first = site.get(&t1, Layer::kRftp, "s0/fill");
-    EXPECT_EQ(site.get(&t1, Layer::kRftp, "s0/fill"), first);  // cached
+    first = site.get(&t1);
+    EXPECT_EQ(site.get(&t1), first);  // cached
   }
   Tracer t2(eng);
   t2.install();
   // A fresh tracer starts numbering from scratch; the cache must re-mint
   // rather than hand back a track id from the dead tracer.
-  EXPECT_EQ(site.get(&t2, Layer::kRftp, "s0/fill"), first);
+  EXPECT_EQ(site.get(&t2), first);
   EXPECT_EQ(t2.event_count(), 0u);
 }
 
@@ -165,11 +166,9 @@ bool json_well_formed(const std::string& s) {
 }
 
 // One small but real transfer (memory-to-memory RFTP over a RoCE link),
-// traced end to end. Returns the three export artifacts.
+// traced end to end. Returns the exported Chrome trace.
 struct TraceOutput {
   std::string chrome;
-  std::string report_json;
-  std::string report_csv;
 };
 
 TraceOutput run_traced_transfer() {
@@ -193,20 +192,12 @@ TraceOutput run_traced_transfer() {
   Tracer tracer(eng);
   tracer.install();
   tracer.enable_resource_sampler(sim::kMillisecond);
-  tracer.note("scenario", "unit-test");
-  const auto r = exp::run_task(eng, sess.run(src, dst, 64ull << 20));
-  tracer.note("goodput_gbps", r.goodput_gbps);
+  exp::run_task(eng, sess.run(src, dst, 64ull << 20));
   tracer.sample_now();
 
-  TraceOutput out;
-  std::ostringstream c, j, v;
+  std::ostringstream c;
   tracer.write_chrome_trace(c);
-  tracer.write_report_json(j);
-  tracer.write_report_csv(v);
-  out.chrome = c.str();
-  out.report_json = j.str();
-  out.report_csv = v.str();
-  return out;
+  return TraceOutput{c.str()};
 }
 
 TEST(TraceExport, ChromeTraceIsWellFormedAndPopulated) {
@@ -224,26 +215,10 @@ TEST(TraceExport, ChromeTraceIsWellFormedAndPopulated) {
   EXPECT_NE(out.chrome.find("util/wire"), std::string::npos);
 }
 
-TEST(TraceExport, ReportContainsCountersAndNotes) {
-  const TraceOutput out = run_traced_transfer();
-  EXPECT_TRUE(json_well_formed(out.report_json));
-  EXPECT_NE(out.report_json.find("\"e2e-trace-report-v1\""),
-            std::string::npos);
-  EXPECT_NE(out.report_json.find("\"rftp/blocks_delivered\""),
-            std::string::npos);
-  EXPECT_NE(out.report_json.find("\"goodput_gbps\""), std::string::npos);
-  EXPECT_NE(out.report_json.find("\"scenario\""), std::string::npos);
-  EXPECT_NE(out.report_csv.find("metric,value"), std::string::npos);
-  EXPECT_NE(out.report_csv.find("counter.rftp/blocks_delivered,"),
-            std::string::npos);
-}
-
 TEST(TraceExport, RerunsAreByteIdentical) {
   const TraceOutput first = run_traced_transfer();
   const TraceOutput second = run_traced_transfer();
   EXPECT_EQ(first.chrome, second.chrome);
-  EXPECT_EQ(first.report_json, second.report_json);
-  EXPECT_EQ(first.report_csv, second.report_csv);
   EXPECT_GT(first.chrome.size(), 1000u);  // and not trivially empty
 }
 

@@ -52,7 +52,6 @@ struct Options {
   double duration_s = 2.0;
   int files = 1;
   std::string trace_file;
-  std::string report_file;
   std::string fault_plan;       // scripted FaultPlan (see fault/plan.hpp)
   std::uint64_t fault_seed = 0; // != 0: seeded random plan instead
   int checkpoint = 1;           // rftp ledger checkpoint interval (blocks)
@@ -91,7 +90,6 @@ struct Options {
       "  --duration S     measurement window in simulated seconds (san)\n"
       "  --files N        split the dataset into N files (e2e)\n"
       "  --trace FILE     write a Chrome/Perfetto trace-event JSON file\n"
-      "  --report FILE    write a flat run report (.csv -> CSV, else JSON)\n"
       "  --fault-plan S   inject scripted faults, e.g.\n"
       "                   'loss@500ms:n=5;flap@1s:dur=20ms;qpkill@1500ms:qp=0;"
       "crash@1s:host=1,down=50ms'\n"
@@ -171,8 +169,6 @@ Options parse(int argc, char** argv) {
       o.files = cli::parse_int(usage, "--files", need("--files"), 1, 1 << 20);
     else if (!std::strcmp(argv[i], "--trace"))
       o.trace_file = need("--trace");
-    else if (!std::strcmp(argv[i], "--report"))
-      o.report_file = need("--report");
     else if (!std::strcmp(argv[i], "--fault-plan"))
       o.fault_plan = need("--fault-plan");
     else if (!std::strcmp(argv[i], "--fault-seed"))
@@ -250,33 +246,22 @@ void write_file(const std::string& path,
 /// Optional tracing for one scenario run. Construct right before the
 /// measured engine run — after any setup-phase runs, so the sampler tick
 /// arms for the transfer itself — and call finish() after it to write the
-/// requested files. With neither --trace nor --report the scope is inert
-/// and no tracer is installed (the zero-cost disabled path).
+/// trace file. Without --trace the scope is inert and no tracer is
+/// installed (the zero-cost disabled path).
 class TraceScope {
  public:
   TraceScope(sim::Engine& eng, const Options& o) : o_(o) {
-    if (o_.trace_file.empty() && o_.report_file.empty()) return;
+    if (o_.trace_file.empty()) return;
     tracer_ = std::make_unique<trace::Tracer>(eng);
     tracer_->install();
     tracer_->enable_resource_sampler(kSamplePeriod);
-    tracer_->note("scenario", o_.scenario);
-    tracer_->note("block_bytes", static_cast<double>(o_.block));
-    tracer_->note("numa_aware", o_.numa ? 1.0 : 0.0);
   }
-
-  [[nodiscard]] trace::Tracer* get() noexcept { return tracer_.get(); }
 
   void finish() {
     if (!tracer_) return;
     tracer_->sample_now();  // closing snapshot at end-of-run time
     write_file(o_.trace_file,
                [&](std::ostream& os) { tracer_->write_chrome_trace(os); });
-    write_file(o_.report_file, [&](std::ostream& os) {
-      if (o_.report_file.ends_with(".csv"))
-        tracer_->write_report_csv(os);
-      else
-        tracer_->write_report_json(os);
-    });
     tracer_.reset();
   }
 
@@ -485,7 +470,6 @@ int run_quick(const Options& o) {
   TraceScope ts(eng, o);
   FaultScope fs(eng, std::move(plan), {hp.link.get()}, &sess, cfg.streams);
   const auto r = exp::run_task(eng, sess.run(src, dst, o.gib << 30));
-  if (auto* tr = ts.get()) tr->note("goodput_gbps", r.goodput_gbps);
   ts.finish();
   std::printf("quick: %llu GiB in %.2f s -> %.1f Gbps\n",
               static_cast<unsigned long long>(o.gib), r.elapsed_s,
@@ -543,7 +527,6 @@ int run_e2e(const Options& o) {
     rftp::FileSink dst(*tb.dst_fs, *tb.dst_file);
     r = exp::run_task(tb.eng, sess.run(src, dst, tb.dataset_bytes, &meter));
   }
-  if (auto* tr = ts.get()) tr->note("goodput_gbps", r.goodput_gbps);
   ts.finish();
   std::printf("e2e (%s): %.1f Gbps over the full SAN->RoCE->SAN path\n",
               o.numa ? "numa-tuned" : "untuned", r.goodput_gbps);
@@ -577,7 +560,6 @@ int run_wan(const Options& o) {
   FaultScope fs(tb.eng, std::move(plan), {tb.link.get()}, &sess,
                 cfg.streams);
   const auto r = exp::run_task(tb.eng, sess.run(src, dst, o.gib << 30));
-  if (auto* tr = ts.get()) tr->note("goodput_gbps", r.goodput_gbps);
   ts.finish();
   std::printf(
       "wan (rtt 95 ms): %.1f Gbps (%.0f%% of 40G); in-flight window %.0f MB "
@@ -606,10 +588,6 @@ int run_san(const Options& o) {
   AuditScope as(tb.eng, o);
   TraceScope ts(tb.eng, o);
   const auto r = tb.run_fio(opts, 4);
-  if (auto* tr = ts.get()) {
-    tr->note("gbps", r.gbps);
-    tr->note("target_cpu_pct", r.target_cpu_pct);
-  }
   ts.finish();
   std::printf("san %s (%s): %.1f Gbps, target CPU %.0f%%\n",
               o.write ? "write" : "read", o.numa ? "numa-tuned" : "untuned",
@@ -642,6 +620,7 @@ void fleet_tail(const Options& o, const Result& r, std::uint64_t n,
     std::printf("%s: %llu audit violation(s)\n", name,
                 static_cast<unsigned long long>(r.audit_violations));
   write_file(o.stats_out, [&](std::ostream& os) { os << r.stats_json; });
+  write_file(o.trace_file, [&](std::ostream& os) { os << r.trace_json; });
 }
 
 int run_fleet(const Options& o) {
@@ -665,7 +644,6 @@ int run_fleet(const Options& o) {
       fp.shards == 1 ? "" : "s",
       r.aggregate_gbps);
   fleet_tail(o, r, r.ring_completed, "ring writes");
-  write_file(o.trace_file, [&](std::ostream& os) { os << r.trace_json; });
   return r.complete && r.integrity_ok && r.audit_ok ? 0 : 1;
 }
 
@@ -688,6 +666,7 @@ int run_kv(const Options& o) {
   kp.fault_seed = o.fault_seed;
   kp.audit = o.audit;
   kp.stats = o.stats;
+  kp.trace = !o.trace_file.empty();
   const auto r = exp::run_kv(kp);
   std::printf(
       "kv: %d pairs x %llu ops (%llu B values, %s GETs) on %d shard "
@@ -729,7 +708,6 @@ int run_motivating(const Options& o) {
     const auto r =
         run_iperf(pair.eng, *pair.a, *pair.b, pair.iperf_links(), cfg);
     if (ts) {
-      if (auto* tr = ts->get()) tr->note("aggregate_gbps", r.aggregate_gbps);
       ts->finish();
     }
     std::printf("iperf bidirectional, %s: %.1f Gbps aggregate\n",
