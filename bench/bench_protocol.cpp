@@ -13,11 +13,6 @@
 // interleaved before/after runs (primitive benches for the new containers
 // are gated on __has_include and simply absent in the "before" build).
 // items_per_second is the figure of merit throughout.
-//
-// Like bench_simcore, this bench must NOT inherit the -O0 driver pin (see
-// the GCC 12.2 note in CMakeLists.txt): it is self-contained, links only
-// the optimized core libraries, and returns no scenario structs across TU
-// boundaries.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

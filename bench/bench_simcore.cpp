@@ -17,6 +17,8 @@
 #include <array>
 #include <cstdint>
 
+#include "model/host_profile.hpp"
+#include "numa/host.hpp"
 #include "sim/channel.hpp"
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
@@ -144,6 +146,44 @@ void BM_CoroutineSpawn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_CoroutineSpawn);
+
+// A chain of nested awaits, one Delay per level: frame allocation, the
+// symmetric-transfer resume path and one event per hop.
+Task<> hop(Engine& eng, int depth) {
+  if (depth == 0) co_return;
+  co_await Delay{eng, 1};
+  co_await hop(eng, depth - 1);
+}
+
+void BM_CoroutineChain(benchmark::State& state) {
+  for (auto _ : state) {
+    Engine eng;
+    e2e::sim::co_spawn(hop(eng, static_cast<int>(state.range(0))));
+    eng.run();
+    benchmark::DoNotOptimize(eng.now());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CoroutineChain)->Arg(10000);
+
+// Resource::charge: the fluid-model booking every cost charge goes through.
+void BM_ResourceCharges(benchmark::State& state) {
+  Engine eng;
+  Resource r(eng, 1e9, "r");
+  for (auto _ : state) benchmark::DoNotOptimize(r.charge(100.0));
+}
+BENCHMARK(BM_ResourceCharges);
+
+// Building one Table 1 front-end host: cores, NUMA nodes and their
+// resources, the setup cost every scenario pays per host.
+void BM_HostConstruction(benchmark::State& state) {
+  for (auto _ : state) {
+    Engine eng;
+    e2e::numa::Host host(eng, e2e::model::front_end_lan_host("fe"));
+    benchmark::DoNotOptimize(host.core_count());
+  }
+}
+BENCHMARK(BM_HostConstruction);
 
 // ---- Parallel cluster scaling -------------------------------------------
 //

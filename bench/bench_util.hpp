@@ -1,4 +1,4 @@
-// Output helpers shared by the bench binaries.
+// Output helpers shared by the bench_figures rows.
 #pragma once
 
 #include <cstdint>
@@ -116,64 +116,6 @@ inline void print_hist_percentiles(
   std::fputs(t.to_string().c_str(), stdout);
   std::fputc('\n', stdout);
 }
-
-/// Wall-clock mode output: collects per-scenario simulator-cost rows
-/// (events dispatched, host seconds, events/s) and writes them as JSON to
-/// the path named by E2E_BENCH_JSON. With the variable unset it is inert.
-/// The schema matches the committed BENCH_simcore.json perf baseline so CI
-/// artifacts and the in-repo before/after table stay comparable.
-class SimCostJson {
- public:
-  SimCostJson() {
-    if (const char* p = std::getenv("E2E_BENCH_JSON")) path_ = p;
-  }
-  SimCostJson(const SimCostJson&) = delete;
-  SimCostJson& operator=(const SimCostJson&) = delete;
-
-  /// `lat` (optional): a latency histogram whose p50/p90/p99/p999 ride
-  /// along in the row, e.g. RFTP block drain latency.
-  void add(const std::string& name, std::uint64_t sim_events,
-           double wall_seconds, double gbps = 0.0,
-           const stats::Histogram* lat = nullptr) {
-    rows_.push_back({name, sim_events, wall_seconds, gbps,
-                     lat != nullptr ? *lat : stats::Histogram{}});
-  }
-
-  ~SimCostJson() {
-    if (path_.empty() || rows_.empty()) return;
-    std::ofstream os(path_);
-    if (!os) return;
-    os << "{\n  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& r = rows_[i];
-      const double eps =
-          r.wall_seconds > 0.0
-              ? static_cast<double>(r.sim_events) / r.wall_seconds
-              : 0.0;
-      os << "    {\"name\": \"" << r.name << "\", \"sim_events\": "
-         << r.sim_events << ", \"wall_seconds\": " << r.wall_seconds
-         << ", \"events_per_second\": " << eps << ", \"goodput_gbps\": "
-         << r.gbps;
-      if (r.lat.count() > 0)
-        os << ", \"lat_p50_ns\": " << r.lat.p50() << ", \"lat_p90_ns\": "
-           << r.lat.p90() << ", \"lat_p99_ns\": " << r.lat.p99()
-           << ", \"lat_p999_ns\": " << r.lat.p999();
-      os << "}" << (i + 1 < rows_.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n}\n";
-  }
-
- private:
-  struct Row {
-    std::string name;
-    std::uint64_t sim_events;
-    double wall_seconds;
-    double gbps;
-    stats::Histogram lat;  // empty when the row carries no latency data
-  };
-  std::string path_;
-  std::vector<Row> rows_;
-};
 
 struct PaperRow {
   std::string label;

@@ -1,12 +1,17 @@
 #include "scenarios.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
+#include <stdexcept>
 
 #include "apps/apps.hpp"
 #include "bench_util.hpp"
 #include "exp/exp.hpp"
+#include "fault/injector.hpp"
+#include "iscsi/initiator.hpp"
+#include "iscsi/target.hpp"
+#include "iscsi/tcp_datamover.hpp"
+#include "iser/session.hpp"
 #include "metrics/throughput.hpp"
 #include "numa/stream.hpp"
 #include "rftp/rftp.hpp"
@@ -111,25 +116,6 @@ IserPoint run_iser_point(bool numa_tuned, bool write, std::uint64_t block,
 
 namespace {
 
-/// Wall-clock mode: brackets a scenario run and records the simulator's own
-/// cost — events dispatched and host-CPU seconds — alongside the modeled
-/// results, so the perf-regression harness can watch the event core.
-struct SimCostProbe {
-  explicit SimCostProbe(sim::Engine& eng)
-      : eng_(eng),
-        events0_(eng.events_processed()),
-        t0_(std::chrono::steady_clock::now()) {}
-  void finish(E2eResult& out) const {
-    out.sim_events = eng_.events_processed() - events0_;
-    out.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
-            .count();
-  }
-  sim::Engine& eng_;
-  std::uint64_t events0_;
-  std::chrono::steady_clock::time_point t0_;
-};
-
 E2eResult finish_e2e(exp::EndToEndTestbed& tb, rftp::TransferResult res,
                      const metrics::ThroughputMeter& meter,
                      sim::SimDuration window) {
@@ -163,11 +149,9 @@ E2eResult run_e2e_rftp(std::uint64_t dataset, bool numa_tuned) {
   ScopedTrace ts(tb.eng);  // opt-in via E2E_TRACE
   ScopedStats ss(tb.eng);  // always-on; dump opt-in via E2E_STATS
   const sim::SimTime t0 = tb.eng.now();
-  const SimCostProbe probe(tb.eng);
   const auto res =
       exp::run_task(tb.eng, sess.run(src, dst, dataset, &meter));
   auto out = finish_e2e(tb, res, meter, tb.eng.now() - t0);
-  probe.finish(out);
   out.drain_hist = ss.merged("drain_ns");
   return out;
 }
@@ -183,15 +167,12 @@ E2eResult run_e2e_gridftp(std::uint64_t dataset, int processes) {
                      tb.dst_devs[i]->node()});
   metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
   const sim::SimTime t0 = tb.eng.now();
-  const SimCostProbe probe(tb.eng);
   const auto res = exp::run_task(
       tb.eng,
       apps::gridftp_transfer({tb.src_fe.get(), tb.src_fs.get(), tb.src_file},
                              {tb.dst_fe.get(), tb.dst_fs.get(), tb.dst_file},
                              links, dataset, cfg, &meter));
-  auto out = finish_e2e(tb, res, meter, tb.eng.now() - t0);
-  probe.finish(out);
-  return out;
+  return finish_e2e(tb, res, meter, tb.eng.now() - t0);
 }
 
 BidirResult run_e2e_rftp_bidir(std::uint64_t dataset) {
@@ -319,6 +300,132 @@ WanPoint run_wan_point(int streams, std::uint64_t block,
   out.receiver_cpu_pct =
       tb.b->total_usage().percent(CpuCategory::kUserProto, window);
   return out;
+}
+
+namespace {
+
+constexpr std::uint64_t kSanIoBytes = 4ull << 20;
+constexpr int kSanJobs = 8;
+constexpr std::uint64_t kSanLunBytes = 4ull << 30;
+
+/// Loops 4 MiB I/Os over its 1/kSanJobs slice of the LUN until `deadline`;
+/// a failed command is terminal for the job.
+sim::Task<> san_io_job(iscsi::Initiator& init, numa::Thread& th,
+                       mem::Buffer* buf, bool write, std::uint64_t region_off,
+                       sim::SimTime deadline, std::uint64_t* bytes) {
+  auto& eng = th.host().engine();
+  std::uint64_t off = region_off;
+  const auto blocks = static_cast<std::uint32_t>(kSanIoBytes / 512);
+  while (eng.now() < deadline) {
+    const auto s =
+        write ? co_await init.submit_write(th, 0, off / 512, blocks, *buf)
+              : co_await init.submit_read(th, 0, off / 512, blocks, *buf);
+    if (s != scsi::Status::kGood) co_return;
+    if (eng.now() <= deadline) *bytes += kSanIoBytes;
+    off += kSanIoBytes;
+    if (off + kSanIoBytes > region_off + kSanLunBytes / kSanJobs)
+      off = region_off;
+  }
+}
+
+}  // namespace
+
+SanLinkResult run_san_link(const SanLinkOptions& o) {
+  sim::Engine eng;
+  ScopedStats ss(eng);  // command-latency percentiles ride on the registry
+  numa::Host fe(eng, model::front_end_lan_host("fe"));
+  numa::Host be(eng, model::back_end_lan_host("be"));
+  auto link = net::make_ib_lan(eng, "ib");
+  link->bind_endpoints(&fe, &be);
+  numa::Process iproc(fe, "initiator", numa::NumaBinding::bound(0));
+  numa::Process tproc(be, "tgtd", numa::NumaBinding::bound(0));
+
+  mem::Tmpfs store(be);
+  auto& file = store.create("lun0", kSanLunBytes, numa::MemPolicy::kBind, 0);
+  scsi::Lun lun(0, store, file);
+  mem::BufferPool staging(be, "staging", 32, 8ull << 20,
+                          numa::MemPolicy::kBind, 0);
+  staging.mark_registered();
+
+  std::unique_ptr<rdma::Device> fe_dev, be_dev;
+  std::unique_ptr<iser::IserSession> rdma_sess;
+  std::unique_ptr<iscsi::TcpSession> tcp_sess;
+  iscsi::Datamover* init_dm = nullptr;
+  iscsi::Datamover* tgt_dm = nullptr;
+
+  numa::Thread& irx = iproc.spawn_thread();
+  numa::Thread& itx = iproc.spawn_thread();
+  numa::Thread& trx = tproc.spawn_thread();
+  numa::Thread& ttx = tproc.spawn_thread();
+  if (o.tcp) {
+    tcp_sess = std::make_unique<iscsi::TcpSession>(fe, 0, be, 0, *link,
+                                                   iproc, tproc);
+    exp::run_task(eng, tcp_sess->start(irx, itx, trx, ttx));
+    init_dm = &tcp_sess->initiator_ep();
+    tgt_dm = &tcp_sess->target_ep();
+  } else {
+    fe_dev = std::make_unique<rdma::Device>(
+        fe, model::NicProfile{"ib0", model::LinkType::kInfiniBand, 56.0,
+                              65520, 0, 63.0});
+    be_dev = std::make_unique<rdma::Device>(be, be.profile().nics[0]);
+    rdma_sess = std::make_unique<iser::IserSession>(*fe_dev, *be_dev, *link,
+                                                    iproc, tproc);
+    exp::run_task(eng, rdma_sess->start(irx, trx));
+    init_dm = &rdma_sess->initiator_ep();
+    tgt_dm = &rdma_sess->target_ep();
+  }
+
+  iscsi::Target target(tproc, *tgt_dm, {&lun}, staging);
+  target.start(8);
+  iscsi::Initiator initiator(iproc, *init_dm, o.cmd_timer);
+  iscsi::LoginParams params;
+  if (!exp::run_task(eng, initiator.login(irx, params)))
+    throw std::runtime_error("login failed");
+  initiator.start_dispatcher(irx);
+  if (o.recovery) {
+    iser::SessionRecoveryPolicy rp;
+    rp.mr_bytes_initiator = kSanIoBytes;
+    rp.mr_bytes_target = 8ull << 20;
+    rdma_sess->enable_recovery(irx, trx, rp);
+  }
+
+  fault::FaultInjector inj(eng, o.faults);
+  inj.attach(*link);
+  if (o.recovery)
+    inj.set_qp_kill_handler([&rdma_sess](int) { rdma_sess->kill(); });
+  inj.arm();
+
+  const sim::SimTime deadline = eng.now() + kSanLinkWindow;
+  const sim::SimTime t0 = eng.now();
+  auto bytes = std::make_unique<std::uint64_t>(0);
+  std::vector<std::unique_ptr<mem::Buffer>> bufs;
+  for (int j = 0; j < kSanJobs; ++j) {
+    bufs.push_back(std::make_unique<mem::Buffer>());
+    bufs.back()->bytes = kSanIoBytes;
+    bufs.back()->placement = iproc.alloc(kSanIoBytes);
+    bufs.back()->registered = true;
+    sim::co_spawn(san_io_job(initiator, iproc.spawn_thread(),
+                             bufs.back().get(), o.write,
+                             j * (kSanLunBytes / kSanJobs), deadline,
+                             bytes.get()));
+  }
+  eng.run_until(deadline);
+  const sim::SimDuration w = eng.now() - t0;
+
+  SanLinkResult r;
+  r.gbps = static_cast<double>(*bytes) * 8.0 / static_cast<double>(w);
+  r.initiator_cpu = fe.total_usage().total_percent(w);
+  r.target_cpu = be.total_usage().total_percent(w);
+  r.copy_cpu = fe.total_usage().percent(CpuCategory::kCopy, w) +
+               be.total_usage().percent(CpuCategory::kCopy, w);
+  r.faults = inj.faults_injected();
+  r.messages_failed = inj.messages_failed();
+  r.command_retries = initiator.command_retries();
+  r.command_failures = initiator.command_failures();
+  if (rdma_sess) r.recoveries = rdma_sess->recoveries();
+  r.cmd_hist = ss.merged("cmd_ns");
+  eng.run();
+  return r;
 }
 
 }  // namespace e2e::bench

@@ -1,14 +1,14 @@
-// Shared experiment drivers for the bench binaries.
+// Shared experiment drivers for the bench_figures rows.
 //
 // Each function runs one of the paper's scenarios on a fresh testbed and
-// returns the measurements the corresponding figure reports. The bench
-// binaries wrap these in google-benchmark timers and print paper-vs-
-// measured tables.
+// returns the measurements the corresponding figure reports; the rows in
+// bench_figures.cpp sweep them and print paper-vs-measured tables.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "fault/plan.hpp"
 #include "metrics/cpu_usage.hpp"
 #include "rftp/config.hpp"
 #include "sim/time.hpp"
@@ -56,10 +56,6 @@ struct E2eResult {
   metrics::CpuUsage dst_usage;
   sim::SimDuration window = 0;
   double path_limit_gbps = 94.8;      // paper's fio write limit
-  // Simulator cost of the run (wall-clock mode): how many engine events the
-  // scenario dispatched and how long the host CPU took to chew through them.
-  std::uint64_t sim_events = 0;
-  double wall_seconds = 0.0;
   // Block drain latency across all streams (empty for scenarios without a
   // stats registry, e.g. GridFTP which has no RFTP drain path).
   stats::Histogram drain_hist;
@@ -88,5 +84,30 @@ struct WanPoint {
 WanPoint run_wan_point(int streams, std::uint64_t block,
                        std::uint64_t dataset = 16ull << 30,
                        int credits = 16);
+
+// --- iSER vs iSCSI/TCP ablations: one LUN over one 56G IB link ---
+inline constexpr sim::SimDuration kSanLinkWindow = 2 * sim::kSecond;
+
+struct SanLinkOptions {
+  bool tcp = false;  // iSCSI over TCP instead of iSER
+  bool write = true;
+  sim::SimDuration cmd_timer = 0;  // iSCSI command timer, 0 = none
+  bool recovery = false;           // iSER session recovery (QP kills)
+  fault::FaultPlan faults;  // armed against the link as the window opens
+};
+struct SanLinkResult {
+  double gbps = 0.0;
+  double initiator_cpu = 0.0;
+  double target_cpu = 0.0;
+  double copy_cpu = 0.0;  // both hosts
+  std::uint64_t faults = 0;
+  std::uint64_t messages_failed = 0;
+  std::uint64_t command_retries = 0;
+  std::uint64_t recoveries = 0;
+  std::uint64_t command_failures = 0;
+  stats::Histogram cmd_hist;  // iSCSI command round-trip latency
+};
+/// 8 jobs of 4 MiB I/Os against one 4 GiB tmpfs LUN for kSanLinkWindow.
+SanLinkResult run_san_link(const SanLinkOptions& opts);
 
 }  // namespace e2e::bench

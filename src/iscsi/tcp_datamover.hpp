@@ -12,7 +12,7 @@
 //    from the I/O buffer, again paying copies at both ends.
 //
 // Contrast with iser::IserEndpoint, where both directions are zero-copy
-// RDMA. bench_ablation_iser_vs_tcp quantifies the difference.
+// RDMA. `bench_figures iser_vs_tcp` quantifies the difference.
 #pragma once
 
 #include <cstdint>
