@@ -5,11 +5,11 @@
 //
 // A row runs its sweep on fresh testbeds (bench/scenarios.hpp) and prints
 // its paper-vs-measured tables on stdout; an unknown row name prints the
-// row names and exits 2. E2E_TRACE / E2E_STATS name files for the trace
-// and stats dumps of the scenario runs that install them (bench_util.hpp;
-// the last such run wins).
+// row names and exits 2. To trace or dump the stats of an end-to-end
+// transfer, run the CLI (`e2e_transfer_sim e2e --trace F --stats-out F`).
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -20,6 +20,7 @@
 #include "apps/perftest.hpp"
 #include "bench_util.hpp"
 #include "exp/exp.hpp"
+#include "exp/kv_scenario.hpp"
 #include "exp/pair_fleet.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
@@ -70,9 +71,10 @@ void table1() {
   auto profile = [&t](const model::HostProfile& h, const char* role,
                       const char* rtt) {
     std::string nics;
-    for (const auto& n : h.nics)
-      nics += (nics.empty() ? "" : "+") +
-              std::to_string(static_cast<int>(n.rate_gbps)) + "G";
+    for (const auto& n : h.nics) {
+      if (!nics.empty()) nics += '+';
+      nics += std::to_string(static_cast<int>(n.rate_gbps)) + "G";
+    }
     t.row({role, std::to_string(h.total_cores()) + " cores",
            Table::num(h.core_ghz, 2) + " GHz",
            std::to_string(h.numa_nodes) + " nodes",
@@ -735,7 +737,8 @@ struct CrashPoint {
 CrashPoint run_crash_case(const std::string& plan, int checkpoint_blocks) {
   constexpr std::uint64_t kDataset = 4ull << 30;
   exp::WanTestbed tb;
-  ScopedStats ss(tb.eng);
+  stats::Registry reg(tb.eng);
+  reg.install();
 
   rftp::RftpConfig cfg;
   cfg.streams = 4;
@@ -766,8 +769,8 @@ CrashPoint run_crash_case(const std::string& plan, int checkpoint_blocks) {
   p.grant_retx = sess.grant_retransmissions;
   p.checkpoints = sess.checkpoints;
   p.ok = res.complete && res.integrity_ok;
-  p.mttr = ss.merged("mttr_ns");
-  p.first_drain = ss.merged("resume_ns");
+  p.mttr = reg.merged_histogram("mttr_ns");
+  p.first_drain = reg.merged_histogram("resume_ns");
   return p;
 }
 
@@ -838,6 +841,69 @@ void crash_restart() {
       "handshake all ride the 95 ms RTT, not the checkpoint cadence.\n");
 }
 
+// Small-message tier: two-sided rpc vs one-sided READ GETs.
+//
+// The kv scenario on one client/server pair over a rack-scale 40G RoCE
+// link, value size swept from 64 B to 256 KiB in both GET modes. rpc is
+// one round trip plus server CPU per call (dispatch, lookup, a memcpy of
+// the value into the reply staging region); read is two chained one-sided
+// READs (index entry, then value): two round trips, no server CPU, and the
+// READ-efficiency wire factor on the payload. Mops/s is closed-loop at
+// depth 8; the GET percentiles are unloaded at depth 1, because under
+// pipelining the server copy overlaps the wire and only the unloaded round
+// trip exposes it. The crossover is the smallest swept value size where
+// read matches or beats rpc on unloaded median GET latency: ~16 KiB on the
+// default cost model, where the one-sided path's saved dispatch, lookup
+// and 0.241 ns/B copy outweigh its extra 4 us RTT. KvParams defaults
+// otherwise (one pair, 16384 keys, 4096 ops, Zipf 0.99, seed 1), with
+// pure GETs, no cross-pair ring and audits off.
+void rpc_crossover() {
+  auto run = [](bool via_read, std::uint64_t value_bytes, int depth) {
+    exp::KvParams p;
+    p.value_bytes = value_bytes;
+    p.depth = depth;
+    p.get_via_read = via_read;
+    p.put_frac = 0.0;
+    p.remote_every = 0;
+    p.audit = false;
+    auto r = exp::run_kv(p);
+    if (!r.complete) {
+      std::fprintf(stderr, "rpc_crossover: %s @ %llu B depth %d did not "
+                   "complete\n", via_read ? "read" : "rpc",
+                   static_cast<unsigned long long>(value_bytes), depth);
+      std::exit(1);
+    }
+    return r;
+  };
+  const std::uint64_t sizes[] = {64, 256, 1024, 4096, 16384, 65536, 262144};
+
+  Table t(
+      "rpc crossover: kv GETs, two-sided rpc vs one-sided READ (1 pair, 40G "
+      "RoCE rack link, 4096 ops, Zipf 0.99)");
+  t.header({"value", "GET via", "Mops/s (depth 8)", "p50 ns (depth 1)",
+            "p99 ns", "p999 ns"});
+  std::uint64_t crossover = 0;
+  for (const auto v : sizes) {
+    std::uint64_t rpc_p50 = 0;
+    for (const bool via_read : {false, true}) {
+      const auto bw = run(via_read, v, 8);
+      const auto lat = run(via_read, v, 1);
+      char mops[32];
+      std::snprintf(mops, sizeof mops, "%.6g", bw.aggregate_mops);
+      t.row({std::to_string(v) + " B", via_read ? "read" : "rpc", mops,
+             std::to_string(lat.get_p50_ns), std::to_string(lat.get_p99_ns),
+             std::to_string(lat.get_p999_ns)});
+      if (!via_read)
+        rpc_p50 = lat.get_p50_ns;
+      else if (crossover == 0 && lat.get_p50_ns <= rpc_p50)
+        crossover = v;
+    }
+  }
+  print_table(t);
+  std::printf("crossover: %llu B\n",
+              static_cast<unsigned long long>(crossover));
+}
+
 struct Row {
   const char* name;
   const char* ref;  // where the paper (or this reproduction) reports it
@@ -863,6 +929,8 @@ constexpr Row kRows[] = {
     {"iser_vs_tcp", "ablation, SAN transport", iser_vs_tcp},
     {"fault_recovery", "ablation, faults vs recovery", fault_recovery},
     {"crash_restart", "ablation, crash-stop and resume", crash_restart},
+    {"rpc_crossover", "small-message tier, not a paper figure",
+     rpc_crossover},
 };
 
 }  // namespace

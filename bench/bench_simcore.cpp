@@ -9,9 +9,8 @@
 // items_per_second == simulated events dispatched per wall-second (for the
 // coroutine benches: operations, each costing a couple of events).
 //
-// CI runs this with --benchmark_out=BENCH_simcore.json; the committed
-// BENCH_simcore.json at the repo root tracks before/after numbers across
-// perf-relevant PRs.
+// CI runs it so it keeps building and running; no numbers are recorded.
+// Compare a change by running it on both trees, interleaved, on one host.
 #include <benchmark/benchmark.h>
 
 #include <array>

@@ -3,9 +3,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,78 +10,8 @@
 #include "metrics/cpu_usage.hpp"
 #include "metrics/table.hpp"
 #include "stats/stats.hpp"
-#include "trace/trace.hpp"
 
 namespace e2e::bench {
-
-/// Opt-in tracing for scenario runs, shared by the bench drivers.
-///
-/// When E2E_TRACE=out.json names a Chrome/Perfetto trace-event JSON file,
-/// constructing a ScopedTrace installs a tracer (plus a 10 ms resource
-/// sampler) on `eng` and writes the file on destruction. Without it no
-/// tracer is installed, so benchmark numbers are the untraced numbers.
-/// Repeated scenario runs overwrite the same file; the surviving trace
-/// describes the last run.
-class ScopedTrace {
- public:
-  explicit ScopedTrace(sim::Engine& eng) {
-    const char* trace_file = std::getenv("E2E_TRACE");
-    if (trace_file != nullptr) trace_file_ = trace_file;
-    if (trace_file_.empty()) return;
-    tracer_ = std::make_unique<trace::Tracer>(eng);
-    tracer_->install();
-    tracer_->enable_resource_sampler(10 * sim::kMillisecond);
-  }
-  ScopedTrace(const ScopedTrace&) = delete;
-  ScopedTrace& operator=(const ScopedTrace&) = delete;
-  ~ScopedTrace() {
-    if (!tracer_) return;
-    tracer_->sample_now();
-    std::ofstream os(trace_file_);
-    if (os) tracer_->write_chrome_trace(os);
-  }
-
- private:
-  std::string trace_file_;
-  std::unique_ptr<trace::Tracer> tracer_;
-};
-
-/// Always-on metric registry for scenario runs, shared by the bench
-/// drivers. Constructing one installs a stats::Registry on `eng` (the
-/// stats hot path is cheap enough to leave on under the timer, unlike the
-/// tracer); when E2E_STATS names a file the aggregated dump is written on
-/// destruction (.csv suffix -> CSV, else JSON). Scenario drivers read
-/// latency histograms back through get()/merged() so bench percentiles and
-/// scenario percentiles come from the one stats::Histogram implementation.
-class ScopedStats {
- public:
-  explicit ScopedStats(sim::Engine& eng) : stats_(eng) {
-    if (const char* p = std::getenv("E2E_STATS")) out_ = p;
-    stats_.install();
-  }
-  ScopedStats(const ScopedStats&) = delete;
-  ScopedStats& operator=(const ScopedStats&) = delete;
-  ~ScopedStats() {
-    stats_.uninstall();
-    if (out_.empty()) return;
-    std::ofstream os(out_);
-    if (!os) return;
-    if (out_.size() >= 4 && out_.compare(out_.size() - 4, 4, ".csv") == 0)
-      stats_.write_csv(os);
-    else
-      stats_.write_json(os);
-  }
-
-  [[nodiscard]] stats::Registry* get() noexcept { return &stats_; }
-  /// All entities' `name` histograms merged into one distribution.
-  [[nodiscard]] stats::Histogram merged(std::string_view name) const {
-    return stats_.merged_histogram(name);
-  }
-
- private:
-  std::string out_;
-  stats::Registry stats_;
-};
 
 /// Appends one `label: count/mean/p50/p90/p99/p999` row per histogram to
 /// `t` — the single percentile-summary formatter every bench shares (the

@@ -146,13 +146,13 @@ E2eResult run_e2e_rftp(std::uint64_t dataset, bool numa_tuned) {
                        });
   rftp::FileSink dst(*tb.dst_fs, *tb.dst_file);
   metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
-  ScopedTrace ts(tb.eng);  // opt-in via E2E_TRACE
-  ScopedStats ss(tb.eng);  // always-on; dump opt-in via E2E_STATS
+  stats::Registry reg(tb.eng);  // drain latencies ride on the registry
+  reg.install();
   const sim::SimTime t0 = tb.eng.now();
   const auto res =
       exp::run_task(tb.eng, sess.run(src, dst, dataset, &meter));
   auto out = finish_e2e(tb, res, meter, tb.eng.now() - t0);
-  out.drain_hist = ss.merged("drain_ns");
+  out.drain_hist = reg.merged_histogram("drain_ns");
   return out;
 }
 
@@ -332,7 +332,8 @@ sim::Task<> san_io_job(iscsi::Initiator& init, numa::Thread& th,
 
 SanLinkResult run_san_link(const SanLinkOptions& o) {
   sim::Engine eng;
-  ScopedStats ss(eng);  // command-latency percentiles ride on the registry
+  stats::Registry reg(eng);  // command-latency percentiles ride on it
+  reg.install();
   numa::Host fe(eng, model::front_end_lan_host("fe"));
   numa::Host be(eng, model::back_end_lan_host("be"));
   auto link = net::make_ib_lan(eng, "ib");
@@ -423,7 +424,7 @@ SanLinkResult run_san_link(const SanLinkOptions& o) {
   r.command_retries = initiator.command_retries();
   r.command_failures = initiator.command_failures();
   if (rdma_sess) r.recoveries = rdma_sess->recoveries();
-  r.cmd_hist = ss.merged("cmd_ns");
+  r.cmd_hist = reg.merged_histogram("cmd_ns");
   eng.run();
   return r;
 }

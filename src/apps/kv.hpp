@@ -16,7 +16,7 @@
 //  * One-sided (READ): the client READs the 32-byte index entry, then the
 //    value, straight from the shard regions. Two round trips, zero server
 //    CPU (QueuePair::serve_read). The crossover between the two as the
-//    value size grows is the experiment bench_rpc reproduces.
+//    value size grows is what `bench_figures rpc_crossover` reproduces.
 //
 // PUTs always travel the rpc path (one-sided writes would need the
 // client to own allocation, which this store does not model).

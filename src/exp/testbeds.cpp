@@ -44,24 +44,6 @@ std::vector<apps::IperfLink> FrontEndPair::iperf_links() const {
   return out;
 }
 
-std::vector<net::Link*> FrontEndPair::link_ptrs() const {
-  std::vector<net::Link*> out;
-  for (const auto& l : links) out.push_back(l.get());
-  return out;
-}
-
-std::vector<rdma::Device*> FrontEndPair::a_devs() const {
-  std::vector<rdma::Device*> out;
-  for (const auto& d : a_roce) out.push_back(d.get());
-  return out;
-}
-
-std::vector<rdma::Device*> FrontEndPair::b_devs() const {
-  std::vector<rdma::Device*> out;
-  for (const auto& d : b_roce) out.push_back(d.get());
-  return out;
-}
-
 // --- SanTestbed ---
 
 SanTestbed::SanTestbed(SanConfig cfg) {

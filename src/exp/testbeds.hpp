@@ -42,9 +42,6 @@ class FrontEndPair {
   std::vector<std::unique_ptr<net::Link>> links;      // 3 RoCE LAN links
 
   [[nodiscard]] std::vector<apps::IperfLink> iperf_links() const;
-  [[nodiscard]] std::vector<net::Link*> link_ptrs() const;
-  [[nodiscard]] std::vector<rdma::Device*> a_devs() const;
-  [[nodiscard]] std::vector<rdma::Device*> b_devs() const;
 };
 
 /// Figs. 7/8: iSER back-end storage evaluation.

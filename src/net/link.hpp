@@ -207,7 +207,7 @@ inline std::unique_ptr<Link> make_roce_lan(sim::Engine& eng_a,
 /// paper's routed 83 us LAN path. This is the regime where the
 /// small-message RPC tier is latency- rather than wire-bound, and where
 /// the two-sided-RPC vs one-sided-READ crossover lands inside a
-/// 64 B..256 KiB value sweep (bench/bench_rpc.cpp).
+/// 64 B..256 KiB value sweep (`bench_figures rpc_crossover`).
 inline constexpr sim::SimDuration kRackOneWay = 2 * sim::kMicrosecond;
 
 /// Side A on `eng_a`, side B on `eng_b` (the same engine for a one-shard

@@ -112,7 +112,7 @@ TEST(FrontEndPair, ThreeRoceLinks) {
   FrontEndPair pair;
   EXPECT_EQ(pair.links.size(), 3u);
   EXPECT_EQ(pair.iperf_links().size(), 3u);
-  EXPECT_EQ(pair.a_devs().size(), 3u);
+  EXPECT_EQ(pair.a_roce.size(), 3u);
 }
 
 TEST(FrontEndWithIb, HasFiveNics) {

@@ -5,11 +5,12 @@
 // digest, credit/claim counters, and exit-determining flags to the
 // event-exact run — not merely close. Each case here runs the same
 // transfer twice on fresh rigs (event-exact, then --fast-forward) across
-// multiple sizes and fault seeds, clean and under scripted mid-run faults,
-// with the cross-layer auditor installed on both runs, and compares every
-// observable end-state field. Clean bulk cases additionally assert the
-// detector actually engaged (spans > 0) so this suite cannot rot into
-// vacuously comparing two event-exact runs.
+// multiple sizes and fault seeds, on a tiny LAN rig and on the 95 ms WAN
+// loop, clean and under scripted mid-run faults, with the cross-layer
+// auditor installed on both runs, and compares every observable end-state
+// field. Clean bulk cases additionally assert the detector actually
+// engaged (spans > 0) so this suite cannot rot into vacuously comparing
+// two event-exact runs.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,6 +22,7 @@
 
 #include "check/audit.hpp"
 #include "exp/runner.hpp"
+#include "exp/testbeds.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "rftp/rftp.hpp"
@@ -104,6 +106,10 @@ struct Case {
   std::string plan_spec;       // scripted plan, "" = none
   std::uint64_t fault_seed = 0;  // != 0: seeded random plan instead
   int checkpoint_blocks = 1;
+  // false: test::TinyRig, 2 streams x 8 credits x 256 KiB blocks.
+  // true: exp::WanTestbed (95 ms loop), the CLI `wan` defaults of
+  // 4 streams x 16 credits x 4 MiB blocks.
+  bool wan = false;
 };
 
 std::optional<fault::FaultPlan> make_plan(const Case& c, int streams) {
@@ -126,28 +132,45 @@ std::optional<fault::FaultPlan> make_plan(const Case& c, int streams) {
 }
 
 Outcome run_once(const Case& c, bool fast_forward) {
-  test::TinyRig rig;
-  check::Auditor aud(rig.eng);
-
+  std::optional<test::TinyRig> tiny;
+  std::optional<exp::WanTestbed> wan;
+  sim::Engine* eng = nullptr;
+  net::Link* link = nullptr;
+  EndpointConfig send{}, recv{};
   RftpConfig cfg;
-  cfg.streams = 2;
-  cfg.credits_per_stream = 8;
-  cfg.block_bytes = 256 * 1024;
+  if (c.wan) {
+    wan.emplace();
+    eng = &wan->eng;
+    link = wan->link.get();
+    send = {wan->a_proc.get(), {wan->a_dev.get()}};
+    recv = {wan->b_proc.get(), {wan->b_dev.get()}};
+    cfg.streams = 4;
+    cfg.credits_per_stream = 16;
+    cfg.block_bytes = 4ull << 20;
+  } else {
+    tiny.emplace();
+    eng = &tiny->eng;
+    link = tiny->link.get();
+    send = {tiny->proc_a.get(), {tiny->dev_a.get()}};
+    recv = {tiny->proc_b.get(), {tiny->dev_b.get()}};
+    cfg.streams = 2;
+    cfg.credits_per_stream = 8;
+    cfg.block_bytes = 256 * 1024;
+  }
+  check::Auditor aud(*eng);
+
   cfg.checkpoint_blocks = c.checkpoint_blocks;
   auto plan = make_plan(c, cfg.streams);
   cfg.fast_forward = fast_forward;
   if (fast_forward) {
-    const sim::SimDuration slack =
-        20 * rig.link->rtt() + 100 * sim::kMillisecond;
+    const sim::SimDuration slack = 20 * link->rtt() + 100 * sim::kMillisecond;
     cfg.ff_quiet_after = plan ? plan->quiet_after(slack) : 0;
   }
-  RftpSession sess({rig.proc_a.get(), {rig.dev_a.get()}},
-                   {rig.proc_b.get(), {rig.dev_b.get()}}, {rig.link.get()},
-                   cfg);
+  RftpSession sess(send, recv, {link}, cfg);
   std::unique_ptr<fault::FaultInjector> inj;
   if (plan) {
-    inj = std::make_unique<fault::FaultInjector>(rig.eng, std::move(*plan));
-    inj->attach(*rig.link);
+    inj = std::make_unique<fault::FaultInjector>(*eng, std::move(*plan));
+    inj->attach(*link);
     inj->set_qp_kill_handler(
         [&](int qp) { sess.kill_stream(qp % cfg.streams); });
     inj->set_crash_handler([&](int host, sim::SimDuration down) {
@@ -157,7 +180,7 @@ Outcome run_once(const Case& c, bool fast_forward) {
   }
   MemorySource src(c.total_bytes, numa::Placement::on(0));
   MemorySink dst;
-  const auto r = exp::run_task(rig.eng, sess.run(src, dst, c.total_bytes));
+  const auto r = exp::run_task(*eng, sess.run(src, dst, c.total_bytes));
 
   Outcome o;
   o.bytes = r.bytes;
@@ -201,7 +224,7 @@ Outcome expect_equivalent(const Case& c, bool require_engagement) {
   SCOPED_TRACE(::testing::Message()
                << "total=" << c.total_bytes << " plan='" << c.plan_spec
                << "' seed=" << c.fault_seed
-               << " checkpoint=" << c.checkpoint_blocks);
+               << " checkpoint=" << c.checkpoint_blocks << " wan=" << c.wan);
   const Outcome exact = run_once(c, false);
   const Outcome ff = run_once(c, true);
   EXPECT_TRUE(exact == ff) << "exact: " << exact << "\n   ff: " << ff;
@@ -279,6 +302,25 @@ TEST(FastForwardGolden, CrashResumeWithNonDividingLedgerIntervalMatches) {
 TEST(FastForwardGolden, SeededChaosMatchesAcrossSeeds) {
   for (const std::uint64_t seed : {11ull, 22ull, 33ull, 44ull})
     expect_equivalent({kMedium, "", seed}, /*require_engagement=*/false);
+}
+
+// The WAN rig: 64 GiB over the 95 ms loop, ~16k blocks of 4 MiB.
+constexpr std::uint64_t kWan = 64ull << 30;
+
+TEST(FastForwardGolden, WanCleanBulkEngagesAndMatches) {
+  expect_equivalent({kWan, "", 0, 1, /*wan=*/true},
+                    /*require_engagement=*/true);
+}
+
+TEST(FastForwardGolden, WanScriptedChaosMatches) {
+  // Loss, link flaps and a qp kill spread over the first 11 s. The
+  // detector never engages on this plan (0 spans), so the case pins that
+  // arming it leaves a faulted WAN run exactly as the event-exact one.
+  const std::string spec =
+      "loss@500ms:n=5;flap@2s:dur=20ms;qpkill@4s:qp=1;loss@8s:n=4;"
+      "flap@11s:dur=10ms";
+  expect_equivalent({kWan, spec, 0, 1, /*wan=*/true},
+                    /*require_engagement=*/false);
 }
 
 TEST(FastForwardGolden, EngagedRunSkipsMostOfTheRun) {
