@@ -62,7 +62,7 @@ sim::Task<rftp::TransferResult> gridftp_transfer(
   const sim::SimTime t0 = eng.now();
 
   // One single-threaded process per parallel transfer, numactl-bound to
-  // its link's NIC node when numa_bind is set (the paper's fair setup).
+  // its link's NIC node (the paper binds both apps for fairness).
   std::vector<std::unique_ptr<numa::Process>> procs;
   std::vector<std::unique_ptr<tcp::Connection>> conns;
   sim::WaitGroup wg(eng);
@@ -71,17 +71,13 @@ sim::Task<rftp::TransferResult> gridftp_transfer(
       (total_bytes + cfg.processes - 1) / cfg.processes;
   for (int p = 0; p < cfg.processes; ++p) {
     const GridFtpLink& l = links[static_cast<std::size_t>(p) % links.size()];
-    const auto bind_src = cfg.numa_bind
-                              ? numa::NumaBinding::bound(l.node_src)
-                              : numa::NumaBinding::os_default();
-    const auto bind_dst = cfg.numa_bind
-                              ? numa::NumaBinding::bound(l.node_dst)
-                              : numa::NumaBinding::os_default();
     procs.push_back(std::make_unique<numa::Process>(
-        *src.host, "gridftp-s" + std::to_string(p), bind_src));
+        *src.host, "gridftp-s" + std::to_string(p),
+        numa::NumaBinding::bound(l.node_src)));
     numa::Process& ps = *procs.back();
     procs.push_back(std::make_unique<numa::Process>(
-        *dst.host, "gridftp-r" + std::to_string(p), bind_dst));
+        *dst.host, "gridftp-r" + std::to_string(p),
+        numa::NumaBinding::bound(l.node_dst)));
     numa::Process& pr = *procs.back();
 
     conns.push_back(std::make_unique<tcp::Connection>(

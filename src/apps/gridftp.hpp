@@ -27,7 +27,6 @@ struct GridFtpConfig {
   std::uint64_t chunk_bytes = 256 * 1024;  // read/send unit
   int processes = 4;                       // parallel single-threaded procs
   bool direct_io = false;                  // GridFTP default: buffered
-  bool numa_bind = true;  // paper binds both apps with numactl for fairness
 };
 
 struct GridFtpEndpoint {

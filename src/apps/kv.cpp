@@ -78,7 +78,7 @@ sim::Task<rpc::RpcServer::Reply> KvHandler::handle(
     ++gets_;
     co_await th.copy(store_.value_bytes(), sh.values.placement,
                      sh.staging.placement, metrics::CpuCategory::kCopy);
-    r.bytes = header_bytes_ + store_.value_bytes();
+    r.bytes = kKvHeaderBytes + store_.value_bytes();
     r.payload =
         mem::make_msg<KvMsg>(KvMsg{KvMsg::Op::kGet, m->key,
                                    store_.value_bytes(), true});
@@ -87,7 +87,7 @@ sim::Task<rpc::RpcServer::Reply> KvHandler::handle(
     ++puts_;
     co_await th.copy(m->value_bytes, request_region_.placement,
                      sh.values.placement, metrics::CpuCategory::kCopy);
-    r.bytes = header_bytes_;
+    r.bytes = kKvHeaderBytes;
     r.payload = mem::make_msg<KvMsg>(KvMsg{KvMsg::Op::kPut, m->key, 0, true});
     r.source = nullptr;  // header-only ack, DMA'd from the ring region
   }

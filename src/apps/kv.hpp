@@ -33,6 +33,10 @@
 
 namespace e2e::apps {
 
+/// Wire bytes of the kv rpc header: a GET request and a PUT ack carry only
+/// this; a GET reply and a PUT request add the value bytes.
+inline constexpr std::uint64_t kKvHeaderBytes = 64;
+
 /// Request/response header for the kv protocol. Shipped as the rpc
 /// payload; the wire size is accounted separately (header + value bytes).
 struct KvMsg {
@@ -88,9 +92,6 @@ class KvStore {
   [[nodiscard]] Shard& shard(int s) noexcept {
     return shards_[static_cast<std::size_t>(s)];
   }
-  [[nodiscard]] int shard_count() const noexcept {
-    return static_cast<int>(shards_.size());
-  }
   [[nodiscard]] std::uint64_t keys() const noexcept { return keys_; }
   [[nodiscard]] std::uint64_t value_bytes() const noexcept {
     return value_bytes_;
@@ -107,11 +108,8 @@ class KvStore {
 /// handler copies them into the owning shard.
 class KvHandler final : public rpc::RpcServer::Handler {
  public:
-  KvHandler(KvStore& store, mem::Buffer& request_region,
-            std::uint64_t header_bytes)
-      : store_(store),
-        request_region_(request_region),
-        header_bytes_(header_bytes) {}
+  KvHandler(KvStore& store, mem::Buffer& request_region)
+      : store_(store), request_region_(request_region) {}
 
   sim::Task<rpc::RpcServer::Reply> handle(
       const rpc::RpcServer::Request& req) override;
@@ -122,7 +120,6 @@ class KvHandler final : public rpc::RpcServer::Handler {
  private:
   KvStore& store_;
   mem::Buffer& request_region_;
-  std::uint64_t header_bytes_;
   std::uint64_t gets_ = 0;
   std::uint64_t puts_ = 0;
 };

@@ -10,6 +10,9 @@ namespace e2e::apps {
 
 namespace {
 
+// Messages kept posted by the bandwidth tests.
+constexpr int kOutstanding = 64;
+
 struct BwState {
   rdma::ConnectedPair* pair;
   PerftestConfig cfg;
@@ -78,7 +81,7 @@ PerftestResult run_bw(sim::Engine& eng, rdma::ConnectedPair& pair,
   local.registered = remote.registered = true;
 
   BwState st{&pair, cfg, &local, &remote, nullptr, 0};
-  sim::Semaphore window(eng, cfg.outstanding);
+  sim::Semaphore window(eng, kOutstanding);
   st.window = &window;
 
   exp::run_task(eng, [](rdma::ConnectedPair& p, numa::Thread& th,
@@ -86,7 +89,7 @@ PerftestResult run_bw(sim::Engine& eng, rdma::ConnectedPair& pair,
     for (int i = 0; i < n; ++i)
       co_await p.b().post_recv(th, rdma::RecvWr{0, buf});
   }(pair, srv_th, &remote, cfg.op == PerftestOp::kSend
-                               ? cfg.outstanding + 4
+                               ? kOutstanding + 4
                                : 0));
 
   const sim::SimTime t0 = eng.now();

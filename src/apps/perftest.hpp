@@ -21,7 +21,6 @@ struct PerftestConfig {
   PerftestOp op = PerftestOp::kWrite;
   std::uint64_t msg_bytes = 1 << 16;
   int iterations = 1000;
-  int outstanding = 64;  // posted depth (bandwidth tests)
 };
 
 struct PerftestResult {
@@ -30,7 +29,7 @@ struct PerftestResult {
   double avg_lat_us = 0.0;    // latency tests: one-way ping-pong half-RTT
 };
 
-/// Bandwidth test: keeps `outstanding` messages in flight for `iterations`
+/// Bandwidth test: keeps 64 messages in flight for `iterations`
 /// messages and reports payload bandwidth and message rate.
 PerftestResult run_bw(sim::Engine& eng, rdma::ConnectedPair& pair,
                       numa::Process& client, numa::Process& server,

@@ -6,6 +6,9 @@
 namespace e2e::blk {
 
 namespace {
+// Sequential readahead window: chunks prefetched beyond each buffered read.
+constexpr std::uint64_t kReadaheadChunks = 2;
+
 std::uint64_t round_up(std::uint64_t v, std::uint64_t align) {
   return (v + align - 1) / align * align;
 }
@@ -121,7 +124,7 @@ sim::Task<std::uint64_t> FileSystem::read(numa::Thread& th, File& f,
   }
 
   // Kick readahead for the next windows of this sequential stream.
-  for (std::uint64_t d = 1; d <= readahead_depth_; ++d) {
+  for (std::uint64_t d = 1; d <= kReadaheadChunks; ++d) {
     const std::uint64_t next = offset + d * len;
     if (next >= f.size || len == 0) break;
     const PrefetchKey key{&f, next};

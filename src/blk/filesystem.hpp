@@ -80,11 +80,6 @@ class FileSystem {
 
   numa::Host& host_;
 
-  /// Sequential readahead window prefetched beyond each buffered read.
-  void set_readahead(std::uint64_t window_chunks) {
-    readahead_depth_ = window_chunks;
-  }
-
  private:
   struct WritebackItem {
     File* file;
@@ -117,7 +112,6 @@ class FileSystem {
   std::uint64_t next_free_ = 0;
   std::unique_ptr<sim::Channel<WritebackItem>> writeback_q_;
   std::map<PrefetchKey, std::unique_ptr<Prefetch>> prefetches_;
-  std::uint64_t readahead_depth_ = 2;  // chunks prefetched ahead
 };
 
 /// XFS-like: extent allocation parallel across allocation groups.

@@ -584,33 +584,6 @@ void Auditor::rftp_resume(const void* sess) {
                 " with only " + std::to_string(a->crashes) + " crash(es)");
 }
 
-void Auditor::rftp_fast_forward_drain(const void* sess,
-                                      std::uint64_t block_idx,
-                                      std::uint64_t bytes) {
-  RftpAudit* a = rftp_find(sess, "fast-forward-drain");
-  if (a == nullptr) return;
-  if (block_idx >= a->block_count) {
-    violate("rftp.block-out-of-range",
-            a->tag + ": fast-forwarded block " + std::to_string(block_idx) +
-                " of " + std::to_string(a->block_count));
-    return;
-  }
-  BlockAudit& b = a->blocks[block_idx];
-  if (b.drained) {
-    violate("rftp.double-drain",
-            a->tag + ": block " + std::to_string(block_idx) +
-                " fast-forwarded but already drained");
-    return;
-  }
-  // Collapsed fill + fresh drain of the analytic tag in one step.
-  if (b.fills == 0) b.fills = 1;
-  b.fill_bytes = bytes;
-  b.drained = true;
-  ++a->fresh_drains;
-  a->delivered += bytes;
-  a->digest ^= fault::rftp_block_tag(block_idx, bytes);
-}
-
 void Auditor::rftp_fast_forward_drains(const void* sess,
                                        const std::uint64_t* idx,
                                        std::size_t n, std::uint64_t bytes) {

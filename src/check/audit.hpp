@@ -168,19 +168,16 @@ class Auditor final : public sim::AuditHook {
   void rftp_stream_revived(const void* sess, int stream);
   /// The restart completed: the session resumed the transfer.
   void rftp_resume(const void* sess);
-  /// One block advanced fill-to-drain in closed form by the fast-forward
-  /// replay (rftp::FastForward). Equivalent to a fill + fresh drain of the
+  /// One collapsed period's blocks (`n` indices at `idx`), each advanced
+  /// fill-to-drain in closed form by the fast-forward replay
+  /// (rftp::FastForward). Equivalent to a fill + fresh drain of the
   /// analytic tag: the block ledger, delivered-byte total, XOR digest and
   /// fresh-drain count advance exactly as an event-exact pass would leave
   /// them. Credit/token counters are deliberately untouched — no grant or
   /// credit message is modeled inside a collapsed span (the in-rotation
   /// tokens keep cycling through the event-exact tail), and all credit
-  /// invariants are inequalities that stay valid.
-  void rftp_fast_forward_drain(const void* sess, std::uint64_t block_idx,
-                               std::uint64_t bytes);
-  /// Bulk variant for one collapsed period's blocks: identical checks and
-  /// ledger updates as per-block calls, but the session lookup happens once
-  /// — the per-block hash probe would otherwise dominate the collapse loop.
+  /// invariants are inequalities that stay valid. The session lookup
+  /// happens once per call, not per block.
   void rftp_fast_forward_drains(const void* sess, const std::uint64_t* idx,
                                 std::size_t n, std::uint64_t bytes);
   /// The transfer finished. `delivered_bytes`/`sink_digest` are the

@@ -145,19 +145,18 @@ sim::Task<bool> kv_read_get(KvRig* rig, std::uint64_t key, int w) {
 }
 
 sim::Task<bool> kv_rpc_op(rpc::RpcClient* cl, bool put, std::uint64_t key,
-                          std::uint64_t value_bytes,
-                          std::uint64_t header_bytes) {
+                          std::uint64_t value_bytes) {
   apps::KvMsg m;
   m.op = put ? apps::KvMsg::Op::kPut : apps::KvMsg::Op::kGet;
   m.key = key;
   m.value_bytes = put ? value_bytes : 0;
-  const std::uint64_t req_bytes = header_bytes + (put ? value_bytes : 0);
+  const std::uint64_t req_bytes =
+      apps::kKvHeaderBytes + (put ? value_bytes : 0);
   auto rep = co_await cl->call(req_bytes, mem::make_msg<apps::KvMsg>(m));
   co_return rep.ok;
 }
 
-sim::Task<> kv_worker(KvRig* rig, const KvParams* p, int w,
-                      std::uint64_t header_bytes) {
+sim::Task<> kv_worker(KvRig* rig, const KvParams* p, int w) {
   while (rig->next_op < p->ops_per_pair) {
     const std::uint64_t op = rig->next_op++;
     const std::uint64_t key = rig->zipf->sample(*rig->rng);
@@ -171,7 +170,7 @@ sim::Task<> kv_worker(KvRig* rig, const KvParams* p, int w,
       ok = co_await kv_read_get(rig, key, w);
     } else {
       rpc::RpcClient* cl = remote ? rig->ring_client.get() : rig->client.get();
-      ok = co_await kv_rpc_op(cl, put, key, p->value_bytes, header_bytes);
+      ok = co_await kv_rpc_op(cl, put, key, p->value_bytes);
     }
     const sim::SimTime now = rig->eng->now();
     (put ? rig->put_lat : rig->get_lat)
@@ -205,7 +204,7 @@ KvResult run_kv(const KvParams& p) {
     c.recv_ring = std::max<std::size_t>(64, 2 * c.window);
     return c;
   }();
-  const std::uint64_t max_msg = cfg.header_bytes + p.value_bytes;
+  const std::uint64_t max_msg = apps::kKvHeaderBytes + p.value_bytes;
 
   const PairFleet::Config fc{
       .pairs = p.pairs, .shards = p.shards, .stats = p.stats,
@@ -235,8 +234,8 @@ KvResult run_kv(const KvParams& p) {
     rig->store = std::make_unique<apps::KvStore>(hp.pb, p.keys,
                                                  p.value_bytes,
                                                  p.store_shards);
-    rig->handler = std::make_unique<apps::KvHandler>(
-        *rig->store, rig->server_ring, cfg.header_bytes);
+    rig->handler =
+        std::make_unique<apps::KvHandler>(*rig->store, rig->server_ring);
     rig->cp = std::make_unique<rdma::ConnectedPair>(hp.da, hp.db, *hp.link);
     rig->client = std::make_unique<rpc::RpcClient>(
         rig->cp->a(), *rig->c_post, *rig->c_reap, rig->client_ring, cfg);
@@ -306,12 +305,11 @@ KvResult run_kv(const KvParams& p) {
   });
 
   // The parallel closed loop. Spawn order is pair order.
-  const std::uint64_t header_bytes = cfg.header_bytes;
   for (KvRig* rig : rigs) {
     rig->t_start = rig->eng->now();
     rig->workers_live = p.depth;
     for (int w = 0; w < p.depth; ++w)
-      sim::co_spawn(kv_worker(rig, &p, w, header_bytes));
+      sim::co_spawn(kv_worker(rig, &p, w));
   }
   const PairFleet::RunStats run = fleet.run();
   PairFleet::Merged merged = fleet.finish();

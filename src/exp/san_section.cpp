@@ -4,6 +4,15 @@
 
 namespace e2e::exp {
 
+namespace {
+// Registered staging pool per target (one target per iSER session):
+// 48 buffers of 8 MiB.
+constexpr std::size_t kStagingBuffers = 48;
+constexpr std::uint64_t kStagingBytes = 8ull << 20;
+// Target worker threads per served LUN: the paper's optimum (Sec. 4.2).
+constexpr int kThreadsPerLun = 4;
+}  // namespace
+
 SanSection::SanSection(sim::Engine& eng, numa::Host& fe_host,
                        std::vector<rdma::Device*> fe_ib, std::string name,
                        SanConfig cfg)
@@ -30,7 +39,7 @@ SanSection::SanSection(sim::Engine& eng, numa::Host& fe_host,
   // LUN backing files: pinned per serving node when tuned (mpol=bind),
   // interleaved otherwise. LUN l is served over link (l % 2) whose target
   // NIC sits on node (l % 2).
-  for (int l = 0; l < cfg_.luns; ++l) {
+  for (int l = 0; l < kLuns; ++l) {
     const int session = l % 2;
     const numa::NodeId node = tgt_ib_[session]->node();
     auto& file = tmpfs_->create(
@@ -70,14 +79,13 @@ SanSection::SanSection(sim::Engine& eng, numa::Host& fe_host,
 
     staging_pools_.push_back(std::make_unique<mem::BufferPool>(
         *target_host_, name + "-staging" + std::to_string(s),
-        static_cast<std::size_t>(cfg_.staging_buffers_per_target),
-        cfg_.staging_bytes,
+        kStagingBuffers, kStagingBytes,
         bound_memory ? numa::MemPolicy::kBind : numa::MemPolicy::kInterleave,
         tgt_ib_[s]->node()));
     staging_pools_.back()->mark_registered();
 
     std::vector<scsi::Lun*> subset;
-    for (int l = s; l < cfg_.luns; l += 2) subset.push_back(luns_[l].get());
+    for (int l = s; l < kLuns; l += 2) subset.push_back(luns_[l].get());
     targets_.push_back(std::make_unique<iscsi::Target>(
         tproc, sessions_.back()->target_ep(), subset, *staging_pools_.back(),
         cfg_.libnuma_dynamic ? iscsi::TargetSched::kNumaRouted
@@ -87,7 +95,7 @@ SanSection::SanSection(sim::Engine& eng, numa::Host& fe_host,
         *init_proc_, sessions_.back()->initiator_ep()));
   }
 
-  for (int l = 0; l < cfg_.luns; ++l)
+  for (int l = 0; l < kLuns; ++l)
     lun_devices_.push_back(std::make_unique<blk::RemoteBlockDevice>(
         *initiators_[static_cast<std::size_t>(l % 2)],
         static_cast<std::uint32_t>(l), cfg_.lun_bytes));
@@ -106,9 +114,8 @@ sim::Task<> SanSection::start() {
     numa::Thread& tth = tproc.spawn_thread(tgt_ib_[s]->node());
     co_await sessions_[s]->start(ith, tth);
 
-    const int workers =
-        cfg_.threads_per_lun * (cfg_.luns / 2 + (s == 0 ? cfg_.luns % 2 : 0));
-    targets_[s]->start(workers);
+    // Each session serves half of the (even) LUN count.
+    targets_[s]->start(kThreadsPerLun * (kLuns / 2));
 
     const iscsi::LoginParams proposal{};
     const bool ok = co_await initiators_[s]->login(ith, proposal);

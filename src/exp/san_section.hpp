@@ -35,15 +35,14 @@ struct SanConfig {
   /// home node via the libnuma-style scheduler (iscsi::TargetSched::
   /// kNumaRouted). Only meaningful with numa_tuned == false.
   bool libnuma_dynamic = false;
-  int luns = 6;
   std::uint64_t lun_bytes = 50ull << 30;  // 50 GB each, as the paper
-  std::uint64_t staging_bytes = 8ull << 20;
-  int staging_buffers_per_target = 48;
-  int threads_per_lun = 4;  // the paper's optimum
 };
 
 class SanSection {
  public:
+  /// LUNs exported by the target, as on the paper's testbed.
+  static constexpr int kLuns = 6;
+
   /// `fe_host` is the front-end (initiator) host; `fe_ib` its two IB
   /// devices (index i connects over link i).
   SanSection(sim::Engine& eng, numa::Host& fe_host,
@@ -87,9 +86,6 @@ class SanSection {
     std::vector<iscsi::Target*> out;
     for (auto& t : targets_) out.push_back(t.get());
     return out;
-  }
-  [[nodiscard]] numa::Process& initiator_process() noexcept {
-    return *init_proc_;
   }
 
  private:

@@ -68,7 +68,7 @@ SanTestbed::FioReport SanTestbed::run_fio(const apps::FioOptions& opts,
   const metrics::CpuUsage base = san->target_usage();
   const sim::SimTime t0 = eng.now();
 
-  for (int l = 0; l < scfg.luns; ++l) {
+  for (int l = 0; l < SanSection::kLuns; ++l) {
     const numa::NodeId node = san->lun_fe_node(l);
     // Block-aligned per-thread region within the LUN.
     std::uint64_t region =

@@ -8,6 +8,10 @@ namespace e2e::fault {
 
 namespace {
 
+// RTTs a blackholed message takes to surface a failed completion at the
+// sender (models RC retransmission exhaustion).
+constexpr int kBlackholeFailRtts = 4;
+
 // Trace-only incidents; their instants are named at run time (the fault
 // kind, or the cause of a dropped message).
 constexpr obs::Incident kInjected{.trace_counter = "fault/injected"};
@@ -146,8 +150,7 @@ net::TxFate FaultInjector::on_transmit(net::Link& link, net::Direction d,
     // A blackholed message vanishes; the sender only learns after its
     // transport retries exhaust, so the failure surfaces late.
     fate.fail = true;
-    fate.fail_delay = static_cast<sim::SimDuration>(blackhole_fail_rtts_) *
-                      link.rtt();
+    fate.fail_delay = kBlackholeFailRtts * link.rtt();
     cause = "drop:blackhole";
   } else if (state->pending_loss[di] > 0) {
     --state->pending_loss[di];

@@ -53,12 +53,6 @@ class FaultInjector final : public net::FaultHook {
   net::TxFate on_transmit(net::Link& link, net::Direction d,
                           double bytes) override;
 
-  /// How long a blackholed message takes to surface a failed completion at
-  /// the sender (models RC retransmission exhaustion). Default 4 RTTs.
-  void set_blackhole_fail_rtts(int rtts) noexcept {
-    blackhole_fail_rtts_ = rtts;
-  }
-
   /// Window a loss burst stays live when the event carries no dur=;
   /// losses not consumed by traffic within it expire.
   static constexpr sim::SimDuration kDefaultLossWindow =
@@ -99,7 +93,6 @@ class FaultInjector final : public net::FaultHook {
   std::vector<LinkState> links_;
   std::function<void(int)> qp_kill_;
   std::function<void(int, sim::SimDuration)> crash_;
-  int blackhole_fail_rtts_ = 4;
   bool armed_ = false;
   std::uint64_t faults_injected_ = 0;
   std::uint64_t messages_failed_ = 0;

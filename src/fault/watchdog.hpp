@@ -2,8 +2,8 @@
 //
 // Before this module every layer invented its own timeout math: iSER's
 // session supervisor multiplied-and-capped a backoff inline, the iSCSI
-// initiator grew a per-command timer with optional jitter, and RFTP had
-// no liveness check at all (a crashed peer hung the transfer forever).
+// initiator grew a per-command timer, and RFTP had no liveness check at
+// all (a crashed peer hung the transfer forever).
 // This header centralises three pieces:
 //
 //   * Deadline — a policy struct (quiet period, quiet budget, hard cap)
@@ -150,17 +150,6 @@ class Backoff {
   auto g = static_cast<sim::SimDuration>(static_cast<double>(v) * multiplier);
   if (cap > 0) g = std::min(g, cap);
   return g;
-}
-
-/// Adds a uniform jitter in [0, frac * v) drawn from `rng`. Note: draws
-/// from the RNG only when frac > 0 (the iSCSI initiator's historical
-/// behaviour — its jitter stream advances only when jitter is enabled).
-[[nodiscard]] inline sim::SimDuration with_jitter(sim::SimDuration v,
-                                                  double frac,
-                                                  sim::Rng& rng) {
-  if (frac <= 0.0) return v;
-  return v + static_cast<sim::SimDuration>(rng.uniform(0.0, frac) *
-                                           static_cast<double>(v));
 }
 
 }  // namespace e2e::fault

@@ -11,6 +11,11 @@ namespace e2e::iscsi {
 
 namespace {
 
+// Command timeout growth per retransmission (capped exponential backoff).
+constexpr double kBackoffMultiplier = 2.0;
+// Fresh-ITT re-drives allowed per READ on digest mismatch.
+constexpr int kMaxDigestRetries = 3;
+
 constexpr obs::Incident kSubmitted{.trace_counter = "iscsi/tasks_submitted"};
 constexpr obs::Incident kAbandoned{.name = "command-abandoned",
                                    .counter = "command_failures",
@@ -111,12 +116,10 @@ sim::Task<scsi::Status> Initiator::submit_io(numa::Thread& th, scsi::OpCode op,
       (void)co_await pending->wake.recv();
       break;
     }
-    // Arm a (jittered) timeout. The timer holds a generation-counted Ref:
-    // once the rendezvous is erased (or its slot recycled for a later
-    // command), a late firing resolves to null instead of waking anyone.
-    const sim::SimDuration armed =
-        fault::with_jitter(timeout, policy_.jitter, jitter_rng_);
-    eng.schedule_after(armed, [tbl = &pending_, pending_ref] {
+    // Arm the timeout. The timer holds a generation-counted Ref: once the
+    // rendezvous is erased (or its slot recycled for a later command), a
+    // late firing resolves to null instead of waking anyone.
+    eng.schedule_after(timeout, [tbl = &pending_, pending_ref] {
       if (Pending* p = tbl->get(pending_ref)) p->wake.send(false);
     });
     const auto woke = co_await pending->wake.recv();
@@ -137,8 +140,7 @@ sim::Task<scsi::Status> Initiator::submit_io(numa::Thread& th, scsi::OpCode op,
     // the backoff multiplier (capped). The target suppresses duplicates,
     // so at-most-once execution is preserved.
     ++command_retries_;
-    timeout =
-        fault::grow(timeout, policy_.backoff_multiplier, policy_.backoff_cap);
+    timeout = fault::grow(timeout, kBackoffMultiplier, policy_.backoff_cap);
     obs_.report(eng, kRetry, retry_, {.arg = cmd.itt});
   }
   obs_.span_end(eng, terminal ? kFailed : kCompleted,
@@ -174,7 +176,7 @@ sim::Task<scsi::Status> Initiator::submit_read(numa::Thread& th,
     if (data.content_tag == expected) co_return scsi::Status::kGood;
     ++digest_errors_;
     obs_.report(eng, kDigest, digest_);
-    if (attempt >= policy_.max_digest_retries) {
+    if (attempt >= kMaxDigestRetries) {
       ++command_failures_;
       obs_.report(eng, kDigestGaveUp, digest_gave_up_);
       co_return scsi::Status::kTransportError;

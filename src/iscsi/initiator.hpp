@@ -15,35 +15,27 @@
 #include "numa/process.hpp"
 #include "obs/probe.hpp"
 #include "sim/channel.hpp"
-#include "sim/rng.hpp"
 #include "sim/sync.hpp"
 
 namespace e2e::iscsi {
 
-/// Bounds and shapes the initiator's recovery behaviour. Retransmission
-/// timeouts grow exponentially (capped) with uniform jitter so retry storms
-/// decorrelate; the attempt budget turns a dead session into a terminal
-/// scsi::Status::kTransportError instead of an infinite retransmit loop.
+/// Bounds the initiator's recovery behaviour. Retransmission timeouts
+/// double per retry (capped exponential backoff); the attempt budget turns
+/// a dead session into a terminal scsi::Status::kTransportError instead of
+/// an infinite retransmit loop.
 struct RetryPolicy {
   /// Transmissions per command, including the first (>= 1). Exhausting the
   /// budget surfaces kTransportError to the submitter.
   int max_attempts = 8;
-  /// Timeout growth per retransmission (capped exponential backoff).
-  double backoff_multiplier = 2.0;
   /// Upper bound for the grown timeout (0 = uncapped).
   sim::SimDuration backoff_cap = 0;
-  /// Uniform jitter added to each armed timeout, as a fraction of it
-  /// (0.1 = up to +10%). Drawn from a deterministic seeded PRNG.
-  double jitter = 0.0;
-  std::uint64_t jitter_seed = 0x7E57;
   /// End-to-end READ integrity: verify the landed data's content tag
   /// against the analytic block-range tag, re-driving the I/O under a
   /// fresh task tag on mismatch (recovers data lost to wire faults that
-  /// the control path's replay cache papers over). Off by default: tags
-  /// are only meaningful when each in-flight buffer serves one I/O.
+  /// the control path's replay cache papers over), up to 3 re-drives per
+  /// READ. Off by default: tags are only meaningful when each in-flight
+  /// buffer serves one I/O.
   bool verify_read_digest = false;
-  /// Fresh-ITT re-drives allowed per READ on digest mismatch.
-  int max_digest_retries = 3;
 };
 
 class Initiator {
@@ -58,7 +50,6 @@ class Initiator {
         dm_(dm),
         command_timeout_(command_timeout),
         policy_(policy),
-        jitter_rng_(policy.jitter_seed),
         obs_(obs::Layer::kIscsi, {proc.host().name() + "/initiator"},
              {proc.host().name() + "/initiator"}) {}
   Initiator(const Initiator&) = delete;
@@ -139,7 +130,6 @@ class Initiator {
   bool dispatcher_running_ = false;
   sim::SimDuration command_timeout_ = 0;
   RetryPolicy policy_;
-  sim::Rng jitter_rng_;
   std::uint64_t next_itt_ = 1;
   std::uint64_t tasks_completed_ = 0;
   std::uint64_t command_retries_ = 0;

@@ -46,21 +46,11 @@ constexpr const char* to_string(PduType t) noexcept {
   return "?";
 }
 
-/// Negotiated session parameters (text keys of the login phase).
+/// Negotiated session parameters (text keys of the login phase). Only the
+/// key the target negotiates is modelled; no other key changes the data
+/// path (digests are off, as on the paper's testbed).
 struct LoginParams {
   std::uint64_t max_burst_length = 16 * 1024 * 1024;
-  std::uint64_t first_burst_length = 256 * 1024;
-  std::uint32_t max_outstanding_r2t = 8;
-  std::uint32_t max_connections = 1;
-  bool initial_r2t = false;
-  bool immediate_data = true;
-  bool header_digest = false;  // CRC32C off, as on the paper's testbed
-  bool data_digest = false;
-  // Fixed-size names keep LoginParams (and with it every Pdu) trivially
-  // copyable: PDUs ride the hot path by value, and a heap-allocating
-  // std::string per copy dominated the protocol layer's malloc count.
-  char initiator_name[40] = "iqn.2013-08.edu.stonybrook:init";
-  char target_name[40] = "iqn.2013-08.gov.bnl:target";
 };
 
 struct Pdu {
@@ -86,5 +76,7 @@ struct Pdu {
 // The data path copies PDUs freely (channels, wires, replay cache); keeping
 // them trivially copyable means those copies are memcpys, not allocations.
 static_assert(std::is_trivially_copyable_v<Pdu>);
+// PDUs are copied by value on the hot path: growing one grows every copy.
+static_assert(sizeof(Pdu) == 88);
 
 }  // namespace e2e::iscsi

@@ -29,14 +29,18 @@ constexpr obs::Incident kDataOpDone{.hist = "data_op_ns"};
 
 namespace {
 constexpr std::uint64_t kCtrlBufBytes = 512;
+// Control receives kept posted per endpoint.
+constexpr int kCtrlDepth = 64;
+// Failed awaited data ops are retried up to this many times, waiting for
+// QP recovery when the QP died and backing off (capped exponential) on
+// transient wire faults.
+constexpr int kDataRetryLimit = 12;
 }
 
-IserEndpoint::IserEndpoint(rdma::QueuePair& qp, numa::Process& proc,
-                           int ctrl_depth)
+IserEndpoint::IserEndpoint(rdma::QueuePair& qp, numa::Process& proc)
     : qp_(qp),
       proc_(proc),
       pd_(proc.host()),
-      ctrl_depth_(ctrl_depth),
       rx_pdus_(proc.host().engine()),
       obs_(obs::Layer::kIser, {proc.host().name() + "/iser"},
            {proc.host().name() + "/iser"}) {
@@ -51,7 +55,7 @@ sim::Task<> IserEndpoint::start(numa::Thread& cq_thread) {
   started_ = true;
   co_await pd_.register_buffer(cq_thread, ctrl_buf_);
   co_await pd_.register_buffer(cq_thread, recv_buf_);
-  for (int i = 0; i < ctrl_depth_; ++i)
+  for (int i = 0; i < kCtrlDepth; ++i)
     co_await qp_.post_recv(cq_thread, rdma::RecvWr{0, &recv_buf_});
   sim::co_spawn(send_cq_loop(cq_thread));
   sim::co_spawn(recv_cq_loop(cq_thread));
@@ -59,7 +63,7 @@ sim::Task<> IserEndpoint::start(numa::Thread& cq_thread) {
 
 sim::Task<> IserEndpoint::repost_ring(numa::Thread& th) {
   if (!started_) throw std::logic_error("repost_ring before start()");
-  for (int i = 0; i < ctrl_depth_; ++i)
+  for (int i = 0; i < kCtrlDepth; ++i)
     co_await qp_.post_recv(th, rdma::RecvWr{0, &recv_buf_});
 }
 
@@ -163,7 +167,7 @@ sim::Task<> IserEndpoint::await_data_op(numa::Thread& th, rdma::SendWr wr,
       if (auto* au = check::of(eng)) au->flow_out(this, "iser.data", wr.bytes);
       break;
     }
-    if (attempt >= data_retry_limit_) {
+    if (attempt >= kDataRetryLimit) {
       // Give up rather than hang: the missing data surfaces end-to-end
       // (READ digest mismatch at the initiator, write-ledger divergence at
       // the LUN), and the session layer decides the command's fate.

@@ -32,7 +32,7 @@ class IserEndpoint final : public iscsi::Datamover {
  public:
   /// `proc` supplies the allocation context for control buffers (placed by
   /// the process memory policy, i.e. NIC-local when numactl-bound).
-  IserEndpoint(rdma::QueuePair& qp, numa::Process& proc, int ctrl_depth = 64);
+  IserEndpoint(rdma::QueuePair& qp, numa::Process& proc);
 
   /// Registers control buffers, posts the receive ring and spawns the
   /// completion dispatchers on `cq_thread`. Call once per endpoint before
@@ -68,7 +68,7 @@ class IserEndpoint final : public iscsi::Datamover {
   [[nodiscard]] std::uint64_t data_retries() const noexcept {
     return data_retries_;
   }
-  /// Data ops abandoned after the retry limit; the loss surfaces end-to-end
+  /// Data ops abandoned after 12 retries; the loss surfaces end-to-end
   /// (digest mismatch / LUN write-ledger divergence), not as a hang.
   [[nodiscard]] std::uint64_t data_aborts() const noexcept {
     return data_aborts_;
@@ -78,11 +78,6 @@ class IserEndpoint final : public iscsi::Datamover {
   [[nodiscard]] std::uint64_t data_losses() const noexcept {
     return data_losses_;
   }
-
-  /// Failed awaited data ops are retried up to this many times, waiting
-  /// for QP recovery when the QP died and backing off (capped exponential)
-  /// on transient wire faults.
-  void set_data_retry_limit(int n) noexcept { data_retry_limit_ = n; }
 
  private:
   sim::Task<> send_cq_loop(numa::Thread& th);
@@ -109,7 +104,6 @@ class IserEndpoint final : public iscsi::Datamover {
   rdma::QueuePair& qp_;
   numa::Process& proc_;
   rdma::ProtectionDomain pd_;
-  int ctrl_depth_;
   mem::Buffer ctrl_buf_;   // shared descriptor for control sends
   mem::Buffer recv_buf_;   // shared descriptor for the receive ring
   sim::Channel<iscsi::Pdu> rx_pdus_;
@@ -122,7 +116,6 @@ class IserEndpoint final : public iscsi::Datamover {
   std::uint64_t data_retries_ = 0;
   std::uint64_t data_aborts_ = 0;
   std::uint64_t data_losses_ = 0;
-  int data_retry_limit_ = 12;
   bool started_ = false;
   // Observability: the "<host>/iser#n" track and entity. Data ops trace
   // as async spans keyed by wr_id; the entity carries the data-op

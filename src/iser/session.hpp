@@ -13,16 +13,21 @@
 
 namespace e2e::iser {
 
+/// Re-establishment backoff of IserSession::enable_recovery(): starts at
+/// kRecoveryBackoff, grows by kRecoveryMultiplier per failed attempt up to
+/// the policy's cap, plus a uniform extra fraction of up to
+/// kRecoveryJitter.
+inline constexpr sim::SimDuration kRecoveryBackoff = sim::kMillisecond;
+inline constexpr double kRecoveryMultiplier = 2.0;
+inline constexpr double kRecoveryJitter = 0.2;
+
 /// Shapes IserSession::enable_recovery(): capped exponential backoff with
 /// jitter between re-establishment attempts, and an attempt budget after
 /// which the session closes (surfacing terminal errors to submitters via
 /// the initiator's retry budget) instead of reconnecting forever.
 struct SessionRecoveryPolicy {
   int max_attempts = 8;  // consecutive failed recoveries before giving up
-  sim::SimDuration backoff = sim::kMillisecond;
-  double multiplier = 2.0;
   sim::SimDuration backoff_cap = 50 * sim::kMillisecond;
-  double jitter = 0.2;  // uniform extra fraction of the backoff
   std::uint64_t seed = 0xC0FFEE;
   // Registered bytes revalidated per side during QP recovery (MR re-pin).
   std::uint64_t mr_bytes_initiator = 0;
@@ -34,11 +39,10 @@ struct SessionRecoveryPolicy {
 class IserSession {
  public:
   IserSession(rdma::Device& init_dev, rdma::Device& tgt_dev, net::Link& link,
-              numa::Process& init_proc, numa::Process& tgt_proc,
-              int ctrl_depth = 64)
+              numa::Process& init_proc, numa::Process& tgt_proc)
       : pair_(init_dev, tgt_dev, link),
-        initiator_ep_(pair_.a(), init_proc, ctrl_depth),
-        target_ep_(pair_.b(), tgt_proc, ctrl_depth) {}
+        initiator_ep_(pair_.a(), init_proc),
+        target_ep_(pair_.b(), tgt_proc) {}
 
   /// CM handshake + endpoint bring-up on both sides.
   sim::Task<> start(numa::Thread& init_th, numa::Thread& tgt_th) {
@@ -101,9 +105,8 @@ class IserSession {
     // fabric keeps killing us right back. The shared fault::Backoff
     // reproduces the historical inline schedule bit-for-bit (same
     // growth, cap, unconditional jitter draw, seed).
-    fault::Backoff backoff(policy_.backoff, policy_.multiplier,
-                           policy_.backoff_cap, policy_.jitter,
-                           policy_.seed);
+    fault::Backoff backoff(kRecoveryBackoff, kRecoveryMultiplier,
+                           policy_.backoff_cap, kRecoveryJitter, policy_.seed);
     for (;;) {
       co_await pair_.a().error_event().wait();
       co_await sim::Delay{eng, backoff.next()};

@@ -219,9 +219,6 @@ class SlotArena {
     free_.push_back(r.slot);
   }
 
-  [[nodiscard]] std::size_t live_count() const noexcept {
-    return slots_.size() - free_.size();
-  }
   [[nodiscard]] std::size_t slot_count() const noexcept {
     return slots_.size();
   }

@@ -153,16 +153,6 @@ class Link {
   [[nodiscard]] double rate_gbps() const noexcept { return rate_gbps_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] sim::Engine& engine() noexcept { return *eng_[0]; }
-  /// Engine of the sending side for direction `d` (the one whose shard
-  /// books the serialization resource). Both sides on one engine in the
-  /// legacy single-shard configuration.
-  [[nodiscard]] sim::Engine& engine_for(Direction d) noexcept {
-    return *eng_[index(d)];
-  }
-  /// True when the link spans two different engines (a cross-shard seam).
-  [[nodiscard]] bool cross_engine() const noexcept {
-    return eng_[0] != eng_[1];
-  }
 
   /// Wire bytes for `payload` given per-MTU transport headers.
   [[nodiscard]] double wire_bytes(double payload,

@@ -113,9 +113,6 @@ class QueuePair {
   [[nodiscard]] std::uint64_t bytes_delivered() const noexcept {
     return bytes_delivered_;
   }
-  [[nodiscard]] std::size_t posted_recvs() const noexcept {
-    return recv_q_.size();
-  }
 
   // Fault/recovery observability counters (tests/metrics).
   [[nodiscard]] std::uint64_t sends_flushed() const noexcept {

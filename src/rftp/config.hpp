@@ -17,9 +17,6 @@ struct RftpConfig {
   /// product streams * credits * block_bytes bounds the data in flight and
   /// must exceed the bandwidth-delay product to fill a long fat pipe.
   int credits_per_stream = 16;
-  /// Storage pipeline threads per stream on each side.
-  int fillers_per_stream = 4;
-  int drainers_per_stream = 8;
   /// NUMA awareness: pin each stream's threads to its NIC's node and
   /// allocate its buffer pools NIC-locally. Off = stock scheduler +
   /// first-touch, the paper's untuned baseline.

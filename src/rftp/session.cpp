@@ -12,6 +12,10 @@ namespace e2e::rftp {
 
 namespace {
 
+// Storage pipeline threads per stream on each side.
+constexpr int kFillersPerStream = 4;
+constexpr int kDrainersPerStream = 8;
+
 // Per-stream incidents.
 constexpr obs::Incident kFilled{.name = "fill",
                                 .hist = "fill_ns",
@@ -117,7 +121,7 @@ RftpSession::RftpSession(EndpointConfig sender, EndpointConfig receiver,
     s->send_pool = std::make_unique<mem::BufferPool>(
         sender_.proc->host(), "rftp-send-" + std::to_string(i),
         static_cast<std::size_t>(cfg_.credits_per_stream) +
-            static_cast<std::size_t>(cfg_.fillers_per_stream),
+            static_cast<std::size_t>(kFillersPerStream),
         cfg_.block_bytes, pool_policy, snic.node());
     s->recv_pool = std::make_unique<mem::BufferPool>(
         receiver_.proc->host(), "rftp-recv-" + std::to_string(i),
@@ -260,15 +264,15 @@ sim::Task<TransferResult> RftpSession::run(DataSource& src, DataSink& dst,
     rdma::Device& snic = s->pair->a().device();
     rdma::Device& rnic = s->pair->b().device();
     s->cq_spawned = true;
-    s->active_fillers = cfg_.fillers_per_stream;
-    for (int i = 0; i < cfg_.fillers_per_stream; ++i)
+    s->active_fillers = kFillersPerStream;
+    for (int i = 0; i < kFillersPerStream; ++i)
       sim::co_spawn(filler(*s, spawn(*sender_.proc, snic), src));
     sim::co_spawn(wire_sender(*s, spawn(*sender_.proc, snic)));
     sim::co_spawn(send_reaper(*s, spawn(*sender_.proc, snic)));
     sim::co_spawn(grant_receiver(*s, spawn(*sender_.proc, snic)));
     sim::co_spawn(arrival_handler(*s, spawn(*receiver_.proc, rnic)));
     sim::co_spawn(grant_reaper(*s, spawn(*receiver_.proc, rnic)));
-    for (int i = 0; i < cfg_.drainers_per_stream; ++i)
+    for (int i = 0; i < kDrainersPerStream; ++i)
       sim::co_spawn(drainer(*s, spawn(*receiver_.proc, rnic), dst, meter));
   }
 
@@ -909,11 +913,11 @@ sim::Task<> RftpSession::restart_host(int host) {
       sim::co_spawn(arrival_handler(s, spawn(*receiver_.proc, rnic)));
       sim::co_spawn(grant_reaper(s, spawn(*receiver_.proc, rnic)));
     }
-    s.active_fillers = cfg_.fillers_per_stream;
-    for (int i = 0; i < cfg_.fillers_per_stream; ++i)
+    s.active_fillers = kFillersPerStream;
+    for (int i = 0; i < kFillersPerStream; ++i)
       sim::co_spawn(filler(s, spawn(*sender_.proc, snic), *src_));
     sim::co_spawn(wire_sender(s, spawn(*sender_.proc, snic)));
-    for (int i = 0; i < cfg_.drainers_per_stream; ++i)
+    for (int i = 0; i < kDrainersPerStream; ++i)
       sim::co_spawn(drainer(s, spawn(*receiver_.proc, rnic), *dst_, meter_));
   }
   crashed_streams_.clear();

@@ -92,7 +92,6 @@ class RftpSession {
   /// plan. With no survivors the transfer fails (run() returns
   /// complete=false) instead of hanging.
   void kill_stream(int idx);
-  [[nodiscard]] int alive_streams() const noexcept { return alive_streams_; }
 
   /// Crash-stop fault domain: host 0 (sender) or 1 (receiver) dies at
   /// once — every QP it owns errors with its posted receives discarded,

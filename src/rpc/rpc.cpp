@@ -4,6 +4,13 @@ namespace e2e::rpc {
 
 namespace {
 
+// Per-call retry timer: a call unanswered after kRetryAfter is re-sent
+// (lost request, flushed send, dropped response); kMaxRetries firings
+// complete it with ok=false. Generous: under chaos the QP may sit in the
+// error state across several periods while a supervisor re-establishes it.
+constexpr sim::SimDuration kRetryAfter = 5 * sim::kMillisecond;
+constexpr int kMaxRetries = 256;
+
 /// Shared pump-loop shape: take the first queued WR (blocking), drain up
 /// to `batch_max - 1` more without suspending, post the chain behind one
 /// doorbell. An idle queue therefore flushes immediately — batching only
@@ -109,15 +116,14 @@ sim::Task<RpcClient::Reply> RpcClient::call(std::uint64_t req_bytes,
 }
 
 void RpcClient::arm_retry(std::uint32_t id) {
-  if (cfg_.retry_after == 0) return;
   qp_.device().host().engine().schedule_after(
-      cfg_.retry_after, [this, id] { on_retry_timer(id); });
+      kRetryAfter, [this, id] { on_retry_timer(id); });
 }
 
 void RpcClient::on_retry_timer(std::uint32_t id) {
   CallTable::Call* c = table_.find(id);
   if (c == nullptr || c->done.is_set()) return;  // stale generation / done
-  if (++c->retries > cfg_.max_retries) {
+  if (++c->retries > kMaxRetries) {
     ++calls_failed_;
     c->ok = false;
     c->done.set();

@@ -54,14 +54,6 @@ struct RpcConfig {
   std::size_t recv_ring = 64;      // receives kept posted per endpoint
   std::size_t window = 16;         // client-side outstanding-call cap
   std::size_t doorbell_batch = 4;  // max WRs coalesced behind one doorbell
-  std::uint64_t header_bytes = 64;  // wire bytes of the rpc header itself
-  // Per-call retry timer: a call unanswered after this long is re-sent
-  // (lost request, flushed send, dropped response). 0 disables retries.
-  sim::SimDuration retry_after = 5 * sim::kMillisecond;
-  // Timer firings before the call completes with ok=false. Generous: under
-  // chaos the QP may sit in the error state across several periods while
-  // a supervisor re-establishes it.
-  int max_retries = 256;
 };
 
 /// Call-slot table: call ids pack a 16-bit slot index and a 16-bit
@@ -182,7 +174,8 @@ class RpcClient {
 
   /// One RPC: ships `request` (`req_bytes` on the wire, rpc header
   /// included) and completes with the server's reply. Suspends for window
-  /// admission, then for the reply. ok=false after max_retries timeouts.
+  /// admission, then for the reply. A call unanswered for 5 ms is re-sent;
+  /// ok=false after 256 such timeouts.
   sim::Task<Reply> call(std::uint64_t req_bytes, mem::MsgPtr request);
 
   // Observability (tests, scenario digests).

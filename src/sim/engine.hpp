@@ -119,9 +119,6 @@ class Engine {
     return saturating_add(now_, skipped_);
   }
 
-  /// Total modeled time absorbed analytically by skip_time().
-  [[nodiscard]] SimDuration skipped_time() const noexcept { return skipped_; }
-
   /// Records that `d` nanoseconds of modeled time were collapsed into a
   /// closed-form span (the hybrid fluid/event fast-forward). The event heap
   /// is deliberately NOT warped: every pending timestamp, coroutine-held

@@ -162,61 +162,125 @@ sim::Task<int> drive_writes(iscsi::Initiator& init, numa::Thread& th,
   co_return bad;
 }
 
-TEST(ChaosIser, MultiGbWriteWorkloadSurvivesSeededPlan) {
+/// The iSER chaos rig shared by the WRITE and verified-READ workloads: a
+/// 2 GiB LUN behind one iSER session with a recovery supervisor, under the
+/// seeded plan.
+struct IserChaos {
+  explicit IserChaos(iscsi::RetryPolicy policy)
+      : initiator(*rig.proc_a, session.initiator_ep(), 2 * sim::kMillisecond,
+                  policy) {
+    staging.mark_registered();
+  }
+
+  /// Session up, login, dispatcher, recovery supervisor, then the plan is
+  /// armed. False when the login fails.
+  bool start() {
+    exp::run_task(rig.eng, session.start(ith, tth));
+    target.start(2);
+    iscsi::LoginParams params;
+    if (!exp::run_task(rig.eng, initiator.login(ith, params))) return false;
+    initiator.start_dispatcher(ith);
+    iser::SessionRecoveryPolicy rp;
+    rp.mr_bytes_initiator = 4 << 20;
+    rp.mr_bytes_target = 4 << 20;
+    session.enable_recovery(ith, tth, rp);
+    inj.attach(*rig.link);
+    inj.set_qp_kill_handler([this](int) { session.kill(); });
+    inj.arm();
+    return true;
+  }
+
   TinyRig rig;
-  check::Auditor audit(rig.eng);
-  auto tgt_fs = std::make_unique<mem::Tmpfs>(*rig.b);
-  auto& f = tgt_fs->create("lun0", 2ull << 30, numa::MemPolicy::kBind, 0);
-  scsi::Lun lun(0, *tgt_fs, f);
-  iser::IserSession session(*rig.dev_a, *rig.dev_b, *rig.link, *rig.proc_a,
-                            *rig.proc_b);
-  mem::BufferPool staging(*rig.b, "staging", 4, 1 << 20,
-                          numa::MemPolicy::kBind, 0);
-  staging.mark_registered();
-  iscsi::Target target(*rig.proc_b, session.target_ep(),
-                       std::vector<scsi::Lun*>{&lun}, staging);
-  iscsi::RetryPolicy policy;  // capped retries absorb the loss bursts
-  iscsi::Initiator initiator(*rig.proc_a, session.initiator_ep(),
-                             2 * sim::kMillisecond, policy);
+  check::Auditor audit{rig.eng};
+  mem::Tmpfs tgt_fs{*rig.b};
+  scsi::Lun lun{0, tgt_fs,
+                tgt_fs.create("lun0", 2ull << 30, numa::MemPolicy::kBind, 0)};
+  iser::IserSession session{*rig.dev_a, *rig.dev_b, *rig.link, *rig.proc_a,
+                            *rig.proc_b};
+  mem::BufferPool staging{*rig.b, "staging", 4, 1 << 20,
+                          numa::MemPolicy::kBind, 0};
+  iscsi::Target target{*rig.proc_b, session.target_ep(),
+                       std::vector<scsi::Lun*>{&lun}, staging};
+  iscsi::Initiator initiator;
   numa::Thread& ith = rig.proc_a->spawn_thread();
   numa::Thread& tth = rig.proc_b->spawn_thread();
-  exp::run_task(rig.eng, session.start(ith, tth));
-  target.start(2);
-  iscsi::LoginParams params;
-  ASSERT_TRUE(exp::run_task(rig.eng, initiator.login(ith, params)));
-  initiator.start_dispatcher(ith);
-  iser::SessionRecoveryPolicy rp;
-  rp.mr_bytes_initiator = 4 << 20;
-  rp.mr_bytes_target = 4 << 20;
-  session.enable_recovery(ith, tth, rp);
+  FaultInjector inj{rig.eng,
+                    chaos_plan(chaos_seed(), 400 * sim::kMillisecond, 1)};
+};
 
-  FaultInjector inj(rig.eng,
-                    chaos_plan(chaos_seed(), 400 * sim::kMillisecond, 1));
-  inj.attach(*rig.link);
-  inj.set_qp_kill_handler([&session](int) { session.kill(); });
-  inj.arm();
+TEST(ChaosIser, MultiGbWriteWorkloadSurvivesSeededPlan) {
+  IserChaos c(iscsi::RetryPolicy{});  // capped retries absorb the losses
+  ASSERT_TRUE(c.start());
 
   // 2 GiB: 512 x 4 MiB WRITEs at distinct LBAs.
   const int n_cmds = 512;
   const std::uint32_t blocks_per_cmd = (4u << 20) / 512;
-  auto buf = make_buffer(*rig.a, 4 << 20, 0);
+  auto buf = make_buffer(*c.rig.a, 4 << 20, 0);
   std::uint64_t expected = 0;
   const int bad = exp::run_task(
-      rig.eng,
-      drive_writes(initiator, ith, n_cmds, blocks_per_cmd, buf, expected));
-  rig.eng.run();
+      c.rig.eng,
+      drive_writes(c.initiator, c.ith, n_cmds, blocks_per_cmd, buf, expected));
+  c.rig.eng.run();
 
   EXPECT_EQ(bad, 0);
-  EXPECT_GE(inj.faults_injected(), 5u);
-  EXPECT_GE(session.recoveries(), 1u);  // the QP kill was recovered
-  EXPECT_FALSE(session.abandoned());
+  EXPECT_GE(c.inj.faults_injected(), 5u);
+  EXPECT_GE(c.session.recoveries(), 1u);  // the QP kill was recovered
+  EXPECT_FALSE(c.session.abandoned());
   // Every logical block executed exactly once despite retransmissions:
   // each 4 MiB command lands as four 1 MiB staging segments, and the
   // XOR ledger composes segment tags back to the per-command range tag.
-  EXPECT_EQ(lun.writes_executed(), 4u * static_cast<std::uint64_t>(n_cmds));
-  EXPECT_EQ(lun.written_digest(), expected);
-  audit.finalize();
-  EXPECT_TRUE(audit.ok()) << audit_report(audit);
+  EXPECT_EQ(c.lun.writes_executed(), 4u * static_cast<std::uint64_t>(n_cmds));
+  EXPECT_EQ(c.lun.written_digest(), expected);
+  c.audit.finalize();
+  EXPECT_TRUE(c.audit.ok()) << audit_report(c.audit);
+}
+
+// READ workload for the verified-READ path: n_cmds sequential READs at
+// distinct LBAs into one buffer, its tag reset before each. Returns the
+// count of non-GOOD statuses and of landed tags that do not match the
+// analytic block-range tag.
+sim::Task<int> drive_reads(iscsi::Initiator& init, numa::Thread& th,
+                           int n_cmds, std::uint32_t blocks_per_cmd,
+                           mem::Buffer& buf) {
+  int bad = 0;
+  for (int i = 0; i < n_cmds; ++i) {
+    const std::uint64_t lba = std::uint64_t{static_cast<unsigned>(i)} *
+                              blocks_per_cmd;
+    buf.content_tag = 0;
+    const auto st = co_await init.submit_read(th, 0, lba, blocks_per_cmd,
+                                              buf);
+    if (st != scsi::Status::kGood ||
+        buf.content_tag != block_range_tag(lba, blocks_per_cmd))
+      ++bad;
+  }
+  co_return bad;
+}
+
+TEST(ChaosIser, VerifiedReadWorkloadSurvivesSeededPlan) {
+  // Lost Data-In deliveries leave the landed tag short even when the
+  // control path replays a GOOD response: the digest check re-drives them.
+  iscsi::RetryPolicy policy;
+  policy.verify_read_digest = true;
+  IserChaos c(policy);
+  ASSERT_TRUE(c.start());
+
+  // 2 GiB: 512 x 4 MiB READs at distinct LBAs.
+  const int n_cmds = 512;
+  const std::uint32_t blocks_per_cmd = (4u << 20) / 512;
+  auto buf = make_buffer(*c.rig.a, 4 << 20, 0);
+  const int bad = exp::run_task(
+      c.rig.eng, drive_reads(c.initiator, c.ith, n_cmds, blocks_per_cmd, buf));
+  c.rig.eng.run();
+
+  EXPECT_EQ(bad, 0);
+  EXPECT_GE(c.inj.faults_injected(), 5u);
+  EXPECT_FALSE(c.session.abandoned());
+  EXPECT_EQ(c.initiator.command_failures(), 0u);
+  // The plan's losses reach Data-In on every CI seed (1..48): the digest
+  // check, not luck, is what kept the landed tags whole.
+  EXPECT_GE(c.initiator.digest_errors(), 1u);
+  c.audit.finalize();
+  EXPECT_TRUE(c.audit.ok()) << audit_report(c.audit);
 }
 
 TEST(ChaosTcp, MultiGbWriteWorkloadSurvivesSeededPlan) {

@@ -42,7 +42,7 @@ TEST(KvChaosTest, CompletesAndAuditsCleanUnderSeededFaults) {
                           << r.audit_violations << " violations";
   EXPECT_EQ(r.ops_done, 2u * 1024u);
   // Every op resolves: served normally, retried to completion across the
-  // outage, or (rarely) failed out after max_retries — never hung.
+  // outage, or (rarely) failed out after the rpc retry budget — never hung.
   EXPECT_EQ(r.gets + r.puts, r.ops_done);
 }
 

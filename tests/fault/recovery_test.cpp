@@ -224,20 +224,21 @@ TEST_F(IserRecoveryTest, PermanentCrashExhaustsBudgetAndAbandonsExactlyOnce) {
 
 TEST_F(IserRecoveryTest, PolicyBackoffScheduleMatchesSharedBackoff) {
   // The supervisor delegates its delay math to fault::Backoff; pin the
-  // equivalence so policy fields keep meaning what they meant: same
+  // equivalence so the policy keeps meaning what it meant: same
   // (base, multiplier, cap, jitter, seed) => same schedule, twice.
   iser::SessionRecoveryPolicy rp;
-  fault::Backoff a(rp.backoff, rp.multiplier, rp.backoff_cap, rp.jitter,
-                   rp.seed);
-  fault::Backoff b(rp.backoff, rp.multiplier, rp.backoff_cap, rp.jitter,
-                   rp.seed);
+  fault::Backoff a(iser::kRecoveryBackoff, iser::kRecoveryMultiplier,
+                   rp.backoff_cap, iser::kRecoveryJitter, rp.seed);
+  fault::Backoff b(iser::kRecoveryBackoff, iser::kRecoveryMultiplier,
+                   rp.backoff_cap, iser::kRecoveryJitter, rp.seed);
   for (int i = 0; i < rp.max_attempts + 2; ++i) {
     const auto d = a.next();
     EXPECT_EQ(d, b.next());
     // Every delay respects the configured cap plus its jitter margin.
     EXPECT_LE(d, static_cast<sim::SimDuration>(
-                     static_cast<double>(rp.backoff_cap) * (1.0 + rp.jitter)));
-    EXPECT_GE(d, rp.backoff);
+                     static_cast<double>(rp.backoff_cap) *
+                     (1.0 + iser::kRecoveryJitter)));
+    EXPECT_GE(d, iser::kRecoveryBackoff);
   }
 }
 

@@ -1,7 +1,7 @@
 // Unit tests for the unified watchdog/deadline hierarchy: the Backoff
-// retry schedule (extracted from the iSER supervisor), the grow/with_jitter
-// timeout laws (extracted from the iSCSI initiator), and the quiet-period
-// Watchdog that declares a silent peer dead.
+// retry schedule (extracted from the iSER supervisor), the grow timeout
+// law (extracted from the iSCSI initiator), and the quiet-period Watchdog
+// that declares a silent peer dead.
 #include "fault/watchdog.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/rng.hpp"
 
 namespace e2e::fault {
 namespace {
@@ -80,28 +79,13 @@ TEST(Backoff, JitterDrawIsUnconditional) {
 }
 
 // ---------------------------------------------------------------------------
-// grow / with_jitter (the iSCSI timeout laws)
+// grow (the iSCSI timeout law)
 
 TEST(TimeoutLaws, GrowIsCappedOnlyWhenCapSet) {
   EXPECT_EQ(grow(10 * sim::kMillisecond, 2.0, 0), 20 * sim::kMillisecond);
   EXPECT_EQ(grow(10 * sim::kMillisecond, 2.0, 15 * sim::kMillisecond),
             15 * sim::kMillisecond);
   EXPECT_EQ(grow(10 * sim::kMillisecond, 1.5, 0), 15 * sim::kMillisecond);
-}
-
-TEST(TimeoutLaws, WithJitterBoundsAndZeroFractionDrawsNothing) {
-  sim::Rng rng(123);
-  const auto v = 10 * sim::kMillisecond;
-  for (int i = 0; i < 16; ++i) {
-    const auto j = with_jitter(v, 0.5, rng);
-    EXPECT_GE(j, v);
-    EXPECT_LE(j, v + v / 2);
-  }
-  // frac = 0 must not consume from the RNG stream (the initiator's
-  // historical behaviour: disabled jitter leaves the stream untouched).
-  sim::Rng a(77), b(77);
-  EXPECT_EQ(with_jitter(v, 0.0, a), v);
-  EXPECT_EQ(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
 }
 
 // ---------------------------------------------------------------------------

@@ -94,7 +94,8 @@ struct Options {
       "                   'loss@500ms:n=5;flap@1s:dur=20ms;qpkill@1500ms:qp=0;"
       "crash@1s:host=1,down=50ms'\n"
       "  --fault-seed N   inject a seeded random fault plan (rftp scenarios;\n"
-      "                   fleet/kv draw one plan per pair)\n"
+      "                   fleet/kv draw one plan per pair); san and\n"
+      "                   motivating inject no faults and reject both flags\n"
       "  --checkpoint N   rftp acked-block ledger checkpoint interval in\n"
       "                   blocks (default 1 = every ack durable; 0 disables,\n"
       "                   so a receiver crash restarts from byte zero)\n"
@@ -126,8 +127,8 @@ struct Options {
       "  --fast-forward 0|1  collapse proven steady-state bulk phases into\n"
       "                   closed-form spans (default 0 = event-exact; final\n"
       "                   metrics are identical either way; rftp transfer\n"
-      "                   scenarios only — inert for san/motivating,\n"
-      "                   rejected by the sharded fleet/kv)\n",
+      "                   scenarios only — rejected by san/motivating and\n"
+      "                   by the sharded fleet/kv)\n",
       stderr);
   std::exit(2);
 }
@@ -754,6 +755,19 @@ int main(int argc, char** argv) {
                  "sharded (%s runs one engine)\n",
                  o.shards, o.scenario.c_str());
     usage();
+  }
+  if (o.scenario == "san" || o.scenario == "motivating") {
+    // Neither runs an rftp transfer: a fault or fast-forward flag would be
+    // silently ignored, and a sweep over it would report fault-free runs.
+    const char* flag = !o.fault_plan.empty() ? "--fault-plan"
+                       : o.fault_seed != 0   ? "--fault-seed"
+                       : o.fast_forward      ? "--fast-forward 1"
+                                             : nullptr;
+    if (flag != nullptr) {
+      std::fprintf(stderr, "bad %s: %s injects no faults and runs no rftp "
+                   "transfer\n", flag, o.scenario.c_str());
+      usage();
+    }
   }
   if (o.scenario == "quick") return run_quick(o);
   if (o.scenario == "e2e") return run_e2e(o);
