@@ -733,7 +733,7 @@ struct CrashPoint {
   stats::Histogram first_drain;  // resume -> first fresh drain (ns)
 };
 
-/// One 4 GiB transfer under `plan` with the crash handler wired.
+/// One 4 GiB transfer under `plan`, attached to the session.
 CrashPoint run_crash_case(const std::string& plan, int checkpoint_blocks) {
   constexpr std::uint64_t kDataset = 4ull << 30;
   exp::WanTestbed tb;
@@ -751,9 +751,7 @@ CrashPoint run_crash_case(const std::string& plan, int checkpoint_blocks) {
 
   fault::FaultInjector inj(tb.eng, fault::FaultPlan::parse(plan));
   inj.attach(*tb.link);
-  inj.set_crash_handler([&sess](int host, sim::SimDuration down) {
-    sess.crash_host(host, down);
-  });
+  sess.attach(inj);
   inj.arm();
 
   rftp::ZeroSource src(kDataset);

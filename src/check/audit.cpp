@@ -47,8 +47,8 @@ bool units_close(double a, double b) {
 
 Auditor::Auditor(sim::Engine& eng, Policy policy)
     : eng_(eng), policy_(policy) {
-  if (eng_.audit_hook() != nullptr)
-    throw std::logic_error("an audit hook is already installed");
+  if (eng_.observer(kAudit) != nullptr)
+    throw std::logic_error("an auditor is already installed");
   // Baseline every live resource so a mid-run install audits only the
   // service it actually observes.
   for (sim::Resource* r : eng_.resources()) {
@@ -57,11 +57,11 @@ Auditor::Auditor(sim::Engine& eng, Policy policy)
     s.base_units = r->units_served();
     s.last_end = 0;  // windows before install are unobserved, not overlaps
   }
-  eng_.set_audit_hook(this);
+  eng_.set_observer(kAudit, this);
 }
 
 Auditor::~Auditor() {
-  if (eng_.audit_hook() == this) eng_.set_audit_hook(nullptr);
+  if (eng_.observer(kAudit) == this) eng_.set_observer(kAudit, nullptr);
 }
 
 void Auditor::violate(std::string_view rule, std::string detail) {

@@ -7,8 +7,8 @@
 // memory, and every nanosecond of CPU charged to a core must be accounted
 // to a metrics::CpuCategory. The Auditor observes all of these live.
 //
-// Wiring mirrors the tracing layer: sim::Engine holds a nullable
-// sim::AuditHook pointer (sibling of TraceHook), instrumented call sites do
+// Wiring mirrors the tracing layer: the Auditor sits in the engine's
+// kAudit observer slot (sim::Observer), and instrumented call sites do
 //
 //   if (auto* au = check::of(eng)) au->on_...(...);
 //
@@ -60,17 +60,17 @@ enum class Policy {
   kAbortOnFinalize,  // finalize() throws AuditFailure when violations exist
 };
 
-class Auditor final : public sim::AuditHook {
+class Auditor final : public sim::Observer {
  public:
-  /// Installs itself as the engine's audit hook and snapshots the counters
+  /// Installs itself in the engine's kAudit slot and snapshots the counters
   /// of every already-registered Resource (so mid-run installation audits
-  /// only what it observed). Throws if another hook is installed.
+  /// only what it observed). Throws if an auditor is already installed.
   explicit Auditor(sim::Engine& eng, Policy policy = Policy::kCollect);
   ~Auditor() override;
   Auditor(const Auditor&) = delete;
   Auditor& operator=(const Auditor&) = delete;
 
-  // --- sim::AuditHook (called by sim::Resource) ---
+  // --- sim::Observer (called by sim::Resource and the engine) ---
   void on_resource_service(const sim::Resource& r, sim::SimTime start,
                            sim::SimTime end, double units) override;
   void on_resource_replan(const sim::Resource& r, sim::SimTime old_busy_until,
@@ -355,11 +355,11 @@ class Auditor final : public sim::AuditHook {
   std::unordered_map<const void*, std::size_t> rftp_index_;
 };
 
-/// The installed auditor, or null when auditing is disabled. The only
-/// AuditHook implementation in the tree is the Auditor, so the downcast is
-/// exact (same contract as trace::of).
+/// The installed auditor, or null when auditing is disabled. Only an
+/// Auditor is ever installed in the kAudit slot, so the downcast is exact
+/// (same contract as trace::of).
 [[nodiscard]] inline Auditor* of(sim::Engine& eng) noexcept {
-  return static_cast<Auditor*>(eng.audit_hook());
+  return static_cast<Auditor*>(eng.observer(sim::Observer::kAudit));
 }
 
 }  // namespace e2e::check

@@ -39,12 +39,7 @@ struct PairRig final : PairFleet::Rig {
   rftp::TransferResult res{};
   bool done = false;
 
-  void on_qp_kill(int qp) override {
-    sess->kill_stream(qp % sess->config().streams);
-  }
-  void on_crash(int host, sim::SimDuration down) override {
-    sess->crash_host(host, down);
-  }
+  void attach(fault::FaultInjector& inj) override { sess->attach(inj); }
 };
 
 sim::Task<> fleet_establish(PairRig* rig, numa::Thread* tb) {

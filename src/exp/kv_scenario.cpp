@@ -13,6 +13,7 @@
 
 #include "apps/kv.hpp"
 #include "exp/pair_fleet.hpp"
+#include "fault/injector.hpp"
 #include "rdma/cm.hpp"
 #include "rpc/rpc.hpp"
 #include "stats/histogram.hpp"
@@ -76,7 +77,7 @@ struct KvRig final : PairFleet::Rig {
   // A qp kill drops the rpc plane into its error epoch; client retry
   // timers carry the calls across the outage while one recovery coroutine
   // re-establishes.
-  void on_qp_kill(int qp) override;
+  void attach(fault::FaultInjector& inj) override;
   void drop_ring() noexcept override {
     ring_client.reset();
     ring_server.reset();
@@ -113,9 +114,11 @@ sim::Task<> kv_recover(KvRig* rig) {
   co_await rig->cp->reestablish(*rig->c_rec, *rig->s_rec);
 }
 
-void KvRig::on_qp_kill(int) {
-  cp->kill();
-  sim::co_spawn(kv_recover(this));
+void KvRig::attach(fault::FaultInjector& inj) {
+  inj.set_qp_kill_handler([this](int) {
+    cp->kill();
+    sim::co_spawn(kv_recover(this));
+  });
 }
 
 /// One-sided GET: READ the index entry, then the value, from the shard's

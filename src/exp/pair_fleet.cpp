@@ -95,11 +95,7 @@ PairFleet::PairFleet(
           cfg_.chaos);
       pr->inj = std::make_unique<fault::FaultInjector>(eng, std::move(plan));
       pr->inj->attach(*pr->hosts->link);
-      Rig* rig = pr->rig.get();
-      pr->inj->set_qp_kill_handler([rig](int qp) { rig->on_qp_kill(qp); });
-      pr->inj->set_crash_handler([rig](int host, sim::SimDuration down) {
-        rig->on_crash(host, down);
-      });
+      pr->rig->attach(*pr->inj);
       pr->inj->arm();
     }
     pairs_.push_back(std::move(pr));

@@ -20,6 +20,10 @@
 #include "numa/process.hpp"
 #include "rdma/device.hpp"
 
+namespace e2e::fault {
+class FaultInjector;
+}
+
 namespace e2e::rdma {
 class ConnectedPair;
 }
@@ -61,15 +65,15 @@ class PairFleet {
     HostPair::LinkFactory link = nullptr;
   };
 
-  /// One pair's scenario state. The fleet owns it, routes the pair's chaos
-  /// events to it, and destroys it before any host or engine.
+  /// One pair's scenario state. The fleet owns it, hands it the pair's
+  /// chaos injector, and destroys it before any host or engine.
   struct Rig {
     Rig() = default;
     Rig(const Rig&) = delete;  // chaos handlers hold its address
     Rig& operator=(const Rig&) = delete;
     virtual ~Rig() = default;
-    virtual void on_qp_kill(int /*qp*/) {}
-    virtual void on_crash(int /*host*/, sim::SimDuration /*down*/) {}
+    /// Sets the handlers for the plan's qpkill and crash events.
+    virtual void attach(fault::FaultInjector& inj) = 0;
     /// Drops what the rig built in link_ring(); runs on every rig before
     /// any ring connection goes.
     virtual void drop_ring() noexcept {}

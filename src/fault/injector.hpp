@@ -3,11 +3,13 @@
 // The injector implements net::FaultHook — each attached link consults it
 // once per message via Link::transmit_fate(). Plan events are scheduled on
 // the engine by arm(); windowed faults (flap/spike/hole) set per-link state
-// for their duration, loss bursts decrement a counter per corrupted
-// message, and qpkill events invoke a caller-provided handler (wired to
-// rftp::RftpSession::kill_stream or rdma::ConnectedPair::kill by the test
-// or CLI). Every injected fault emits a trace instant on the fault layer
-// plus counters, so chaos runs are legible in Perfetto.
+// for their duration, and loss bursts decrement a counter per corrupted
+// message; the hook is the only way a link fails a message. qpkill and
+// crash events invoke caller-provided handlers: rftp::RftpSession::attach
+// wires both for a transfer, and other callers set a qpkill handler (an
+// rdma::ConnectedPair::kill) themselves. Every injected fault emits a
+// trace instant on the fault layer plus counters, so chaos runs are
+// legible in Perfetto.
 #pragma once
 
 #include <cstdint>

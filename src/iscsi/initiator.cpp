@@ -99,8 +99,7 @@ sim::Task<scsi::Status> Initiator::submit_io(numa::Thread& th, scsi::OpCode op,
   // Concurrent SCSI tasks overlap, so each traces as an async span keyed
   // by its initiator task tag, from submission to response.
   const char* span = op == scsi::OpCode::kRead16 ? "scsi-read" : "scsi-write";
-  if (auto* tr = trace::of(eng))
-    tr->async_begin(obs_.track(tr), span, cmd.itt);
+  obs_.span_begin(eng, span, cmd.itt);
   obs_.report(eng, kSubmitted, submitted_);
 
   // Initiator-side task bookkeeping (tag allocation, SGL mapping).

@@ -1,6 +1,7 @@
 #include "iser/iser.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "check/audit.hpp"
@@ -10,7 +11,20 @@ namespace e2e::iser {
 
 namespace {
 
-constexpr obs::Incident kPduSent{.trace_counter = "iser/pdus_sent"};
+// A sent PDU is a trace-only "pdu:<type>" marker, indexed by PduType.
+constexpr obs::Incident pdu_sent(std::string_view event) {
+  return {.event = event, .trace_counter = "iser/pdus_sent"};
+}
+constexpr obs::Incident kPduSent[] = {
+    pdu_sent("pdu:login-req"),  pdu_sent("pdu:login-resp"),
+    pdu_sent("pdu:scsi-cmd"),   pdu_sent("pdu:scsi-resp"),
+    pdu_sent("pdu:r2t"),        pdu_sent("pdu:data-in"),
+    pdu_sent("pdu:data-out"),   pdu_sent("pdu:nop-out"),
+    pdu_sent("pdu:nop-in"),     pdu_sent("pdu:logout-req"),
+    pdu_sent("pdu:logout-resp"),
+};
+static_assert(std::size(kPduSent) ==
+              static_cast<std::size_t>(iscsi::PduType::kLogoutResponse) + 1);
 constexpr obs::Incident kPduReceived{.trace_counter = "iser/pdus_received"};
 constexpr obs::Incident kDataBytes{.trace_counter = "iser/data_bytes"};
 constexpr obs::Incident kDataOps{.trace_counter = "iser/data_ops"};
@@ -84,7 +98,6 @@ sim::Task<> IserEndpoint::send_cq_loop(numa::Thread& th) {
             au->flow_out(this, "iser.data", wc.byte_len);
         }
         if (!wc.success) {
-          ++data_losses_;
           obs_.report(proc_.host().engine(), kDataLoss, data_loss_,
                       {.arg = wc.wr_id});
         }
@@ -123,16 +136,8 @@ sim::Task<> IserEndpoint::send_pdu(numa::Thread& th, const iscsi::Pdu& pdu) {
   co_await qp_.post_send(th, wr);
   ++pdus_sent_;
   auto& eng = proc_.host().engine();
-  if (auto* tr = trace::of(eng)) {
-    // Per-PDU-type "pdu:<type>" marker name, built and interned once.
-    const auto t = pdu.type;
-    tr->instant(obs_.track(tr),
-                pdu_names_[static_cast<std::size_t>(t)].get(tr, [&] {
-                  return tr->name_id(std::string("pdu:") +
-                                     iscsi::to_string(t));
-                }));
-  }
-  obs_.report(eng, kPduSent, pdu_sent_);
+  const auto t = static_cast<std::size_t>(pdu.type);
+  obs_.report(eng, kPduSent[t], pdu_sent_[t]);
 }
 
 sim::Task<std::optional<iscsi::Pdu>> IserEndpoint::recv_pdu(
@@ -171,13 +176,11 @@ sim::Task<> IserEndpoint::await_data_op(numa::Thread& th, rdma::SendWr wr,
       // Give up rather than hang: the missing data surfaces end-to-end
       // (READ digest mismatch at the initiator, write-ledger divergence at
       // the LUN), and the session layer decides the command's fate.
-      ++data_aborts_;
       obs_.report(eng, kDataAbort, data_abort_, {.arg = span_id});
       obs_.span_end(eng, kDataOpEnd, data_op_end_, op_t0, span_id,
                     {.event = span_name});
       co_return;
     }
-    ++data_retries_;
     obs_.report(eng, kDataRetry, data_retry_,
                 {.arg = static_cast<std::uint64_t>(attempt)});
     if (!qp_.alive()) {
@@ -190,7 +193,6 @@ sim::Task<> IserEndpoint::await_data_op(numa::Thread& th, rdma::SendWr wr,
     }
     wr.wr_id = next_wr_++;  // fresh id: the old completion is consumed
   }
-  ++data_ops_;
   obs_.span_end(eng, kDataOpDone, data_op_done_, op_t0, span_id,
                 {.event = span_name});
 }
@@ -199,8 +201,7 @@ void IserEndpoint::begin_data_op(sim::Engine& eng, const char* span_name,
                                  std::uint64_t wr_id, std::uint64_t bytes) {
   // Data ops from concurrent submitters overlap, so they trace as async
   // spans keyed by wr_id.
-  if (auto* tr = trace::of(eng))
-    tr->async_begin(obs_.track(tr), span_name, wr_id);
+  obs_.span_begin(eng, span_name, wr_id);
   obs_.report(eng, kDataBytes, data_bytes_, {.n = bytes});
   obs_.report(eng, kDataOps, data_ops_begun_);
 }
@@ -233,7 +234,6 @@ sim::Task<> IserEndpoint::put_data_nowait(numa::Thread& th,
   wr.bytes = bytes;
   wr.remote = rkey;
   wr.content_tag = staging.content_tag;
-  ++data_ops_;
   auto& eng = th.host().engine();
   begin_data_op(eng, "rdma-write", wr.wr_id, bytes);
   if (auto* au = check::of(eng)) au->flow_in(this, "iser.data", bytes);

@@ -63,21 +63,6 @@ class IserEndpoint final : public iscsi::Datamover {
 
   [[nodiscard]] rdma::QueuePair& qp() noexcept { return qp_; }
   [[nodiscard]] std::uint64_t pdus_sent() const noexcept { return pdus_sent_; }
-  [[nodiscard]] std::uint64_t data_ops() const noexcept { return data_ops_; }
-  /// Failed data-op completions that were retried (wire fault / QP error).
-  [[nodiscard]] std::uint64_t data_retries() const noexcept {
-    return data_retries_;
-  }
-  /// Data ops abandoned after 12 retries; the loss surfaces end-to-end
-  /// (digest mismatch / LUN write-ledger divergence), not as a hang.
-  [[nodiscard]] std::uint64_t data_aborts() const noexcept {
-    return data_aborts_;
-  }
-  /// Fire-and-forget Data-In losses (put_data_nowait completions that
-  /// failed; the initiator's digest retry recovers the data).
-  [[nodiscard]] std::uint64_t data_losses() const noexcept {
-    return data_losses_;
-  }
 
  private:
   sim::Task<> send_cq_loop(numa::Thread& th);
@@ -112,18 +97,14 @@ class IserEndpoint final : public iscsi::Datamover {
   mem::FlatMap<SendCompletion> pending_;
   std::uint64_t next_wr_ = 1;
   std::uint64_t pdus_sent_ = 0;
-  std::uint64_t data_ops_ = 0;
-  std::uint64_t data_retries_ = 0;
-  std::uint64_t data_aborts_ = 0;
-  std::uint64_t data_losses_ = 0;
   bool started_ = false;
   // Observability: the "<host>/iser#n" track and entity. Data ops trace
   // as async spans keyed by wr_id; the entity carries the data-op
   // round-trip histogram plus retry/abort/loss counters and matching
   // flight records.
   obs::Actor obs_;
-  obs::Cached<trace::Tracer, trace::NameId> pdu_names_[11];  // by PduType
-  obs::Site pdu_sent_, pdu_received_, data_bytes_, data_ops_begun_,
+  obs::Site pdu_sent_[11];  // by PduType
+  obs::Site pdu_received_, data_bytes_, data_ops_begun_,
       data_loss_, write_end_, data_abort_, data_retry_, data_op_end_,
       data_op_done_;
 };

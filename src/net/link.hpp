@@ -38,8 +38,7 @@ enum class Direction : int { kAtoB = 0, kBtoA = 1 };
 }
 
 /// Verdict for one message about to be transmitted on a link direction.
-/// Produced by Link::transmit_fate() from the attached FaultHook (plus any
-/// legacy injected-failure counters).
+/// Produced by Link::transmit_fate() from the attached FaultHook.
 struct TxFate {
   /// Message is corrupted/dropped in flight: the sender sees a failed
   /// completion and the payload is never delivered.
@@ -120,31 +119,12 @@ class Link {
   [[nodiscard]] FaultHook* fault_hook() const noexcept { return hook_; }
 
   /// Decides the fate of one message of `bytes` wire bytes about to be
-  /// transmitted in direction `d`: consults the attached FaultHook first,
-  /// then the legacy injected-failure counters. Senders (rdma::QueuePair,
-  /// tcp::Connection) call this exactly once per message.
+  /// transmitted in direction `d`. The attached FaultHook is the only way a
+  /// message fails; with none attached every message goes through.
+  /// Senders (rdma::QueuePair, tcp::Connection) call this exactly once per
+  /// message.
   [[nodiscard]] TxFate transmit_fate(Direction d, double bytes) {
-    TxFate fate;
-    if (hook_ != nullptr) fate = hook_->on_transmit(*this, d, bytes);
-    if (!fate.fail && take_failure(d)) fate.fail = true;
-    return fate;
-  }
-
-  /// Failure injection: the next `count` messages transmitted in direction
-  /// `d` are corrupted in flight (delivered as failed completions).
-  /// Deprecated counter API — new code should drive faults through a
-  /// fault::FaultInjector attached via set_fault_hook(); the counters remain
-  /// for cheap single-shot injections in unit tests.
-  void inject_failures(Direction d, int count) noexcept {
-    inject_[index(d)] += count;
-  }
-
-  /// Consumes one pending injected failure for direction `d`. Prefer
-  /// transmit_fate(), which folds these counters in with hook-driven faults.
-  [[nodiscard]] bool take_failure(Direction d) noexcept {
-    if (inject_[index(d)] <= 0) return false;
-    --inject_[index(d)];
-    return true;
+    return hook_ != nullptr ? hook_->on_transmit(*this, d, bytes) : TxFate{};
   }
 
   [[nodiscard]] sim::SimDuration latency() const noexcept { return latency_; }
@@ -174,7 +154,6 @@ class Link {
   double rate_gbps_;
   std::unique_ptr<sim::Resource> dir_[2];
   const void* ep_[2] = {nullptr, nullptr};
-  int inject_[2] = {0, 0};
   FaultHook* hook_ = nullptr;
 };
 

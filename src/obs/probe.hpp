@@ -132,6 +132,11 @@ class Actor {
             Facts f = {}) {
     emit(eng, d, s, f, Mark::kSpan, since, 0);
   }
+  /// The start of the async span `id` (trace only: its end reports the
+  /// counters, histogram and flight record).
+  void span_begin(sim::Engine& eng, std::string_view event, std::uint64_t id) {
+    if (auto* tr = trace::of(eng)) tr->async_begin(track_.get(tr), event, id);
+  }
   /// The end of the async span `id` that began at `since`.
   void span_end(sim::Engine& eng, const Incident& d, Site& s,
                 sim::SimTime since, std::uint64_t id, Facts f = {}) {
@@ -147,8 +152,6 @@ class Actor {
           ->set(v);
   }
 
-  /// This actor's track, for the trace-only span opens.
-  trace::TrackId track(trace::Tracer* tr) { return track_.get(tr); }
   stats::EntityId entity(stats::Registry* st) {
     return entity_.get(st, [&] {
       return entity_name_.mint ? st->mint_entity(layer_, entity_name_.base)

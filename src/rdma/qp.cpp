@@ -85,12 +85,13 @@ void QueuePair::crash() {
   kill();
   // A crashed host loses its receive ring: drain (never close — the
   // receiver loop must survive for the restart epoch) every posted WR.
-  while (recv_q_.try_recv().has_value()) ++recvs_dropped_;
+  while (recv_q_.try_recv().has_value()) {}
   // It also loses its CQ memory: completions that landed before the
   // crash but were never reaped must not replay into whatever consumer
   // the restart epoch arms (a grant completion from the dead connection
   // replayed after re-login would double-issue that credit token).
-  cqes_dropped_ += scq_.discard_pending() + rcq_.discard_pending();
+  scq_.discard_pending();
+  rcq_.discard_pending();
 }
 
 sim::Task<> QueuePair::recover(numa::Thread& th,
@@ -319,7 +320,6 @@ sim::Task<> QueuePair::sender_loop() {
 
 void QueuePair::note_inbound_drop(const Delivery& d) {
   auto& eng = dev_.host().engine();
-  ++inbound_dropped_;
   if (auto* au = check::of(eng))
     au->on_qp_drop(this, dev_.host().name(), d.bytes);
   obs_.report(eng, kDrop, drop_, {.arg = d.bytes, .on = &rx_track_});
@@ -437,8 +437,7 @@ sim::Task<> QueuePair::serve_read(SendWr wr) {
   const auto& cm = dev_.host().costs();
   const sim::SimTime read_t0 = eng.now();
   // Reads overlap each other, so they trace as async spans keyed by wr_id.
-  if (auto* tr = trace::of(eng))
-    tr->async_begin(obs_.track(tr), "read", wr.wr_id);
+  obs_.span_begin(eng, "read", wr.wr_id);
 
   // Read request travels to the responder...
   co_await link_->dir(dir_).acquire(64.0);

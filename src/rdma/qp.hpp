@@ -118,17 +118,8 @@ class QueuePair {
   [[nodiscard]] std::uint64_t sends_flushed() const noexcept {
     return sends_flushed_;
   }
-  [[nodiscard]] std::uint64_t inbound_dropped() const noexcept {
-    return inbound_dropped_;
-  }
   [[nodiscard]] std::uint64_t recoveries() const noexcept {
     return recoveries_;
-  }
-  [[nodiscard]] std::uint64_t recvs_dropped() const noexcept {
-    return recvs_dropped_;
-  }
-  [[nodiscard]] std::uint64_t cqes_dropped() const noexcept {
-    return cqes_dropped_;
   }
 
  private:
@@ -187,10 +178,7 @@ class QueuePair {
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t sends_flushed_ = 0;
-  std::uint64_t inbound_dropped_ = 0;
   std::uint64_t recoveries_ = 0;
-  std::uint64_t recvs_dropped_ = 0;
-  std::uint64_t cqes_dropped_ = 0;
   // Observability: the actor reports on the tx track and the QP's stats
   // entity; inbound drops and RNR waits go on the rx track. One Site per
   // incident kind (qp.cpp holds the descriptors).

@@ -106,11 +106,9 @@ class CompletionQueue {
   /// Discards every pending (unreaped) completion. A rebooted host has no
   /// CQ memory: completions that landed before a crash must not replay
   /// into the consumers the restart epoch arms. Parked waiters are not
-  /// disturbed — only queued entries go. Returns the number discarded.
-  std::size_t discard_pending() {
-    std::size_t n = 0;
-    while (ch_.try_recv().has_value()) ++n;
-    return n;
+  /// disturbed — only queued entries go.
+  void discard_pending() {
+    while (ch_.try_recv().has_value()) {}
   }
 
   [[nodiscard]] std::size_t depth() const noexcept { return ch_.size(); }

@@ -40,9 +40,11 @@ struct RftpConfig {
   /// default off. Ignored on sharded (Cluster) engines.
   bool fast_forward = false;
   /// Earliest modeled time at which the fast-forward detector may engage.
-  /// Callers with a fault plan set this to FaultPlan::quiet_after(slack) so
-  /// every scripted fault fires on an event-exact timeline; kTimeInfinity
-  /// (a terminal crash in the plan) disables fast-forward entirely.
+  /// RftpSession::attach(fault::FaultInjector&) raises it to the plan's
+  /// quiet horizon so every scripted fault fires on an event-exact
+  /// timeline; kTimeInfinity (a terminal crash in the plan) disables
+  /// fast-forward entirely. Set it directly only to hold fast-forward back
+  /// without a plan.
   sim::SimTime ff_quiet_after = 0;
 };
 

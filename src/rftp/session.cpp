@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "check/audit.hpp"
+#include "fault/injector.hpp"
 #include "fault/integrity.hpp"
 #include "mem/msg_pool.hpp"
 #include "rftp/fast_forward.hpp"
@@ -368,8 +369,7 @@ sim::Task<> RftpSession::filler(Stream& s, numa::Thread& th,
       requeue_block(idx);
       break;
     }
-    if (auto* tr = trace::of(eng_))
-      tr->async_begin(s.obs.track(tr), "block", idx);
+    s.obs.span_begin(eng_, "block", idx);
     const std::uint64_t offset = idx * cfg_.block_bytes;
     const std::uint64_t want =
         std::min<std::uint64_t>(cfg_.block_bytes, total_bytes_ - offset);
@@ -727,6 +727,20 @@ void RftpSession::handle_stream_death(Stream& s) {
   s.drainq->close();
 
   if (alive_streams_ <= 0 && running_) fail_transfer();
+}
+
+void RftpSession::attach(fault::FaultInjector& inj) {
+  inj.set_qp_kill_handler([this](int qp) { kill_stream(qp % cfg_.streams); });
+  inj.set_crash_handler(
+      [this](int host, sim::SimDuration down) { crash_host(host, down); });
+  // Grant-retry pacing is 2 RTTs; 20 RTTs plus a fixed margin buries any
+  // recovery transient. A plan with a terminal crash yields kTimeInfinity,
+  // which keeps the run event-exact.
+  sim::SimDuration max_rtt = 0;
+  for (const net::Link* l : links_) max_rtt = std::max(max_rtt, l->rtt());
+  cfg_.ff_quiet_after =
+      std::max(cfg_.ff_quiet_after,
+               inj.plan().quiet_after(20 * max_rtt + 100 * sim::kMillisecond));
 }
 
 void RftpSession::crash_host(int host, sim::SimDuration down) {

@@ -43,6 +43,10 @@
 #include "sim/run_queue.hpp"
 #include "sim/sync.hpp"
 
+namespace e2e::fault {
+class FaultInjector;
+}
+
 namespace e2e::rftp {
 
 class FastForward;
@@ -103,6 +107,15 @@ class RftpSession {
   /// the host never returns and the watchdog escalates to a failed
   /// transfer with partial progress.
   void crash_host(int host, sim::SimDuration down);
+
+  /// Routes `inj`'s plan to this session: plan qp `i` kills stream
+  /// `i % streams`, a crash calls crash_host(), and config().ff_quiet_after
+  /// is raised to the plan's quiet_after(20 * max link RTT + 100 ms), so
+  /// fast-forward engages only after every scripted fault has fired and
+  /// settled. Call before run(); the injector's links are attached by the
+  /// caller.
+  void attach(fault::FaultInjector& inj);
+
   [[nodiscard]] const fault::Watchdog& watchdog() const noexcept {
     return watchdog_;
   }

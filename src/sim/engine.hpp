@@ -31,28 +31,24 @@ namespace e2e::sim {
 class Cluster;
 class Resource;
 
-/// Observer interface the engine exposes to the tracing layer (trace/).
-/// The engine itself never calls it; instrumented components check
-/// Engine::trace_hook() on their hot paths and skip all tracing work when
-/// it is null — the disabled case costs one pointer load per site.
-class TraceHook {
+/// The one seam between the engine and its observers: the tracer
+/// (trace/), the stats registry (stats/) and the invariant auditor
+/// (check/). The engine holds at most one Observer per Kind. sim::Resource
+/// and the engine notify every installed observer in Kind order, so a
+/// service window reaches the tracer before the auditor. Every callback
+/// defaults to a no-op; an observer overrides only what it tracks.
+///
+/// Instrumented layers reach a concrete observer through trace::of,
+/// stats::of or check::of: one pointer load, null when that kind is not
+/// installed, so a disabled observer costs one branch per site. The
+/// callbacks record only — they never schedule events — so an observer
+/// cannot perturb the simulated timeline.
+class Observer {
  public:
-  virtual ~TraceHook() = default;
-  /// One FIFO service window [start, end) booked on `r` for `units` work.
-  virtual void on_resource_service(const Resource& r, SimTime start,
-                                   SimTime end, double units) = 0;
-};
+  /// Slot index and notification order.
+  enum Kind : std::uint8_t { kTrace, kStats, kAudit, kKindCount };
 
-/// Observer interface the engine exposes to the invariant-audit layer
-/// (check/). Sibling of TraceHook with the same contract: the engine never
-/// calls it, instrumented components check Engine::audit_hook() and skip
-/// all audit work when it is null. Methods default to no-ops so an auditor
-/// overrides only the invariants it tracks. Implementations must observe
-/// only — never schedule events — so an installed auditor cannot perturb
-/// the simulated timeline.
-class AuditHook {
- public:
-  virtual ~AuditHook() = default;
+  virtual ~Observer() = default;
   /// One FIFO service window [start, end) booked on `r` for `units` work.
   virtual void on_resource_service(const Resource& r, SimTime start,
                                    SimTime end, double units) {
@@ -65,36 +61,19 @@ class AuditHook {
                                   SimTime new_busy_until) {
     (void)r, (void)old_busy_until, (void)new_busy_until;
   }
-  /// `r` is being destroyed; its counters are still readable. Auditors
-  /// reconcile and drop per-resource state here so they never hold a
-  /// dangling pointer.
+  /// `r` is being destroyed; its counters are still readable. Observers
+  /// drop per-resource state here so they never hold a dangling pointer.
   virtual void on_resource_destroyed(const Resource& r) { (void)r; }
   /// `r` absorbed `busy_delta` of service time and `units_delta` of work
   /// analytically (a fast-forwarded steady-state span, not FIFO windows).
-  /// Auditors fold the deltas into their conservation ledgers so the exact
-  /// busy-time reconciliation keeps holding on fast-forwarded runs.
   virtual void on_resource_fast_forward(const Resource& r,
                                         SimDuration busy_delta,
                                         double units_delta) {
     (void)r, (void)busy_delta, (void)units_delta;
   }
   /// The engine's virtual clock skipped `d` nanoseconds of modeled time
-  /// without dispatching events (Engine::skip_time). Auditors widen any
-  /// wall-clock-bounded invariants (utilization ceilings) by the skipped
-  /// span.
+  /// without dispatching events (Engine::skip_time).
   virtual void on_time_skip(SimDuration d) { (void)d; }
-};
-
-/// Marker base the engine exposes to the metrics layer (stats/). Unlike
-/// TraceHook/AuditHook the engine never needs to call into it, so there are
-/// no virtual methods beyond the destructor: the slot exists so instrumented
-/// components can fetch the installed stats::Registry via stats::of() — a
-/// single pointer load that is null when stats are disabled. Registries
-/// observe only (counters, histograms, flight-recorder rings); they never
-/// schedule events, so an installed registry cannot perturb the timeline.
-class StatsHook {
- public:
-  virtual ~StatsHook() = default;
 };
 
 class Engine {
@@ -130,7 +109,7 @@ class Engine {
   void skip_time(SimDuration d) noexcept {
     if (d <= 0 || cluster_ != nullptr) return;
     skipped_ += d;
-    if (audit_hook_) audit_hook_->on_time_skip(d);
+    notify([d](Observer& o) { o.on_time_skip(d); });
   }
 
   /// Schedules `fn` to run at absolute simulated time `t` (>= now()).
@@ -215,20 +194,21 @@ class Engine {
   /// number of events dispatched.
   std::uint64_t run_window(SimTime horizon);
 
-  // --- tracing ---
+  // --- observers ---
 
-  /// The installed tracer (null when tracing is disabled — the default).
-  [[nodiscard]] TraceHook* trace_hook() const noexcept { return trace_hook_; }
-  void set_trace_hook(TraceHook* h) noexcept { trace_hook_ = h; }
-
-  /// The installed invariant auditor (null when auditing is disabled — the
-  /// default).
-  [[nodiscard]] AuditHook* audit_hook() const noexcept { return audit_hook_; }
-  void set_audit_hook(AuditHook* h) noexcept { audit_hook_ = h; }
-
-  /// The installed stats registry (null when stats are disabled).
-  [[nodiscard]] StatsHook* stats_hook() const noexcept { return stats_hook_; }
-  void set_stats_hook(StatsHook* h) noexcept { stats_hook_ = h; }
+  /// The installed observer of kind `k`, or null (the default).
+  [[nodiscard]] Observer* observer(Observer::Kind k) const noexcept {
+    return observers_[k];
+  }
+  void set_observer(Observer::Kind k, Observer* o) noexcept {
+    observers_[k] = o;
+  }
+  /// Calls `f(o)` for every installed observer, in Kind order.
+  template <typename F>
+  void notify(F&& f) const {
+    for (Observer* o : observers_)
+      if (o != nullptr) f(*o);
+  }
 
   /// Every live Resource built on this engine, in construction order.
   /// Deterministic: construction order is program order.
@@ -237,7 +217,7 @@ class Engine {
   }
   void register_resource(Resource* r) { resources_.push_back(r); }
   void deregister_resource(Resource* r) noexcept {
-    if (audit_hook_) audit_hook_->on_resource_destroyed(*r);
+    notify([r](Observer& o) { o.on_resource_destroyed(*r); });
     for (auto it = resources_.begin(); it != resources_.end(); ++it)
       if (*it == r) {
         resources_.erase(it);
@@ -278,9 +258,7 @@ class Engine {
   std::vector<Event> heap_;
   std::vector<EventFn> slots_;             // payloads, indexed by Event::slot
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
-  TraceHook* trace_hook_ = nullptr;
-  AuditHook* audit_hook_ = nullptr;
-  StatsHook* stats_hook_ = nullptr;
+  Observer* observers_[Observer::kKindCount] = {};
   std::vector<Resource*> resources_;
   Cluster* cluster_ = nullptr;
   int rank_ = -1;

@@ -61,8 +61,9 @@ class Resource {
       // the re-planned drain time. backlog <= busy_ns_ by construction.
       busy_ns_ += drain;
       busy_ns_ -= backlog;
-      if (AuditHook* a = eng_.audit_hook())
-        a->on_resource_replan(*this, busy_until_, new_until);
+      eng_.notify([&](Observer& o) {
+        o.on_resource_replan(*this, busy_until_, new_until);
+      });
       busy_until_ = new_until;
     }
     rate_per_ns_ = new_rate;
@@ -105,13 +106,14 @@ class Resource {
   /// analytically — a fast-forwarded steady-state span, not a FIFO window.
   /// The busy horizon is deliberately untouched: fast-forward skips modeled
   /// time on the engine's *virtual* clock only, so queueing behaviour of
-  /// requests issued after the collapse is unchanged. Fires the audit-hook
-  /// sibling so conservation ledgers absorb the same deltas.
+  /// requests issued after the collapse is unchanged. Notifies the engine's
+  /// observers so conservation ledgers absorb the same deltas.
   void fast_forward(SimDuration busy_delta, double units_delta) {
     busy_ns_ += busy_delta;
     units_served_ += units_delta;
-    if (AuditHook* a = eng_.audit_hook())
-      a->on_resource_fast_forward(*this, busy_delta, units_delta);
+    eng_.notify([&](Observer& o) {
+      o.on_resource_fast_forward(*this, busy_delta, units_delta);
+    });
   }
 
   /// Time at which the server drains the currently queued work.
@@ -143,10 +145,9 @@ class Resource {
     busy_until_ = Engine::saturating_add(start, svc);
     busy_ns_ += svc;
     units_served_ += units;
-    if (TraceHook* h = eng_.trace_hook())
-      h->on_resource_service(*this, start, busy_until_, units);
-    if (AuditHook* a = eng_.audit_hook())
-      a->on_resource_service(*this, start, busy_until_, units);
+    eng_.notify([&](Observer& o) {
+      o.on_resource_service(*this, start, busy_until_, units);
+    });
     return busy_until_;
   }
 

@@ -10,7 +10,7 @@
 // no hashing, no allocation.
 //
 // Attachment mirrors the tracer: Registry::install() parks the registry in
-// the engine's StatsHook slot; instrumented layers fetch it with
+// the engine's kStats observer slot; instrumented layers fetch it with
 // stats::of(engine), a single pointer load that is null when stats are
 // disabled.
 //
@@ -112,19 +112,19 @@ struct Config {
   std::size_t flight_capacity = 4096;
 };
 
-class Registry final : public sim::StatsHook {
+class Registry final : public sim::Observer {
  public:
   /// The registry must not outlive `eng` (flight records are stamped with
-  /// engine time and destruction uninstalls the hook).
+  /// engine time and destruction uninstalls it).
   explicit Registry(sim::Engine& eng, Config cfg = {});
   ~Registry() override;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
   /// Makes this registry visible to instrumented code via stats::of().
-  void install() noexcept { eng_.set_stats_hook(this); }
+  void install() noexcept { eng_.set_observer(kStats, this); }
   void uninstall() noexcept {
-    if (eng_.stats_hook() == this) eng_.set_stats_hook(nullptr);
+    if (eng_.observer(kStats) == this) eng_.set_observer(kStats, nullptr);
   }
 
   [[nodiscard]] sim::Engine& engine() noexcept { return eng_; }
@@ -323,10 +323,10 @@ class Registry final : public sim::StatsHook {
 };
 
 /// The registry installed on `eng`, or null when stats are disabled.
-/// Registry is the only StatsHook implementation, so the downcast is exact
-/// (same contract as trace::of / check::of).
+/// Only a Registry is ever installed in the kStats slot, so the downcast is
+/// exact (same contract as trace::of / check::of).
 [[nodiscard]] inline Registry* of(sim::Engine& eng) noexcept {
-  return static_cast<Registry*>(eng.stats_hook());
+  return static_cast<Registry*>(eng.observer(sim::Observer::kStats));
 }
 
 }  // namespace e2e::stats

@@ -70,8 +70,6 @@ void Tracer::write_chrome_events(std::ostream& os, int pid_base,
     sep();
     os << "{\"ph\":\"";
     switch (e.type) {
-      case Event::Type::kBegin: os << 'B'; break;
-      case Event::Type::kEnd: os << 'E'; break;
       case Event::Type::kComplete: os << 'X'; break;
       case Event::Type::kInstant: os << 'i'; break;
       case Event::Type::kAsyncBegin: os << 'b'; break;
@@ -83,10 +81,8 @@ void Tracer::write_chrome_events(std::ostream& os, int pid_base,
       os << ",\"dur\":";
       put_us(os, e.dur);
     }
-    if (e.type != Event::Type::kEnd) {
-      os << ",\"name\":";
-      put_str(os, names_[e.name]);
-    }
+    os << ",\"name\":";
+    put_str(os, names_[e.name]);
     os << ",\"cat\":";
     put_str(os, to_string(tracks_[e.track].layer));
     if (e.type == Event::Type::kInstant) os << ",\"s\":\"t\"";

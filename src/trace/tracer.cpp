@@ -21,7 +21,7 @@ TrackId Tracer::track(obs::Layer layer, std::string_view actor) {
   auto it = track_ids_.find(key);
   if (it != track_ids_.end()) return it->second;
   const TrackId id = static_cast<TrackId>(tracks_.size());
-  tracks_.push_back(Track{layer, std::string(actor), 0});
+  tracks_.push_back(Track{layer, std::string(actor)});
   track_ids_.emplace(std::move(key), id);
   return id;
 }
@@ -30,16 +30,6 @@ TrackId Tracer::mint_track(obs::Layer layer, std::string_view base) {
   std::string key = std::string(to_string(layer)) + "/" + std::string(base);
   const int n = mint_counts_[key]++;
   return track(layer, std::string(base) + "#" + std::to_string(n));
-}
-
-void Tracer::begin(TrackId t, std::string_view name) {
-  ++tracks_.at(t).depth;
-  push({Event::Type::kBegin, t, intern(name), eng_.now(), 0, 0});
-}
-
-void Tracer::end(TrackId t) {
-  --tracks_.at(t).depth;
-  push({Event::Type::kEnd, t, 0, eng_.now(), 0, 0});
 }
 
 void Tracer::complete(TrackId t, NameId name, sim::SimTime start) {

@@ -6,8 +6,8 @@
 // Every counter's final value and every resource's utilization series land
 // in the trace's closing sample_now() snapshot.
 //
-// Attachment: Tracer::install() registers the tracer as the engine's
-// TraceHook. Instrumented layers fetch it with trace::of(engine) — a
+// Attachment: Tracer::install() parks the tracer in the engine's kTrace
+// observer slot. Instrumented layers fetch it with trace::of(engine) — a
 // single pointer load that is null when tracing is disabled, so the
 // disabled fast path costs one predictable branch per site and allocates
 // nothing.
@@ -53,7 +53,7 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-class Tracer final : public sim::TraceHook {
+class Tracer final : public sim::Observer {
  public:
   /// The tracer must not outlive `eng` (it samples the engine's resource
   /// registry and uninstalls itself on destruction).
@@ -63,9 +63,9 @@ class Tracer final : public sim::TraceHook {
   Tracer& operator=(const Tracer&) = delete;
 
   /// Makes this tracer visible to instrumented code via trace::of().
-  void install() noexcept { eng_.set_trace_hook(this); }
+  void install() noexcept { eng_.set_observer(kTrace, this); }
   void uninstall() noexcept {
-    if (eng_.trace_hook() == this) eng_.set_trace_hook(nullptr);
+    if (eng_.observer(kTrace) == this) eng_.set_observer(kTrace, nullptr);
   }
 
   [[nodiscard]] sim::Engine& engine() noexcept { return eng_; }
@@ -80,10 +80,6 @@ class Tracer final : public sim::TraceHook {
   TrackId mint_track(obs::Layer layer, std::string_view base);
 
   // --- events -------------------------------------------------------------
-
-  /// Nested synchronous span. begin/end must balance per track.
-  void begin(TrackId t, std::string_view name);
-  void end(TrackId t);
 
   // Event names are pre-interned (name_id()): sites resolve a name once
   // per tracer (an obs::Cached handle) and then log with no hashing.
@@ -143,10 +139,6 @@ class Tracer final : public sim::TraceHook {
   [[nodiscard]] std::size_t event_count() const noexcept {
     return events_.size();
   }
-  /// Currently open begin/end nesting depth of a track.
-  [[nodiscard]] int open_depth(TrackId t) const {
-    return tracks_.at(t).depth;
-  }
   /// Value of a monotonic counter, 0 if never touched.
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
 
@@ -162,15 +154,14 @@ class Tracer final : public sim::TraceHook {
     return names_.at(id);
   }
 
-  // TraceHook: resource service windows arrive as spans on the sim layer.
+  // sim::Observer: resource service windows arrive as spans on the sim
+  // layer.
   void on_resource_service(const sim::Resource& r, sim::SimTime start,
                            sim::SimTime end, double units) override;
 
  private:
   struct Event {
     enum class Type : std::uint8_t {
-      kBegin,
-      kEnd,
       kComplete,
       kInstant,
       kAsyncBegin,
@@ -178,7 +169,7 @@ class Tracer final : public sim::TraceHook {
     };
     Type type;
     TrackId track;
-    NameId name;       // unused for kEnd
+    NameId name;
     sim::SimTime ts;
     sim::SimDuration dur;  // kComplete only
     std::uint64_t id;      // async pairing id
@@ -186,7 +177,6 @@ class Tracer final : public sim::TraceHook {
   struct Track {
     obs::Layer layer;
     std::string actor;
-    int depth = 0;
   };
 
   NameId intern(std::string_view s);
@@ -225,10 +215,10 @@ class Tracer final : public sim::TraceHook {
 };
 
 /// The tracer installed on `eng`, or null when tracing is disabled.
-/// Tracer is the only TraceHook implementation, so the downcast is safe;
-/// anyone installing a different hook must not also use trace::of().
+/// Only a Tracer is ever installed in the kTrace slot, so the downcast is
+/// exact.
 inline Tracer* of(sim::Engine& eng) noexcept {
-  return static_cast<Tracer*>(eng.trace_hook());
+  return static_cast<Tracer*>(eng.observer(sim::Observer::kTrace));
 }
 
 /// One Chrome trace file covering several shards' tracers: shard s's

@@ -31,14 +31,14 @@ bool has_rule(const Auditor& au, std::string_view rule) {
                      [&](const Violation& v) { return v.rule == rule; });
 }
 
-// --- hook plumbing ---
+// --- observer slot ---
 
 TEST(Auditor, InstallsAndUninstalls) {
   sim::Engine eng;
   {
     Auditor au(eng);
     EXPECT_EQ(of(eng), &au);
-    // Only one hook may be installed at a time.
+    // Only one auditor may be installed at a time.
     EXPECT_THROW({ Auditor second(eng); }, std::logic_error);
   }
   EXPECT_EQ(of(eng), nullptr);

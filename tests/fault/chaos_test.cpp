@@ -95,9 +95,7 @@ RftpChaosOutcome run_rftp_chaos(std::uint64_t seed, std::uint64_t total,
   const auto horizon = static_cast<sim::SimDuration>(total / 6);
   FaultInjector inj(rig.eng, chaos_plan(seed, horizon, cfg.streams));
   inj.attach(*rig.link);
-  const int streams = cfg.streams;
-  inj.set_qp_kill_handler(
-      [&sess, streams](int qp) { sess.kill_stream(qp % streams); });
+  sess.attach(inj);
   inj.arm();
 
   rftp::ZeroSource src(total);

@@ -72,12 +72,7 @@ CrashChaosOutcome run_crash_chaos(const FaultPlan& plan, std::uint64_t total,
 
   FaultInjector inj(rig.eng, plan);
   inj.attach(*rig.link);
-  const int streams = cfg.streams;
-  inj.set_qp_kill_handler(
-      [&sess, streams](int qp) { sess.kill_stream(qp % streams); });
-  inj.set_crash_handler([&sess](int host, sim::SimDuration down) {
-    sess.crash_host(host, down);
-  });
+  sess.attach(inj);
   inj.arm();
 
   rftp::ZeroSource src(total);

@@ -136,17 +136,6 @@ TEST_F(InjectorTest, EventsOnUnattachedLinksAreSkipped) {
   EXPECT_EQ(inj.faults_injected(), 1u);  // the flap still fired
 }
 
-TEST_F(InjectorTest, LegacyInjectedFailuresFoldInWithHookFaults) {
-  FaultInjector inj(rig.eng, FaultPlan{});
-  inj.attach(*rig.link);
-  inj.arm();
-  rig.link->inject_failures(net::Direction::kAtoB, 1);
-  EXPECT_TRUE(rig.link->transmit_fate(net::Direction::kAtoB, 1500.0).fail);
-  EXPECT_FALSE(rig.link->transmit_fate(net::Direction::kAtoB, 1500.0).fail);
-  // The hook itself never failed anything.
-  EXPECT_EQ(inj.messages_failed(), 0u);
-}
-
 TEST_F(InjectorTest, AttachAndArmMisuseThrows) {
   FaultInjector inj(rig.eng, FaultPlan{});
   inj.attach(*rig.link);

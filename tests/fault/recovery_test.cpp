@@ -244,7 +244,9 @@ TEST_F(IserRecoveryTest, PolicyBackoffScheduleMatchesSharedBackoff) {
 
 TEST_F(IserRecoveryTest, LossBurstIsAbsorbedByCommandRetries) {
   bring_up(iscsi::RetryPolicy{});
-  rig.link->inject_failures(net::Direction::kAtoB, 1);  // eat the command PDU
+  // Eat the command PDU.
+  const auto loss =
+      test::lose_next(rig.eng, *rig.link, net::Direction::kAtoB, 1);
   auto buf = make_buffer(*rig.a, 1 << 20, 0);
   const auto status =
       exp::run_task(rig.eng, initiator->submit_write(*ith, 0, 0, 2048, buf));

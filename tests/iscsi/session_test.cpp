@@ -193,7 +193,8 @@ TEST_F(RetryRig, LostCommandIsRetransmitted) {
   bring_up();
   // The next message on the initiator->target direction (the command PDU)
   // is corrupted in flight.
-  rig.link->inject_failures(net::Direction::kAtoB, 1);
+  const auto loss =
+      test::lose_next(rig.eng, *rig.link, net::Direction::kAtoB, 1);
   auto buf = make_buffer(*rig.a, 1 << 20, 0);
   const auto status = exp::run_task(
       rig.eng, initiator->submit_read(*ith, 0, 0, 2048, buf));
@@ -209,7 +210,8 @@ TEST_F(RetryRig, LostResponseIsReplayedNotReexecuted) {
   // vanishes, the retry gets a replay from the completed-task history.
   // Direction 1 carries the target's sends; the first message there after
   // injection is this task's response.
-  rig.link->inject_failures(net::Direction::kBtoA, 1);
+  const auto loss =
+      test::lose_next(rig.eng, *rig.link, net::Direction::kBtoA, 1);
   const auto status = exp::run_task(
       rig.eng, initiator->submit_write(*ith, 0, 0, 2048, buf));
   EXPECT_EQ(status, scsi::Status::kGood);

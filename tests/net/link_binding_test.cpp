@@ -24,25 +24,5 @@ TEST(LinkBinding, UnknownEndpointThrows) {
   EXPECT_THROW((void)l.dir_from(&c), std::logic_error);
 }
 
-TEST(LinkFailures, InjectionIsPerDirectionAndConsumed) {
-  sim::Engine eng;
-  Link l(eng, "l", 40.0, 100, 9000);
-  l.inject_failures(net::Direction::kAtoB, 2);
-  EXPECT_TRUE(l.take_failure(net::Direction::kAtoB));
-  EXPECT_FALSE(l.take_failure(net::Direction::kBtoA));  // other direction untouched
-  EXPECT_TRUE(l.take_failure(net::Direction::kAtoB));
-  EXPECT_FALSE(l.take_failure(net::Direction::kAtoB));  // consumed
-}
-
-TEST(LinkFailures, InjectionsAccumulate) {
-  sim::Engine eng;
-  Link l(eng, "l", 40.0, 100, 9000);
-  l.inject_failures(net::Direction::kBtoA, 1);
-  l.inject_failures(net::Direction::kBtoA, 1);
-  EXPECT_TRUE(l.take_failure(net::Direction::kBtoA));
-  EXPECT_TRUE(l.take_failure(net::Direction::kBtoA));
-  EXPECT_FALSE(l.take_failure(net::Direction::kBtoA));
-}
-
 }  // namespace
 }  // namespace e2e::net

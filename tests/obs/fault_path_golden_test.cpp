@@ -96,10 +96,7 @@ Hashes run_rftp_chaos() {
   Sinks sinks(eng);
   fault::FaultInjector inj(eng, fault::FaultPlan::parse(kRftpPlan));
   inj.attach(*hp.link);
-  inj.set_qp_kill_handler([&sess](int qp) { sess.kill_stream(qp % 2); });
-  inj.set_crash_handler([&sess](int host, sim::SimDuration down) {
-    sess.crash_host(host, down);
-  });
+  sess.attach(inj);
   inj.arm();
   const auto r = exp::run_task(eng, sess.run(src, dst, bytes));
   EXPECT_TRUE(r.complete);

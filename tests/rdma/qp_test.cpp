@@ -243,7 +243,8 @@ TEST_F(QpRig, ReadSlowerThanWriteByEfficiencyFactor) {
 TEST_F(QpRig, InjectedFaultFailsCompletionAndDropsPayload) {
   auto sbuf = make_buffer(*rig.a, 1 << 20, 0);
   auto target = make_buffer(*rig.b, 1 << 20, 0);
-  rig.link->inject_failures(net::Direction::kAtoB, 1);
+  const auto loss =
+      test::lose_next(rig.eng, *rig.link, net::Direction::kAtoB, 1);
   SendWr wr;
   wr.op = Opcode::kWrite;
   wr.wr_id = 1;
@@ -270,7 +271,9 @@ TEST_F(QpRig, InjectedFaultFailsCompletionAndDropsPayload) {
 TEST_F(QpRig, InjectedFaultOnReadResponse) {
   auto local = make_buffer(*rig.a, 1 << 20, 0);
   auto remote = make_buffer(*rig.b, 1 << 20, 0);
-  rig.link->inject_failures(net::Direction::kBtoA, 1);  // read responses ride the reverse dir
+  // Read responses ride the reverse direction.
+  const auto loss =
+      test::lose_next(rig.eng, *rig.link, net::Direction::kBtoA, 1);
   SendWr wr;
   wr.op = Opcode::kRead;
   wr.wr_id = 7;

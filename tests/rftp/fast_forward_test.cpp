@@ -162,20 +162,12 @@ Outcome run_once(const Case& c, bool fast_forward) {
   cfg.checkpoint_blocks = c.checkpoint_blocks;
   auto plan = make_plan(c, cfg.streams);
   cfg.fast_forward = fast_forward;
-  if (fast_forward) {
-    const sim::SimDuration slack = 20 * link->rtt() + 100 * sim::kMillisecond;
-    cfg.ff_quiet_after = plan ? plan->quiet_after(slack) : 0;
-  }
   RftpSession sess(send, recv, {link}, cfg);
   std::unique_ptr<fault::FaultInjector> inj;
   if (plan) {
     inj = std::make_unique<fault::FaultInjector>(*eng, std::move(*plan));
     inj->attach(*link);
-    inj->set_qp_kill_handler(
-        [&](int qp) { sess.kill_stream(qp % cfg.streams); });
-    inj->set_crash_handler([&](int host, sim::SimDuration down) {
-      sess.crash_host(host, down);
-    });
+    sess.attach(*inj);
     inj->arm();
   }
   MemorySource src(c.total_bytes, numa::Placement::on(0));

@@ -223,7 +223,9 @@ TEST_F(RftpRig, RetransmitsAfterInjectedWireFaults) {
   cfg.streams = 1;
   cfg.block_bytes = 1 << 20;
   auto sess = make_session(cfg);
-  rig.link->inject_failures(net::Direction::kAtoB, 5);  // corrupt five data messages
+  // Corrupt five data messages.
+  const auto loss =
+      test::lose_next(rig.eng, *rig.link, net::Direction::kAtoB, 5);
   metrics::ThroughputMeter meter(rig.eng, sim::kMillisecond);
   ZeroSource src(20 << 20);
   NullSink dst;
@@ -243,7 +245,8 @@ TEST_F(RftpRig, FailedWireCompletionRetransmitsExactlyOnceAndIsTraced) {
   cfg.streams = 1;
   cfg.block_bytes = 1 << 20;
   auto sess = make_session(cfg);
-  rig.link->inject_failures(net::Direction::kAtoB, 1);
+  const auto loss =
+      test::lose_next(rig.eng, *rig.link, net::Direction::kAtoB, 1);
   ZeroSource src(8 << 20);
   NullSink dst;
   const auto r = exp::run_task(rig.eng, sess->run(src, dst, 8 << 20));
@@ -271,12 +274,38 @@ TEST_F(RftpRig, SurvivesFaultBursts) {
   cfg.block_bytes = 512 << 10;
   cfg.credits_per_stream = 4;
   auto sess = make_session(cfg);
-  rig.link->inject_failures(net::Direction::kAtoB, 20);
+  const auto loss =
+      test::lose_next(rig.eng, *rig.link, net::Direction::kAtoB, 20);
   ZeroSource src(30 << 20);
   NullSink dst;
   const auto r = exp::run_task(rig.eng, sess->run(src, dst, 30 << 20));
   EXPECT_EQ(r.bytes, 30u << 20);
   EXPECT_GE(sess->retransmissions, 20u);
+}
+
+TEST_F(RftpRig, AttachRoutesPlanFaultsAndHoldsFastForward) {
+  RftpConfig cfg;
+  cfg.streams = 3;
+  cfg.block_bytes = 4 << 20;
+  auto sess = make_session(cfg);
+  // qp=4 names stream 4 % 3 = 1.
+  const auto plan =
+      fault::FaultPlan::parse("qpkill@20ms:qp=4;crash@60ms:host=1,down=10ms");
+  fault::FaultInjector inj(rig.eng, plan);
+  inj.attach(*rig.link);
+  sess->attach(inj);
+  EXPECT_EQ(sess->config().ff_quiet_after,
+            plan.quiet_after(20 * rig.link->rtt() + 100 * sim::kMillisecond));
+  inj.arm();
+  ZeroSource src(512 << 20);
+  NullSink dst;
+  const auto r = exp::run_task(rig.eng, sess->run(src, dst, 512 << 20));
+  EXPECT_TRUE(r.complete);
+  EXPECT_TRUE(r.integrity_ok);
+  EXPECT_EQ(r.bytes, 512u << 20);
+  EXPECT_EQ(sess->failovers, 1u);
+  EXPECT_EQ(r.resumes, 1u);
+  EXPECT_EQ(inj.skipped_events(), 0u);  // both events had a handler
 }
 
 class BlockSizeSweep : public ::testing::TestWithParam<std::uint64_t> {};

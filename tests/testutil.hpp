@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "exp/runner.hpp"
+#include "fault/injector.hpp"
 #include "model/host_profile.hpp"
 #include "net/link.hpp"
 #include "numa/numa.hpp"
@@ -52,6 +53,29 @@ struct TinyRig {
                                              numa::NumaBinding::bound(0));
   }
 };
+
+/// Fails the next `n` messages sent on `link` in direction `d`: a
+/// fault::FaultInjector loss burst, live before this returns. Its window
+/// outlasts any test (a plan burst lapses after 10 ms by default). Keep the
+/// injector alive while the messages go out, and destroy it before the
+/// link.
+inline std::unique_ptr<fault::FaultInjector> lose_next(sim::Engine& eng,
+                                                       net::Link& link,
+                                                       net::Direction d,
+                                                       int n) {
+  fault::FaultEvent burst;
+  burst.type = fault::FaultType::kLossBurst;
+  burst.at = eng.now();
+  burst.dir = d;
+  burst.count = n;
+  burst.duration = 3600 * sim::kSecond;
+  auto inj =
+      std::make_unique<fault::FaultInjector>(eng, fault::FaultPlan{{burst}});
+  inj->attach(link);
+  inj->arm();
+  eng.run_until(eng.now());  // fire the burst event itself
+  return inj;
+}
 
 /// Makes a registered buffer descriptor on `host` at `node`.
 inline mem::Buffer make_buffer(numa::Host& host, std::uint64_t bytes,

@@ -28,22 +28,8 @@ TEST(Tracer, OfIsNullUntilInstalled) {
     t.install();
     EXPECT_EQ(of(eng), &t);
   }
-  // Destruction uninstalls, so no dangling hook survives the tracer.
+  // Destruction uninstalls, so no dangling observer survives the tracer.
   EXPECT_EQ(of(eng), nullptr);
-}
-
-TEST(Tracer, SpanNestingBalances) {
-  sim::Engine eng;
-  Tracer t(eng);
-  const TrackId trk = t.track(obs::Layer::kApp, "worker");
-  t.begin(trk, "outer");
-  EXPECT_EQ(t.open_depth(trk), 1);
-  t.begin(trk, "inner");
-  EXPECT_EQ(t.open_depth(trk), 2);
-  t.end(trk);
-  t.end(trk);
-  EXPECT_EQ(t.open_depth(trk), 0);
-  EXPECT_EQ(t.event_count(), 4u);
 }
 
 TEST(Tracer, TrackIsIdempotentAndMintNumbersInOrder) {

@@ -334,9 +334,8 @@ class AuditScope {
 };
 
 /// Builds and validates the scripted/random fault plan, or nullopt when
-/// neither --fault-plan nor --fault-seed was given. Called *before* the
-/// session is constructed so the session config can derive its fast-forward
-/// quiet horizon (cfg.ff_quiet_after) from the plan's last scheduled event.
+/// neither --fault-plan nor --fault-seed was given. A malformed plan exits
+/// with usage before the session is built.
 std::optional<fault::FaultPlan> make_fault_plan(const Options& o, int links,
                                                 int streams) {
   if (o.fault_plan.empty() && o.fault_seed == 0) return std::nullopt;
@@ -374,22 +373,6 @@ std::optional<fault::FaultPlan> make_fault_plan(const Options& o, int links,
   return plan;
 }
 
-/// Applies --fast-forward to an rftp session config. The quiet horizon is
-/// the fault plan's last scheduled event plus generous settling slack
-/// (grant-retry pacing is 2*rtt; 20x that plus a fixed margin buries any
-/// recovery transient), so the detector only ever arms after every scripted
-/// perturbation has fired and drained. A crash plan whose down-time is
-/// unbounded yields kTimeInfinity and the session never builds the
-/// detector — honestly event-exact.
-void apply_fast_forward(rftp::RftpConfig& cfg, const Options& o,
-                        const std::optional<fault::FaultPlan>& plan,
-                        sim::SimDuration max_rtt) {
-  cfg.fast_forward = o.fast_forward;
-  if (!o.fast_forward) return;
-  const sim::SimDuration slack = 20 * max_rtt + 100 * sim::kMillisecond;
-  cfg.ff_quiet_after = plan ? plan->quiet_after(slack) : 0;
-}
-
 /// Prints the fast-forward engagement summary after a transfer run.
 void ff_summary(const Options& o, const rftp::TransferResult& r) {
   if (!o.fast_forward) return;
@@ -402,25 +385,19 @@ void ff_summary(const Options& o, const rftp::TransferResult& r) {
 }
 
 /// Optional fault injection for one rftp scenario run. Construct after the
-/// session (so a qpkill in the plan can map to kill_stream) and before the
-/// measured engine run, with the plan make_fault_plan() built earlier; call
-/// summary() afterwards. With no plan the scope is inert.
+/// session (RftpSession::attach routes the plan's qpkill and crash events
+/// to it and holds fast-forward back until the plan is quiet) and before
+/// the measured engine run, with the plan make_fault_plan() built earlier;
+/// call summary() afterwards. With no plan the scope is inert.
 class FaultScope {
  public:
   FaultScope(sim::Engine& eng, std::optional<fault::FaultPlan> plan,
-             const std::vector<net::Link*>& links,
-             rftp::RftpSession* sess, int streams) {
+             const std::vector<net::Link*>& links, rftp::RftpSession& sess) {
     if (!plan) return;
     std::printf("fault plan: %s\n", plan->to_string().c_str());
     inj_ = std::make_unique<fault::FaultInjector>(eng, std::move(*plan));
     for (auto* l : links) inj_->attach(*l);
-    if (sess != nullptr && streams > 0) {
-      inj_->set_qp_kill_handler(
-          [sess, streams](int qp) { sess->kill_stream(qp % streams); });
-      inj_->set_crash_handler([sess](int host, sim::SimDuration down) {
-        sess->crash_host(host, down);
-      });
-    }
+    sess.attach(*inj_);
     inj_->arm();
   }
 
@@ -460,8 +437,8 @@ int run_quick(const Options& o) {
   cfg.credits_per_stream = o.credits;
   cfg.numa_aware = o.numa;
   cfg.checkpoint_blocks = o.checkpoint;
+  cfg.fast_forward = o.fast_forward;
   auto plan = make_fault_plan(o, 1, cfg.streams);
-  apply_fast_forward(cfg, o, plan, hp.link->rtt());
   rftp::RftpSession sess({&hp.pa, {&hp.da}}, {&hp.pb, {&hp.db}},
                          {hp.link.get()}, cfg);
   rftp::MemorySource src(o.gib << 30, numa::Placement::on(0));
@@ -469,7 +446,7 @@ int run_quick(const Options& o) {
   StatsScope ss(eng, o);
   AuditScope as(eng, o);
   TraceScope ts(eng, o);
-  FaultScope fs(eng, std::move(plan), {hp.link.get()}, &sess, cfg.streams);
+  FaultScope fs(eng, std::move(plan), {hp.link.get()}, sess);
   const auto r = exp::run_task(eng, sess.run(src, dst, o.gib << 30));
   ts.finish();
   std::printf("quick: %llu GiB in %.2f s -> %.1f Gbps\n",
@@ -494,12 +471,10 @@ int run_e2e(const Options& o) {
   cfg.block_bytes = o.block;
   cfg.credits_per_stream = o.credits;
   cfg.checkpoint_blocks = o.checkpoint;
+  cfg.fast_forward = o.fast_forward;
   if (o.streams > 0) cfg.streams = o.streams;
   auto plan =
       make_fault_plan(o, static_cast<int>(tb.links().size()), cfg.streams);
-  sim::SimDuration max_rtt = 0;
-  for (const auto* l : tb.links()) max_rtt = std::max(max_rtt, l->rtt());
-  apply_fast_forward(cfg, o, plan, max_rtt);
   rftp::RftpSession sess({&sp, tb.src_roce()}, {&rp, tb.dst_roce()},
                          tb.links(), cfg);
   exp::SanSection* san = tb.src_san.get();
@@ -512,7 +487,7 @@ int run_e2e(const Options& o) {
   StatsScope ss(tb.eng, o);
   AuditScope as(tb.eng, o);
   TraceScope ts(tb.eng, o);
-  FaultScope fs(tb.eng, std::move(plan), tb.links(), &sess, cfg.streams);
+  FaultScope fs(tb.eng, std::move(plan), tb.links(), sess);
   rftp::TransferResult r;
   if (o.files > 1) {
     rftp::FileSet sset(*tb.src_fs);
@@ -548,8 +523,8 @@ int run_wan(const Options& o) {
   cfg.block_bytes = o.block;
   cfg.credits_per_stream = o.credits;
   cfg.checkpoint_blocks = o.checkpoint;
+  cfg.fast_forward = o.fast_forward;
   auto plan = make_fault_plan(o, 1, cfg.streams);
-  apply_fast_forward(cfg, o, plan, tb.link->rtt());
   rftp::RftpSession sess({tb.a_proc.get(), {tb.a_dev.get()}},
                          {tb.b_proc.get(), {tb.b_dev.get()}},
                          {tb.link.get()}, cfg);
@@ -558,8 +533,7 @@ int run_wan(const Options& o) {
   StatsScope ss(tb.eng, o);
   AuditScope as(tb.eng, o);
   TraceScope ts(tb.eng, o);
-  FaultScope fs(tb.eng, std::move(plan), {tb.link.get()}, &sess,
-                cfg.streams);
+  FaultScope fs(tb.eng, std::move(plan), {tb.link.get()}, sess);
   const auto r = exp::run_task(tb.eng, sess.run(src, dst, o.gib << 30));
   ts.finish();
   std::printf(

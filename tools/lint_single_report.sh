@@ -1,17 +1,25 @@
 #!/usr/bin/env sh
 # One report per incident (ctest lint.single_report_per_incident).
 #
-# An incident that reaches both the tracer and the stats registry goes
-# through one obs::Actor call (src/obs/probe.hpp), which emits both halves.
-# A hand-written pair — a trace::of( line followed within 8 lines by a
-# stats::of( line — is the pattern the probe replaced; this check fails on
-# any such pair in src/ outside the probe header.
+# Layers report to the tracer and the stats registry only through
+# obs::Actor (src/obs/probe.hpp), which emits both halves of an incident
+# in one call. Two checks:
+#
+#   * no trace::of( or stats::of( in src/ outside src/obs, src/trace,
+#     src/stats and src/rftp/fast_forward.cpp (the fast-forward snapshotter
+#     reads the sinks; it never reports to them);
+#   * no hand-written pair — a trace::of( line followed within 8 lines by
+#     a stats::of( line — anywhere in src/ outside the probe header.
 #
 #   lint_single_report.sh <repo-root>
 set -eu
 
 ROOT=$1
-hits=$(find "$ROOT/src" -name '*.cpp' -o -name '*.hpp' | sort | while read -r f; do
+direct=$(cd "$ROOT" && grep -rnE '(trace|stats)::of\(' src \
+  --include='*.cpp' --include='*.hpp' |
+  grep -vE '^src/(obs|trace|stats)/|^src/rftp/fast_forward\.cpp:' || true)
+
+pairs=$(find "$ROOT/src" -name '*.cpp' -o -name '*.hpp' | sort | while read -r f; do
   case "$f" in */src/obs/probe.hpp) continue ;; esac
   awk -v F="${f#"$ROOT"/}" '
     /trace::of\(/ { t = NR }
@@ -19,10 +27,18 @@ hits=$(find "$ROOT/src" -name '*.cpp' -o -name '*.hpp' | sort | while read -r f;
   ' "$f"
 done)
 
-if [ -n "$hits" ]; then
-  echo "$hits"
-  echo "adjacent trace+stats reports: $(echo "$hits" | wc -l) (want 0);" \
-       "report the incident once through obs::Actor"
-  exit 1
+rc=0
+if [ -n "$direct" ]; then
+  echo "$direct"
+  echo "direct sink access outside obs/trace/stats:" \
+       "$(echo "$direct" | wc -l) (want 0); report through obs::Actor"
+  rc=1
 fi
-echo "adjacent trace+stats reports: 0"
+if [ -n "$pairs" ]; then
+  echo "$pairs"
+  echo "adjacent trace+stats reports: $(echo "$pairs" | wc -l) (want 0);" \
+       "report the incident once through obs::Actor"
+  rc=1
+fi
+[ "$rc" -eq 0 ] && echo "direct sink access: 0; adjacent trace+stats reports: 0"
+exit "$rc"
