@@ -3,7 +3,8 @@
 //   bench_figures                      runs every row, in table order
 //   bench_figures fig09 crash_restart  runs the named rows
 //
-// A row runs its sweep on fresh testbeds (bench/scenarios.hpp) and prints
+// A row runs its sweep on fresh testbeds (the exp runners of
+// exp/scenarios.hpp, and bench/scenarios.hpp) and prints
 // its paper-vs-measured tables on stdout; an unknown row name prints the
 // row names and exits 2. To trace or dump the stats of an end-to-end
 // transfer, run the CLI (`e2e_transfer_sim e2e --trace F --stats-out F`).
@@ -25,6 +26,7 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "metrics/table.hpp"
+#include "numa/stream.hpp"
 #include "rdma/cm.hpp"
 #include "rftp/rftp.hpp"
 #include "scenarios.hpp"
@@ -40,28 +42,66 @@ void print_table(const Table& t) {
   std::fputc('\n', stdout);
 }
 
+// The exp runners' points as the rows sweep them.
+
+exp::TransferRun wan_point(int streams, std::uint64_t block,
+                           std::uint64_t dataset, int credits = 16) {
+  return exp::run_transfer({.rig = exp::Rig::kWan,
+                            .bytes = dataset,
+                            .streams = streams,
+                            .block_bytes = block,
+                            .credits = credits});
+}
+
+/// User-space protocol CPU of the sending (or receiving) WAN host.
+double proto_cpu(const exp::TransferRun& r, bool receiver) {
+  return (receiver ? r.dst_usage : r.src_usage)
+      .percent(CpuCategory::kUserProto, r.window);
+}
+
+exp::SanTestbed::FioReport fio_point(bool numa_tuned, bool write,
+                                     std::uint64_t block,
+                                     int threads_per_lun = 4) {
+  exp::SanParams p;
+  p.san.numa_tuned = numa_tuned;
+  p.fio.block_bytes = block;
+  p.fio.write = write;
+  p.threads_per_lun = threads_per_lun;
+  return exp::run_san(p).fio;
+}
+
 // §2.3 motivating experiment: STREAM triad peak and bi-directional iperf
 // over three 40G RoCE links, stock scheduler vs NUMA tuning.
 //
 // Paper numbers: Triad 50 GB/s; iperf 83.5 Gbps (default) -> 91.8 Gbps
 // (tuned), with the kernel copy routine at ~35% of overall CPU.
 void motivating() {
-  const auto dflt = run_motivating(false);
-  const auto tuned = run_motivating(true);
+  auto triad = [](bool numa_local) {
+    sim::Engine eng;
+    numa::Host host(eng, model::front_end_lan_host("fe"));
+    numa::StreamOptions opts;
+    opts.numa_local = numa_local;
+    return numa::run_stream_triad(eng, host, opts).triad_gBps;
+  };
+  const auto iperf = exp::run_motivating({});
+  const auto& dflt = iperf.stock;
+  const auto& tuned = iperf.tuned;
+  const auto& host = dflt.usage_a;
   print_comparison(
       "Sec 2.3 motivating experiment",
       {
-          {"STREAM triad (local)", 50.0, tuned.stream_local_gBps, "GB/s"},
-          {"STREAM triad (interleaved)", 0.0, tuned.stream_interleaved_gBps,
-           "GB/s"},
-          {"iperf bidir, default sched", 83.5, dflt.iperf_gbps, "Gbps"},
-          {"iperf bidir, NUMA tuned", 91.8, tuned.iperf_gbps, "Gbps"},
+          {"STREAM triad (local)", 50.0, triad(true), "GB/s"},
+          {"STREAM triad (interleaved)", 0.0, triad(false), "GB/s"},
+          {"iperf bidir, default sched", 83.5, dflt.aggregate_gbps, "Gbps"},
+          {"iperf bidir, NUMA tuned", 91.8, tuned.aggregate_gbps, "Gbps"},
           {"NUMA tuning gain", 9.9,
-           100.0 * (tuned.iperf_gbps / dflt.iperf_gbps - 1.0), "%"},
-          {"copy routines' CPU share", 35.0, 100.0 * dflt.copy_share, "%"},
+           100.0 * (tuned.aggregate_gbps / dflt.aggregate_gbps - 1.0), "%"},
+          {"copy routines' CPU share", 35.0,
+           100.0 * (static_cast<double>(host.get(CpuCategory::kCopy)) /
+                    static_cast<double>(host.total())),
+           "%"},
       });
-  print_cpu_breakdown("host CPU, default scheduler", dflt.host_usage,
-                      dflt.window);
+  print_cpu_breakdown("host CPU, default scheduler", host, dflt.window);
 }
 
 // Table 1: testbed host configurations.
@@ -138,11 +178,12 @@ void fig04() {
 void fig07_08() {
   const std::uint64_t blocks[] = {256ull << 10, 1ull << 20, 4ull << 20,
                                   8ull << 20};
-  std::map<std::tuple<bool, bool, std::uint64_t>, IserPoint> pts;
+  std::map<std::tuple<bool, bool, std::uint64_t>, exp::SanTestbed::FioReport>
+      pts;
   for (const bool tuned : {false, true})
     for (const bool write : {false, true})
       for (const auto block : blocks)
-        pts[{tuned, write, block}] = run_iser_point(tuned, write, block);
+        pts[{tuned, write, block}] = fio_point(tuned, write, block);
 
   Table t("Fig. 7 iSER bandwidth (Gbps) vs block size");
   t.header({"block", "read/default", "read/tuned", "write/default",
@@ -199,15 +240,17 @@ void fig07_08() {
 // row transfers a dataset sized for tens of simulated seconds — the
 // steady-state level is the reproduced quantity.
 void fig09() {
-  const auto rftp = run_e2e_rftp(64ull << 30);
+  constexpr double kPathLimitGbps = 94.8;  // the paper's fio write limit
+  const auto rftp = exp::run_transfer(
+      {.rig = exp::Rig::kE2e, .bytes = 64ull << 30, .obs = {.stats = true}});
   const auto grid = run_e2e_gridftp(16ull << 30);
   print_comparison(
       "Fig. 9 end-to-end throughput",
       {
-          {"path limit (fio write)", 94.8, rftp.path_limit_gbps, "Gbps"},
+          {"path limit (fio write)", 94.8, kPathLimitGbps, "Gbps"},
           {"RFTP", 91.0, rftp.transfer.goodput_gbps, "Gbps"},
           {"RFTP share of path limit", 96.0,
-           100.0 * rftp.transfer.goodput_gbps / rftp.path_limit_gbps, "%"},
+           100.0 * rftp.transfer.goodput_gbps / kPathLimitGbps, "%"},
           {"GridFTP", 29.0, grid.transfer.goodput_gbps, "Gbps"},
           {"RFTP / GridFTP", 3.1,
            rftp.transfer.goodput_gbps / grid.transfer.goodput_gbps, "x"},
@@ -239,7 +282,8 @@ void fig09() {
 // profile; RFTP spends its (much smaller) budget in user-space protocol
 // and storage I/O.
 void fig10() {
-  const auto rftp = run_e2e_rftp(32ull << 30);
+  const auto rftp =
+      exp::run_transfer({.rig = exp::Rig::kE2e, .bytes = 32ull << 30});
   const auto grid = run_e2e_gridftp(8ull << 30);
   print_cpu_breakdown("RFTP source host", rftp.src_usage, rftp.window);
   print_cpu_breakdown("RFTP destination host", rftp.dst_usage, rftp.window);
@@ -324,18 +368,20 @@ void fig13() {
   const std::uint64_t blocks[] = {1ull << 20, 4ull << 20, 16ull << 20,
                                   64ull << 20};
   const int streams[] = {1, 2, 4, 8};
-  std::map<std::pair<int, std::uint64_t>, WanPoint> pts;
+  std::map<std::pair<int, std::uint64_t>, double> gbps;
   for (const int s : streams)
     for (const auto block : blocks)
       // Long enough that the window-fill ramp and drain tail are noise.
-      pts[{s, block}] = run_wan_point(
-          s, block, std::max<std::uint64_t>(64ull * block * s, 24ull << 30));
+      gbps[{s, block}] =
+          wan_point(s, block,
+                    std::max<std::uint64_t>(64ull * block * s, 24ull << 30))
+              .transfer.goodput_gbps;
 
   Table t("Fig. 13 WAN RFTP payload bandwidth (Gbps), RTT 95 ms, 16 credits");
   t.header({"block", "1 stream", "2 streams", "4 streams", "8 streams"});
   for (const auto block : blocks) {
     std::vector<std::string> row{std::to_string(block >> 20) + " MiB"};
-    for (const int s : streams) row.push_back(Table::num(pts[{s, block}].gbps));
+    for (const int s : streams) row.push_back(Table::num(gbps[{s, block}]));
     t.row(row);
   }
   print_table(t);
@@ -344,9 +390,9 @@ void fig13() {
       "Fig. 13 headline",
       {
           {"peak utilization of 40G link", 97.0,
-           100.0 * pts[{8, 16ull << 20}].utilization, "%"},
+           100.0 * (gbps[{8, 16ull << 20}] / 40.0), "%"},
           {"window-limited point (1 stream, 1 MiB)", 1.4,
-           pts[{1, 1ull << 20}].gbps, "Gbps"},
+           gbps[{1, 1ull << 20}], "Gbps"},
       });
 }
 
@@ -360,10 +406,10 @@ void fig13() {
 void fig14() {
   const std::uint64_t blocks[] = {1ull << 20, 4ull << 20, 16ull << 20};
   const int streams[] = {1, 4, 8};
-  std::map<std::pair<int, std::uint64_t>, WanPoint> pts;
+  std::map<std::pair<int, std::uint64_t>, exp::TransferRun> pts;
   for (const int s : streams)
     for (const auto block : blocks)
-      pts[{s, block}] = run_wan_point(
+      pts[{s, block}] = wan_point(
           s, block, std::max<std::uint64_t>(64ull * block * s, 2ull << 30));
 
   for (const bool receiver : {false, true}) {
@@ -373,9 +419,7 @@ void fig14() {
     for (const auto block : blocks) {
       std::vector<std::string> row{std::to_string(block >> 20) + " MiB"};
       for (const int s : streams) {
-        const auto& p = pts[{s, block}];
-        row.push_back(
-            Table::num(receiver ? p.receiver_cpu_pct : p.sender_cpu_pct));
+        row.push_back(Table::num(proto_cpu(pts[{s, block}], receiver)));
       }
       t.row(row);
     }
@@ -386,9 +430,10 @@ void fig14() {
       "Fig. 14 shape: CPU per Gbps falls with block size (4 streams)",
       {
           {"sender CPU/Gbps at 1 MiB vs 16 MiB", 0.0,
-           (pts[{4, 1ull << 20}].sender_cpu_pct / pts[{4, 1ull << 20}].gbps) /
-               (pts[{4, 16ull << 20}].sender_cpu_pct /
-                pts[{4, 16ull << 20}].gbps),
+           (proto_cpu(pts[{4, 1ull << 20}], false) /
+            pts[{4, 1ull << 20}].transfer.goodput_gbps) /
+               (proto_cpu(pts[{4, 16ull << 20}], false) /
+                pts[{4, 16ull << 20}].transfer.goodput_gbps),
            "x"},
       });
 }
@@ -445,10 +490,10 @@ void perftest() {
 // beyond that from contention; this sweep regenerates that knee.
 void threads_per_lun() {
   const int threads[] = {1, 2, 4, 8, 16};
-  std::map<int, IserPoint> rd, wr;
+  std::map<int, exp::SanTestbed::FioReport> rd, wr;
   for (const int thr : threads)
     for (const bool write : {false, true})
-      (write ? wr : rd)[thr] = run_iser_point(true, write, 4ull << 20, thr);
+      (write ? wr : rd)[thr] = fio_point(true, write, 4ull << 20, thr);
 
   Table t("Ablation: fio threads per LUN (tuned, 4 MiB)");
   t.header({"threads/LUN", "read Gbps", "write Gbps", "target CPU% (write)"});
@@ -465,19 +510,22 @@ void threads_per_lun() {
 // LAN end-to-end path.
 void rftp() {
   const int credits[] = {2, 4, 8, 16, 32};
-  std::map<int, WanPoint> by_credits;
+  std::map<int, double> by_credits;
   for (const int c : credits)
-    by_credits[c] = run_wan_point(4, 4ull << 20, 8ull << 30, c);
-  const auto untuned = run_e2e_rftp(24ull << 30, false);
-  const auto tuned = run_e2e_rftp(24ull << 30, true);
+    by_credits[c] =
+        wan_point(4, 4ull << 20, 8ull << 30, c).transfer.goodput_gbps;
+  const auto untuned = exp::run_transfer(
+      {.rig = exp::Rig::kE2e, .bytes = 24ull << 30, .numa = false});
+  const auto tuned =
+      exp::run_transfer({.rig = exp::Rig::kE2e, .bytes = 24ull << 30});
 
   Table t("Ablation: WAN credit depth (4 streams, 4 MiB blocks, BDP ~475 MB)");
   t.header({"credits/stream", "in-flight", "Gbps", "link util"});
   for (const int c : credits) {
     const double mb = 4.0 * c * 4.0;
     t.row({std::to_string(c), Table::num(mb, 0) + " MiB",
-           Table::num(by_credits[c].gbps),
-           Table::num(100.0 * by_credits[c].utilization, 0) + "%"});
+           Table::num(by_credits[c]),
+           Table::num(100.0 * (by_credits[c] / 40.0), 0) + "%"});
   }
   std::fputs(t.to_string().c_str(), stdout);
 
@@ -593,17 +641,11 @@ void numa_scheduler() {
   for (const auto& [mode, name] : modes) {
     std::vector<std::string> row{name};
     for (const bool write : {false, true}) {
-      exp::SanConfig cfg;
-      cfg.numa_tuned = mode == Mode::kNumactl;
-      cfg.libnuma_dynamic = mode == Mode::kLibnuma;
-      cfg.lun_bytes = 4ull << 30;
-      exp::SanTestbed tb(cfg);
-      tb.start();
-      apps::FioOptions opts;
-      opts.block_bytes = 4ull << 20;
-      opts.write = write;
-      opts.duration = 2 * sim::kSecond;
-      const auto r = tb.run_fio(opts, 4);
+      exp::SanParams p;
+      p.san.numa_tuned = mode == Mode::kNumactl;
+      p.san.libnuma_dynamic = mode == Mode::kLibnuma;
+      p.fio.write = write;
+      const auto r = exp::run_san(p).fio;
       row.push_back(Table::num(r.gbps));
       row.push_back(Table::num(r.target_cpu_pct, 0) + "%");
     }

@@ -13,46 +13,11 @@
 #include "iscsi/tcp_datamover.hpp"
 #include "iser/session.hpp"
 #include "metrics/throughput.hpp"
-#include "numa/stream.hpp"
 #include "rftp/rftp.hpp"
 
 namespace e2e::bench {
 
 using metrics::CpuCategory;
-
-MotivatingResult run_motivating(bool numa_tuned, sim::SimDuration duration) {
-  MotivatingResult out;
-  {
-    sim::Engine eng;
-    numa::Host host(eng, model::front_end_lan_host("fe"));
-    out.stream_local_gBps =
-        numa::run_stream_triad(eng, host, numa::StreamOptions{}).triad_gBps;
-  }
-  {
-    sim::Engine eng;
-    numa::Host host(eng, model::front_end_lan_host("fe"));
-    numa::StreamOptions opts;
-    opts.numa_local = false;
-    out.stream_interleaved_gBps =
-        numa::run_stream_triad(eng, host, opts).triad_gBps;
-  }
-  exp::FrontEndPair pair;
-  apps::IperfConfig cfg;
-  cfg.bidirectional = true;
-  cfg.numa_tuned = numa_tuned;
-  cfg.sender_buffer_bytes = 256ull << 20;  // defeat the LLC
-  cfg.duration = duration;
-  const auto r = run_iperf(pair.eng, *pair.a, *pair.b, pair.iperf_links(),
-                           cfg);
-  out.iperf_gbps = r.aggregate_gbps;
-  out.host_usage = r.usage_a;
-  out.window = duration;
-  out.copy_share = r.usage_a.total()
-                       ? static_cast<double>(r.usage_a.get(CpuCategory::kCopy)) /
-                             static_cast<double>(r.usage_a.total())
-                       : 0.0;
-  return out;
-}
 
 CostBreakdown run_fig4_rftp(std::uint64_t bytes) {
   exp::FrontEndPair pair;
@@ -94,69 +59,7 @@ CostBreakdown run_fig4_tcp(sim::SimDuration duration) {
   return out;
 }
 
-IserPoint run_iser_point(bool numa_tuned, bool write, std::uint64_t block,
-                         int threads_per_lun, sim::SimDuration duration) {
-  exp::SanConfig scfg;
-  scfg.numa_tuned = numa_tuned;
-  scfg.lun_bytes = 4ull << 30;
-  exp::SanTestbed tb(scfg);
-  tb.start();
-  apps::FioOptions opts;
-  opts.block_bytes = block;
-  opts.write = write;
-  opts.duration = duration;
-  const auto r = tb.run_fio(opts, threads_per_lun);
-  IserPoint out;
-  out.gbps = r.gbps;
-  out.target_cpu_pct = r.target_cpu_pct;
-  out.target_usage = r.target_usage;
-  out.ios = r.ios;
-  return out;
-}
-
-namespace {
-
-E2eResult finish_e2e(exp::EndToEndTestbed& tb, rftp::TransferResult res,
-                     const metrics::ThroughputMeter& meter,
-                     sim::SimDuration window) {
-  E2eResult out;
-  out.transfer = res;
-  out.series_gbps = meter.series_gbps();
-  out.src_usage = tb.src_fe->total_usage();
-  out.dst_usage = tb.dst_fe->total_usage();
-  out.window = window;
-  return out;
-}
-
-}  // namespace
-
-E2eResult run_e2e_rftp(std::uint64_t dataset, bool numa_tuned) {
-  exp::EndToEndTestbed tb(numa_tuned, dataset);
-  tb.start();
-  numa::Process sp(*tb.src_fe, "rftp-client", numa::NumaBinding::os_default());
-  numa::Process rp(*tb.dst_fe, "rftp-server", numa::NumaBinding::os_default());
-  rftp::RftpConfig cfg;
-  cfg.numa_aware = numa_tuned;
-  rftp::RftpSession sess({&sp, tb.src_roce()}, {&rp, tb.dst_roce()},
-                         tb.links(), cfg);
-  exp::SanSection* ssan = tb.src_san.get();
-  rftp::FileSource src(*tb.src_fs, *tb.src_file, true,
-                       [ssan](std::uint64_t off, std::uint64_t) {
-                         return ssan->fe_node_of(off);
-                       });
-  rftp::FileSink dst(*tb.dst_fs, *tb.dst_file);
-  metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
-  stats::Registry reg(tb.eng);  // drain latencies ride on the registry
-  reg.install();
-  const sim::SimTime t0 = tb.eng.now();
-  const auto res =
-      exp::run_task(tb.eng, sess.run(src, dst, dataset, &meter));
-  auto out = finish_e2e(tb, res, meter, tb.eng.now() - t0);
-  out.drain_hist = reg.merged_histogram("drain_ns");
-  return out;
-}
-
-E2eResult run_e2e_gridftp(std::uint64_t dataset, int processes) {
+exp::TransferRun run_e2e_gridftp(std::uint64_t dataset, int processes) {
   exp::EndToEndTestbed tb(true, dataset);
   tb.start();
   apps::GridFtpConfig cfg;
@@ -167,17 +70,23 @@ E2eResult run_e2e_gridftp(std::uint64_t dataset, int processes) {
                      tb.dst_devs[i]->node()});
   metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
   const sim::SimTime t0 = tb.eng.now();
-  const auto res = exp::run_task(
+  exp::TransferRun out;
+  out.transfer = exp::run_task(
       tb.eng,
       apps::gridftp_transfer({tb.src_fe.get(), tb.src_fs.get(), tb.src_file},
                              {tb.dst_fe.get(), tb.dst_fs.get(), tb.dst_file},
                              links, dataset, cfg, &meter));
-  return finish_e2e(tb, res, meter, tb.eng.now() - t0);
+  out.window = tb.eng.now() - t0;
+  out.series_gbps = meter.series_gbps();
+  out.src_usage = tb.src_fe->total_usage();
+  out.dst_usage = tb.dst_fe->total_usage();
+  return out;
 }
 
 BidirResult run_e2e_rftp_bidir(std::uint64_t dataset) {
   // Unidirectional reference on an identical testbed.
-  const auto uni = run_e2e_rftp(dataset);
+  const auto uni =
+      exp::run_transfer({.rig = exp::Rig::kE2e, .bytes = dataset});
 
   exp::EndToEndTestbed tb(true, dataset);
   tb.add_reverse_files();
@@ -273,32 +182,6 @@ BidirResult run_e2e_gridftp_bidir(std::uint64_t dataset, int processes) {
   out.improvement = out.aggregate_gbps / out.unidirectional_gbps - 1.0;
   out.src_usage = tb.src_fe->total_usage();
   out.window = window;
-  return out;
-}
-
-WanPoint run_wan_point(int streams, std::uint64_t block,
-                       std::uint64_t dataset, int credits) {
-  exp::WanTestbed tb;
-  rftp::RftpConfig cfg;
-  cfg.streams = streams;
-  cfg.block_bytes = block;
-  cfg.credits_per_stream = credits;
-  rftp::RftpSession sess({tb.a_proc.get(), {tb.a_dev.get()}},
-                         {tb.b_proc.get(), {tb.b_dev.get()}},
-                         {tb.link.get()}, cfg);
-  rftp::MemorySource src(dataset, numa::Placement::on(0));
-  rftp::MemorySink dst;
-  const sim::SimTime t0 = tb.eng.now();
-  const auto res = exp::run_task(tb.eng, sess.run(src, dst, dataset));
-  const sim::SimDuration window = tb.eng.now() - t0;
-
-  WanPoint out;
-  out.gbps = res.goodput_gbps;
-  out.utilization = res.goodput_gbps / 40.0;
-  out.sender_cpu_pct =
-      tb.a->total_usage().percent(CpuCategory::kUserProto, window);
-  out.receiver_cpu_pct =
-      tb.b->total_usage().percent(CpuCategory::kUserProto, window);
   return out;
 }
 

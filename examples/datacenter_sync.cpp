@@ -14,52 +14,31 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "exp/exp.hpp"
-#include "metrics/metrics.hpp"
-#include "rftp/rftp.hpp"
+#include "exp/scenarios.hpp"
 
 using namespace e2e;
 
 int main(int argc, char** argv) {
   const std::uint64_t gib = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 16;
-  const std::uint64_t bytes = gib << 30;
 
   std::printf("bringing up the end-to-end testbed (two SANs, 3x40G RoCE)...\n");
-  exp::EndToEndTestbed tb(/*numa_tuned=*/true, bytes);
-  tb.start();
-
-  numa::Process client(*tb.src_fe, "rftp-client",
-                       numa::NumaBinding::os_default());
-  numa::Process server(*tb.dst_fe, "rftp-server",
-                       numa::NumaBinding::os_default());
-
-  rftp::RftpConfig cfg;  // 3 streams, 4 MiB blocks, 16 credits, NUMA-aware
-  rftp::RftpSession session({&client, tb.src_roce()},
-                            {&server, tb.dst_roce()}, tb.links(), cfg);
-
-  // The source file lives on XFS over the striped iSER volume; the
-  // locality callback tells RFTP which socket serves each byte range.
-  exp::SanSection* san = tb.src_san.get();
-  rftp::FileSource src(*tb.src_fs, *tb.src_file, /*direct=*/true,
-                       [san](std::uint64_t off, std::uint64_t) {
-                         return san->fe_node_of(off);
-                       });
-  rftp::FileSink dst(*tb.dst_fs, *tb.dst_file);
-
-  metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
-  const auto result = exp::run_task(tb.eng, session.run(src, dst, bytes, &meter));
+  // Defaults: NUMA-tuned throughout; RFTP with 3 streams, 4 MiB blocks and
+  // 16 credits. The source file lives on XFS over the striped iSER volume,
+  // and RFTP routes each block through the socket whose NIC serves it.
+  const exp::TransferRun r =
+      exp::run_transfer({.rig = exp::Rig::kE2e, .bytes = gib << 30});
 
   std::printf("synchronized %llu GiB in %.1f s  ->  %.1f Gbps end to end\n",
-              static_cast<unsigned long long>(gib), result.elapsed_s,
-              result.goodput_gbps);
+              static_cast<unsigned long long>(gib), r.transfer.elapsed_s,
+              r.transfer.goodput_gbps);
   std::printf("throughput per second: ");
-  for (double g : meter.series_gbps()) std::printf("%.0f ", g);
+  for (double g : r.series_gbps) std::printf("%.0f ", g);
   std::printf("Gbps\n");
 
-  const auto usage = tb.src_fe->total_usage();
+  const auto& usage = r.src_usage;
   std::printf("source host CPU: %.0f%% total (user-proto %.0f%%, kernel %.0f%%)\n",
-              usage.total_percent(tb.eng.now()),
-              usage.percent(metrics::CpuCategory::kUserProto, tb.eng.now()),
-              usage.percent(metrics::CpuCategory::kKernelProto, tb.eng.now()));
+              usage.total_percent(r.end),
+              usage.percent(metrics::CpuCategory::kUserProto, r.end),
+              usage.percent(metrics::CpuCategory::kKernelProto, r.end));
   return 0;
 }

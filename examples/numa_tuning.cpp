@@ -10,52 +10,34 @@
 //   $ ./numa_tuning
 #include <cstdio>
 
-#include "apps/fio.hpp"
-#include "exp/exp.hpp"
+#include "exp/scenarios.hpp"
 #include "metrics/table.hpp"
 
 using namespace e2e;
-
-namespace {
-
-struct Point {
-  double gbps;
-  double cpu;
-};
-
-Point run(bool tuned, bool write) {
-  exp::SanConfig cfg;
-  cfg.numa_tuned = tuned;
-  cfg.lun_bytes = 4ull << 30;
-  exp::SanTestbed tb(cfg);
-  tb.start();
-  apps::FioOptions opts;
-  opts.block_bytes = 4ull << 20;
-  opts.write = write;
-  opts.duration = 2 * sim::kSecond;
-  const auto r = tb.run_fio(opts, /*threads_per_lun=*/4);
-  return {r.gbps, r.target_cpu_pct};
-}
-
-}  // namespace
 
 int main() {
   std::printf("workload: fio, 6 LUNs x 4 threads, 4 MiB sequential I/O\n");
   std::printf("back-end: tmpfs target exported over two 56G IB links (iSER)\n\n");
 
-  const Point rd = run(false, false), rt = run(true, false);
-  const Point wd = run(false, true), wt = run(true, true);
+  auto run = [](bool tuned, bool write) {
+    exp::SanParams p;  // 4 GiB LUNs, 4 MiB I/Os for 2 s, 4 threads per LUN
+    p.san.numa_tuned = tuned;
+    p.fio.write = write;
+    return exp::run_san(p).fio;
+  };
+  const auto rd = run(false, false), rt = run(true, false);
+  const auto wd = run(false, true), wt = run(true, true);
 
   metrics::Table t("default Linux scheduling vs NUMA tuning");
   t.header({"workload", "binding", "Gbps", "target CPU"});
   t.row({"read", "default", metrics::Table::num(rd.gbps),
-         metrics::Table::num(rd.cpu, 0) + "%"});
+         metrics::Table::num(rd.target_cpu_pct, 0) + "%"});
   t.row({"read", "tuned", metrics::Table::num(rt.gbps),
-         metrics::Table::num(rt.cpu, 0) + "%"});
+         metrics::Table::num(rt.target_cpu_pct, 0) + "%"});
   t.row({"write", "default", metrics::Table::num(wd.gbps),
-         metrics::Table::num(wd.cpu, 0) + "%"});
+         metrics::Table::num(wd.target_cpu_pct, 0) + "%"});
   t.row({"write", "tuned", metrics::Table::num(wt.gbps),
-         metrics::Table::num(wt.cpu, 0) + "%"});
+         metrics::Table::num(wt.target_cpu_pct, 0) + "%"});
   std::fputs(t.to_string().c_str(), stdout);
 
   std::printf(
@@ -63,7 +45,7 @@ int main() {
       "lines other sockets still hold, so every store pays a cross-socket\n"
       "invalidation (%.1fx CPU here). Reads leave lines Shared and only\n"
       "pay the remote-access penalty (%.1fx bandwidth loss).\n",
-      wd.cpu / wt.cpu, rt.gbps / rd.gbps);
+      wd.target_cpu_pct / wt.target_cpu_pct, rt.gbps / rd.gbps);
   std::printf(
       "the fix is static: one target process per node (numactl), LUN files\n"
       "pinned with tmpfs mpol=bind, and each NIC served by its own node.\n");

@@ -8,30 +8,10 @@
 //   $ ./wan_tuning
 #include <cstdio>
 
-#include "exp/exp.hpp"
+#include "exp/scenarios.hpp"
 #include "metrics/table.hpp"
-#include "rftp/rftp.hpp"
 
 using namespace e2e;
-
-namespace {
-
-double run_point(int streams, int credits, std::uint64_t block) {
-  exp::WanTestbed tb;
-  rftp::RftpConfig cfg;
-  cfg.streams = streams;
-  cfg.credits_per_stream = credits;
-  cfg.block_bytes = block;
-  rftp::RftpSession session({tb.a_proc.get(), {tb.a_dev.get()}},
-                            {tb.b_proc.get(), {tb.b_dev.get()}},
-                            {tb.link.get()}, cfg);
-  const std::uint64_t bytes = 12ull << 30;
-  rftp::MemorySource src(bytes, numa::Placement::on(0));
-  rftp::MemorySink dst;
-  return exp::run_task(tb.eng, session.run(src, dst, bytes)).goodput_gbps;
-}
-
-}  // namespace
 
 int main() {
   const std::uint64_t block = 8ull << 20;
@@ -43,7 +23,12 @@ int main() {
     for (int credits : {4, 16, 32}) {
       const double inflight_mb =
           static_cast<double>(streams) * credits * block / 1e6;
-      const double gbps = run_point(streams, credits, block);
+      const double gbps = exp::run_transfer({.rig = exp::Rig::kWan,
+                                             .bytes = 12ull << 30,
+                                             .streams = streams,
+                                             .block_bytes = block,
+                                             .credits = credits})
+                              .transfer.goodput_gbps;
       t.row({std::to_string(streams), std::to_string(credits),
              metrics::Table::num(inflight_mb, 0) + " MB",
              metrics::Table::num(gbps),

@@ -14,26 +14,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "apps/apps.hpp"
-#include "check/audit.hpp"
-#include "exp/exp.hpp"
 #include "exp/fleet.hpp"
 #include "exp/kv_scenario.hpp"
-#include "exp/pair_fleet.hpp"
-#include "fault/injector.hpp"
+#include "exp/scenarios.hpp"
 #include "fault/plan.hpp"
-#include "metrics/metrics.hpp"
-#include "rftp/rftp.hpp"
-#include "stats/stats.hpp"
-#include "trace/trace.hpp"
 
 #include "cli_flags.hpp"
 
@@ -75,7 +66,42 @@ struct Options {
 #else
   bool audit = true;   // Debug: invariant audits on by default
 #endif
+  std::vector<std::string> given;  // flags on the command line, in order
 };
+
+/// The flags each scenario reads besides kEveryScenario's; main() refuses
+/// any other given flag.
+struct Reads {
+  const char* scenario;
+  std::string_view flags;
+};
+constexpr std::string_view kEveryScenario =
+    "--trace --audit --stats --stats-out";
+constexpr Reads kReads[] = {
+    {"quick", "--gib --block --streams --credits --numa --checkpoint "
+              "--fault-plan --fault-seed --fast-forward"},
+    {"e2e", "--gib --block --streams --credits --numa --checkpoint "
+            "--fault-plan --fault-seed --fast-forward --files"},
+    {"wan", "--gib --block --streams --credits --checkpoint --fault-plan "
+            "--fault-seed --fast-forward"},
+    {"san", "--block --numa --write --duration"},
+    {"motivating", ""},
+    {"fleet", "--gib --block --streams --credits --checkpoint --fault-seed "
+              "--pairs --shards"},
+    {"kv", "--gib --fault-seed --pairs --shards --keys --ops --value-size "
+           "--kv-shards --depth --get-mode --zipf --put-frac --remote-every "
+           "--seed"},
+};
+
+/// Whether the space-separated `flags` names `flag`.
+bool lists(std::string_view flags, std::string_view flag) {
+  for (std::size_t at = 0; at <= flags.size();) {
+    const std::size_t end = std::min(flags.find(' ', at), flags.size());
+    if (flags.substr(at, end - at) == flag) return true;
+    at = end + 1;
+  }
+  return false;
+}
 
 [[noreturn]] void usage() {
   std::fputs(
@@ -94,8 +120,7 @@ struct Options {
       "                   'loss@500ms:n=5;flap@1s:dur=20ms;qpkill@1500ms:qp=0;"
       "crash@1s:host=1,down=50ms'\n"
       "  --fault-seed N   inject a seeded random fault plan (rftp scenarios;\n"
-      "                   fleet/kv draw one plan per pair); san and\n"
-      "                   motivating inject no faults and reject both flags\n"
+      "                   fleet/kv draw one plan per pair)\n"
       "  --checkpoint N   rftp acked-block ledger checkpoint interval in\n"
       "                   blocks (default 1 = every ack durable; 0 disables,\n"
       "                   so a receiver crash restarts from byte zero)\n"
@@ -123,13 +148,17 @@ struct Options {
       "  --audit 0|1      cross-layer invariant audits (default: on in\n"
       "                   Debug builds, off in Release)\n"
       "  --stats 0|1      per-entity metrics + flight recorder (default: on)\n"
-      "  --stats-out FILE write the stats dump (.csv -> CSV, else JSON)\n"
+      "  --stats-out FILE write the stats dump (.csv -> CSV, else JSON;\n"
+      "                   fleet/kv write JSON only); needs --stats 1\n"
       "  --fast-forward 0|1  collapse proven steady-state bulk phases into\n"
       "                   closed-form spans (default 0 = event-exact; final\n"
-      "                   metrics are identical either way; rftp transfer\n"
-      "                   scenarios only — rejected by san/motivating and\n"
-      "                   by the sharded fleet/kv)\n",
+      "                   metrics are identical either way)\n"
+      "Each scenario refuses any flag it does not read; besides --trace,\n"
+      "--audit, --stats and --stats-out, they read:\n",
       stderr);
+  for (const Reads& r : kReads)
+    std::fprintf(stderr, "  %-11s%.*s\n", r.scenario,
+                 static_cast<int>(r.flags.size()), r.flags.data());
   std::exit(2);
 }
 
@@ -141,6 +170,7 @@ Options parse(int argc, char** argv) {
   // limits: 1 EiB datasets, 4 Ki streams, a day of fio.
   constexpr std::uint64_t kMaxGib = 1ull << 30;
   for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
     auto need = [&](const char* flag) {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", flag);
@@ -227,349 +257,167 @@ Options parse(int argc, char** argv) {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
       usage();
     }
+    if (std::find(o.given.begin(), o.given.end(), arg) == o.given.end())
+      o.given.push_back(arg);
   }
   return o;
 }
 
-/// Writes `path` with `fill` (nothing when `path` is empty), or exits 1
-/// with "cannot write <path>".
-void write_file(const std::string& path,
-                const std::function<void(std::ostream&)>& fill) {
-  if (path.empty()) return;
-  std::ofstream os(path);
-  if (!os) {
+/// Opens `path` for writing (null when `path` is empty), or exits 1 with
+/// "cannot write <path>".
+std::unique_ptr<std::ofstream> open_out(const std::string& path) {
+  if (path.empty()) return nullptr;
+  auto os = std::make_unique<std::ofstream>(path);
+  if (!*os) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     std::exit(1);
   }
-  fill(os);
+  return os;
 }
 
-/// Optional tracing for one scenario run. Construct right before the
-/// measured engine run — after any setup-phase runs, so the sampler tick
-/// arms for the transfer itself — and call finish() after it to write the
-/// trace file. Without --trace the scope is inert and no tracer is
-/// installed (the zero-cost disabled path).
-class TraceScope {
- public:
-  TraceScope(sim::Engine& eng, const Options& o) : o_(o) {
-    if (o_.trace_file.empty()) return;
-    tracer_ = std::make_unique<trace::Tracer>(eng);
-    tracer_->install();
-    tracer_->enable_resource_sampler(kSamplePeriod);
-  }
+void write_file(const std::string& path, const std::string& text) {
+  if (auto os = open_out(path)) *os << text;
+}
 
-  void finish() {
-    if (!tracer_) return;
-    tracer_->sample_now();  // closing snapshot at end-of-run time
-    write_file(o_.trace_file,
-               [&](std::ostream& os) { tracer_->write_chrome_trace(os); });
-    tracer_.reset();
-  }
+/// What --audit, --stats, --stats-out and --trace ask a single-engine
+/// runner for; the trace streams into `trace`.
+exp::Observers observers(const Options& o, std::ostream* trace) {
+  return {.audit = o.audit, .stats = o.stats,
+          .stats_csv = o.stats_out.ends_with(".csv"), .trace = trace};
+}
 
- private:
-  // 10 ms of simulated time per utilization sample: fine enough to see
-  // per-second throughput structure, coarse enough to keep traces small.
-  static constexpr sim::SimDuration kSamplePeriod = 10 * sim::kMillisecond;
-  const Options& o_;
-  std::unique_ptr<trace::Tracer> tracer_;
-};
+/// The tail every single-engine scenario shares: its diagnostics (audit
+/// report, flight dump) on stderr and the stats dump to --stats-out.
+void finish(const Options& o, const exp::Observed& r) {
+  std::fputs(r.report.c_str(), stderr);
+  write_file(o.stats_out, r.stats_dump);
+}
 
-/// Always-on (unless --stats 0) metric registry + flight recorder for one
-/// scenario run. Construct alongside the other scopes; call finish() with
-/// the scenario's exit code after it — a nonzero exit dumps the flight
-/// window to stderr (if nothing dumped it earlier) and --stats-out writes
-/// the aggregated metrics.
-class StatsScope {
- public:
-  StatsScope(sim::Engine& eng, const Options& o) : o_(o) {
-    if (!o_.stats) return;
-    stats_ = std::make_unique<stats::Registry>(eng);
-    stats_->install();
-  }
-
-  [[nodiscard]] stats::Registry* get() noexcept { return stats_.get(); }
-
-  void finish(int exit_code) {
-    if (!stats_) return;
-    if (exit_code != 0 && !stats_->flight_dump_triggered())
-      stats_->trigger_flight_dump("cli:nonzero-exit");
-    write_file(o_.stats_out, [&](std::ostream& os) {
-      if (o_.stats_out.ends_with(".csv"))
-        stats_->write_csv(os);
-      else
-        stats_->write_json(os);
-    });
-    stats_.reset();
-  }
-
- private:
-  const Options& o_;
-  std::unique_ptr<stats::Registry> stats_;
-};
-
-/// Optional cross-layer invariant auditing (e2e::check) for one scenario
-/// run. On by default in Debug builds; Release opts in with --audit 1.
-/// Construct once the engine exists; call failed() after the run — it
-/// reconciles end-of-run conservation, prints the report, and returns
-/// whether any invariant broke (which flips the process exit code).
-class AuditScope {
- public:
-  AuditScope(sim::Engine& eng, const Options& o) {
-    if (o.audit) auditor_ = std::make_unique<check::Auditor>(eng);
-  }
-
-  [[nodiscard]] bool failed() {
-    if (!auditor_) return false;
-    auditor_->finalize();
-    std::ostringstream os;
-    auditor_->report(os);
-    std::fputs(os.str().c_str(), stderr);
-    const bool bad = !auditor_->ok();
-    auditor_.reset();
-    return bad;
-  }
-
- private:
-  std::unique_ptr<check::Auditor> auditor_;
-};
-
-/// Builds and validates the scripted/random fault plan, or nullopt when
-/// neither --fault-plan nor --fault-seed was given. A malformed plan exits
-/// with usage before the session is built.
-std::optional<fault::FaultPlan> make_fault_plan(const Options& o, int links,
-                                                int streams) {
-  if (o.fault_plan.empty() && o.fault_seed == 0) return std::nullopt;
+/// The scripted --fault-plan, or nullopt without one. A malformed plan, or
+/// one naming a stream or host the run does not have, exits with usage
+/// before anything is built.
+std::optional<fault::FaultPlan> scripted_plan(const Options& o, int streams) {
+  if (o.fault_plan.empty()) return std::nullopt;
   fault::FaultPlan plan;
-  if (!o.fault_plan.empty()) {
-    // A malformed plan is an operator typo, not a crash: report it the
-    // same way an unknown flag is reported (usage + exit 2).
-    try {
-      plan = fault::FaultPlan::parse(o.fault_plan);
-    } catch (const std::invalid_argument& ex) {
-      std::fprintf(stderr, "bad --fault-plan: %s\n", ex.what());
+  // A malformed plan is an operator typo, not a crash: report it the same
+  // way an unknown flag is reported (usage + exit 2).
+  try {
+    plan = fault::FaultPlan::parse(o.fault_plan);
+  } catch (const std::invalid_argument& ex) {
+    std::fprintf(stderr, "bad --fault-plan: %s\n", ex.what());
+    usage();
+  }
+  for (const auto& ev : plan.events) {
+    if (ev.type == fault::FaultType::kQpKill && ev.qp >= streams) {
+      std::fprintf(stderr,
+                   "bad --fault-plan: qp=%d out of range (streams=%d)\n",
+                   ev.qp, streams);
       usage();
     }
-    for (const auto& ev : plan.events) {
-      if (ev.type == fault::FaultType::kQpKill && ev.qp >= streams) {
-        std::fprintf(stderr,
-                     "bad --fault-plan: qp=%d out of range (streams=%d)\n",
-                     ev.qp, streams);
-        usage();
-      }
-      if (ev.type == fault::FaultType::kCrash && ev.host > 1) {
-        std::fprintf(stderr,
-                     "bad --fault-plan: host=%d out of range (hosts are "
-                     "0=sender, 1=receiver)\n",
-                     ev.host);
-        usage();
-      }
+    if (ev.type == fault::FaultType::kCrash && ev.host > 1) {
+      std::fprintf(stderr,
+                   "bad --fault-plan: host=%d out of range (hosts are "
+                   "0=sender, 1=receiver)\n",
+                   ev.host);
+      usage();
     }
-  } else {
-    fault::FaultPlan::RandomParams rp;
-    rp.links = links;
-    rp.qps = streams;
-    plan = fault::FaultPlan::random(o.fault_seed, rp);
   }
   return plan;
 }
 
-/// Prints the fast-forward engagement summary after a transfer run.
-void ff_summary(const Options& o, const rftp::TransferResult& r) {
-  if (!o.fast_forward) return;
-  std::printf("fast-forward: %llu span%s, %llu blocks collapsed, %.3f s "
-              "skipped\n",
-              static_cast<unsigned long long>(r.ff_spans),
-              r.ff_spans == 1 ? "" : "s",
-              static_cast<unsigned long long>(r.ff_blocks),
-              sim::to_seconds(r.ff_skipped_ns));
-}
-
-/// Optional fault injection for one rftp scenario run. Construct after the
-/// session (RftpSession::attach routes the plan's qpkill and crash events
-/// to it and holds fast-forward back until the plan is quiet) and before
-/// the measured engine run, with the plan make_fault_plan() built earlier;
-/// call summary() afterwards. With no plan the scope is inert.
-class FaultScope {
- public:
-  FaultScope(sim::Engine& eng, std::optional<fault::FaultPlan> plan,
-             const std::vector<net::Link*>& links, rftp::RftpSession& sess) {
-    if (!plan) return;
-    std::printf("fault plan: %s\n", plan->to_string().c_str());
-    inj_ = std::make_unique<fault::FaultInjector>(eng, std::move(*plan));
-    for (auto* l : links) inj_->attach(*l);
-    sess.attach(*inj_);
-    inj_->arm();
+/// quick, e2e and wan: one rftp transfer on the scenario's rig.
+int run_transfer(const Options& o, exp::Rig rig) {
+  exp::TransferParams p{
+      .rig = rig, .bytes = o.gib << 30, .streams = o.streams,
+      .block_bytes = o.block, .credits = o.credits, .numa = o.numa,
+      .checkpoint_blocks = o.checkpoint, .fast_forward = o.fast_forward,
+      .files = o.files, .fault_seed = o.fault_seed};
+  p.fault_plan = scripted_plan(o, p.streams_or_default());
+  const auto trace = open_out(o.trace_file);
+  p.obs = observers(o, trace.get());
+  const exp::TransferRun r = exp::run_transfer(p);
+  const rftp::TransferResult& t = r.transfer;
+  if (!r.fault_plan.empty())
+    std::printf("fault plan: %s\n", r.fault_plan.c_str());
+  switch (rig) {
+    case exp::Rig::kQuick:
+      std::printf("quick: %llu GiB in %.2f s -> %.1f Gbps\n",
+                  static_cast<unsigned long long>(o.gib), t.elapsed_s,
+                  t.goodput_gbps);
+      std::printf("digest: %016llx\n",
+                  static_cast<unsigned long long>(r.sink_digest));
+      break;
+    case exp::Rig::kE2e:
+      std::printf("e2e (%s): %.1f Gbps over the full SAN->RoCE->SAN path\n",
+                  o.numa ? "numa-tuned" : "untuned", t.goodput_gbps);
+      std::printf("per-second series: ");
+      for (double g : r.series_gbps) std::printf("%.0f ", g);
+      std::printf("Gbps\n");
+      break;
+    case exp::Rig::kWan:
+      std::printf(
+          "wan (rtt 95 ms): %.1f Gbps (%.0f%% of 40G); in-flight window %.0f "
+          "MB vs BDP 475 MB\n",
+          t.goodput_gbps, 100.0 * t.goodput_gbps / 40.0,
+          static_cast<double>(p.streams_or_default()) * o.credits *
+              static_cast<double>(o.block) / 1e6);
+      break;
   }
-
-  void summary(const rftp::RftpSession& sess,
-               const rftp::TransferResult& r) const {
-    if (!inj_) return;
+  if (o.fast_forward)
+    std::printf("fast-forward: %llu span%s, %llu blocks collapsed, %.3f s "
+                "skipped\n",
+                static_cast<unsigned long long>(t.ff_spans),
+                t.ff_spans == 1 ? "" : "s",
+                static_cast<unsigned long long>(t.ff_blocks),
+                sim::to_seconds(t.ff_skipped_ns));
+  if (!r.fault_plan.empty()) {
     std::printf(
         "faults: %llu injected, %llu messages dropped; "
         "%llu retransmits, %llu failovers; complete=%s integrity=%s\n",
-        static_cast<unsigned long long>(inj_->faults_injected()),
-        static_cast<unsigned long long>(inj_->messages_failed()),
-        static_cast<unsigned long long>(sess.retransmissions),
-        static_cast<unsigned long long>(sess.failovers),
-        r.complete ? "yes" : "NO", r.integrity_ok ? "ok" : "FAILED");
-    if (r.crashes > 0)
+        static_cast<unsigned long long>(r.faults_injected),
+        static_cast<unsigned long long>(r.messages_failed),
+        static_cast<unsigned long long>(r.retransmissions),
+        static_cast<unsigned long long>(r.failovers),
+        t.complete ? "yes" : "NO", t.integrity_ok ? "ok" : "FAILED");
+    if (t.crashes > 0)
       std::printf(
           "crashes: %llu crashed, %llu resumed; %llu checkpoints, "
           "%llu blocks rolled back, %llu false suspicions\n",
-          static_cast<unsigned long long>(r.crashes),
-          static_cast<unsigned long long>(r.resumes),
-          static_cast<unsigned long long>(sess.checkpoints),
-          static_cast<unsigned long long>(sess.rolled_back_blocks),
-          static_cast<unsigned long long>(sess.watchdog().false_suspicions()));
+          static_cast<unsigned long long>(t.crashes),
+          static_cast<unsigned long long>(t.resumes),
+          static_cast<unsigned long long>(r.checkpoints),
+          static_cast<unsigned long long>(r.rolled_back_blocks),
+          static_cast<unsigned long long>(r.false_suspicions));
   }
-
- private:
-  std::unique_ptr<fault::FaultInjector> inj_;
-};
-
-int run_quick(const Options& o) {
-  sim::Engine eng;
-  exp::HostPair hp(eng, {"a", "b", "wire", "client", "server"},
-                   &net::make_roce_lan);
-  rftp::RftpConfig cfg;
-  cfg.streams = o.streams > 0 ? o.streams : 1;
-  cfg.block_bytes = o.block;
-  cfg.credits_per_stream = o.credits;
-  cfg.numa_aware = o.numa;
-  cfg.checkpoint_blocks = o.checkpoint;
-  cfg.fast_forward = o.fast_forward;
-  auto plan = make_fault_plan(o, 1, cfg.streams);
-  rftp::RftpSession sess({&hp.pa, {&hp.da}}, {&hp.pb, {&hp.db}},
-                         {hp.link.get()}, cfg);
-  rftp::MemorySource src(o.gib << 30, numa::Placement::on(0));
-  rftp::MemorySink dst;
-  StatsScope ss(eng, o);
-  AuditScope as(eng, o);
-  TraceScope ts(eng, o);
-  FaultScope fs(eng, std::move(plan), {hp.link.get()}, sess);
-  const auto r = exp::run_task(eng, sess.run(src, dst, o.gib << 30));
-  ts.finish();
-  std::printf("quick: %llu GiB in %.2f s -> %.1f Gbps\n",
-              static_cast<unsigned long long>(o.gib), r.elapsed_s,
-              r.goodput_gbps);
-  std::printf("digest: %016llx\n",
-              static_cast<unsigned long long>(sess.sink_digest()));
-  ff_summary(o, r);
-  fs.summary(sess, r);
-  const int rc = r.complete && r.integrity_ok && !as.failed() ? 0 : 1;
-  ss.finish(rc);
-  return rc;
-}
-
-int run_e2e(const Options& o) {
-  exp::EndToEndTestbed tb(o.numa, o.gib << 30);
-  tb.start();
-  numa::Process sp(*tb.src_fe, "client", numa::NumaBinding::os_default());
-  numa::Process rp(*tb.dst_fe, "server", numa::NumaBinding::os_default());
-  rftp::RftpConfig cfg;
-  cfg.numa_aware = o.numa;
-  cfg.block_bytes = o.block;
-  cfg.credits_per_stream = o.credits;
-  cfg.checkpoint_blocks = o.checkpoint;
-  cfg.fast_forward = o.fast_forward;
-  if (o.streams > 0) cfg.streams = o.streams;
-  auto plan =
-      make_fault_plan(o, static_cast<int>(tb.links().size()), cfg.streams);
-  rftp::RftpSession sess({&sp, tb.src_roce()}, {&rp, tb.dst_roce()},
-                         tb.links(), cfg);
-  exp::SanSection* san = tb.src_san.get();
-  auto locality = [san](std::uint64_t off, std::uint64_t) {
-    return san->fe_node_of(off);
-  };
-  metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
-  // After tb.start(): the testbed's setup run has drained, so the sampler
-  // armed here stays alive exactly for the measured transfer.
-  StatsScope ss(tb.eng, o);
-  AuditScope as(tb.eng, o);
-  TraceScope ts(tb.eng, o);
-  FaultScope fs(tb.eng, std::move(plan), tb.links(), sess);
-  rftp::TransferResult r;
-  if (o.files > 1) {
-    rftp::FileSet sset(*tb.src_fs);
-    sset.create_filled("part", o.files, (o.gib << 30) / o.files / 512 * 512);
-    rftp::FileSet dset(*tb.dst_fs);
-    dset.create_empty("part-copy", o.files,
-                      (o.gib << 30) / o.files / 512 * 512);
-    rftp::FileSetSource src(sset, locality);
-    rftp::FileSetSink dst(dset);
-    r = exp::run_task(tb.eng, sess.run(src, dst, sset.total_bytes(), &meter));
-  } else {
-    rftp::FileSource src(*tb.src_fs, *tb.src_file, true, locality);
-    rftp::FileSink dst(*tb.dst_fs, *tb.dst_file);
-    r = exp::run_task(tb.eng, sess.run(src, dst, tb.dataset_bytes, &meter));
-  }
-  ts.finish();
-  std::printf("e2e (%s): %.1f Gbps over the full SAN->RoCE->SAN path\n",
-              o.numa ? "numa-tuned" : "untuned", r.goodput_gbps);
-  std::printf("per-second series: ");
-  for (double g : meter.series_gbps()) std::printf("%.0f ", g);
-  std::printf("Gbps\n");
-  ff_summary(o, r);
-  fs.summary(sess, r);
-  const int rc = r.complete && r.integrity_ok && !as.failed() ? 0 : 1;
-  ss.finish(rc);
-  return rc;
-}
-
-int run_wan(const Options& o) {
-  exp::WanTestbed tb;
-  rftp::RftpConfig cfg;
-  cfg.streams = o.streams > 0 ? o.streams : 4;
-  cfg.block_bytes = o.block;
-  cfg.credits_per_stream = o.credits;
-  cfg.checkpoint_blocks = o.checkpoint;
-  cfg.fast_forward = o.fast_forward;
-  auto plan = make_fault_plan(o, 1, cfg.streams);
-  rftp::RftpSession sess({tb.a_proc.get(), {tb.a_dev.get()}},
-                         {tb.b_proc.get(), {tb.b_dev.get()}},
-                         {tb.link.get()}, cfg);
-  rftp::MemorySource src(o.gib << 30, numa::Placement::on(0));
-  rftp::MemorySink dst;
-  StatsScope ss(tb.eng, o);
-  AuditScope as(tb.eng, o);
-  TraceScope ts(tb.eng, o);
-  FaultScope fs(tb.eng, std::move(plan), {tb.link.get()}, sess);
-  const auto r = exp::run_task(tb.eng, sess.run(src, dst, o.gib << 30));
-  ts.finish();
-  std::printf(
-      "wan (rtt 95 ms): %.1f Gbps (%.0f%% of 40G); in-flight window %.0f MB "
-      "vs BDP 475 MB\n",
-      r.goodput_gbps, 100.0 * r.goodput_gbps / 40.0,
-      static_cast<double>(cfg.streams) * cfg.credits_per_stream *
-          static_cast<double>(cfg.block_bytes) / 1e6);
-  ff_summary(o, r);
-  fs.summary(sess, r);
-  const int rc = r.complete && r.integrity_ok && !as.failed() ? 0 : 1;
-  ss.finish(rc);
-  return rc;
+  finish(o, r);
+  return t.complete && t.integrity_ok && r.audit_ok ? 0 : 1;
 }
 
 int run_san(const Options& o) {
-  exp::SanConfig scfg;
-  scfg.numa_tuned = o.numa;
-  scfg.lun_bytes = 4ull << 30;
-  exp::SanTestbed tb(scfg);
-  tb.start();
-  apps::FioOptions opts;
-  opts.block_bytes = o.block;
-  opts.write = o.write;
-  opts.duration = sim::from_seconds(o.duration_s);
-  StatsScope ss(tb.eng, o);
-  AuditScope as(tb.eng, o);
-  TraceScope ts(tb.eng, o);
-  const auto r = tb.run_fio(opts, 4);
-  ts.finish();
+  exp::SanParams p;
+  p.san.numa_tuned = o.numa;
+  p.fio.block_bytes = o.block;
+  p.fio.write = o.write;
+  p.fio.duration = sim::from_seconds(o.duration_s);
+  const auto trace = open_out(o.trace_file);
+  p.obs = observers(o, trace.get());
+  const exp::SanRun r = exp::run_san(p);
   std::printf("san %s (%s): %.1f Gbps, target CPU %.0f%%\n",
               o.write ? "write" : "read", o.numa ? "numa-tuned" : "untuned",
-              r.gbps, r.target_cpu_pct);
-  const int rc = as.failed() ? 1 : 0;
-  ss.finish(rc);
-  return rc;
+              r.fio.gbps, r.fio.target_cpu_pct);
+  finish(o, r);
+  return r.audit_ok ? 0 : 1;
+}
+
+int run_motivating(const Options& o) {
+  const auto trace = open_out(o.trace_file);
+  const exp::MotivatingRun r = exp::run_motivating(observers(o, trace.get()));
+  std::printf("iperf bidirectional, default scheduler: %.1f Gbps aggregate\n",
+              r.stock.aggregate_gbps);
+  std::printf("iperf bidirectional, numa-tuned: %.1f Gbps aggregate\n",
+              r.tuned.aggregate_gbps);
+  finish(o, r);
+  return r.audit_ok ? 0 : 1;
 }
 
 /// Shared tail of the sharded scenarios: the simulator-cost line, the
@@ -594,8 +442,8 @@ void fleet_tail(const Options& o, const Result& r, std::uint64_t n,
   if (!r.audit_ok)
     std::printf("%s: %llu audit violation(s)\n", name,
                 static_cast<unsigned long long>(r.audit_violations));
-  write_file(o.stats_out, [&](std::ostream& os) { os << r.stats_json; });
-  write_file(o.trace_file, [&](std::ostream& os) { os << r.trace_json; });
+  write_file(o.stats_out, r.stats_json);
+  write_file(o.trace_file, r.trace_json);
 }
 
 int run_fleet(const Options& o) {
@@ -664,89 +512,45 @@ int run_kv(const Options& o) {
   return r.complete && r.audit_ok ? 0 : 1;
 }
 
-int run_motivating(const Options& o) {
-  bool audit_bad = false;
-  for (const bool tuned : {false, true}) {
-    exp::FrontEndPair pair;
-    // Each iteration has its own engine and registry; --stats-out keeps
-    // the tuned run's dump (the second write overwrites the first).
-    StatsScope ss(pair.eng, o);
-    AuditScope as(pair.eng, o);
-    apps::IperfConfig cfg;
-    cfg.bidirectional = true;
-    cfg.numa_tuned = tuned;
-    cfg.sender_buffer_bytes = 256ull << 20;
-    cfg.duration = 3 * sim::kSecond;
-    // Each iteration has its own engine; trace the tuned run.
-    std::unique_ptr<TraceScope> ts;
-    if (tuned) ts = std::make_unique<TraceScope>(pair.eng, o);
-    const auto r =
-        run_iperf(pair.eng, *pair.a, *pair.b, pair.iperf_links(), cfg);
-    if (ts) {
-      ts->finish();
-    }
-    std::printf("iperf bidirectional, %s: %.1f Gbps aggregate\n",
-                tuned ? "numa-tuned" : "default scheduler",
-                r.aggregate_gbps);
-    const bool bad = as.failed();
-    audit_bad |= bad;
-    ss.finish(bad ? 1 : 0);
-  }
-  return audit_bad ? 1 : 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options o = parse(argc, argv);
-  if (o.scenario == "fleet" || o.scenario == "kv") {
-    if (o.shards > o.pairs) {  // both parse as >= 1
-      std::fprintf(stderr,
-                   "bad --shards %d: must be in [1, --pairs=%d] (one engine "
-                   "shard per host pair)\n",
-                   o.shards, o.pairs);
-      usage();
+  const auto* sc = std::find_if(
+      std::begin(kReads), std::end(kReads),
+      [&](const Reads& r) { return o.scenario == r.scenario; });
+  if (sc == std::end(kReads)) usage();
+  const bool sharded = o.scenario == "fleet" || o.scenario == "kv";
+  // Refuse every given flag the scenario would ignore, not just the first:
+  // a sweep over an ignored flag reports one configuration many times.
+  bool bad = false;
+  for (const std::string& flag : o.given)
+    if (!lists(sc->flags, flag) && !lists(kEveryScenario, flag)) {
+      std::fprintf(stderr, "bad %s: %s does not read it\n", flag.c_str(),
+                   sc->scenario);
+      bad = true;
     }
-    if (!o.fault_plan.empty()) {
-      std::fprintf(stderr,
-                   "%s uses --fault-seed; a scripted --fault-plan targets "
-                   "a single session\n",
-                   o.scenario.c_str());
-      usage();
-    }
-    if (o.fast_forward) {
-      std::fprintf(stderr,
-                   "bad --fast-forward 1: %s runs its pairs as shards of one "
-                   "cluster, which cannot skip time\n",
-                   o.scenario.c_str());
-      usage();
-    }
-    return o.scenario == "kv" ? run_kv(o) : run_fleet(o);
+  if (!o.stats_out.empty() && !o.stats) {
+    std::fprintf(stderr, "bad --stats-out: --stats 0 records no stats\n");
+    bad = true;
+  } else if (sharded && o.stats_out.ends_with(".csv")) {
+    std::fprintf(stderr, "bad --stats-out %s: %s writes JSON only\n",
+                 o.stats_out.c_str(), sc->scenario);
+    bad = true;
   }
-  if (o.shards != 1) {
+  if (bad) usage();
+  if (sharded && o.shards > o.pairs) {  // both parse as >= 1
     std::fprintf(stderr,
-                 "bad --shards %d: only the fleet and kv scenarios are "
-                 "sharded (%s runs one engine)\n",
-                 o.shards, o.scenario.c_str());
+                 "bad --shards %d: must be in [1, --pairs=%d] (one engine "
+                 "shard per host pair)\n",
+                 o.shards, o.pairs);
     usage();
   }
-  if (o.scenario == "san" || o.scenario == "motivating") {
-    // Neither runs an rftp transfer: a fault or fast-forward flag would be
-    // silently ignored, and a sweep over it would report fault-free runs.
-    const char* flag = !o.fault_plan.empty() ? "--fault-plan"
-                       : o.fault_seed != 0   ? "--fault-seed"
-                       : o.fast_forward      ? "--fast-forward 1"
-                                             : nullptr;
-    if (flag != nullptr) {
-      std::fprintf(stderr, "bad %s: %s injects no faults and runs no rftp "
-                   "transfer\n", flag, o.scenario.c_str());
-      usage();
-    }
-  }
-  if (o.scenario == "quick") return run_quick(o);
-  if (o.scenario == "e2e") return run_e2e(o);
-  if (o.scenario == "wan") return run_wan(o);
+  if (o.scenario == "quick") return run_transfer(o, exp::Rig::kQuick);
+  if (o.scenario == "e2e") return run_transfer(o, exp::Rig::kE2e);
+  if (o.scenario == "wan") return run_transfer(o, exp::Rig::kWan);
   if (o.scenario == "san") return run_san(o);
   if (o.scenario == "motivating") return run_motivating(o);
-  usage();
+  if (o.scenario == "kv") return run_kv(o);
+  return run_fleet(o);
 }
