@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -504,22 +505,26 @@ void Auditor::rftp_stream_dead(const void* sess, int stream) {
   if (s != nullptr) s->dead = true;
 }
 
-void Auditor::rftp_checkpoint(const void* sess,
-                              const std::vector<char>& ledger) {
+void Auditor::rftp_checkpoint(const void* sess, const sim::RunSet& ledger) {
   RftpAudit* a = rftp_find(sess, "checkpoint");
   if (a == nullptr) return;
-  if (ledger.size() != a->block_count) {
+  const std::uint64_t end = ledger.empty() ? 0 : std::prev(ledger.end())->hi;
+  if (end > a->block_count) {
     violate("rftp.ledger-size",
-            a->tag + ": checkpoint covers " + std::to_string(ledger.size()) +
-                " blocks of " + std::to_string(a->block_count));
+            a->tag + ": checkpoint persists block " + std::to_string(end - 1) +
+                " of " + std::to_string(a->block_count));
     return;
   }
-  // Durability may only be claimed for blocks the audit saw drain.
-  for (std::uint64_t i = 0; i < a->block_count; ++i)
-    if (ledger[i] != 0 && !a->blocks[i].drained)
-      violate("rftp.ledger-unacked",
-              a->tag + ": checkpoint persists block " + std::to_string(i) +
-                  " that never drained");
+  // Durability may only be claimed for blocks the audit saw drain. Blocks
+  // already ledgered were checked when they entered.
+  ledger.for_each_difference(
+      a->ledgered, [&](std::uint64_t lo, std::uint64_t hi) {
+        for (std::uint64_t i = lo; i < hi; ++i)
+          if (!a->blocks[i].drained)
+            violate("rftp.ledger-unacked",
+                    a->tag + ": checkpoint persists block " +
+                        std::to_string(i) + " that never drained");
+      });
   a->ledgered = ledger;
 }
 
@@ -551,7 +556,7 @@ void Auditor::rftp_rollback(const void* sess, std::uint64_t block_idx,
                 " rolled back but was never drained");
     return;
   }
-  if (block_idx < a->ledgered.size() && a->ledgered[block_idx] != 0) {
+  if (a->ledgered.contains(block_idx)) {
     // A durably acked block may never be re-sent: rolling it back would
     // double-count its bytes as goodput when it drains again.
     violate("rftp.rollback-ledgered",

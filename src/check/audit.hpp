@@ -38,6 +38,7 @@
 #include "metrics/cpu_usage.hpp"
 #include "obs/probe.hpp"
 #include "sim/engine.hpp"
+#include "sim/run_set.hpp"
 #include "sim/time.hpp"
 
 namespace e2e::check {
@@ -151,9 +152,10 @@ class Auditor final : public sim::Observer {
   // Crash-epoch hooks: the auditor carries block/credit conservation
   // across crash-stop fault domains (host crash + scripted restart).
   /// The receiver checkpointed its acked-block ledger. `ledger` is the
-  /// durable bitmap (1 = acked and persisted); a ledger claiming a block
-  /// the audit never saw drain is a violation.
-  void rftp_checkpoint(const void* sess, const std::vector<char>& ledger);
+  /// durable set (acked and persisted); a ledger claiming a block the
+  /// audit never saw drain, or one past the transfer, is a violation. Each
+  /// block is checked once, when it first enters the ledger.
+  void rftp_checkpoint(const void* sess, const sim::RunSet& ledger);
   /// Host `host` (0 = sender, 1 = receiver) crash-stopped: every stream
   /// dies at once; volatile receiver state may roll back next.
   void rftp_crash(const void* sess, int host);
@@ -311,11 +313,11 @@ class Auditor final : public sim::Observer {
     std::uint64_t fresh_drains = 0;
     std::uint64_t dup_drains = 0;
     std::uint64_t checksum_rejects = 0;
-    // Crash-epoch state: the durable acked bitmap as of the last
-    // checkpoint, plus crash/resume/rollback tallies. fresh_drains must
-    // equal block_count + rollbacks on a complete transfer — each rolled
-    // back block drains exactly once more, never double-counting goodput.
-    std::vector<char> ledgered;
+    // Crash-epoch state: the durable acked set as of the last checkpoint,
+    // plus crash/resume/rollback tallies. fresh_drains must equal
+    // block_count + rollbacks on a complete transfer — each rolled back
+    // block drains exactly once more, never double-counting goodput.
+    sim::RunSet ledgered;
     std::uint64_t crashes = 0;
     std::uint64_t resumes = 0;
     std::uint64_t rollbacks = 0;

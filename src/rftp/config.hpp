@@ -22,7 +22,7 @@ struct RftpConfig {
   /// first-touch, the paper's untuned baseline.
   bool numa_aware = true;
   /// Durable-ledger checkpoint interval, in fresh block drains: the
-  /// receiver persists its acked-block bitmap every N drains. Blocks
+  /// receiver persists its acked-block ledger every N drains. Blocks
   /// drained since the last checkpoint are volatile — a receiver crash
   /// rolls them back and they are re-sent. 1 = every ack is durable
   /// (slowest, loses nothing); 0 disables checkpointing entirely (a

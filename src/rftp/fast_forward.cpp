@@ -292,13 +292,13 @@ void FastForward::collapse() {
     }
     // Apply the period's R fresh drains in closed form. Which popped block
     // lands in which drain slot is unobservable by any final metric (the
-    // digest is an XOR, bytes are uniform, the bitmap is a set), so the
+    // digest is an XOR, bytes are uniform, drained_ is unordered), so the
     // pairing is by pattern order. Uniform per-block updates are hoisted to
     // one bulk update per period — the per-block loop is the whole wall
     // clock of a collapsed TB-scale run.
     for (std::size_t j = 0; j < period_; ++j) {
       const std::uint64_t idx = popped[j];
-      sess_.drained_[idx] = 1;
+      sess_.drained_.insert(idx);
       // Pending until the boundary check below; past checkpoint_blocks
       // the span crosses a boundary and publishes in full instead.
       if (sess_.unledgered_.size() < cb) sess_.unledgered_.push_back(idx);

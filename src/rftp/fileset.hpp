@@ -85,9 +85,9 @@ class FileSetSource final : public DataSource {
                                 std::uint64_t offset,
                                 std::uint64_t len) override;
 
-  numa::NodeId home_node(std::uint64_t offset,
-                         std::uint64_t len) const override {
-    return locality_ ? locality_(offset, len) : numa::kAnyNode;
+  Home home(std::uint64_t offset, std::uint64_t len) const override {
+    if (!locality_) return Home{};
+    return Home{locality_(offset, len), offset + len};
   }
 
  private:

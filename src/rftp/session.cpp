@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "check/audit.hpp"
 #include "fault/injector.hpp"
@@ -225,8 +226,8 @@ sim::Task<TransferResult> RftpSession::run(DataSource& src, DataSink& dst,
   src_ = &src;
   dst_ = &dst;
   meter_ = meter;
-  drained_.assign(total_blocks_, 0);
-  ledger_.assign(total_blocks_, 0);
+  drained_.clear();
+  ledger_.clear();
   unledgered_.clear();
   drains_since_ckpt_ = 0;
   crashed_ = false;
@@ -301,8 +302,8 @@ sim::Task<TransferResult> RftpSession::run(DataSource& src, DataSink& dst,
   // End-to-end verification: XOR of the checksums the sink accepted must
   // equal the analytic digest of the blocks it claims to have drained.
   std::uint64_t expect = 0;
-  for (std::uint64_t idx = 0; idx < total_blocks_; ++idx)
-    if (drained_[idx] != 0) {
+  for (const sim::RunSet::Run& run : drained_)
+    for (std::uint64_t idx = run.lo; idx < run.hi; ++idx) {
       const std::uint64_t offset = idx * cfg_.block_bytes;
       expect ^= fault::rftp_block_tag(
           idx, std::min<std::uint64_t>(cfg_.block_bytes,
@@ -333,14 +334,19 @@ void RftpSession::build_block_plan(DataSource& src) {
   streams_on_node_.assign(static_cast<std::size_t>(nodes), 0);
   for (const auto& s : streams_)
     ++streams_on_node_[static_cast<std::size_t>(s->pair->a().device().node())];
-  for (std::uint64_t idx = 0; idx < total_blocks_; ++idx) {
-    numa::NodeId home = numa::kAnyNode;
-    if (cfg_.numa_aware)
-      home = src.home_node(idx * cfg_.block_bytes, cfg_.block_bytes);
-    const std::size_t bucket = (home >= 0 && home < nodes)
-                                   ? static_cast<std::size_t>(home)
+  // One source query and one push per extent of constant home: a source
+  // without locality plans the whole transfer as a single run.
+  const std::uint64_t bb = cfg_.block_bytes;
+  for (std::uint64_t idx = 0; idx < total_blocks_;) {
+    DataSource::Home home;
+    if (cfg_.numa_aware) home = src.home(idx * bb, bb);
+    const std::uint64_t end = std::clamp<std::uint64_t>(
+        home.end / bb + (home.end % bb != 0 ? 1 : 0), idx + 1, total_blocks_);
+    const std::size_t bucket = (home.node >= 0 && home.node < nodes)
+                                   ? static_cast<std::size_t>(home.node)
                                    : static_cast<std::size_t>(nodes);
-    block_queues_[bucket].push_back(idx);
+    block_queues_[bucket].push_back_run(idx, end);
+    idx = end;
   }
 }
 
@@ -583,7 +589,7 @@ sim::Task<> RftpSession::drainer(Stream& s, numa::Thread& th, DataSink& dst,
     // lift it out and reset so the next block lands in a clean buffer.
     const std::uint64_t landed = buf->content_tag;
     buf->content_tag = 0;
-    const bool dup = drained_[a->block_idx] != 0;
+    const bool dup = drained_.contains(a->block_idx);
     if (auto* au = check::of(eng_))
       au->rftp_drain(this, s.id, a->token, a->block_idx, a->bytes, landed,
                      dup, landed == a->checksum);
@@ -604,7 +610,7 @@ sim::Task<> RftpSession::drainer(Stream& s, numa::Thread& th, DataSink& dst,
                          a->bytes);
       drained_at = eng_.virtual_now();
       if (meter != nullptr) meter->record(a->bytes);
-      drained_[a->block_idx] = 1;
+      drained_.insert(a->block_idx);
       sink_digest_ ^= landed;
       delivered_bytes_ += a->bytes;
       s.sent_unconfirmed.erase(a->block_idx);
@@ -625,7 +631,7 @@ sim::Task<> RftpSession::drainer(Stream& s, numa::Thread& th, DataSink& dst,
         unledgered_.push_back(a->block_idx);
         if (++drains_since_ckpt_ >= cfg_.checkpoint_blocks) {
           drains_since_ckpt_ = 0;
-          for (const std::uint64_t idx : unledgered_) ledger_[idx] = 1;
+          for (const std::uint64_t idx : unledgered_) ledger_.insert(idx);
           unledgered_.clear();
           ++checkpoints;
           if (auto* au = check::of(eng_)) au->rftp_checkpoint(this, ledger_);
@@ -663,7 +669,7 @@ sim::Task<> RftpSession::drainer(Stream& s, numa::Thread& th, DataSink& dst,
 
 void RftpSession::requeue_block(std::uint64_t idx) {
   if (ff_) ff_->disarm();  // failover traffic is never steady state
-  if (idx < drained_.size() && drained_[idx] != 0) return;  // already landed
+  if (drained_.contains(idx)) return;  // already landed
   block_queues_.back().push_back(idx);
   if (!running_ || src_ == nullptr || alive_streams_ <= 0) return;
   // Fillers are transient — they exit once the plan drains — so a block
@@ -796,25 +802,29 @@ void RftpSession::crash_host(int host, sim::SimDuration down) {
   }
 
   if (host == 1) {
-    // Volatile acks die with the receiver: every drained block the
-    // ledger had not yet checkpointed un-drains and is owed again.
-    for (std::uint64_t idx = 0; idx < total_blocks_; ++idx) {
-      if (drained_[idx] == 0 || ledger_[idx] != 0) continue;
-      const std::uint64_t offset = idx * cfg_.block_bytes;
-      const std::uint64_t bytes =
-          std::min<std::uint64_t>(cfg_.block_bytes, total_bytes_ - offset);
-      const std::uint64_t tag = fault::rftp_block_tag(idx, bytes);
-      drained_[idx] = 0;
-      delivered_bytes_ -= bytes;
-      sink_digest_ ^= tag;
-      --blocks_done_;
-      ++rolled_back_blocks;
-      done_->add(1);
-      if (auto* au = check::of(eng_))
-        au->rftp_rollback(this, idx, bytes, tag);
-      obs_.report(eng_, kRolledBack, rolled_back_);
-      requeue_block(idx);
-    }
+    // Volatile acks die with the receiver: it reboots knowing only its
+    // durable ledger (a subset of drained_), so every drained block the
+    // ledger had not yet checkpointed un-drains and is owed again, in
+    // ascending block order.
+    const sim::RunSet before = std::exchange(drained_, ledger_);
+    before.for_each_difference(ledger_, [&](std::uint64_t lo,
+                                            std::uint64_t hi) {
+      for (std::uint64_t idx = lo; idx < hi; ++idx) {
+        const std::uint64_t offset = idx * cfg_.block_bytes;
+        const std::uint64_t bytes =
+            std::min<std::uint64_t>(cfg_.block_bytes, total_bytes_ - offset);
+        const std::uint64_t tag = fault::rftp_block_tag(idx, bytes);
+        delivered_bytes_ -= bytes;
+        sink_digest_ ^= tag;
+        --blocks_done_;
+        ++rolled_back_blocks;
+        done_->add(1);
+        if (auto* au = check::of(eng_))
+          au->rftp_rollback(this, idx, bytes, tag);
+        obs_.report(eng_, kRolledBack, rolled_back_);
+        requeue_block(idx);
+      }
+    });
     unledgered_.clear();  // every pending block just rolled back
   }
 

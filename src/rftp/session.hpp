@@ -41,6 +41,7 @@
 #include "rftp/source_sink.hpp"
 #include "sim/channel.hpp"
 #include "sim/run_queue.hpp"
+#include "sim/run_set.hpp"
 #include "sim/sync.hpp"
 
 namespace e2e::fault {
@@ -261,8 +262,9 @@ class RftpSession {
   std::uint64_t total_bytes_ = 0;
   std::uint64_t total_blocks_ = 0;
   // block_queues_[node] holds blocks homed on that node; the last entry
-  // holds blocks with no known home. Run-length: a contiguous plan is one
-  // run, so a TB-scale transfer plans in O(nodes) memory.
+  // holds blocks with no known home. Run-length: build_block_plan pushes
+  // one run per extent of constant home, so a TB-scale transfer without
+  // source locality plans in O(nodes) memory and one source query.
   std::vector<sim::RunQueue> block_queues_;
   std::vector<int> streams_on_node_;
 
@@ -298,16 +300,20 @@ class RftpSession {
   DataSource* src_ = nullptr;
   DataSink* dst_ = nullptr;
   metrics::ThroughputMeter* meter_ = nullptr;
-  std::vector<char> drained_;       // per-block: already at the sink
+  // Blocks already at the sink. Run-length: blocks drain roughly in
+  // claim order, so the set is a few runs whose gaps are the blocks in
+  // flight, not a per-block array over the whole transfer.
+  sim::RunSet drained_;
   // Crash/resume state: the durable acked-block ledger (drained_ as of the
-  // last checkpoint — what survives a receiver reboot), plus the epoch
-  // bookkeeping for the one outstanding crash. Checkpoints publish
-  // incrementally: unledgered_ lists the blocks drained since the last
-  // publication (at most checkpoint_blocks of them; always empty with
-  // checkpointing off), so a checkpoint costs O(checkpoint_blocks), not
-  // O(total_blocks). drained_ minus ledger_ is exactly unledgered_ when
-  // checkpointing is on.
-  std::vector<char> ledger_;
+  // last checkpoint — what survives a receiver reboot, and always a
+  // subset of it), plus the epoch bookkeeping for the one outstanding
+  // crash. Checkpoints publish incrementally: unledgered_ lists the blocks
+  // drained since the last publication (at most checkpoint_blocks of them;
+  // always empty with checkpointing off), so a checkpoint inserts
+  // O(checkpoint_blocks) indices. drained_ minus ledger_ is exactly
+  // unledgered_ when checkpointing is on; a receiver crash rolls back by
+  // walking that difference.
+  sim::RunSet ledger_;
   std::vector<std::uint64_t> unledgered_;
   int drains_since_ckpt_ = 0;
   bool crashed_ = false;            // a crash-stop is in progress

@@ -29,16 +29,22 @@ class DataSource {
                                         std::uint64_t offset,
                                         std::uint64_t len) = 0;
 
-  /// NUMA node whose devices/memory serve [offset, offset+len) at the
-  /// source host, when known (kAnyNode otherwise). The NUMA-aware sender
-  /// routes each block to a stream whose NIC sits on this node, so staging
-  /// buffers, storage DMA and wire DMA all stay socket-local — the paper's
-  /// "co-schedule CPU cores, memory, and devices" policy.
-  virtual numa::NodeId home_node(std::uint64_t offset,
-                                 std::uint64_t len) const {
+  /// NUMA node whose devices/memory serve the source's bytes from
+  /// `offset`, when known (kAnyNode otherwise), and the end of the extent
+  /// it serves: every `len`-byte block starting in [offset, end) has that
+  /// home. The NUMA-aware sender routes each block to a stream whose NIC
+  /// sits on this node, so staging buffers, storage DMA and wire DMA all
+  /// stay socket-local — the paper's "co-schedule CPU cores, memory, and
+  /// devices" policy. The block plan asks once per extent, so a source
+  /// without locality plans any transfer with one call.
+  struct Home {
+    numa::NodeId node = numa::kAnyNode;
+    std::uint64_t end = UINT64_MAX;  // default: the end of the transfer
+  };
+  virtual Home home(std::uint64_t offset, std::uint64_t len) const {
     (void)offset;
     (void)len;
-    return numa::kAnyNode;
+    return Home{};
   }
 };
 
@@ -69,9 +75,9 @@ class FileSource final : public DataSource {
                                 metrics::CpuCategory::kLoad);
   }
 
-  numa::NodeId home_node(std::uint64_t offset,
-                         std::uint64_t len) const override {
-    return locality_ ? locality_(offset, len) : numa::kAnyNode;
+  Home home(std::uint64_t offset, std::uint64_t len) const override {
+    if (!locality_) return Home{};
+    return Home{locality_(offset, len), offset + len};
   }
 
  private:

@@ -25,6 +25,17 @@ class RunQueue {
     ++size_;
   }
 
+  /// Appends lo, lo + 1, ..., hi - 1: the same queue as `hi - lo` calls to
+  /// push_back, in one run.
+  void push_back_run(std::uint64_t lo, std::uint64_t hi) {
+    if (lo >= hi) return;
+    if (!runs_.empty() && runs_.back().hi == lo)
+      runs_.back().hi = hi;
+    else
+      runs_.push_back(Run{lo, hi});
+    size_ += hi - lo;
+  }
+
   /// Re-inserts at the head (undo of a pop_front).
   void push_front(std::uint64_t v) {
     if (!runs_.empty() && runs_.front().lo == v + 1)

@@ -277,6 +277,47 @@ TEST_F(RftpCanary, DrainWithoutFillDetected) {
   EXPECT_TRUE(has_rule(au, "rftp.drain-without-fill"));
 }
 
+TEST_F(RftpCanary, LedgerOfUndrainedBlockReportedOnce) {
+  au.rftp_begin(&sess, 200, 100, 2, 1);
+  deliver(0, 0, 100);
+  sim::RunSet ledger;
+  ledger.insert(0);
+  ledger.insert(1);  // never drained
+  au.rftp_checkpoint(&sess, ledger);
+  // A later checkpoint still carrying the block is the same fault, not a
+  // new one: each block is checked when it first enters the ledger.
+  au.rftp_checkpoint(&sess, ledger);
+  EXPECT_EQ(std::count_if(au.violations().begin(), au.violations().end(),
+                          [](const Violation& v) {
+                            return v.rule == "rftp.ledger-unacked";
+                          }),
+            1);
+  EXPECT_EQ(au.violations().size(), 1u);
+}
+
+TEST_F(RftpCanary, LedgerPastTheTransferDetected) {
+  au.rftp_begin(&sess, 200, 100, 2, 1);
+  deliver(0, 0, 100);
+  sim::RunSet ledger;
+  ledger.insert(0);
+  ledger.insert(2);  // block_count is 2
+  au.rftp_checkpoint(&sess, ledger);
+  EXPECT_TRUE(has_rule(au, "rftp.ledger-size"));
+}
+
+TEST_F(RftpCanary, RollbackOfLedgeredBlockDetected) {
+  au.rftp_begin(&sess, 200, 100, 2, 1);
+  deliver(0, 0, 100);
+  sim::RunSet ledger;
+  ledger.insert(0);
+  au.rftp_checkpoint(&sess, ledger);
+  EXPECT_TRUE(au.ok());
+  au.rftp_crash(&sess, 1);
+  // Block 0 is durably acked: un-draining it would count it twice.
+  au.rftp_rollback(&sess, 0, 100, fault::rftp_block_tag(0, 100));
+  EXPECT_TRUE(has_rule(au, "rftp.rollback-ledgered"));
+}
+
 TEST(Auditor, AbortOnFinalizeThrows) {
   sim::Engine eng;
   Auditor strict(eng, Policy::kAbortOnFinalize);

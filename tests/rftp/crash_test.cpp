@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "check/audit.hpp"
 #include "exp/runner.hpp"
@@ -115,6 +118,56 @@ TEST_F(RftpCrashTest, ReceiverCrashRollsBackUnledgeredBlocksAndResends) {
   // re-delivery was not double-counted.
   EXPECT_GT(sess->rolled_back_blocks, 0u);
   EXPECT_EQ(sess->blocks_delivered(), total / (1u << 20));
+  expect_audit_ok();
+}
+
+// Zero source / null sink that log the offset of every call, in order.
+struct RecordingSource final : DataSource {
+  explicit RecordingSource(std::uint64_t total) : inner(total) {}
+  sim::Task<std::uint64_t> fill(numa::Thread& th, mem::Buffer& buf,
+                                std::uint64_t offset,
+                                std::uint64_t len) override {
+    fills.push_back(offset);
+    co_return co_await inner.fill(th, buf, offset, len);
+  }
+  ZeroSource inner;
+  std::vector<std::uint64_t> fills;
+};
+struct RecordingSink final : DataSink {
+  sim::Task<> drain(numa::Thread& th, mem::Buffer& buf, std::uint64_t offset,
+                    std::uint64_t len) override {
+    drains.push_back(offset);
+    co_await inner.drain(th, buf, offset, len);
+  }
+  NullSink inner;
+  std::vector<std::uint64_t> drains;
+};
+
+TEST_F(RftpCrashTest, RolledBackBlocksAreResentInAscendingOrder) {
+  // The rollback requeues drained-but-unledgered blocks in ascending block
+  // order; with one stream the re-sends are filled in that order.
+  RftpConfig cfg;
+  cfg.streams = 1;
+  cfg.block_bytes = 1 << 20;
+  cfg.checkpoint_blocks = 16;
+  auto sess = make_session(cfg);
+  const std::uint64_t total = 64ull << 20;
+  rig.eng.schedule_after(5 * sim::kMillisecond, [&] {
+    sess->crash_host(1, 10 * sim::kMillisecond);
+  });
+  RecordingSource src(total);
+  RecordingSink dst;
+  const auto r = exp::run_task(rig.eng, sess->run(src, dst, total));
+  EXPECT_TRUE(r.complete);
+  ASSERT_GT(sess->rolled_back_blocks, 1u);
+  // A block drained twice was rolled back; its second fill is the re-send.
+  std::map<std::uint64_t, int> drained, filled;
+  for (const std::uint64_t off : dst.drains) ++drained[off];
+  std::vector<std::uint64_t> resent;
+  for (const std::uint64_t off : src.fills)
+    if (++filled[off] == 2 && drained[off] == 2) resent.push_back(off);
+  EXPECT_EQ(resent.size(), sess->rolled_back_blocks);
+  EXPECT_TRUE(std::is_sorted(resent.begin(), resent.end()));
   expect_audit_ok();
 }
 

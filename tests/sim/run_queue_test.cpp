@@ -125,5 +125,35 @@ TEST(RunQueue, NonAdjacentPushesKeepTheirOrder) {
   EXPECT_EQ(q.back(), 3u);
 }
 
+TEST(RunQueue, PushBackRunMatchesPerIndexPushes) {
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    RunQueue bulk, single;
+    std::uint64_t next = 0;
+    for (int i = 0; i < 200; ++i) {
+      // Abutting, gapped and empty ranges, with pops in between.
+      const std::uint64_t lo = next + rng.uniform_u64(0, 2) * 5;
+      const std::uint64_t hi = lo + rng.uniform_u64(0, 20);
+      bulk.push_back_run(lo, hi);
+      for (std::uint64_t v = lo; v < hi; ++v) single.push_back(v);
+      next = hi;
+      if (rng.uniform_u64(0, 3) == 0 && !single.empty()) {
+        bulk.pop_front();
+        single.pop_front();
+      }
+      ASSERT_EQ(bulk.size(), single.size());
+      ASSERT_EQ(bulk.runs(), single.runs());
+    }
+    while (!single.empty()) {
+      ASSERT_EQ(bulk.front(), single.front());
+      ASSERT_EQ(bulk.back(), single.back());
+      bulk.pop_front();
+      single.pop_front();
+    }
+    EXPECT_TRUE(bulk.empty());
+  }
+}
+
 }  // namespace
 }  // namespace e2e::sim

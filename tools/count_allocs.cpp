@@ -10,10 +10,16 @@
 // that keeps the protocol hot path allocation-free. Not built in
 // sanitizer configurations (sanitizers own the allocator).
 //
+// With $COUNT_ALLOCS_HWM_OUT set it also writes the process's peak
+// resident set (VmHWM from /proc/self/status, KiB) to that file on exit.
+// VmHWM resets on exec, so unlike a parent's wait4 ru_maxrss it is the
+// host process's own peak (the peak-RSS test in ctest -L perf).
+//
 // dlsym(RTLD_NEXT, "calloc") itself calls calloc on glibc, so the resolver
 // serves that recursion from a small static arena.
 
 #include <dlfcn.h>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -62,8 +68,33 @@ Fn resolve(const char* name) {
   return fn;
 }
 
+// Writes the "VmHWM:" value of /proc/self/status to `path`. Plain
+// syscalls and a static buffer: nothing here allocates.
+void write_hwm(const char* path) {
+  static char status[8192];
+  const int in = open("/proc/self/status", O_RDONLY);
+  if (in < 0) return;
+  const ssize_t n = read(in, status, sizeof(status) - 1);
+  close(in);
+  if (n <= 0) return;
+  status[n] = '\0';
+  const char* p = std::strstr(status, "VmHWM:");
+  if (p == nullptr) return;
+  p += 6;
+  while (*p == ' ' || *p == '\t') ++p;
+  const char* end = p;
+  while (*end >= '0' && *end <= '9') ++end;
+  const int out = open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (out < 0) return;
+  const auto len = static_cast<std::size_t>(end - p);
+  [[maybe_unused]] const auto rc1 = write(out, p, len);
+  [[maybe_unused]] const auto rc2 = write(out, "\n", 1);
+  close(out);
+}
+
 struct Report {
   ~Report() {
+    if (const char* hwm = std::getenv("COUNT_ALLOCS_HWM_OUT")) write_hwm(hwm);
     const std::uint64_t n = g_allocs.load(std::memory_order_relaxed);
     char buf[32];
     const int len = std::snprintf(buf, sizeof(buf), "%llu\n",
