@@ -11,8 +11,9 @@
 // are plain (non-atomic) integers — each engine shard is single-threaded,
 // pinned to one worker (sim/cluster.hpp), so a count is only ever touched
 // from one thread at a time. A message that crosses shards does so as the
-// sole reference inside a buffered cross-shard Delivery; the cluster's
-// window barrier provides the happens-before edge for the hand-off, and
+// sole reference inside a buffered cross-shard Delivery; the cluster's one
+// window barrier orders the send, the merge (its completion step) and the
+// receiving shard's next window, so it carries the hand-off, and
 // the block then simply lives on in the receiving worker's freelist (the
 // blocks are plain operator-new storage with no thread affinity).
 //

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <barrier>
 #include <cassert>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -94,19 +93,37 @@ void Cluster::run() {
   const int w = effective_workers();
   const int n = static_cast<int>(shards_.size());
   errors_.assign(shards_.size(), nullptr);
+  std::exception_ptr merge_error;
+  bool stop = false;  // set only by `step`; workers read it after the barrier
   parallel_ = true;
 
-  std::barrier<> window_start(w + 1);
-  std::barrier<> window_end(w + 1);
-  bool stop = false;  // written by coordinator before window_start only
+  // The step between windows runs once here, then as the barrier's
+  // completion on the last worker to arrive while the others wait in it:
+  // the merge is single-threaded and ordered after every shard's window.
+  auto step = [this, &merge_error, &stop]() noexcept {
+    for (const std::exception_ptr& e : errors_)
+      if (e) stop = true;
+    SimTime m = kTimeInfinity;
+    if (!stop) {
+      try {
+        deliver_outboxes();
+        m = min_next_event();
+      } catch (...) {
+        merge_error = std::current_exception();
+      }
+    }
+    stop = m == kTimeInfinity;
+    if (stop) return;
+    horizon_ = Engine::saturating_add(m, lookahead_);  // no seam: infinite
+    ++windows_;
+  };
+  step();
+  std::barrier window(w, step);
 
   std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(w));
   for (int wk = 0; wk < w; ++wk) {
-    pool.emplace_back([this, wk, w, n, &window_start, &window_end, &stop] {
-      for (;;) {
-        window_start.arrive_and_wait();
-        if (stop) return;
+    pool.emplace_back([this, wk, w, n, &window, &stop] {
+      while (!stop) {
         // Static pinning: shard k always runs on worker k % w, so the
         // thread_local frame/message pools act as per-shard pools.
         for (int r = wk; r < n; r += w) {
@@ -117,34 +134,16 @@ void Cluster::run() {
             errors_[r] = std::current_exception();
           }
         }
-        window_end.arrive_and_wait();
+        window.arrive_and_wait();
       }
     });
   }
-
-  bool failed = false;
-  while (!failed) {
-    deliver_outboxes();
-    const SimTime m = min_next_event();
-    if (m == kTimeInfinity) break;
-    horizon_ = lookahead_ == kTimeInfinity
-                   ? kTimeInfinity
-                   : Engine::saturating_add(m, lookahead_);
-    ++windows_;
-    window_start.arrive_and_wait();
-    window_end.arrive_and_wait();
-    for (const std::exception_ptr& e : errors_)
-      if (e) failed = true;
-  }
-  stop = true;
-  window_start.arrive_and_wait();
   for (std::thread& t : pool) t.join();
   parallel_ = false;
-  if (failed) {
-    deliver_outboxes();  // keep heaps consistent for post-mortem inspection
-    for (const std::exception_ptr& e : errors_)  // lowest rank rethrows
-      if (e) std::rethrow_exception(e);
-  }
+  if (merge_error) std::rethrow_exception(merge_error);
+  deliver_outboxes();  // a failed window's sends, for post-mortem inspection
+  for (const std::exception_ptr& e : errors_)  // lowest rank rethrows
+    if (e) std::rethrow_exception(e);
 }
 
 std::uint64_t Cluster::events_processed() const {

@@ -80,9 +80,13 @@ class Cluster {
   void run_sequential();
 
   /// Runs every shard to completion in conservative lookahead windows,
-  /// shards in parallel on the worker pool. The executed schedule is
+  /// shards in parallel on the worker pool. Each window ends at one
+  /// barrier whose completion step merges the outboxes and sets the next
+  /// horizon; the calling thread starts and joins the workers (always at
+  /// least one) and runs no shard itself. The executed schedule is
   /// identical for any worker count. Rethrows the first shard exception
-  /// (lowest rank wins, deterministically).
+  /// (lowest rank wins, deterministically) after the window it was thrown
+  /// in, with that window's cross-shard sends merged into their heaps.
   void run();
 
   [[nodiscard]] int workers() const noexcept { return workers_; }
@@ -93,7 +97,7 @@ class Cluster {
   }
   [[nodiscard]] Engine& shard(int rank) noexcept { return *shards_[rank]; }
 
-  /// Barrier rounds executed by run() so far (observability/tests).
+  /// Windows executed by run() so far (observability/tests).
   [[nodiscard]] std::uint64_t windows() const noexcept { return windows_; }
   /// Cross-shard messages posted so far (observability/tests).
   [[nodiscard]] std::uint64_t cross_posts() const noexcept;
@@ -108,8 +112,9 @@ class Cluster {
     EventFn fn;
   };
   /// One per shard; only that shard's pinned worker appends during a
-  /// window, and only the coordinator drains between windows (the barrier
-  /// provides the happens-before edge both ways).
+  /// window, and only the window barrier's completion step drains it
+  /// between windows (the barrier provides the happens-before edge both
+  /// ways).
   struct Outbox {
     std::vector<Msg> msgs;
     std::uint64_t next_seq = 0;

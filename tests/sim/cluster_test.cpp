@@ -1,10 +1,12 @@
 // sim::Cluster unit tests: window math, deterministic cross-shard merge
 // order, the shard->worker pinning contract the thread_local pools rely
-// on, and worker-count independence of the executed schedule — including
+// on, worker-count independence of the executed schedule — including
 // through the real RDMA cross-shard delivery paths (kWrite delivery and
-// the engine-hopping kRead responder segment).
+// the engine-hopping kRead responder segment) — and the shard-failure
+// path: which exception run() rethrows and what it leaves in the heaps.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -138,7 +140,14 @@ void ping(sim::Engine& self, sim::Engine& peer, int hops_left,
 }
 
 TEST(ClusterTest, WorkerCountDoesNotChangeSchedule) {
-  std::vector<std::vector<sim::SimTime>> runs;
+  // Worker 1 runs every merge as the barrier's completion on its own;
+  // workers 2 and 3 run it on whichever worker arrives last. The schedule
+  // and every counter must not tell them apart.
+  struct Run {
+    std::vector<sim::SimTime> times;
+    std::uint64_t windows, cross, events;
+  };
+  std::vector<Run> runs;
   for (const int workers : {1, 2, 3}) {
     sim::Cluster c(workers);
     sim::Engine e0, e1;
@@ -148,11 +157,80 @@ TEST(ClusterTest, WorkerCountDoesNotChangeSchedule) {
     std::vector<sim::SimTime> times;
     e0.schedule_at(0, [&] { ping(e0, e1, 40, &times); });
     c.run();
-    runs.push_back(times);
     EXPECT_EQ(times.size(), 41u);
+    runs.push_back({times, c.windows(), c.cross_posts(),
+                    c.events_processed()});
   }
-  EXPECT_EQ(runs[0], runs[1]);
-  EXPECT_EQ(runs[0], runs[2]);
+  EXPECT_EQ(runs[0].windows, 41u);  // one hop per window
+  EXPECT_EQ(runs[0].cross, 40u);
+  EXPECT_EQ(runs[0].events, 41u);
+  for (const Run& r : runs) {
+    EXPECT_EQ(r.times, runs[0].times);
+    EXPECT_EQ(r.windows, runs[0].windows);
+    EXPECT_EQ(r.cross, runs[0].cross);
+    EXPECT_EQ(r.events, runs[0].events);
+  }
+}
+
+TEST(ClusterTest, IdleShardsRunNoWindow) {
+  for (const int workers : {1, 2}) {
+    sim::Cluster c(workers);
+    sim::Engine e0, e1;
+    c.add(e0);
+    c.add(e1);
+    c.note_lookahead(7);
+    c.run();
+    EXPECT_EQ(c.windows(), 0u);
+    EXPECT_EQ(c.events_processed(), 0u);
+  }
+}
+
+TEST(ClusterTest, ShardFailureStopsAfterItsWindowAndRethrowsLowestRank) {
+  // Shards 1 and 2 both cross-post to shard 0 and then throw in the third
+  // window ([20, 30)). run() must finish that window, run nothing after
+  // it, merge the window's posts into shard 0's heap for post-mortem
+  // inspection and rethrow rank 1's exception — at any worker count.
+  for (const int workers : {1, 2, 3}) {
+    sim::Cluster c(workers);
+    sim::Engine e0, e1, e2;
+    c.add(e0);
+    c.add(e1);
+    c.add(e2);
+    c.note_lookahead(10);
+    std::vector<std::string> ran;
+    auto tag = [&ran](std::string s) {
+      return [&ran, s = std::move(s)] { ran.push_back(s); };
+    };
+    e0.schedule_at(0, tag("e0@0"));
+    e0.schedule_at(10, tag("e0@10"));
+    e0.schedule_at(25, tag("e0@25"));  // failing window: still runs
+    e0.schedule_at(30, tag("e0@30"));
+    e1.schedule_at(20, [&] {
+      e1.cross_post(e0, 30, tag("from1"));
+      throw std::runtime_error("rank1");
+    });
+    e1.schedule_at(40, tag("e1@40"));
+    e2.schedule_at(20, [&] {
+      e2.cross_post(e0, 35, tag("from2"));
+      throw std::runtime_error("rank2");
+    });
+    try {
+      c.run();
+      ADD_FAILURE() << "run() returned at workers=" << workers;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "rank1") << "workers=" << workers;
+    }
+    EXPECT_EQ(ran, (std::vector<std::string>{"e0@0", "e0@10", "e0@25"}));
+    EXPECT_EQ(c.windows(), 3u);  // equal at every worker count
+    EXPECT_EQ(c.cross_posts(), 2u);
+    EXPECT_EQ(e0.queue_depth(), 3u);  // e0@30 + from1 + from2
+    EXPECT_EQ(e1.queue_depth(), 1u);
+    EXPECT_TRUE(e2.idle());
+    // The merged posts are live events in (t, seq) order.
+    e0.run();
+    EXPECT_EQ(ran, (std::vector<std::string>{"e0@0", "e0@10", "e0@25",
+                                             "e0@30", "from1", "from2"}));
+  }
 }
 
 TEST(ClusterTest, RunSequentialInterleavesShardsInGlobalOrder) {
