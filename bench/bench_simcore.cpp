@@ -74,6 +74,32 @@ void BM_ScheduleDispatchFatCapture(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleDispatchFatCapture)->Arg(1024);
 
+// kv-shaped call chain: each call arms a 5 ms retry timer that fires as a
+// no-op, then hops through eight zero-delay wakeups and one short delay.
+struct KvCall {
+  Engine* eng;
+  std::uint64_t step;
+  void operator()() {
+    if (step % 9 == 0) eng->schedule_after(5'000'000, [] {});
+    ++step;
+    eng->schedule_after(step % 9 == 0 ? 1 + step % 997 : 0, *this);
+  }
+};
+
+// Dispatch throughput with thousands of pending timers per chain: the
+// timers and hops ride the engine's FIFO lanes, only the delays sift.
+void BM_TimerHeavyDispatch(benchmark::State& state) {
+  Engine eng;
+  for (std::int64_t i = 0; i < state.range(0); ++i)
+    eng.schedule_after(static_cast<std::uint64_t>(i), KvCall{&eng, 0});
+  eng.run_for(5'000'000);  // reach the steady pending-timer population
+  std::uint64_t events = 0;
+  for (auto _ : state) events += eng.run_for(1000);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["pending"] = static_cast<double>(eng.queue_depth());
+}
+BENCHMARK(BM_TimerHeavyDispatch)->Arg(1)->Arg(8);
+
 // One resource-acquire round trip: plan + schedule + coroutine resume.
 Task<> acquire_loop(Resource& r, int n) {
   for (int i = 0; i < n; ++i) co_await r.acquire(64.0);

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace e2e::apps {
 
 Zipf::Zipf(std::uint64_t n, double theta) {
   if (n == 0) throw std::invalid_argument("kv: zipf over zero keys");
+  if (n > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("kv: zipf over more than 2^32 - 1 keys");
   if (theta < 0.0) throw std::invalid_argument("kv: zipf theta must be >= 0");
   cdf_.resize(n);
   double acc = 0.0;
@@ -17,13 +20,27 @@ Zipf::Zipf(std::uint64_t n, double theta) {
   }
   for (double& c : cdf_) c /= acc;
   cdf_.back() = 1.0;  // guard against the division landing a hair under
+  // One guide entry per rank, rounded up to a power of two: the tail's
+  // buckets then span a handful of ranks each.
+  std::size_t g = 1;
+  while (g < n) g *= 2;
+  guide_.resize(g + 1);
+  std::uint32_t r = 0;
+  for (std::size_t b = 0; b <= g; ++b) {
+    const double lo = static_cast<double>(b) / static_cast<double>(g);
+    while (cdf_[r] < lo) ++r;  // cdf_.back() == 1.0 >= lo stops it
+    guide_[b] = r;
+  }
 }
 
-std::uint64_t Zipf::sample(sim::Rng& rng) const {
-  const double u = rng.uniform(0.0, 1.0);
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  const auto idx = static_cast<std::uint64_t>(it - cdf_.begin());
-  return std::min(idx, static_cast<std::uint64_t>(cdf_.size()) - 1);
+std::uint64_t Zipf::rank(double u) const noexcept {
+  const std::size_t g = guide_.size() - 1;
+  const auto b = static_cast<std::size_t>(u * static_cast<double>(g));
+  // guide_[g] <= n - 1 (cdf_.back() == 1.0), so the rank is always valid.
+  const auto first = cdf_.begin() + guide_[b];
+  const auto last = cdf_.begin() + guide_[b + 1];
+  return static_cast<std::uint64_t>(std::lower_bound(first, last, u) -
+                                    cdf_.begin());
 }
 
 KvStore::KvStore(numa::Process& proc, std::uint64_t keys,

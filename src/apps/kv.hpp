@@ -49,20 +49,31 @@ struct KvMsg {
 
 /// Zipf(theta) sampler over ranks [0, n). The CDF table is built once at
 /// construction (the only place libm's pow/accumulation order matters);
-/// sampling is one canonical draw plus a binary search, so the per-sample
-/// path is allocation-free and bit-stable for a given table. theta = 0
-/// degenerates to uniform.
+/// sampling is one canonical draw u and the first rank whose CDF is >= u,
+/// so the per-sample path is allocation-free and bit-stable for a given
+/// table. theta = 0 degenerates to uniform.
+///
+/// The search is guided: guide_[b] is the first rank whose CDF reaches
+/// b / G (G a power of two, so b / G and u * G are exact), and u in
+/// [b / G, (b + 1) / G) has its rank in [guide_[b], guide_[b + 1]] — a
+/// binary search over a few adjacent entries instead of the whole table,
+/// with the same rank as std::lower_bound over the whole table.
 class Zipf {
  public:
   Zipf(std::uint64_t n, double theta);
 
   /// Popularity rank for one access; rank 0 is the hottest key.
-  [[nodiscard]] std::uint64_t sample(sim::Rng& rng) const;
+  [[nodiscard]] std::uint64_t sample(sim::Rng& rng) const {
+    return rank(rng.uniform(0.0, 1.0));
+  }
+  /// The first rank whose CDF is >= u, for u in [0, 1).
+  [[nodiscard]] std::uint64_t rank(double u) const noexcept;
 
   [[nodiscard]] std::uint64_t n() const noexcept { return cdf_.size(); }
 
  private:
   std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;  // G + 1 entries
 };
 
 /// Server-side store: keys striped across shards (`key % shards`), shard s

@@ -63,7 +63,7 @@ struct KvRig final : PairFleet::Rig {
 
   // Workload state.
   std::unique_ptr<sim::Rng> rng;
-  std::unique_ptr<apps::Zipf> zipf;
+  const apps::Zipf* zipf = nullptr;  // shared by every pair, read-only
   std::uint64_t next_op = 0;  // shared closed-loop op counter
   std::uint64_t ops_done = 0, gets = 0, puts = 0, remote_ops = 0;
   std::uint64_t failed = 0;
@@ -215,6 +215,9 @@ KvResult run_kv(const KvParams& p) {
       .chaos = {.links = 1, .qps = 1, .qp_kills = 2},
       .tag = "kv", .names = {"-c", "-s", "-rack", "-cli", "-srv"},
       .ring_tag = "kvring", .link = &net::make_roce_rack};
+  // One popularity table for every pair: sampling only reads it (each
+  // pair draws from its own Rng), so shards on other threads share it.
+  const apps::Zipf zipf(p.keys, p.zipf_theta);
   std::vector<KvRig*> rigs;
   PairFleet fleet(fc, [&](int i, sim::Engine& eng, HostPair& hp) {
     auto rig = std::make_unique<KvRig>();
@@ -261,7 +264,7 @@ KvResult run_kv(const KvParams& p) {
 
     rig->rng = std::make_unique<sim::Rng>(
         p.seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(i + 1));
-    rig->zipf = std::make_unique<apps::Zipf>(p.keys, p.zipf_theta);
+    rig->zipf = &zipf;
     rigs.push_back(rig.get());
     return rig;
   });
@@ -344,6 +347,7 @@ KvResult run_kv(const KvParams& p) {
     out.rpc_retries += rig->client->retries();
     out.stale_responses += rig->client->stale_responses();
     out.calls_served += rig->handler->gets() + rig->handler->puts();
+    out.clamped_schedules += rig->eng->clamped_schedules();
     add_batching(*rig->client);
     add_batching(*rig->server);
     if (rig->ring_client) {

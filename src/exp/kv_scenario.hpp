@@ -60,6 +60,9 @@ struct KvResult {
   std::uint64_t sim_events = 0;
   std::uint64_t windows = 0;
   std::uint64_t cross_posts = 0;
+  // Past-time schedules clamped to now, every shard, whole run (not in
+  // the digest: a clean run books none).
+  std::uint64_t clamped_schedules = 0;
   double wall_seconds = 0.0;  // parallel phase only
   double aggregate_mops = 0.0;
   std::vector<double> pair_mops;

@@ -79,10 +79,15 @@ void Cluster::run_sequential() {
   deliver_outboxes();
   for (;;) {
     Engine* next = nullptr;
-    for (Engine* e : shards_)  // earliest (t, rank) wins; rank = add order
-      if (e != nullptr && !e->idle() &&
-          (next == nullptr || e->next_event_time() < next->next_event_time()))
+    SimTime next_t = kTimeInfinity;
+    for (Engine* e : shards_) {  // earliest (t, rank) wins; rank = add order
+      if (e == nullptr || e->idle()) continue;
+      const SimTime t = e->next_event_time();
+      if (next == nullptr || t < next_t) {
         next = e;
+        next_t = t;
+      }
+    }
     if (next == nullptr) return;
     next->dispatch_one();
   }

@@ -12,7 +12,8 @@ Engine::~Engine() {
 
 // Sift operations move 24-byte POD keys only; the EventFn payloads stay put
 // in slots_ until dispatch, so reordering the heap never runs a relocate
-// thunk and a sift touches at most log4(n) contiguous cache lines.
+// thunk and a sift touches at most log4(n) contiguous cache lines. Only
+// events neither lane can take reach the heap at all.
 
 std::uint32_t Engine::claim_slot(EventFn&& fn) {
   if (!free_slots_.empty()) {
@@ -55,19 +56,35 @@ void Engine::sift_down(std::size_t i) {
 }
 
 void Engine::schedule_at(SimTime t, EventFn fn) {
-  if (t < now_) t = now_;
-  const std::uint32_t slot = claim_slot(std::move(fn));
-  heap_.push_back(Event{t, next_seq_++, slot});
-  sift_up(heap_.size() - 1);
+  if (t < now_) {
+    t = now_;
+    ++clamped_schedules_;
+  }
+  const Event e{t, next_seq_++, claim_slot(std::move(fn))};
+  // A lane takes the event only where it stays sorted on (t, seq): seq
+  // grows with every call, so the now lane (t == now_, and now_ never
+  // decreases) and the tail lane (t >= back) are sorted by construction.
+  if (t == now_) {
+    now_lane_.push_back(e);
+  } else if (tail_.empty() || t >= tail_.back().t) {
+    tail_.push_back(e);
+  } else {
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1);
+    ++heap_pushes_;
+  }
 }
 
-void Engine::dispatch_one() {
+void Engine::dispatch(Store s, Event top) {
   // Move the callback out before popping: fn may schedule new events.
-  const Event top = heap_.front();
   now_ = top.t;
   EventFn fn = std::move(slots_[top.slot]);
   free_slots_.push_back(top.slot);
-  if (heap_.size() > 1) {
+  if (s == Store::kNow) {
+    now_lane_.pop_front();
+  } else if (s == Store::kTail) {
+    tail_.pop_front();
+  } else if (heap_.size() > 1) {
     heap_.front() = heap_.back();
     heap_.pop_back();
     sift_down(0);
@@ -80,13 +97,21 @@ void Engine::dispatch_one() {
 
 void Engine::run() {
   stopped_ = false;
-  while (!heap_.empty() && !stopped_) dispatch_one();
+  while (!stopped_) {
+    const Next n = peek();
+    if (n.event == nullptr) break;
+    dispatch(n.store, *n.event);
+  }
 }
 
 std::uint64_t Engine::run_until(SimTime t) {
   stopped_ = false;
   const std::uint64_t before_count = events_processed_;
-  while (!heap_.empty() && !stopped_ && heap_.front().t <= t) dispatch_one();
+  while (!stopped_) {
+    const Next n = peek();
+    if (n.event == nullptr || n.event->t > t) break;
+    dispatch(n.store, *n.event);
+  }
   if (!stopped_ && now_ < t) now_ = t;
   return events_processed_ - before_count;
 }
@@ -94,8 +119,11 @@ std::uint64_t Engine::run_until(SimTime t) {
 std::uint64_t Engine::run_window(SimTime horizon) {
   stopped_ = false;
   const std::uint64_t before_count = events_processed_;
-  while (!heap_.empty() && !stopped_ && heap_.front().t < horizon)
-    dispatch_one();
+  while (!stopped_) {
+    const Next n = peek();
+    if (n.event == nullptr || n.event->t >= horizon) break;
+    dispatch(n.store, *n.event);
+  }
   return events_processed_ - before_count;
 }
 

@@ -1,6 +1,6 @@
 // Discrete-event simulation engine.
 //
-// The Engine owns a time-ordered event heap. Events are arbitrary callbacks;
+// The Engine owns the pending-event set. Events are arbitrary callbacks;
 // higher layers almost never post callbacks directly — they await the
 // awaitables in awaitables.hpp from coroutine Tasks instead.
 //
@@ -8,14 +8,21 @@
 // order (a monotonically increasing sequence number breaks ties), so a given
 // program produces an identical event trace on every run.
 //
-// Hot path: the queue is an indexed 4-ary min-heap on one contiguous
-// vector — shallower than a binary heap (fewer cache lines per sift) and
-// reallocation-free at steady state because vector capacity is reused
-// across push/pop cycles (see reserve()). The heap holds 24-byte POD keys
-// {t, seq, slot}; the EventFn payloads sit in a parallel slot pool that a
-// sift never touches, so reordering moves plain integers. Callbacks are
-// sim::EventFn, which stores every in-tree capture inline, so
-// schedule_at() never allocates.
+// Hot path: pending events live in three stores, each sorted on the same
+// (t, seq) key, and dispatch pops the least of their three fronts — one
+// total order, whichever store an event sits in:
+//   - the now lane, a FIFO of events due at now() (zero-delay wakeups and
+//     past times clamped to now): they arrive already in (t, seq) order;
+//   - the tail lane, a FIFO that takes an event when it is empty or the
+//     event is not earlier than its back — fixed-delay timers (the rpc
+//     retry timer) arrive in time order, so they never enter the heap;
+//   - an indexed 4-ary min-heap on one contiguous vector for everything
+//     else — shallower than a binary heap (fewer cache lines per sift).
+// Every store reuses its capacity across push/pop cycles (see reserve()).
+// The stores hold 24-byte POD keys {t, seq, slot}; the EventFn payloads sit
+// in a parallel slot pool that a sift never touches, so reordering moves
+// plain integers. Callbacks are sim::EventFn, which stores every in-tree
+// capture inline, so schedule_at() never allocates.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +31,7 @@
 #include <vector>
 
 #include "sim/event_fn.hpp"
+#include "sim/ring_queue.hpp"
 #include "sim/time.hpp"
 
 namespace e2e::sim {
@@ -85,7 +93,7 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Current simulated time as seen by the event heap. Pending event
+  /// Current simulated time as seen by the event queue. Pending event
   /// timestamps, Resource::busy_until() and schedule_at() all live on this
   /// clock; a fast-forward never moves it (see skip_time()).
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -113,7 +121,8 @@ class Engine {
   }
 
   /// Schedules `fn` to run at absolute simulated time `t` (>= now()).
-  /// Events in the past are clamped to now().
+  /// Events in the past are clamped to now() (and counted, see
+  /// clamped_schedules()).
   void schedule_at(SimTime t, EventFn fn);
 
   /// Schedules `fn` to run `delay` nanoseconds from now.
@@ -144,25 +153,44 @@ class Engine {
     return events_processed_;
   }
 
+  /// schedule_at() calls whose `t` lay in the past and was clamped to now().
+  [[nodiscard]] std::uint64_t clamped_schedules() const noexcept {
+    return clamped_schedules_;
+  }
+  /// schedule_at() calls that went into the 4-ary heap because neither
+  /// lane could take the event; every other call rode a lane.
+  [[nodiscard]] std::uint64_t heap_pushes() const noexcept {
+    return heap_pushes_;
+  }
+
   /// True when no events are pending.
-  [[nodiscard]] bool idle() const noexcept { return heap_.empty(); }
+  [[nodiscard]] bool idle() const noexcept {
+    return now_lane_.empty() && tail_.empty() && heap_.empty();
+  }
 
   /// Timestamp of the next pending event, or kTimeInfinity when idle.
   [[nodiscard]] SimTime next_event_time() const noexcept {
-    return heap_.empty() ? kTimeInfinity : heap_.front().t;
+    SimTime t = kTimeInfinity;
+    if (!now_lane_.empty()) t = now_lane_.front().t;
+    if (!tail_.empty() && tail_.front().t < t) t = tail_.front().t;
+    if (!heap_.empty() && heap_.front().t < t) t = heap_.front().t;
+    return t;
   }
 
-  /// Pending events and the queue's current slot capacity. Capacity only
-  /// grows: popping never shrinks the vector, so a run's steady-state
-  /// working set stops reallocating once the high-water mark is reached.
+  /// Pending events and the slot capacity of all three pending stores.
+  /// Capacity only grows: popping never shrinks a store, so a run's
+  /// steady-state working set stops reallocating once the high-water mark
+  /// is reached.
   [[nodiscard]] std::size_t queue_depth() const noexcept {
-    return heap_.size();
+    return now_lane_.size() + tail_.size() + heap_.size();
   }
   [[nodiscard]] std::size_t queue_capacity() const noexcept {
-    return heap_.capacity();
+    return now_lane_.capacity() + tail_.capacity() + heap_.capacity();
   }
-  /// Pre-sizes the event queue for a known event population.
+  /// Pre-sizes every pending store for a known event population.
   void reserve(std::size_t events) {
+    now_lane_.reserve(events);
+    tail_.reserve(events);
     heap_.reserve(events);
     slots_.reserve(events);
     free_slots_.reserve(events);
@@ -231,8 +259,8 @@ class Engine {
   static constexpr std::size_t kArity = 4;
   static constexpr std::size_t kInitialReserve = 1024;
 
-  /// Heap entry: ordering key plus the index of the EventFn in slots_.
-  /// Trivially copyable, so sift moves are plain 24-byte copies.
+  /// Pending-event key: ordering key plus the index of the EventFn in
+  /// slots_. Trivially copyable, so sift moves are plain 24-byte copies.
   struct Event {
     SimTime t;
     std::uint64_t seq;
@@ -240,21 +268,48 @@ class Engine {
   };
   static_assert(std::is_trivially_copyable_v<Event>);
 
-  /// Min-heap order on (t, seq): earlier time first, scheduling order
-  /// within the same instant.
+  /// Order on (t, seq): earlier time first, scheduling order within the
+  /// same instant. Every store is sorted on it.
   static bool before(const Event& a, const Event& b) noexcept {
     return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  }
+
+  enum class Store : std::uint8_t { kNow, kTail, kHeap };
+  /// The least pending event (null when idle) and the store it heads.
+  struct Next {
+    const Event* event;
+    Store store;
+  };
+
+  [[nodiscard]] Next peek() const noexcept {
+    Next n{nullptr, Store::kHeap};
+    if (!now_lane_.empty()) n = {&now_lane_.front(), Store::kNow};
+    if (!tail_.empty() &&
+        (n.event == nullptr || before(tail_.front(), *n.event)))
+      n = {&tail_.front(), Store::kTail};
+    if (!heap_.empty() &&
+        (n.event == nullptr || before(heap_.front(), *n.event)))
+      n = {&heap_.front(), Store::kHeap};
+    return n;
   }
 
   std::uint32_t claim_slot(EventFn&& fn);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  void dispatch_one();
+  /// Pops `top`, the front of store `s`, and runs it.
+  void dispatch(Store s, Event top);
+  /// Runs the least pending event; the engine must not be idle.
+  void dispatch_one() {
+    const Next n = peek();
+    dispatch(n.store, *n.event);
+  }
   void attach_cluster(Cluster* c, int rank) noexcept {
     cluster_ = c;
     rank_ = rank;
   }
 
+  RingQueue<Event> now_lane_;  // t == now() at scheduling
+  RingQueue<Event> tail_;      // t >= every earlier tail entry
   std::vector<Event> heap_;
   std::vector<EventFn> slots_;             // payloads, indexed by Event::slot
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
@@ -266,6 +321,8 @@ class Engine {
   SimDuration skipped_ = 0;  // modeled time absorbed by skip_time()
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
+  std::uint64_t clamped_schedules_ = 0;
+  std::uint64_t heap_pushes_ = 0;
   bool stopped_ = false;
 };
 

@@ -6,7 +6,8 @@
 // grows (doubling, power-of-two capacity) and then never gives storage
 // back: a queue that has reached its high-water mark performs no further
 // allocator work. Used for the hot message queues (sim::Channel, protocol
-// FIFOs); not a general deque replacement.
+// FIFOs) and the engine's two sorted event lanes; not a general deque
+// replacement.
 #pragma once
 
 #include <cstddef>
@@ -84,16 +85,27 @@ class RingQueue {
     head_ = 0;
   }
 
+  /// Grows the storage to hold at least `n` elements without further
+  /// allocation (capacity stays a power of two; never shrinks).
+  void reserve(std::size_t n) {
+    if (n <= cap_) return;
+    std::size_t c = cap_ == 0 ? 16 : cap_;
+    while (c < n) c *= 2;
+    regrow(c);
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
 
  private:
   T* slot(std::size_t i) const noexcept {
     return reinterpret_cast<T*>(buf_.get() + i * sizeof(T));
   }
 
-  void grow() {
-    const std::size_t new_cap = cap_ == 0 ? 16 : cap_ * 2;
+  void grow() { regrow(cap_ == 0 ? 16 : cap_ * 2); }
+
+  void regrow(std::size_t new_cap) {
     auto fresh = std::unique_ptr<unsigned char[]>(
         new unsigned char[new_cap * sizeof(T)]);  // NOLINT: raw storage
     for (std::size_t i = 0; i < size_; ++i) {

@@ -85,6 +85,20 @@ TEST(KvDeterminismTest, ReadModeIsDeterministicToo) {
   EXPECT_EQ(a.digest, kTinyKvReadDigest);  // shard-invariant, so = tiny_kv(1)
 }
 
+// A clean run never schedules into an engine's past: no same-engine
+// caller, and no cross-shard delivery, needs Engine::schedule_at's clamp.
+TEST(KvDeterminismTest, CleanRunClampsNoPastSchedule) {
+  for (int shards : {1, 4}) {
+    KvParams p;  // 4 pairs, 4096 ops per pair, the CLI's defaults otherwise
+    p.pairs = 4;
+    p.shards = shards;
+    p.ops_per_pair = 4096;
+    const auto r = run_kv(p);
+    ASSERT_TRUE(r.complete) << "shards " << shards;
+    EXPECT_EQ(r.clamped_schedules, 0u) << "shards " << shards;
+  }
+}
+
 TEST(KvDeterminismTest, DifferentSeedsDiverge) {
   auto p = tiny_kv(2);
   const auto a = run_kv(p);

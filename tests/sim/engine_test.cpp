@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <ostream>
+#include <queue>
 #include <vector>
 
 namespace e2e::sim {
@@ -43,6 +48,7 @@ TEST(Engine, PastEventsClampToNow) {
   eng.schedule_at(50, [&] { fired_at = eng.now(); });  // in the past
   eng.run();
   EXPECT_EQ(fired_at, 100u);
+  EXPECT_EQ(eng.clamped_schedules(), 1u);
 }
 
 TEST(Engine, EventsMayScheduleMoreEvents) {
@@ -213,6 +219,217 @@ TEST(Engine, DeterministicAcrossRuns) {
     return trace;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// --- differential check against a one-priority-queue reference ---
+
+// The engine's contract, written as plainly as possible: one
+// std::priority_queue ordered on (t, seq), past times clamped to now.
+class RefEngine {
+ public:
+  [[nodiscard]] SimTime now() const { return now_; }
+  void schedule_at(SimTime t, std::function<void()> fn) {
+    if (t < now_) {
+      t = now_;
+      ++clamped_;
+    }
+    q_.push(Key{t, fns_.size()});
+    fns_.push_back(std::move(fn));
+  }
+  void run() {
+    stopped_ = false;
+    while (!q_.empty() && !stopped_) dispatch_one();
+  }
+  std::uint64_t run_until(SimTime t) {
+    stopped_ = false;
+    const std::uint64_t n0 = events_;
+    while (!q_.empty() && !stopped_ && q_.top().t <= t) dispatch_one();
+    if (!stopped_ && now_ < t) now_ = t;
+    return events_ - n0;
+  }
+  std::uint64_t run_window(SimTime horizon) {
+    stopped_ = false;
+    const std::uint64_t n0 = events_;
+    while (!q_.empty() && !stopped_ && q_.top().t < horizon) dispatch_one();
+    return events_ - n0;
+  }
+  void stop() { stopped_ = true; }
+  [[nodiscard]] bool idle() const { return q_.empty(); }
+  [[nodiscard]] SimTime next_event_time() const {
+    return q_.empty() ? kTimeInfinity : q_.top().t;
+  }
+  [[nodiscard]] std::size_t queue_depth() const { return q_.size(); }
+  [[nodiscard]] std::uint64_t clamped_schedules() const { return clamped_; }
+  [[nodiscard]] std::uint64_t events_processed() const { return events_; }
+
+ private:
+  struct Key {
+    SimTime t;
+    std::uint64_t seq;  // scheduling order; also the index into fns_
+    bool operator>(const Key& o) const {
+      return t != o.t ? t > o.t : seq > o.seq;
+    }
+  };
+  void dispatch_one() {
+    const Key k = q_.top();
+    q_.pop();
+    now_ = k.t;
+    ++events_;
+    std::function<void()> fn = std::move(fns_[k.seq]);
+    fn();
+  }
+
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> q_;
+  std::vector<std::function<void()>> fns_;
+  SimTime now_ = 0;
+  std::uint64_t events_ = 0, clamped_ = 0;
+  bool stopped_ = false;
+};
+
+std::uint64_t splitmix(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+// What a script saw at one step: the event that fired (or a driver step,
+// id < 0, with the count its run call returned) and the engine's state.
+struct Step {
+  std::int64_t id;
+  std::uint64_t ran;
+  SimTime now, next;
+  std::size_t depth;
+  bool idle;
+  bool operator==(const Step&) const = default;
+};
+void PrintTo(const Step& s, std::ostream* os) {
+  *os << "{id " << s.id << " ran " << s.ran << " now " << s.now << " next "
+      << s.next << " depth " << s.depth << " idle " << s.idle << "}";
+}
+
+// A seeded random schedule driven through any engine with the Engine API.
+// Every choice is a function of the seed, an event's id (ids are handed
+// out in scheduling order) and the engine's observed state, so two engines
+// with the same dispatch order record the same steps.
+template <typename Sim>
+class Script {
+ public:
+  Script(Sim& sim, std::uint64_t seed) : sim_(sim), seed_(seed) {}
+
+  std::vector<Step> play() {
+    std::uint64_t r = splitmix(seed_);
+    for (int i = 0; i < 8; ++i) spawn(r = splitmix(r));
+    for (int round = 0; round < 4000 && (!sim_.idle() || ids_ < kBudget);
+         ++round) {
+      r = splitmix(r);
+      const SimTime next = sim_.next_event_time();
+      const SimTime at = sim_.idle() ? sim_.now() + 50 : next;
+      std::uint64_t ran = 0;
+      switch (r % 8) {
+        case 0:  // horizon exactly on a pending timestamp, or just past it
+        case 1:
+          ran = sim_.run_until(at + ((r >> 8) % 3) * 10);
+          break;
+        case 2:  // window bound on a pending timestamp (exclusive)
+        case 3:
+          ran = sim_.run_window(at + ((r >> 8) % 2) * 10);
+          break;
+        case 4:
+          ran = sim_.run_until(sim_.now() + (r >> 8) % 40);
+          break;
+        case 5:  // schedule from outside any callback
+          for (int i = 0; i < 3; ++i) spawn(r = splitmix(r));
+          break;
+        case 6:
+          if ((r >> 8) % 8 == 0) ran = sim_.run();
+          break;
+        default:
+          ran = sim_.run_window(sim_.now() + (r >> 8) % 100);
+          break;
+      }
+      log(-1 - static_cast<std::int64_t>(r % 8), ran);
+    }
+    sim_.run();
+    log(-100, 0);
+    return steps_;
+  }
+
+ private:
+  static constexpr std::uint64_t kBudget = 3000;
+
+  void log(std::int64_t id, std::uint64_t ran) {
+    steps_.push_back(Step{id, ran, sim_.now(), sim_.next_event_time(),
+                          sim_.queue_depth(), sim_.idle()});
+  }
+
+  // One new event at a time chosen by `r`: a zero-delay hop, one of two
+  // fixed-delay timers, a random delay on a coarse grid (many equal
+  // timestamps), a past time (clamped), or exactly the next pending time.
+  void spawn(std::uint64_t r) {
+    if (ids_ >= kBudget) return;
+    const SimTime now = sim_.now();
+    SimTime t = now;
+    switch (r % 6) {
+      case 0: break;
+      case 1: t = now + 5000; break;
+      case 2: t = now + 3000; break;
+      case 3: t = now + ((r >> 8) % 30) * 10; break;
+      case 4: t = now - std::min<SimTime>(now, (r >> 8) % 100); break;
+      default:
+        t = sim_.idle() ? now + 10 : sim_.next_event_time();
+        break;
+    }
+    const auto id = static_cast<std::int64_t>(ids_++);
+    sim_.schedule_at(t, [this, id] { fire(id); });
+  }
+
+  void fire(std::int64_t id) {
+    log(id, 0);
+    std::uint64_t r =
+        splitmix(seed_ ^ splitmix(static_cast<std::uint64_t>(id)));
+    const std::uint64_t children = r % 4;
+    for (std::uint64_t c = 0; c < children; ++c) spawn(r = splitmix(r));
+    if ((r >> 16) % 64 == 0) sim_.stop();
+    log(id, 1);
+  }
+
+  Sim& sim_;
+  std::uint64_t seed_;
+  std::uint64_t ids_ = 0;
+  std::vector<Step> steps_;
+};
+
+// run() returns void; the script logs the events it dispatched.
+template <typename Base>
+struct Counted : Base {
+  std::uint64_t run() {
+    const std::uint64_t n0 = Base::events_processed();
+    Base::run();
+    return Base::events_processed() - n0;
+  }
+};
+
+TEST(Engine, MatchesPriorityQueueReferenceOnRandomSchedules) {
+  std::uint64_t heap = 0, lane = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Counted<Engine> eng;
+    Counted<RefEngine> ref;
+    const std::vector<Step> got = Script<Counted<Engine>>(eng, seed).play();
+    const std::vector<Step> want =
+        Script<Counted<RefEngine>>(ref, seed).play();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " step " << i
+                                 << " id " << got[i].id;
+    EXPECT_EQ(eng.clamped_schedules(), ref.clamped_schedules());
+    EXPECT_TRUE(eng.idle());
+    heap += eng.heap_pushes();
+    lane += eng.events_processed() - eng.heap_pushes();
+  }
+  // Every store took part.
+  EXPECT_GT(heap, 0u);
+  EXPECT_GT(lane, heap);
 }
 
 }  // namespace
