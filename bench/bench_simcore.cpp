@@ -18,6 +18,8 @@
 
 #include "model/host_profile.hpp"
 #include "numa/host.hpp"
+#include "numa/process.hpp"
+#include "numa/thread.hpp"
 #include "sim/channel.hpp"
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
@@ -118,6 +120,30 @@ void BM_ResourceAcquire(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_ResourceAcquire);
+
+// Back-to-back NUMA cost bookings on one core: Thread::compute charges the
+// core's cycle resource at the call and the coroutine awaits the returned
+// Delay — one direct-resume event per booking, no frame of its own.
+Task<> compute_loop(e2e::numa::Thread& th, int n) {
+  for (int i = 0; i < n; ++i)
+    co_await th.compute(200.0, e2e::metrics::CpuCategory::kUserProto);
+}
+
+void BM_ComputeBooking(benchmark::State& state) {
+  constexpr int kBookingsPerRun = 1024;
+  Engine eng;
+  e2e::numa::Host host(eng, e2e::model::front_end_lan_host("fe"));
+  e2e::numa::Process proc(host, "p", e2e::numa::NumaBinding::bound(0));
+  e2e::numa::Thread& th = proc.spawn_thread();
+  std::uint64_t ops = 0;
+  for (auto _ : state) {
+    e2e::sim::co_spawn(compute_loop(th, kBookingsPerRun));
+    eng.run();
+    ops += kBookingsPerRun;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+}
+BENCHMARK(BM_ComputeBooking);
 
 // Channel ping-pong: send + suspended recv + engine-mediated wake, twice
 // per round trip. The waiter parks in the coroutine frame.

@@ -17,6 +17,7 @@
 #include "numa/host.hpp"
 #include "numa/thread.hpp"
 #include "sim/sync.hpp"
+#include "sim/task.hpp"
 
 namespace e2e::blk {
 

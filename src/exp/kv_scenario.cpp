@@ -348,6 +348,7 @@ KvResult run_kv(const KvParams& p) {
     out.stale_responses += rig->client->stale_responses();
     out.calls_served += rig->handler->gets() + rig->handler->puts();
     out.clamped_schedules += rig->eng->clamped_schedules();
+    out.closure_events += rig->eng->closure_events();
     add_batching(*rig->client);
     add_batching(*rig->server);
     if (rig->ring_client) {

@@ -63,6 +63,9 @@ struct KvResult {
   // Past-time schedules clamped to now, every shard, whole run (not in
   // the digest: a clean run books none).
   std::uint64_t clamped_schedules = 0;
+  // Dispatches that ran an EventFn closure rather than resuming a
+  // coroutine directly, every shard (not in the digest, like the above).
+  std::uint64_t closure_events = 0;
   double wall_seconds = 0.0;  // parallel phase only
   double aggregate_mops = 0.0;
   std::vector<double> pair_mops;

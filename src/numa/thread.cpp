@@ -7,7 +7,6 @@
 
 #include "check/audit.hpp"
 #include "numa/process.hpp"
-#include "sim/sync.hpp"
 
 namespace e2e::numa {
 
@@ -140,15 +139,14 @@ sim::SimTime Thread::book(double cycles, std::uint64_t read_bytes,
   return done;
 }
 
-sim::Task<> Thread::compute(double cycles, metrics::CpuCategory cat) {
-  const sim::SimTime done =
-      book(cycles, 0, nullptr, 0, nullptr, cat, Coherence::kPrivate);
-  co_await sim::until(host_.engine(), done);
+sim::Delay Thread::compute(double cycles, metrics::CpuCategory cat) {
+  return sim::until(host_.engine(), book(cycles, 0, nullptr, 0, nullptr, cat,
+                                         Coherence::kPrivate));
 }
 
-sim::Task<> Thread::copy(std::uint64_t bytes, const Placement& src,
-                         const Placement& dst, metrics::CpuCategory cat,
-                         Coherence dst_coherence, bool src_in_cache) {
+sim::Delay Thread::copy(std::uint64_t bytes, const Placement& src,
+                        const Placement& dst, metrics::CpuCategory cat,
+                        Coherence dst_coherence, bool src_in_cache) {
   const auto& cm = host_.costs();
   const double penalty =
       src_in_cache ? locality_penalty(dst)
@@ -161,21 +159,21 @@ sim::Task<> Thread::copy(std::uint64_t bytes, const Placement& src,
   const sim::SimTime done =
       book(cycles, src_in_cache ? 0 : bytes, &src, bytes, &dst, cat,
            dst_coherence);
-  co_await sim::until(host_.engine(), done);
+  return sim::until(host_.engine(), done);
 }
 
-sim::Task<> Thread::mem_read(std::uint64_t bytes, const Placement& src,
-                             metrics::CpuCategory cat) {
+sim::Delay Thread::mem_read(std::uint64_t bytes, const Placement& src,
+                            metrics::CpuCategory cat) {
   const auto& cm = host_.costs();
   const double cycles = static_cast<double>(bytes) *
                         cm.mem_touch_cycles_per_byte * locality_penalty(src);
   const sim::SimTime done =
       book(cycles, bytes, &src, 0, nullptr, cat, Coherence::kPrivate);
-  co_await sim::until(host_.engine(), done);
+  return sim::until(host_.engine(), done);
 }
 
-sim::Task<> Thread::mem_write(std::uint64_t bytes, const Placement& dst,
-                              metrics::CpuCategory cat, Coherence coherence) {
+sim::Delay Thread::mem_write(std::uint64_t bytes, const Placement& dst,
+                             metrics::CpuCategory cat, Coherence coherence) {
   const auto& cm = host_.costs();
   double cycles = static_cast<double>(bytes) * cm.mem_touch_cycles_per_byte *
                   locality_penalty(dst);
@@ -184,17 +182,17 @@ sim::Task<> Thread::mem_write(std::uint64_t bytes, const Placement& dst,
               dst.remote_fraction(node());
   const sim::SimTime done =
       book(cycles, 0, nullptr, bytes, &dst, cat, coherence);
-  co_await sim::until(host_.engine(), done);
+  return sim::until(host_.engine(), done);
 }
 
-sim::Task<> Thread::zero_fill(std::uint64_t bytes, const Placement& dst,
-                              metrics::CpuCategory cat) {
+sim::Delay Thread::zero_fill(std::uint64_t bytes, const Placement& dst,
+                             metrics::CpuCategory cat) {
   const auto& cm = host_.costs();
   const double cycles = static_cast<double>(bytes) *
                         cm.zero_fill_cycles_per_byte * locality_penalty(dst);
   const sim::SimTime done =
       book(cycles, 0, nullptr, bytes, &dst, cat, Coherence::kPrivate);
-  co_await sim::until(host_.engine(), done);
+  return sim::until(host_.engine(), done);
 }
 
 }  // namespace e2e::numa

@@ -14,6 +14,13 @@
 //
 // All CPU time is tagged with a metrics::CpuCategory and accounted on the
 // core and on the owning Process.
+//
+// Each operation books its costs at the call, not when its result is
+// awaited: it charges the resources right away and returns the sim::Delay
+// that completes when the last of them drains (sim::until). Callers write
+// `co_await th.compute(...)`, so call and await are one instant; two
+// bookings made back to back queue in call order whichever is awaited
+// first. No coroutine frame is built per booking.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +32,7 @@
 #include "metrics/cpu_usage.hpp"
 #include "numa/host.hpp"
 #include "numa/types.hpp"
-#include "sim/task.hpp"
+#include "sim/sync.hpp"
 
 namespace e2e::numa {
 
@@ -46,30 +53,32 @@ class Thread {
   [[nodiscard]] Process* process() noexcept { return proc_; }
 
   /// Burns `cycles` of CPU in category `cat`.
-  sim::Task<> compute(double cycles, metrics::CpuCategory cat);
+  [[nodiscard]] sim::Delay compute(double cycles, metrics::CpuCategory cat);
 
   /// memcpy of `bytes` from `src` to `dst`. `dst_coherence` is
   /// kSharedRemote when the destination pages are cached by other nodes
   /// (write-invalidate traffic + stall cycles). `src_in_cache` skips the
   /// source's memory-channel traffic (data served from LLC — the iperf
   /// small-buffer cache effect of §2.3).
-  sim::Task<> copy(std::uint64_t bytes, const Placement& src,
-                   const Placement& dst, metrics::CpuCategory cat,
-                   Coherence dst_coherence = Coherence::kPrivate,
-                   bool src_in_cache = false);
+  [[nodiscard]] sim::Delay copy(std::uint64_t bytes, const Placement& src,
+                                const Placement& dst, metrics::CpuCategory cat,
+                                Coherence dst_coherence = Coherence::kPrivate,
+                                bool src_in_cache = false);
 
   /// Streaming read (touch) of `bytes` from `src`.
-  sim::Task<> mem_read(std::uint64_t bytes, const Placement& src,
-                       metrics::CpuCategory cat);
+  [[nodiscard]] sim::Delay mem_read(std::uint64_t bytes, const Placement& src,
+                                    metrics::CpuCategory cat);
 
   /// Streaming write of `bytes` to `dst`.
-  sim::Task<> mem_write(std::uint64_t bytes, const Placement& dst,
-                        metrics::CpuCategory cat,
-                        Coherence coherence = Coherence::kPrivate);
+  [[nodiscard]] sim::Delay mem_write(std::uint64_t bytes,
+                                     const Placement& dst,
+                                     metrics::CpuCategory cat,
+                                     Coherence coherence = Coherence::kPrivate);
 
   /// Kernel zero-fill of `bytes` into `dst` (reading /dev/zero).
-  sim::Task<> zero_fill(std::uint64_t bytes, const Placement& dst,
-                        metrics::CpuCategory cat);
+  [[nodiscard]] sim::Delay zero_fill(std::uint64_t bytes,
+                                     const Placement& dst,
+                                     metrics::CpuCategory cat);
 
   /// Books CPU cycles and memory traffic; returns overall completion time.
   /// Placement costs come from a per-thread cached plan (see CostPlan) —

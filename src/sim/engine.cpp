@@ -10,10 +10,10 @@ Engine::~Engine() {
   if (cluster_ != nullptr) cluster_->detach(*this);
 }
 
-// Sift operations move 24-byte POD keys only; the EventFn payloads stay put
-// in slots_ until dispatch, so reordering the heap never runs a relocate
-// thunk and a sift touches at most log4(n) contiguous cache lines. Only
-// events neither lane can take reach the heap at all.
+// Sift operations move 24-byte POD keys only; closures stay put in slots_
+// until dispatch, so reordering the heap never runs a relocate thunk and a
+// sift touches at most log4(n) contiguous cache lines. Only events neither
+// lane can take reach the heap at all.
 
 std::uint32_t Engine::claim_slot(EventFn&& fn) {
   if (!free_slots_.empty()) {
@@ -56,11 +56,15 @@ void Engine::sift_down(std::size_t i) {
 }
 
 void Engine::schedule_at(SimTime t, EventFn fn) {
+  push(t, (std::uint64_t{claim_slot(std::move(fn))} << 1) | kClosureTag);
+}
+
+void Engine::push(SimTime t, std::uint64_t payload) {
   if (t < now_) {
     t = now_;
     ++clamped_schedules_;
   }
-  const Event e{t, next_seq_++, claim_slot(std::move(fn))};
+  const Event e{t, next_seq_++, payload};
   // A lane takes the event only where it stays sorted on (t, seq): seq
   // grows with every call, so the now lane (t == now_, and now_ never
   // decreases) and the tail lane (t >= back) are sorted by construction.
@@ -76,10 +80,7 @@ void Engine::schedule_at(SimTime t, EventFn fn) {
 }
 
 void Engine::dispatch(Store s, Event top) {
-  // Move the callback out before popping: fn may schedule new events.
   now_ = top.t;
-  EventFn fn = std::move(slots_[top.slot]);
-  free_slots_.push_back(top.slot);
   if (s == Store::kNow) {
     now_lane_.pop_front();
   } else if (s == Store::kTail) {
@@ -92,6 +93,17 @@ void Engine::dispatch(Store s, Event top) {
     heap_.pop_back();
   }
   ++events_processed_;
+  if ((top.payload & kClosureTag) == 0) {
+    std::coroutine_handle<>::from_address(
+        reinterpret_cast<void*>(static_cast<std::uintptr_t>(top.payload)))
+        .resume();
+    return;
+  }
+  // Move the callback out and free its slot first: fn may schedule events.
+  const auto slot = static_cast<std::uint32_t>(top.payload >> 1);
+  EventFn fn = std::move(slots_[slot]);
+  free_slots_.push_back(slot);
+  ++closure_events_;
   fn();
 }
 

@@ -1,8 +1,9 @@
 // Discrete-event simulation engine.
 //
-// The Engine owns the pending-event set. Events are arbitrary callbacks;
-// higher layers almost never post callbacks directly — they await the
-// awaitables in awaitables.hpp from coroutine Tasks instead.
+// The Engine owns the pending-event set. An event either resumes a
+// suspended coroutine (resume_at) or runs a callback (schedule_at); higher
+// layers rarely post callbacks directly — they await the awaitables in
+// sync.hpp and resource.hpp from coroutine Tasks instead.
 //
 // Determinism: events scheduled for the same instant fire in scheduling
 // order (a monotonically increasing sequence number breaks ties), so a given
@@ -19,12 +20,18 @@
 //   - an indexed 4-ary min-heap on one contiguous vector for everything
 //     else — shallower than a binary heap (fewer cache lines per sift).
 // Every store reuses its capacity across push/pop cycles (see reserve()).
-// The stores hold 24-byte POD keys {t, seq, slot}; the EventFn payloads sit
-// in a parallel slot pool that a sift never touches, so reordering moves
-// plain integers. Callbacks are sim::EventFn, which stores every in-tree
-// capture inline, so schedule_at() never allocates.
+// The stores hold 24-byte POD keys {t, seq, payload}, so a sift moves plain
+// integers. The payload is tagged on its low bit: a coroutine frame address
+// (bit clear) is resumed directly at dispatch — the wakeup of every Delay,
+// Resource::acquire and sync primitive, most of a run's events — while
+// (slot << 1) | 1 names an EventFn in a parallel slot pool. Only real
+// closures (link deliveries, timers, cross-shard merges) take a slot;
+// EventFn stores every in-tree capture inline, so neither schedule_at() nor
+// resume_at() ever allocates.
 #pragma once
 
+#include <cassert>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -125,6 +132,16 @@ class Engine {
   /// clamped_schedules()).
   void schedule_at(SimTime t, EventFn fn);
 
+  /// Resumes the suspended coroutine `h` at absolute time `t`: the same
+  /// clamp, sequence number and store as schedule_at(), but the key carries
+  /// the frame address itself, so no EventFn slot is claimed and dispatch
+  /// calls h.resume() directly.
+  void resume_at(SimTime t, std::coroutine_handle<> h) {
+    const auto frame = reinterpret_cast<std::uintptr_t>(h.address());
+    assert((frame & 1) == 0 && "coroutine frames are at least 2-aligned");
+    push(t, frame);
+  }
+
   /// Schedules `fn` to run `delay` nanoseconds from now.
   void schedule_after(SimDuration delay, EventFn fn) {
     schedule_at(saturating_add(now_, delay), std::move(fn));
@@ -153,12 +170,18 @@ class Engine {
     return events_processed_;
   }
 
-  /// schedule_at() calls whose `t` lay in the past and was clamped to now().
+  /// schedule_at()/resume_at() calls whose `t` lay in the past and was
+  /// clamped to now().
   [[nodiscard]] std::uint64_t clamped_schedules() const noexcept {
     return clamped_schedules_;
   }
-  /// schedule_at() calls that went into the 4-ary heap because neither
-  /// lane could take the event; every other call rode a lane.
+  /// Dispatches that ran an EventFn closure from the slot pool; every other
+  /// dispatch resumed a coroutine directly (see resume_at()).
+  [[nodiscard]] std::uint64_t closure_events() const noexcept {
+    return closure_events_;
+  }
+  /// schedule_at()/resume_at() calls that went into the 4-ary heap because
+  /// neither lane could take the event; every other call rode a lane.
   [[nodiscard]] std::uint64_t heap_pushes() const noexcept {
     return heap_pushes_;
   }
@@ -259,14 +282,18 @@ class Engine {
   static constexpr std::size_t kArity = 4;
   static constexpr std::size_t kInitialReserve = 1024;
 
-  /// Pending-event key: ordering key plus the index of the EventFn in
+  /// Pending-event key: ordering key plus a tagged payload — a coroutine
+  /// frame address (low bit 0) or `(slot << 1) | 1` for the EventFn in
   /// slots_. Trivially copyable, so sift moves are plain 24-byte copies.
   struct Event {
     SimTime t;
     std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t payload;
   };
   static_assert(std::is_trivially_copyable_v<Event>);
+  static_assert(sizeof(Event) == 24);
+  static_assert(sizeof(std::uintptr_t) <= sizeof(std::uint64_t));
+  static constexpr std::uint64_t kClosureTag = 1;
 
   /// Order on (t, seq): earlier time first, scheduling order within the
   /// same instant. Every store is sorted on it.
@@ -294,6 +321,8 @@ class Engine {
   }
 
   std::uint32_t claim_slot(EventFn&& fn);
+  /// Clamps `t`, stamps the next seq and files the key in its store.
+  void push(SimTime t, std::uint64_t payload);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   /// Pops `top`, the front of store `s`, and runs it.
@@ -311,7 +340,7 @@ class Engine {
   RingQueue<Event> now_lane_;  // t == now() at scheduling
   RingQueue<Event> tail_;      // t >= every earlier tail entry
   std::vector<Event> heap_;
-  std::vector<EventFn> slots_;             // payloads, indexed by Event::slot
+  std::vector<EventFn> slots_;             // closures, indexed by slot
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
   Observer* observers_[Observer::kKindCount] = {};
   std::vector<Resource*> resources_;
@@ -323,6 +352,7 @@ class Engine {
   std::uint64_t events_processed_ = 0;
   std::uint64_t clamped_schedules_ = 0;
   std::uint64_t heap_pushes_ = 0;
+  std::uint64_t closure_events_ = 0;
   bool stopped_ = false;
 };
 

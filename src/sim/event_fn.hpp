@@ -6,11 +6,16 @@
 // fails the build instead of silently heap-allocating. schedule_at()
 // therefore never touches the allocator, no matter what it is handed.
 //
+// Only real closures take an EventFn: coroutine wakeups (Delay,
+// Resource::acquire, the sync primitives) go through Engine::resume_at and
+// never build one.
+//
 // Contributor rule: keep event captures at or below kInlineBytes (a handful
 // of pointers / integers / one shared_ptr payload). If a capture outgrows
 // the buffer, move the bulky state behind a pointer the event borrows or
-// owns, or widen kInlineBytes deliberately (it is part of the Event memory
-// footprint: every slot in the event heap carries this many bytes).
+// owns, or widen kInlineBytes deliberately (it is part of the closure
+// footprint: every entry of the engine's slot pool carries this many
+// bytes, though the 24-byte keys the event stores sift do not).
 #pragma once
 
 #include <cstddef>
@@ -43,7 +48,7 @@ class EventFn {
                   "event capture over-aligned for EventFn inline storage");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "event captures must be nothrow-move-constructible (the "
-                  "event heap relocates them)");
+                  "engine's slot pool relocates them)");
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
     ops_ = &OpsFor<Fn>::kOps;
   }
@@ -68,7 +73,8 @@ class EventFn {
   struct Ops {
     void (*invoke)(void*);
     // Move-constructs into dst from src and destroys src, in one call so
-    // heap sift operations pay a single indirect call per relocation.
+    // each move (into and out of a slot, slot-pool growth) pays a single
+    // indirect call.
     void (*relocate)(void* dst, void* src) noexcept;
     void (*destroy)(void*) noexcept;
   };

@@ -1,7 +1,7 @@
 // Size-bucketed freelist allocator for coroutine frames.
 //
-// Protocol layers spawn short-lived Task frames per chunk (compute/copy
-// awaitables, per-IO server tasks, per-block transfers); at steady state
+// Protocol layers spawn short-lived Task frames per chunk (per-IO server
+// tasks, per-request rpc handlers, per-block transfers); at steady state
 // the same handful of frame sizes churn millions of times per simulated
 // run. FramePool recycles them: a freed frame goes on a per-size freelist
 // and the next allocation of that size pops it back off — no malloc, no
@@ -49,8 +49,8 @@ inline constexpr bool kFramePoolEnabled = E2E_SIM_FRAME_POOL != 0;
 class FramePool {
  public:
   /// Bucket granularity and the largest frame the pool recycles. Typical
-  /// in-tree frames (Thread::compute/copy, per-chunk protocol tasks) are a
-  /// few hundred bytes; 4 KiB covers the fattest with headroom.
+  /// in-tree frames (per-chunk protocol tasks) are a few hundred bytes;
+  /// 4 KiB covers the fattest with headroom.
   static constexpr std::size_t kGranularity = 64;
   static constexpr std::size_t kMaxPooledBytes = 4096;
   static constexpr std::size_t kBuckets = kMaxPooledBytes / kGranularity;

@@ -89,8 +89,7 @@ class Resource {
       double units;
       bool await_ready() const noexcept { return units <= 0.0; }
       void await_suspend(std::coroutine_handle<> h) {
-        const SimTime done = r.plan(units);
-        r.eng_.schedule_at(done, [h] { h.resume(); });
+        r.eng_.resume_at(r.plan(units), h);
       }
       void await_resume() const noexcept {}
     };

@@ -20,7 +20,7 @@ namespace e2e::sim {
 
 namespace detail {
 inline void resume_via_engine(Engine& eng, std::coroutine_handle<> h) {
-  eng.schedule_after(0, [h] { h.resume(); });
+  eng.resume_at(eng.now(), h);
 }
 
 /// One parked coroutine. Lives in the awaiter object inside the suspended
@@ -69,7 +69,7 @@ struct Delay {
 
   bool await_ready() const noexcept { return duration == 0; }
   void await_suspend(std::coroutine_handle<> h) const {
-    engine.schedule_after(duration, [h] { h.resume(); });
+    engine.resume_at(Engine::saturating_add(engine.now(), duration), h);
   }
   void await_resume() const noexcept {}
 };

@@ -87,6 +87,9 @@ TEST(KvDeterminismTest, ReadModeIsDeterministicToo) {
 
 // A clean run never schedules into an engine's past: no same-engine
 // caller, and no cross-shard delivery, needs Engine::schedule_at's clamp.
+// Its closure count is pinned too: coroutine wakeups resume their frames
+// directly, so only link deliveries, rpc retry timers and cross-shard
+// merges run EventFn closures — 3.0 per op at any shard count.
 TEST(KvDeterminismTest, CleanRunClampsNoPastSchedule) {
   for (int shards : {1, 4}) {
     KvParams p;  // 4 pairs, 4096 ops per pair, the CLI's defaults otherwise
@@ -96,6 +99,7 @@ TEST(KvDeterminismTest, CleanRunClampsNoPastSchedule) {
     const auto r = run_kv(p);
     ASSERT_TRUE(r.complete) << "shards " << shards;
     EXPECT_EQ(r.clamped_schedules, 0u) << "shards " << shards;
+    EXPECT_EQ(r.closure_events, 49'152u) << "shards " << shards;
   }
 }
 

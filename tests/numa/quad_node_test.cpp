@@ -6,6 +6,7 @@
 
 #include "exp/runner.hpp"
 #include "numa/numa.hpp"
+#include "testutil.hpp"
 
 namespace e2e::numa {
 namespace {
@@ -55,8 +56,9 @@ TEST(QuadNode, RemoteCopyCrossesOnlyTheRightLink) {
   Host h(eng, quad_host());
   Process p(h, "p", NumaBinding::bound(3));
   Thread& th = p.spawn_thread();
-  exp::run_task(eng, th.copy(1 << 20, Placement::on(1), Placement::on(3),
-                             metrics::CpuCategory::kCopy));
+  exp::run_task(eng, test::as_task(th.copy(1 << 20, Placement::on(1),
+                                           Placement::on(3),
+                                           metrics::CpuCategory::kCopy)));
   EXPECT_GT(h.interconnect(1, 3).units_served(), 0.0);  // read pull
   EXPECT_EQ(h.interconnect(3, 1).units_served(), 0.0);
   EXPECT_EQ(h.interconnect(0, 3).units_served(), 0.0);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <ostream>
 #include <queue>
@@ -236,6 +238,9 @@ class RefEngine {
     q_.push(Key{t, fns_.size()});
     fns_.push_back(std::move(fn));
   }
+  void resume_at(SimTime t, std::coroutine_handle<> h) {
+    schedule_at(t, [h] { h.resume(); });
+  }
   void run() {
     stopped_ = false;
     while (!q_.empty() && !stopped_) dispatch_one();
@@ -308,6 +313,21 @@ void PrintTo(const Step& s, std::ostream* os) {
       << s.next << " depth " << s.depth << " idle " << s.idle << "}";
 }
 
+// A coroutine that starts suspended and, once resumed, runs its body to the
+// end and frees its own frame: exactly one resume event per frame.
+struct OneShot {
+  struct promise_type {
+    OneShot get_return_object() noexcept {
+      return {std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_never final_suspend() noexcept { return {}; }
+    void return_void() noexcept {}
+    void unhandled_exception() noexcept { std::terminate(); }
+  };
+  std::coroutine_handle<> handle;
+};
+
 // A seeded random schedule driven through any engine with the Engine API.
 // Every choice is a function of the seed, an event's id (ids are handed
 // out in scheduling order) and the engine's observed state, so two engines
@@ -355,6 +375,8 @@ class Script {
     return steps_;
   }
 
+  [[nodiscard]] std::uint64_t resumes() const { return resumes_; }
+
  private:
   static constexpr std::uint64_t kBudget = 3000;
 
@@ -366,6 +388,8 @@ class Script {
   // One new event at a time chosen by `r`: a zero-delay hop, one of two
   // fixed-delay timers, a random delay on a coarse grid (many equal
   // timestamps), a past time (clamped), or exactly the next pending time.
+  // About a third of them resume a coroutine frame instead of running a
+  // closure, so both payload kinds share every store and tie-break.
   void spawn(std::uint64_t r) {
     if (ids_ >= kBudget) return;
     const SimTime now = sim_.now();
@@ -381,7 +405,20 @@ class Script {
         break;
     }
     const auto id = static_cast<std::int64_t>(ids_++);
-    sim_.schedule_at(t, [this, id] { fire(id); });
+    if ((r >> 40) % 3 == 0) {
+      const std::coroutine_handle<> h = resumed(id).handle;
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(h.address()) & 1, 0u)
+          << "frame address collides with the closure tag";
+      ++resumes_;
+      sim_.resume_at(t, h);
+    } else {
+      sim_.schedule_at(t, [this, id] { fire(id); });
+    }
+  }
+
+  OneShot resumed(std::int64_t id) {
+    fire(id);
+    co_return;
   }
 
   void fire(std::int64_t id) {
@@ -396,7 +433,7 @@ class Script {
 
   Sim& sim_;
   std::uint64_t seed_;
-  std::uint64_t ids_ = 0;
+  std::uint64_t ids_ = 0, resumes_ = 0;
   std::vector<Step> steps_;
 };
 
@@ -411,11 +448,12 @@ struct Counted : Base {
 };
 
 TEST(Engine, MatchesPriorityQueueReferenceOnRandomSchedules) {
-  std::uint64_t heap = 0, lane = 0;
+  std::uint64_t heap = 0, lane = 0, resumes = 0, closures = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     Counted<Engine> eng;
     Counted<RefEngine> ref;
-    const std::vector<Step> got = Script<Counted<Engine>>(eng, seed).play();
+    Script<Counted<Engine>> script(eng, seed);
+    const std::vector<Step> got = script.play();
     const std::vector<Step> want =
         Script<Counted<RefEngine>>(ref, seed).play();
     ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
@@ -424,12 +462,20 @@ TEST(Engine, MatchesPriorityQueueReferenceOnRandomSchedules) {
                                  << " id " << got[i].id;
     EXPECT_EQ(eng.clamped_schedules(), ref.clamped_schedules());
     EXPECT_TRUE(eng.idle());
+    // Every resume key dispatched as a direct resume, every other event
+    // through its closure slot.
+    EXPECT_EQ(eng.events_processed() - eng.closure_events(), script.resumes())
+        << "seed " << seed;
     heap += eng.heap_pushes();
     lane += eng.events_processed() - eng.heap_pushes();
+    resumes += script.resumes();
+    closures += eng.closure_events();
   }
-  // Every store took part.
+  // Every store and both payload kinds took part.
   EXPECT_GT(heap, 0u);
   EXPECT_GT(lane, heap);
+  EXPECT_GT(resumes, 0u);
+  EXPECT_GT(closures, resumes);
 }
 
 }  // namespace

@@ -77,6 +77,11 @@ inline std::unique_ptr<fault::FaultInjector> lose_next(sim::Engine& eng,
   return inj;
 }
 
+/// Wraps an awaitable — a numa::Thread booking, a sim::Delay — in a Task,
+/// so exp::run_task and sim::co_spawn can drive it.
+template <typename Awaitable>
+sim::Task<> as_task(Awaitable a) { co_await a; }
+
 /// Makes a registered buffer descriptor on `host` at `node`.
 inline mem::Buffer make_buffer(numa::Host& host, std::uint64_t bytes,
                                numa::NodeId node) {
