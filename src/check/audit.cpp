@@ -202,6 +202,19 @@ void Auditor::on_cpu_charge(const sim::Resource* core_cycles,
   cores_[idx].second.accounted[static_cast<std::size_t>(cat)] += ns;
 }
 
+auto Auditor::ff_fields() {
+  return [this](auto&& word, auto&& pin) {
+    for (auto& [res, cs] : cores_) {
+      for (sim::SimDuration& ns : cs.accounted) word(ns);
+      pin(cs.total() - resources_[cs.res_idx].sum_busy);
+    }
+  };
+}
+
+void Auditor::ff_mark() { ff_.mark(ff_fields()); }
+
+void Auditor::ff_advance(std::uint64_t k) { ff_.advance(k, ff_fields()); }
+
 // --- QP ledger ---
 
 namespace {
@@ -616,31 +629,6 @@ void Auditor::rftp_fast_forward_drains(const void* sess,
     a->delivered += bytes;
     a->digest ^= fault::rftp_block_tag(block_idx, bytes);
   }
-}
-
-void Auditor::ff_cpu_cores(std::vector<const sim::Resource*>& out) const {
-  out.clear();
-  out.reserve(cores_.size());
-  for (const auto& [res, cs] : cores_) out.push_back(res);
-}
-
-void Auditor::ff_cpu_snapshot(std::vector<sim::SimDuration>& out) const {
-  out.clear();
-  out.reserve(cores_.size() * metrics::kCpuCategoryCount);
-  for (const auto& [res, cs] : cores_)
-    for (std::size_t c = 0; c < metrics::kCpuCategoryCount; ++c)
-      out.push_back(cs.accounted[c]);
-}
-
-bool Auditor::ff_cpu_apply(const std::vector<sim::SimDuration>& delta,
-                           std::uint64_t k) {
-  if (delta.size() != cores_.size() * metrics::kCpuCategoryCount)
-    return false;
-  std::size_t i = 0;
-  for (auto& [res, cs] : cores_)
-    for (std::size_t c = 0; c < metrics::kCpuCategoryCount; ++c)
-      cs.accounted[c] += delta[i++] * static_cast<sim::SimDuration>(k);
-  return true;
 }
 
 void Auditor::rftp_end(const void* sess, bool complete,

@@ -38,6 +38,7 @@
 #include "metrics/cpu_usage.hpp"
 #include "obs/probe.hpp"
 #include "sim/engine.hpp"
+#include "sim/period_marks.hpp"
 #include "sim/run_set.hpp"
 #include "sim/time.hpp"
 
@@ -77,7 +78,7 @@ class Auditor final : public sim::Observer {
   void on_resource_replan(const sim::Resource& r, sim::SimTime old_busy_until,
                           sim::SimTime new_busy_until) override;
   void on_resource_destroyed(const sim::Resource& r) override;
-  /// Analytic service booked by Resource::fast_forward: fold the deltas
+  /// Analytic service booked by Resource::ff_advance: fold the deltas
   /// into the running sums so the exact busy-time reconciliation holds on
   /// fast-forwarded runs.
   void on_resource_fast_forward(const sim::Resource& r,
@@ -86,6 +87,14 @@ class Auditor final : public sim::Observer {
   /// Modeled time skipped without events: widens the utilization ceilings
   /// (busy time accrued analytically has no event-clock span to sit in).
   void on_time_skip(sim::SimDuration d) override { skipped_ += d; }
+  /// The fast-forward contract folds the per-core accounted[category]
+  /// arrays (integer nanoseconds; per-resource sums fold through
+  /// on_resource_fast_forward). finalize() cross-checks each core's
+  /// accounted total against its cycle server to the nanosecond, so a
+  /// period in which the two moved apart by any amount does not repeat.
+  void ff_mark() override;
+  [[nodiscard]] bool ff_repeats() const override { return ff_.repeats(); }
+  void ff_advance(std::uint64_t k) override;
 
   // --- CPU accounting (called by numa::Thread) ---
 
@@ -187,21 +196,6 @@ class Auditor final : public sim::Observer {
   /// independently accumulated ledger and the analytic digest.
   void rftp_end(const void* sess, bool complete, std::uint64_t delivered_bytes,
                 std::uint64_t sink_digest);
-
-  // --- fast-forward CPU accounting ---
-  // The per-core accounted[category] arrays are integer nanoseconds, so a
-  // steady-state period's delta replays exactly. Arrays are flattened in
-  // first-seen core order, kCpuCategoryCount entries per core.
-
-  /// Cycle-server pointers of every audited core, in first-seen order.
-  void ff_cpu_cores(std::vector<const sim::Resource*>& out) const;
-  /// Flattened copy of every core's accounted-by-category array.
-  void ff_cpu_snapshot(std::vector<sim::SimDuration>& out) const;
-  /// Adds `delta * k` element-wise to the accounted arrays. Returns false
-  /// (and applies nothing) if the core population changed since the
-  /// snapshot shape was captured.
-  bool ff_cpu_apply(const std::vector<sim::SimDuration>& delta,
-                    std::uint64_t k);
 
   // --- end-of-run reconciliation ---
 
@@ -330,6 +324,8 @@ class Auditor final : public sim::Observer {
   void reconcile_resource(const ResourceState& s);
   QpLedger& qp_ledger(const void* rx_qp, std::string_view who);
   Flow& flow(const void* id, std::string_view name);
+  /// The conserved state for ff_ (see sim::PeriodMarks).
+  auto ff_fields();
   StreamAudit* rftp_stream(const void* sess, int stream, const char* site);
   RftpAudit* rftp_find(const void* sess, const char* site);
 
@@ -355,6 +351,7 @@ class Auditor final : public sim::Observer {
   std::unordered_map<std::string, std::size_t> flow_index_;
   std::vector<RftpAudit> rftp_;
   std::unordered_map<const void*, std::size_t> rftp_index_;
+  sim::PeriodMarks ff_;
 };
 
 /// The installed auditor, or null when auditing is disabled. Only an

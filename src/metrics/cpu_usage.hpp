@@ -75,6 +75,13 @@ class CpuUsage {
     return 100.0 * static_cast<double>(total()) / static_cast<double>(window);
   }
 
+  /// Calls word(ns) on each category's total, by reference (the
+  /// fast-forward fold of numa::Host, see sim::PeriodMarks).
+  template <typename Word>
+  void ff_fields(Word&& word) {
+    for (sim::SimDuration& ns : ns_) word(ns);
+  }
+
   /// Difference (this - baseline), used to report a measurement window.
   [[nodiscard]] CpuUsage since(const CpuUsage& baseline) const noexcept {
     CpuUsage d;

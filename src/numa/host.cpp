@@ -128,4 +128,19 @@ metrics::CpuUsage Host::total_usage() const {
   return u;
 }
 
+namespace {
+// The fast-forward fold's words: every core's CpuUsage, in core order.
+auto usage_fields(std::vector<std::unique_ptr<Core>>& cores) {
+  return [&cores](auto&& word, auto&&) {
+    for (auto& c : cores) c->usage.ff_fields(word);
+  };
+}
+}  // namespace
+
+void Host::ff_mark() { ff_.mark(usage_fields(cores_)); }
+
+void Host::ff_advance(std::uint64_t k) {
+  ff_.advance(k, usage_fields(cores_));
+}
+
 }  // namespace e2e::numa

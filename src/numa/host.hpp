@@ -20,6 +20,7 @@
 #include "model/host_profile.hpp"
 #include "numa/types.hpp"
 #include "sim/engine.hpp"
+#include "sim/period_marks.hpp"
 #include "sim/resource.hpp"
 
 namespace e2e::numa {
@@ -107,6 +108,12 @@ class Host {
   /// Sum of all per-core usage (whole-host CPU accounting).
   [[nodiscard]] metrics::CpuUsage total_usage() const;
 
+  // Fast-forward contract for the per-core CpuUsage (the same three calls
+  // as sim::Observer::ff_mark; the cycle servers fold as engine resources).
+  void ff_mark();
+  [[nodiscard]] bool ff_repeats() const noexcept { return ff_.repeats(); }
+  void ff_advance(std::uint64_t k);
+
  private:
   sim::Engine& eng_;
   model::HostProfile profile_;
@@ -118,6 +125,7 @@ class Host {
   std::vector<std::uint64_t> used_bytes_;
   int rr_all_ = 0;
   std::vector<int> rr_node_;
+  sim::PeriodMarks ff_;
 };
 
 }  // namespace e2e::numa

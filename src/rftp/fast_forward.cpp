@@ -1,20 +1,12 @@
 #include "rftp/fast_forward.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "check/audit.hpp"
 #include "fault/integrity.hpp"
 #include "numa/host.hpp"
-#include "trace/tracer.hpp"
 
 namespace e2e::rftp {
-
-namespace {
-[[nodiscard]] bool same_bits(double a, double b) noexcept {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-}  // namespace
 
 FastForward::FastForward(RftpSession& sess) : sess_(sess), eng_(sess.eng_) {
   period_ = static_cast<std::size_t>(sess.cfg_.streams) *
@@ -23,17 +15,11 @@ FastForward::FastForward(RftpSession& sess) : sess_(sess), eng_(sess.eng_) {
   cap_ = 4 * period_ + 8;
   drains_.resize(cap_);
   claims_.resize(cap_);
-  // Per-core CpuUsage objects of both endpoints (deduped for loopback):
-  // the collapse folds the verified per-period CPU delta into them so
-  // whole-run CPU reports stay honest on fast-forwarded runs.
-  auto add_host = [this](numa::Host& h) {
-    for (int i = 0; i < h.core_count(); ++i)
-      usage_objs_.push_back(&h.core(i).usage);
-  };
-  numa::Host& sh = sess.sender_.proc->host();
-  numa::Host& rh = sess.receiver_.proc->host();
-  add_host(sh);
-  if (&rh != &sh) add_host(rh);
+  // Both endpoints' hosts (deduped for loopback) fold their per-core
+  // CpuUsage, so whole-run CPU reports stay honest on fast-forwarded runs.
+  hosts_.push_back(&sess.sender_.proc->host());
+  if (&sess.receiver_.proc->host() != hosts_[0])
+    hosts_.push_back(&sess.receiver_.proc->host());
 }
 
 void FastForward::on_claim(numa::NodeId node,
@@ -43,47 +29,18 @@ void FastForward::on_claim(numa::NodeId node,
 }
 
 bool FastForward::quiet_ok() const noexcept {
-  // Traces are exempt from the equivalence contract and would diverge, so
-  // an installed tracer pins the run to event-exact. Everything else here
-  // is "no perturbation in flight": scripted faults settled, no crash or
+  // No perturbation in flight: scripted faults settled, no crash or
   // failover pending, no grant-retry pacing delay waiting to fire against
   // a collapsed-away work-point.
-  return trace::of(eng_) == nullptr &&
-         eng_.virtual_now() >= sess_.cfg_.ff_quiet_after && !sess_.crashed_ &&
+  return eng_.virtual_now() >= sess_.cfg_.ff_quiet_after && !sess_.crashed_ &&
          !sess_.resume_pending_ && !sess_.transfer_failed_ &&
          sess_.alive_streams_ == sess_.cfg_.streams &&
          sess_.ff_grant_retries_pending_ == 0;
 }
 
-void FastForward::take_snapshot(Snap& out) const {
-  const auto& rs = eng_.resources();
-  out.res.assign(rs.begin(), rs.end());
-  out.busy.clear();
-  out.units.clear();
-  out.busy.reserve(out.res.size());
-  out.units.reserve(out.res.size());
-  for (const sim::Resource* r : out.res) {
-    out.busy.push_back(r->busy_time());
-    out.units.push_back(r->units_served());
-  }
-  out.have_stats = false;
-  if (auto* st = stats::of(eng_)) {
-    out.have_stats = true;
-    st->ff_snapshot(out.reg);
-  }
-  out.have_audit = false;
-  out.cpu_cores.clear();
-  out.cpu.clear();
-  if (auto* au = check::of(eng_)) {
-    out.have_audit = true;
-    au->ff_cpu_cores(out.cpu_cores);
-    au->ff_cpu_snapshot(out.cpu);
-  }
-  out.usage.clear();
-  out.usage.reserve(usage_objs_.size() * metrics::kCpuCategoryCount);
-  for (const metrics::CpuUsage* u : usage_objs_)
-    for (std::size_t c = 0; c < metrics::kCpuCategoryCount; ++c)
-      out.usage.push_back(u->get(static_cast<metrics::CpuCategory>(c)));
+void FastForward::mark(Snap& out) {
+  eng_.ff_mark();
+  for (numa::Host* h : hosts_) h->ff_mark();
   out.qsize.clear();
   out.qsize.reserve(sess_.block_queues_.size());
   for (const auto& q : sess_.block_queues_) out.qsize.push_back(q.size());
@@ -106,58 +63,10 @@ void FastForward::take_snapshot(Snap& out) const {
   out.claims_seen = n_claims_;
 }
 
-bool FastForward::deltas_match() {
-  // Resource population must be pointer-identical across the window, and
-  // every busy/units delta must repeat exactly (units bitwise: the apply
-  // step multiplies the very same double).
-  if (a_.res != b_.res || b_.res != c_.res) return false;
-  for (std::size_t i = 0; i < a_.res.size(); ++i) {
-    if (b_.busy[i] - a_.busy[i] != c_.busy[i] - b_.busy[i]) return false;
-    if (!same_bits(b_.units[i] - a_.units[i], c_.units[i] - b_.units[i]))
-      return false;
-  }
-  if (a_.have_stats != b_.have_stats || b_.have_stats != c_.have_stats)
-    return false;
-  if (a_.have_stats) {
-    stats::Registry::FfSnapshot d1;
-    if (!stats::Registry::ff_delta(a_.reg, b_.reg, d1)) return false;
-    if (!stats::Registry::ff_delta(b_.reg, c_.reg, d2_reg_)) return false;
-    if (!stats::Registry::ff_equal(d1, d2_reg_)) return false;
-  }
-  if (a_.have_audit != b_.have_audit || b_.have_audit != c_.have_audit)
-    return false;
-  if (a_.have_audit) {
-    if (a_.cpu_cores != b_.cpu_cores || b_.cpu_cores != c_.cpu_cores)
-      return false;
-    if (a_.cpu.size() != b_.cpu.size() || b_.cpu.size() != c_.cpu.size())
-      return false;
-    d2_cpu_.assign(c_.cpu.size(), 0);
-    for (std::size_t i = 0; i < a_.cpu.size(); ++i) {
-      d2_cpu_[i] = c_.cpu[i] - b_.cpu[i];
-      if (b_.cpu[i] - a_.cpu[i] != d2_cpu_[i]) return false;
-    }
-    // The accounted-by-category arrays must advance exactly as much as the
-    // matching cycle servers: finalize() cross-checks the two to the
-    // nanosecond, so the collapse refuses to engage on any daylight.
-    for (std::size_t i = 0; i < a_.cpu_cores.size(); ++i) {
-      sim::SimDuration acc = 0;
-      for (std::size_t c = 0; c < metrics::kCpuCategoryCount; ++c)
-        acc += d2_cpu_[i * metrics::kCpuCategoryCount + c];
-      std::size_t ri = a_.res.size();
-      for (std::size_t r = 0; r < a_.res.size(); ++r)
-        if (a_.res[r] == a_.cpu_cores[i]) {
-          ri = r;
-          break;
-        }
-      if (ri == a_.res.size()) return false;
-      if (acc != c_.busy[ri] - b_.busy[ri]) return false;
-    }
-  }
-  if (a_.usage.size() != b_.usage.size() ||
-      b_.usage.size() != c_.usage.size())
-    return false;
-  for (std::size_t i = 0; i < a_.usage.size(); ++i)
-    if (b_.usage[i] - a_.usage[i] != c_.usage[i] - b_.usage[i]) return false;
+bool FastForward::repeats() const {
+  if (!eng_.ff_repeats()) return false;
+  for (const numa::Host* h : hosts_)
+    if (!h->ff_repeats()) return false;
   if (a_.qsize.size() != b_.qsize.size() ||
       b_.qsize.size() != c_.qsize.size())
     return false;
@@ -230,7 +139,7 @@ void FastForward::undo_claim(const RftpSession::ClaimDecision& d,
 }
 
 void FastForward::collapse() {
-  if (!quiet_ok() || !deltas_match()) {
+  if (!quiet_ok() || !repeats()) {
     disarm();
     cooldown_until_ = n_drains_ + period_;
     return;
@@ -339,24 +248,8 @@ void FastForward::collapse() {
   }
   // Fold the verified per-period delta, k_done times, into every ledger the
   // event-exact span would have advanced.
-  if (c_.have_stats)
-    if (auto* st = stats::of(eng_)) st->ff_apply(d2_reg_, k_done);
-  for (std::size_t i = 0; i < c_.res.size(); ++i) {
-    const sim::SimDuration db = c_.busy[i] - b_.busy[i];
-    const double du = c_.units[i] - b_.units[i];
-    if (db != 0 || du != 0.0)
-      c_.res[i]->fast_forward(db * static_cast<sim::SimDuration>(k_done),
-                              du * static_cast<double>(k_done));
-  }
-  if (c_.have_audit && au != nullptr) au->ff_cpu_apply(d2_cpu_, k_done);
-  for (std::size_t i = 0; i < usage_objs_.size(); ++i)
-    for (std::size_t cat = 0; cat < metrics::kCpuCategoryCount; ++cat) {
-      const std::size_t f = i * metrics::kCpuCategoryCount + cat;
-      const sim::SimDuration d = c_.usage[f] - b_.usage[f];
-      if (d != 0)
-        usage_objs_[i]->add(static_cast<metrics::CpuCategory>(cat),
-                            d * static_cast<sim::SimDuration>(k_done));
-    }
+  eng_.ff_advance(k_done);
+  for (numa::Host* h : hosts_) h->ff_advance(k_done);
   sess_.control_msgs_ += (c_.control_msgs - b_.control_msgs) * k_done;
   sess_.grant_seq_ += (c_.grant_seq - b_.grant_seq) * k_done;
   for (std::size_t i = 0; i < sess_.streams_.size(); ++i)
@@ -399,20 +292,20 @@ void FastForward::on_fresh_drain(const int stream_id, std::uint32_t token,
       // slot; the heavyweight window verification starts from here.
       if (stable_run_ >= period_ && n_drains_ > cooldown_until_ &&
           quiet_ok()) {
-        take_snapshot(a_);
+        mark(a_);
         arm_drain_ = n;
         state_ = State::kArmedB;
       }
       break;
     case State::kArmedB:
       if (n == arm_drain_ + period_) {
-        take_snapshot(b_);
+        mark(b_);
         state_ = State::kArmedC;
       }
       break;
     case State::kArmedC:
       if (n == arm_drain_ + 2 * period_) {
-        take_snapshot(c_);
+        mark(c_);
         collapse();
       }
       break;

@@ -16,15 +16,20 @@
 //      show the drain R back and 2R back identical in shape with equal time
 //      gaps, where R = streams * credits_per_stream (the credit-rotation
 //      period). A run of R consecutive passes arms the detector.
-//   2. Armed, it snapshots the full observable state at drains n0 (A),
-//      n0+R (B) and n0+2R (C): every stats:: counter/gauge/histogram, every
-//      engine Resource's busy/units totals, the auditor's per-core
-//      accounted-CPU arrays, both hosts' per-core CpuUsage, per-NUMA-queue
-//      sizes, and the session's scalar counters.
-//   3. Collapse requires D1 = B−A and D2 = C−B bitwise identical, zero
-//      deltas on every perturbation counter (retransmissions, failovers,
-//      crashes, ...), identical claim-decision patterns in both windows,
-//      and the quiet guards below. Anything off → drop back to event-exact.
+//   2. Armed, it marks every ledger at drains n0 (A), n0+R (B) and n0+2R
+//      (C) through the fast-forward contract (sim::Observer::ff_mark):
+//      Engine::ff_mark reaches every installed observer (the stats
+//      registry, the auditor) and every engine Resource, and each of the
+//      session's hosts marks its per-core CpuUsage. Each ledger keeps its
+//      own marks private. The detector itself snapshots only the session:
+//      per-NUMA-queue sizes, control/grant counters, per-stream next_wr and
+//      login generation, the perturbation counters and the claim pattern.
+//   3. Collapse requires every ledger's ff_repeats() (its D1 = B−A and
+//      D2 = C−B bitwise identical, its population unchanged), identical
+//      session deltas, zero deltas on every perturbation counter
+//      (retransmissions, failovers, crashes, ...), identical claim-decision
+//      patterns in both windows, and the quiet guards below. Anything off →
+//      drop back to event-exact.
 //
 // Collapse: pick k so every NUMA queue keeps a generous margin, then for
 // each of k periods re-run the recorded claim pattern through the *real*
@@ -32,30 +37,28 @@
 // final block undoes the period and truncates k), apply each popped block's
 // drain in closed form (ledger bit, XOR digest, delivered bytes, WaitGroup,
 // throughput-meter sample at the pattern time + c*P, auditor block ledger),
-// fold D2 * k into the stats registry / resources / CPU accounting /
-// session scalars, advance checkpoint bookkeeping analytically, and finally
+// ff_advance(k) every ledger, fold D2 * k into the session scalars,
+// advance checkpoint bookkeeping analytically, and finally
 // Engine::skip_time(k*P). The event heap never moves: in-flight latency
 // measurements stay event-exact, and the live pipeline resumes at the same
 // event clock against the shifted work-point — exactly the state the
 // event-exact run reaches at t + k*P (modulo which block indices are in
 // flight, which no final metric observes).
 //
-// Quiet guards (checked at arm and re-checked at collapse): no tracer
-// installed (traces are exempt from equivalence and would diverge), no
-// Cluster shard, virtual time past cfg.ff_quiet_after (every scripted fault
-// has fired and settled), no crash/resume/failover in progress, and no
-// grant-retry pacing delay pending.
+// Quiet guards (checked at arm and re-checked at collapse): no Cluster
+// shard, virtual time past cfg.ff_quiet_after (every scripted fault has
+// fired and settled), no crash/resume/failover in progress, and no
+// grant-retry pacing delay pending. An installed tracer refuses through its
+// own ff_repeats(): traces are exempt from equivalence and would diverge.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "metrics/cpu_usage.hpp"
 #include "rftp/session.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
-#include "stats/registry.hpp"
 
 namespace e2e::rftp {
 
@@ -109,17 +112,9 @@ class FastForward {
     bool operator==(const ClaimRec&) const = default;
   };
 
-  /// Full observable-state snapshot at a fresh-drain boundary.
+  /// The session's own state at a fresh-drain boundary; every other
+  /// ledger keeps its marks itself.
   struct Snap {
-    bool have_stats = false;
-    stats::Registry::FfSnapshot reg;
-    std::vector<sim::Resource*> res;  // engine registry, construction order
-    std::vector<sim::SimDuration> busy;
-    std::vector<double> units;
-    bool have_audit = false;
-    std::vector<const sim::Resource*> cpu_cores;
-    std::vector<sim::SimDuration> cpu;       // auditor accounted, flattened
-    std::vector<sim::SimDuration> usage;     // host CpuUsage, flattened
     std::vector<std::size_t> qsize;          // per-NUMA block queue sizes
     std::uint64_t control_msgs = 0;
     std::uint64_t grant_seq = 0;
@@ -130,10 +125,10 @@ class FastForward {
   };
 
   [[nodiscard]] bool quiet_ok() const noexcept;
-  void take_snapshot(Snap& out) const;
-  /// Full D1 == D2 verification across a_, b_, c_. On success fills the
-  /// reusable D2 members used by the apply step.
-  [[nodiscard]] bool deltas_match();
+  /// Marks every ledger and snapshots the session into `out`.
+  void mark(Snap& out);
+  /// D1 == D2 across the ledgers' marks and a_, b_, c_.
+  [[nodiscard]] bool repeats() const;
   /// Periods safely collapsible given the post-C queue sizes; 0 = bail.
   [[nodiscard]] std::uint64_t pick_k() const;
   void collapse();
@@ -145,7 +140,7 @@ class FastForward {
   std::size_t cap_ = 0;     // ring capacity (> 4R)
   std::vector<DrainRec> drains_;   // ring, indexed by n_drains_ % cap_
   std::vector<ClaimRec> claims_;   // ring, indexed by n_claims_ % cap_
-  std::vector<metrics::CpuUsage*> usage_objs_;  // both hosts' cores
+  std::vector<numa::Host*> hosts_;  // both endpoints' hosts, deduplicated
   std::uint64_t n_drains_ = 0;
   std::uint64_t n_claims_ = 0;
   std::uint64_t stable_run_ = 0;
@@ -155,8 +150,6 @@ class FastForward {
   State state_ = State::kIdle;
   std::uint64_t arm_drain_ = 0;  // n_drains_ at snapshot A
   Snap a_, b_, c_;
-  stats::Registry::FfSnapshot d2_reg_;      // verified per-period stats delta
-  std::vector<sim::SimDuration> d2_cpu_;    // verified per-period CPU delta
 
   std::uint64_t spans_ = 0;
   std::uint64_t blocks_ = 0;

@@ -3,11 +3,34 @@
 #include <utility>
 
 #include "sim/cluster.hpp"
+#include "sim/resource.hpp"
 
 namespace e2e::sim {
 
 Engine::~Engine() {
   if (cluster_ != nullptr) cluster_->detach(*this);
+}
+
+void Engine::ff_mark() {
+  ff_epochs_[ff_marks_++ % 3] = resource_epoch_;
+  notify([](Observer& o) { o.ff_mark(); });
+  for (Resource* r : resources_) r->ff_mark();
+}
+
+bool Engine::ff_repeats() const {
+  if (ff_marks_ < 3 || ff_epochs_[0] != ff_epochs_[1] ||
+      ff_epochs_[1] != ff_epochs_[2])
+    return false;
+  for (const Observer* o : observers_)
+    if (o != nullptr && !o->ff_repeats()) return false;
+  for (const Resource* r : resources_)
+    if (!r->ff_repeats()) return false;
+  return true;
+}
+
+void Engine::ff_advance(std::uint64_t k) {
+  notify([k](Observer& o) { o.ff_advance(k); });
+  for (Resource* r : resources_) r->ff_advance(k);
 }
 
 // Sift operations move 24-byte POD keys only; closures stay put in slots_

@@ -89,6 +89,19 @@ class Observer {
   /// The engine's virtual clock skipped `d` nanoseconds of modeled time
   /// without dispatching events (Engine::skip_time).
   virtual void on_time_skip(SimDuration d) { (void)d; }
+
+  // The fast-forward contract, shared with sim::Resource and reached
+  // through Engine::ff_mark/ff_repeats/ff_advance (rftp::FastForward).
+  // Each ledger keeps its own conserved state private and folds its own
+  // period; an observer with nothing conserved keeps the defaults.
+  /// Records the conserved state at a steady-state boundary.
+  virtual void ff_mark() {}
+  /// True only when the last two marked intervals moved the ledger bitwise
+  /// identically; false with fewer than three marks or when the ledger's
+  /// population changed between them.
+  [[nodiscard]] virtual bool ff_repeats() const { return true; }
+  /// Applies the last marked interval's movement `k` more times.
+  virtual void ff_advance(std::uint64_t k) { (void)k; }
 };
 
 class Engine {
@@ -266,8 +279,12 @@ class Engine {
   [[nodiscard]] const std::vector<Resource*>& resources() const noexcept {
     return resources_;
   }
-  void register_resource(Resource* r) { resources_.push_back(r); }
+  void register_resource(Resource* r) {
+    resources_.push_back(r);
+    ++resource_epoch_;
+  }
   void deregister_resource(Resource* r) noexcept {
+    ++resource_epoch_;
     notify([r](Observer& o) { o.on_resource_destroyed(*r); });
     for (auto it = resources_.begin(); it != resources_.end(); ++it)
       if (*it == r) {
@@ -275,6 +292,16 @@ class Engine {
         return;
       }
   }
+
+  // --- fast-forward contract (see Observer::ff_mark) ---
+  // Fans out over the installed observers and resources(); the marks are
+  // the engine's, so at most one detector may drive them.
+
+  void ff_mark();
+  /// Also false when a Resource was created or destroyed across the last
+  /// three marks.
+  [[nodiscard]] bool ff_repeats() const;
+  void ff_advance(std::uint64_t k);
 
  private:
   friend class Cluster;  // run_sequential() drives dispatch_one() directly
@@ -344,6 +371,9 @@ class Engine {
   std::vector<std::uint32_t> free_slots_;  // recycled slot indices
   Observer* observers_[Observer::kKindCount] = {};
   std::vector<Resource*> resources_;
+  std::uint64_t resource_epoch_ = 0;  // bumped on every (de)registration
+  std::uint64_t ff_epochs_[3] = {};   // resource_epoch_ at the last marks
+  std::uint64_t ff_marks_ = 0;
   Cluster* cluster_ = nullptr;
   int rank_ = -1;
   SimTime now_ = 0;

@@ -11,6 +11,7 @@
 // throughput/bottleneck analysis in this library.
 #pragma once
 
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <stdexcept>
@@ -101,13 +102,34 @@ class Resource {
   /// channel while the initiating actor continues).
   SimTime charge(double units) { return plan(units); }
 
-  /// Books `busy_delta` ns of service and `units_delta` units of work
-  /// analytically — a fast-forwarded steady-state span, not a FIFO window.
-  /// The busy horizon is deliberately untouched: fast-forward skips modeled
+  // --- fast-forward contract (see Observer::ff_mark) ---
+  // The conserved state is busy_time() and units_served(). A replayable
+  // period moves both by the same delta in each interval, units bitwise.
+
+  void ff_mark() noexcept {
+    ff_busy_[ff_marks_ % 3] = busy_ns_;
+    ff_units_[ff_marks_ % 3] = units_served_;
+    ++ff_marks_;
+  }
+  [[nodiscard]] bool ff_repeats() const noexcept {
+    if (ff_marks_ < 3) return false;
+    const std::uint64_t a = ff_marks_ % 3, b = (a + 1) % 3, c = (a + 2) % 3;
+    return ff_busy_[b] - ff_busy_[a] == ff_busy_[c] - ff_busy_[b] &&
+           std::bit_cast<std::uint64_t>(ff_units_[b] - ff_units_[a]) ==
+               std::bit_cast<std::uint64_t>(ff_units_[c] - ff_units_[b]);
+  }
+  /// Books `k` more copies of the last interval's service analytically. The
+  /// busy horizon is deliberately untouched: fast-forward skips modeled
   /// time on the engine's *virtual* clock only, so queueing behaviour of
   /// requests issued after the collapse is unchanged. Notifies the engine's
   /// observers so conservation ledgers absorb the same deltas.
-  void fast_forward(SimDuration busy_delta, double units_delta) {
+  void ff_advance(std::uint64_t k) {
+    const std::uint64_t b = (ff_marks_ + 1) % 3, c = (ff_marks_ + 2) % 3;
+    const SimDuration busy = ff_busy_[c] - ff_busy_[b];
+    const double units = ff_units_[c] - ff_units_[b];
+    if (busy == 0 && units == 0.0) return;
+    const SimDuration busy_delta = busy * k;
+    const double units_delta = units * static_cast<double>(k);
     busy_ns_ += busy_delta;
     units_served_ += units_delta;
     eng_.notify([&](Observer& o) {
@@ -156,6 +178,9 @@ class Resource {
   SimTime busy_until_ = 0;
   SimDuration busy_ns_ = 0;
   double units_served_ = 0.0;
+  SimDuration ff_busy_[3] = {};  // busy_ns_ at the last three marks
+  double ff_units_[3] = {};      // units_served_ at the last three marks
+  std::uint64_t ff_marks_ = 0;
 };
 
 }  // namespace e2e::sim

@@ -92,44 +92,18 @@ class Histogram {
     max_ = std::max(max_, v);
   }
 
-  /// Element-wise difference `to - from` of two snapshots of the *same*
-  /// histogram taken at two points in time, for replaying the interval k
-  /// times via add_scaled(). Bucket counts and the value sum subtract
-  /// mod 2^64 (exact under the same congruence argument as bulk
-  /// record). Returns false — no usable delta — when min or max moved in
-  /// the interval: extrema are not replayable as deltas, and a window in
-  /// which they moved is not steady state.
-  [[nodiscard]] static bool delta(const Histogram& from, const Histogram& to,
-                                  Histogram& out) noexcept {
-    if (from.min_ != to.min_ || from.max_ != to.max_) return false;
-    for (std::size_t i = 0; i < kSlots; ++i)
-      out.counts_[i] = to.counts_[i] - from.counts_[i];
-    out.count_ = to.count_ - from.count_;
-    out.sum_ = to.sum_ - from.sum_;
-    out.min_ = to.min_;
-    out.max_ = to.max_;
-    return true;
-  }
-
-  /// Adds `k` copies of a delta()-produced interval: counts and sum scale
-  /// by k (wrapping), min/max merge idempotently. add_scaled(d, 1) is
-  /// exactly merge(d).
-  void add_scaled(const Histogram& d, std::uint64_t k) noexcept {
-    if (k == 0) return;
-    for (std::size_t i = 0; i < kSlots; ++i)
-      counts_[i] += d.counts_[i] * k;
-    count_ += d.count_ * k;
-    sum_ += d.sum_ * k;
-    if (d.count_ != 0) {
-      min_ = std::min(min_, d.min_);
-      max_ = std::max(max_, d.max_);
-    }
-  }
-
-  /// Bitwise equality of two snapshots (buckets, count, sum, extrema).
-  [[nodiscard]] bool identical(const Histogram& o) const noexcept {
-    return counts_ == o.counts_ && count_ == o.count_ && sum_ == o.sum_ &&
-           min_ == o.min_ && max_ == o.max_;
+  /// The fast-forward view (sim::PeriodMarks): bucket counts, count and
+  /// sum are wrapping words, so k copies of a period's delta land on the
+  /// same congruence class as k recorded periods (the bulk-record
+  /// argument). The extrema are pins: a period that moved one is not
+  /// steady state.
+  template <typename Word, typename Pin>
+  void ff_fields(Word&& word, Pin&& pin) {
+    for (std::uint64_t& c : counts_) word(c);
+    word(count_);
+    word(sum_);
+    pin(min_);
+    pin(max_);
   }
 
   /// Element-wise combine. Associative and commutative: every field is a
@@ -148,6 +122,8 @@ class Histogram {
     return count_ ? min_ : 0;
   }
   [[nodiscard]] std::uint64_t max() const noexcept { return max_; }
+  /// Sum of recorded values (wrapping).
+  [[nodiscard]] std::uint64_t sum() const noexcept { return sum_; }
   /// Mean of recorded values (sum wraps past 2^64 total — irrelevant for
   /// nanosecond latencies at simulated scales). 0 when empty.
   [[nodiscard]] double mean() const noexcept {

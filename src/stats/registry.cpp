@@ -131,94 +131,22 @@ CodeId Registry::code(std::string_view name) {
   return id;
 }
 
-void Registry::ff_snapshot(FfSnapshot& out) const {
-  out.counters.clear();
-  out.gauges.clear();
-  out.hists.clear();
-  out.counters.reserve(counters_.size());
-  out.gauges.reserve(gauges_.size());
-  out.hists.reserve(histograms_.size());
-  for (const Counter& c : counters_) out.counters.push_back(c.value_);
-  for (const Gauge& g : gauges_)
-    out.gauges.push_back(FfGaugeState{g.last_, g.min_, g.max_, g.samples_});
-  for (const Histogram& h : histograms_) out.hists.push_back(h);
+auto Registry::ff_fields() {
+  return [this](auto&& word, auto&& pin) {
+    for (Counter& c : counters_) word(c.value_);
+    for (Gauge& g : gauges_) {
+      word(g.samples_);
+      pin(std::bit_cast<std::uint64_t>(g.last_));
+      pin(std::bit_cast<std::uint64_t>(g.min_));
+      pin(std::bit_cast<std::uint64_t>(g.max_));
+    }
+    for (Histogram& h : histograms_) h.ff_fields(word, pin);
+  };
 }
 
-namespace {
-// Bitwise double compare: a gauge that re-recorded the same value must
-// compare equal, and NaN payloads must not defeat the steady-state test.
-bool same_bits(double a, double b) noexcept {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-}  // namespace
+void Registry::ff_mark() { ff_.mark(ff_fields()); }
 
-bool Registry::ff_delta(const FfSnapshot& from, const FfSnapshot& to,
-                        FfSnapshot& out) {
-  if (from.counters.size() != to.counters.size() ||
-      from.gauges.size() != to.gauges.size() ||
-      from.hists.size() != to.hists.size())
-    return false;  // a metric was minted inside the window
-  out.counters.clear();
-  out.gauges.clear();
-  out.hists.clear();
-  out.counters.reserve(to.counters.size());
-  out.gauges.reserve(to.gauges.size());
-  out.hists.reserve(to.hists.size());
-  for (std::size_t i = 0; i < to.counters.size(); ++i)
-    out.counters.push_back(to.counters[i] - from.counters[i]);
-  for (std::size_t i = 0; i < to.gauges.size(); ++i) {
-    const FfGaugeState& a = from.gauges[i];
-    const FfGaugeState& b = to.gauges[i];
-    if (!same_bits(a.last, b.last) || !same_bits(a.min, b.min) ||
-        !same_bits(a.max, b.max))
-      return false;  // last-value state moved: not a replayable delta
-    out.gauges.push_back(
-        FfGaugeState{b.last, b.min, b.max, b.samples - a.samples});
-  }
-  for (std::size_t i = 0; i < to.hists.size(); ++i) {
-    Histogram d;
-    if (!Histogram::delta(from.hists[i], to.hists[i], d)) return false;
-    out.hists.push_back(d);
-  }
-  return true;
-}
-
-bool Registry::ff_equal(const FfSnapshot& a, const FfSnapshot& b) {
-  if (a.counters != b.counters || a.gauges.size() != b.gauges.size() ||
-      a.hists.size() != b.hists.size())
-    return false;
-  for (std::size_t i = 0; i < a.gauges.size(); ++i) {
-    if (a.gauges[i].samples != b.gauges[i].samples ||
-        !same_bits(a.gauges[i].last, b.gauges[i].last) ||
-        !same_bits(a.gauges[i].min, b.gauges[i].min) ||
-        !same_bits(a.gauges[i].max, b.gauges[i].max))
-      return false;
-  }
-  for (std::size_t i = 0; i < a.hists.size(); ++i)
-    if (!a.hists[i].identical(b.hists[i])) return false;
-  return true;
-}
-
-void Registry::ff_apply(const FfSnapshot& d, std::uint64_t k) {
-  // Metrics minted after the delta was captured (none in practice: the
-  // collapse happens synchronously right after the C snapshot) keep their
-  // values; the loops bound themselves by the delta's size.
-  std::size_t i = 0;
-  for (Counter& c : counters_) {
-    if (i >= d.counters.size()) break;
-    c.value_ += d.counters[i++] * k;
-  }
-  i = 0;
-  for (Gauge& g : gauges_) {
-    if (i >= d.gauges.size()) break;
-    g.samples_ += d.gauges[i++].samples * k;
-  }
-  i = 0;
-  for (Histogram& h : histograms_) {
-    if (i >= d.hists.size()) break;
-    h.add_scaled(d.hists[i++], k);
-  }
-}
+void Registry::ff_advance(std::uint64_t k) { ff_.advance(k, ff_fields()); }
 
 void Registry::trigger_flight_dump(std::string_view reason) {
   if (flight_triggered_) return;

@@ -44,6 +44,7 @@
 
 #include "obs/core.hpp"
 #include "sim/engine.hpp"
+#include "sim/period_marks.hpp"
 #include "sim/time.hpp"
 #include "stats/histogram.hpp"
 
@@ -231,46 +232,17 @@ class Registry final : public sim::Observer {
   static void write_merged_json(std::ostream& os,
                                 const std::vector<const Registry*>& shards);
 
-  // --- fast-forward -------------------------------------------------------
-  // Closed-form metric advancement for the hybrid fluid/event fast-forward
-  // (rftp::FastForward). The detector snapshots every metric at three
-  // equally spaced steady-state instants A, B, C; if delta(A,B) equals
-  // delta(B,C) element-wise, one period's worth of metric movement is known
-  // in closed form and ff_apply() replays it k times. All metric updates
-  // are wrapping adds (Counter::add, Histogram bulk record) or idempotent
-  // extrema, so scaled application is bit-identical to event-exact
-  // repetition of the period. The flight-recorder ring is deliberately NOT
-  // advanced: it is a trace, not a conserved metric.
+  // --- sim::Observer: the fast-forward contract ---------------------------
+  // Counters, gauge sample counts and histogram buckets/count/sum fold as
+  // wrapping deltas, so k folded periods are bit-identical to k event-exact
+  // ones. A gauge's last/min/max and a histogram's extrema cannot be
+  // replayed as deltas: a period that moved one is not steady state. The
+  // flight-recorder ring is deliberately not advanced: it is a trace, not a
+  // conserved metric.
 
-  struct FfGaugeState {
-    double last, min, max;
-    std::uint64_t samples;
-  };
-  struct FfSnapshot {
-    std::vector<std::uint64_t> counters;  // creation order
-    std::vector<FfGaugeState> gauges;     // creation order
-    std::vector<Histogram> hists;         // creation order
-  };
-
-  /// Captures every counter/gauge/histogram in creation order. Reuses the
-  /// vectors' capacity, so repeated snapshots stop allocating once sized.
-  void ff_snapshot(FfSnapshot& out) const;
-
-  /// out = to - from. Returns false — no replayable delta — when the metric
-  /// population changed inside the window or a gauge's last/min/max moved
-  /// (a last-value gauge cannot be advanced as a delta; a window where one
-  /// moved was not steady state). Counter deltas and histogram buckets
-  /// subtract exactly (monotone / wrapping).
-  [[nodiscard]] static bool ff_delta(const FfSnapshot& from,
-                                     const FfSnapshot& to, FfSnapshot& out);
-
-  /// Bitwise equality of two deltas (the D1 == D2 steady-state test).
-  [[nodiscard]] static bool ff_equal(const FfSnapshot& a, const FfSnapshot& b);
-
-  /// Applies a ff_delta()-produced period delta k times: counters advance
-  /// by delta*k, gauge sample counts by samples*k (last/min/max are pinned
-  /// by ff_delta), histograms via Histogram::add_scaled.
-  void ff_apply(const FfSnapshot& d, std::uint64_t k);
+  void ff_mark() override;
+  [[nodiscard]] bool ff_repeats() const override { return ff_.repeats(); }
+  void ff_advance(std::uint64_t k) override;
 
  private:
   struct Entity {
@@ -279,6 +251,8 @@ class Registry final : public sim::Observer {
   };
 
   std::uint32_t intern(std::string_view s);
+  /// The conserved state for ff_: every metric, in creation order per kind.
+  auto ff_fields();
   [[nodiscard]] static std::uint64_t metric_key(EntityId entity,
                                                 std::uint32_t name) noexcept {
     return (static_cast<std::uint64_t>(entity) << 32) | name;
@@ -320,6 +294,7 @@ class Registry final : public sim::Observer {
   std::uint64_t flight_mask_ = 0;
   std::ostream* flight_stream_ = nullptr;  // null -> stderr at trigger time
   bool flight_triggered_ = false;
+  sim::PeriodMarks ff_;
 };
 
 /// The registry installed on `eng`, or null when stats are disabled.

@@ -158,6 +158,10 @@ class Tracer final : public sim::Observer {
   // layer.
   void on_resource_service(const sim::Resource& r, sim::SimTime start,
                            sim::SimTime end, double units) override;
+  /// A trace records every event, so no period of it can be folded:
+  /// traces are exempt from fast-forward equivalence and an installed
+  /// tracer pins the run to event-exact.
+  [[nodiscard]] bool ff_repeats() const override { return false; }
 
  private:
   struct Event {

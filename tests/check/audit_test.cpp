@@ -112,6 +112,84 @@ TEST(Auditor, SetRateFlapKeepsResourceAccountingExact) {
   }();
 }
 
+// --- fast-forward contract (ff_mark / ff_repeats / ff_advance) ---
+
+/// One CPU period on `cycles` (2 cycles/ns): `ns` of service, of which
+/// `accounted` ns are charged to a category.
+void cpu_period(Auditor& au, sim::Resource& cycles, sim::SimDuration ns,
+                sim::SimDuration accounted) {
+  cycles.charge(2.0 * static_cast<double>(ns));
+  au.on_cpu_charge(&cycles, metrics::CpuCategory::kUserProto, accounted / 2);
+  au.on_cpu_charge(&cycles, metrics::CpuCategory::kCopy,
+                   accounted - accounted / 2);
+}
+
+TEST(Auditor, FastForwardFoldsCpuAccountingWithItsCycleServer) {
+  sim::Engine eng;
+  Auditor au(eng);
+  sim::Resource cycles(eng, 2e9, "core0/cycles");
+  constexpr std::uint64_t kK = 1'000'003;
+  cpu_period(au, cycles, 1000, 1000);
+  for (int i = 0; i < 2; ++i) {
+    eng.ff_mark();
+    cpu_period(au, cycles, 700, 700);
+  }
+  eng.ff_mark();
+  EXPECT_TRUE(au.ff_repeats());
+  ASSERT_TRUE(eng.ff_repeats());
+  eng.ff_advance(kK);  // the cycle server and the auditor, together
+  eng.skip_time(700 * kK);  // as a collapse does: the span's modeled time
+  EXPECT_EQ(cycles.busy_time(), 1000u + 700u * (2 + kK));
+  eng.run();
+  au.finalize();
+  // finalize() reconciles the accounted arrays against the cycle server
+  // to the nanosecond: it holds only if the fold moved them together.
+  EXPECT_TRUE(au.ok()) << [&] {
+    std::ostringstream os;
+    au.report(os);
+    return os.str();
+  }();
+}
+
+TEST(Auditor, FastForwardRefusesCpuAccountingThatDriftsFromItsCycleServer) {
+  // Every word repeats — 700 ns of service and 650 ns accounted in each
+  // interval — but 50 ns per period go unaccounted: folding that would
+  // grow the gap finalize() reports.
+  sim::Engine eng;
+  Auditor au(eng);
+  au.set_log(false);
+  sim::Resource cycles(eng, 2e9, "core0/cycles");
+  cpu_period(au, cycles, 1000, 1000);
+  for (int i = 0; i < 3; ++i) {
+    au.ff_mark();
+    cpu_period(au, cycles, 700, 650);
+  }
+  EXPECT_FALSE(au.ff_repeats());
+}
+
+TEST(Auditor, FastForwardRefusesUnequalCpuDeltasAndNewCores) {
+  sim::Engine eng;
+  Auditor au(eng);
+  sim::Resource c0(eng, 2e9, "core0/cycles"), c1(eng, 2e9, "core1/cycles");
+  EXPECT_FALSE(au.ff_repeats());  // no marks yet
+  cpu_period(au, c0, 100, 100);
+  au.ff_mark();
+  cpu_period(au, c0, 100, 100);
+  au.ff_mark();
+  cpu_period(au, c0, 200, 200);
+  au.ff_mark();
+  EXPECT_FALSE(au.ff_repeats());
+  cpu_period(au, c0, 200, 200);
+  au.ff_mark();
+  cpu_period(au, c0, 200, 200);
+  au.ff_mark();
+  EXPECT_TRUE(au.ff_repeats());
+  cpu_period(au, c0, 200, 200);
+  cpu_period(au, c1, 1, 1);  // a core first seen inside the interval
+  au.ff_mark();
+  EXPECT_FALSE(au.ff_repeats());
+}
+
 // --- QP ledger canaries ---
 
 TEST(Auditor, QpByteLedgerImbalanceDetected) {

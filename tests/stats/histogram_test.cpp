@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/period_marks.hpp"
+
 namespace e2e::stats {
 namespace {
 
@@ -15,10 +17,19 @@ void expect_same(const Histogram& a, const Histogram& b) {
   EXPECT_EQ(a.min(), b.min());
   EXPECT_EQ(a.max(), b.max());
   EXPECT_DOUBLE_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.sum(), b.sum());
   for (std::size_t i = 0; i < Histogram::kSlots; ++i)
     ASSERT_EQ(a.bucket_count(i), b.bucket_count(i)) << "slot " << i;
   for (double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0})
     EXPECT_EQ(a.value_at_quantile(q), b.value_at_quantile(q)) << "q=" << q;
+}
+
+// The fast-forward view of `h` (Histogram::ff_fields) through `m`.
+void mark(sim::PeriodMarks& m, Histogram& h) {
+  m.mark([&h](auto&& word, auto&& pin) { h.ff_fields(word, pin); });
+}
+void advance(const sim::PeriodMarks& m, Histogram& h, std::uint64_t k) {
+  m.advance(k, [&h](auto&& word, auto&& pin) { h.ff_fields(word, pin); });
 }
 
 // Deterministic value stream (splitmix64): the goldens must not depend on
@@ -174,7 +185,7 @@ TEST(Histogram, BulkAddIsBitIdenticalToSingleAdds) {
       Histogram bulk, singles;
       bulk.record(v, n);
       for (std::uint64_t i = 0; i < n; ++i) singles.record(v);
-      ASSERT_TRUE(bulk.identical(singles)) << "v=" << v << " n=" << n;
+      SCOPED_TRACE(::testing::Message() << "v=" << v << " n=" << n);
       expect_same(bulk, singles);
     }
   }
@@ -192,7 +203,6 @@ TEST(Histogram, BulkAddOnPopulatedHistogramMatchesSingles) {
   }
   bulk.record(777777, 5000);
   for (int i = 0; i < 5000; ++i) singles.record(777777);
-  ASSERT_TRUE(bulk.identical(singles));
   expect_same(bulk, singles);
 }
 
@@ -201,7 +211,7 @@ TEST(Histogram, BulkAddZeroIsIdentity) {
   h.record(123);
   Histogram before = h;
   h.record(456, 0);  // n = 0: no count, and 456 must not touch min/max
-  ASSERT_TRUE(h.identical(before));
+  expect_same(h, before);
 }
 
 TEST(Histogram, MergeAssociativityHoldsWithBulkFilledHistograms) {
@@ -224,32 +234,32 @@ TEST(Histogram, MergeAssociativityHoldsWithBulkFilledHistograms) {
   bc.merge(c);
   Histogram right = a;
   right.merge(bc);
-  ASSERT_TRUE(left.identical(right));
   expect_same(left, right);
 }
 
 TEST(Histogram, DeltaTimesKEqualsKIntervals) {
-  // The span-collapse identity end to end: snapshot A, run one period,
-  // snapshot B, then add_scaled(B - A, k) must equal running k periods.
+  // The span-collapse identity end to end: mark, run one period, mark, run
+  // it again, mark; advancing k more periods must equal running them.
   Histogram h;
   std::uint64_t s = 9;
   h.record(0);       // pin the extrema so the period values fall strictly
   h.record(100000);  // inside [min, max] and the delta is replayable
   for (int i = 0; i < 500; ++i) h.record(mix(s) % 100000);  // warmup state
-  const Histogram snap_a = h;
   const std::uint64_t period[] = {12, 999, 4321, 70000};  // within warmup range
-  for (const std::uint64_t v : period) h.record(v);
-  const Histogram snap_b = h;
-  Histogram d;
-  ASSERT_TRUE(Histogram::delta(snap_a, snap_b, d));
+  sim::PeriodMarks m;
+  mark(m, h);
+  for (int w = 0; w < 2; ++w) {
+    for (const std::uint64_t v : period) h.record(v);
+    mark(m, h);
+  }
+  ASSERT_TRUE(m.repeats());
 
   constexpr std::uint64_t k = 1000;
-  Histogram collapsed = snap_b;
-  collapsed.add_scaled(d, k);
-  Histogram replayed = snap_b;
+  Histogram collapsed = h;
+  advance(m, collapsed, k);
+  Histogram replayed = h;
   for (std::uint64_t i = 0; i < k; ++i)
     for (const std::uint64_t v : period) replayed.record(v);
-  ASSERT_TRUE(collapsed.identical(replayed));
   expect_same(collapsed, replayed);
 }
 
@@ -289,35 +299,46 @@ TEST(Histogram, MergeAndDeltaStayExactAcross2To32) {
   Histogram base;
   base.record(0);
   base.record(1 << 20);
-  const Histogram snap_a = base;
-  base.record(500, 3);
-  const Histogram snap_b = base;
-  Histogram d;
-  ASSERT_TRUE(Histogram::delta(snap_a, snap_b, d));
-  Histogram folded = snap_b;
+  sim::PeriodMarks m;
+  mark(m, base);
+  for (int w = 0; w < 2; ++w) {
+    base.record(500, 3);
+    mark(m, base);
+  }
+  ASSERT_TRUE(m.repeats());
+  Histogram folded = base;
   constexpr std::uint64_t k = (1ull << 32) / 3 + 17;
-  folded.add_scaled(d, k);
-  EXPECT_EQ(folded.bucket_count(Histogram::index_of(500)), 3 * (k + 1));
-  EXPECT_EQ(folded.count(), 3 * (k + 1) + 2);
+  advance(m, folded, k);
+  EXPECT_EQ(folded.bucket_count(Histogram::index_of(500)), 3 * (k + 2));
+  EXPECT_EQ(folded.count(), 3 * (k + 2) + 2);
+  EXPECT_EQ(folded.sum(), 500 * 3 * (k + 2) + (1 << 20));
   EXPECT_EQ(folded.p50(), 511u);  // upper bound of 500's bucket [496, 512)
 }
 
 TEST(Histogram, DeltaRefusesMovedExtrema) {
   // A window in which min or max moved is not steady state — the delta is
   // not replayable (extrema are idempotent, not additive) and must be
-  // rejected rather than silently produce a wrong closed form.
+  // rejected rather than silently produce a wrong closed form. Each case
+  // repeats its bucket, count and sum deltas exactly.
   Histogram h;
   h.record(100);
-  const Histogram a = h;
-  h.record(5);  // new min inside the window
-  Histogram d;
-  EXPECT_FALSE(Histogram::delta(a, h, d));
-  const Histogram b = h;
-  h.record(1ull << 50);  // new max inside the window
-  EXPECT_FALSE(Histogram::delta(b, h, d));
-  const Histogram c = h;
+  sim::PeriodMarks m;
+  mark(m, h);
+  h.record(5);  // new min inside the first window
+  mark(m, h);
+  h.record(5);
+  mark(m, h);
+  EXPECT_FALSE(m.repeats());
+  h.record(1ull << 50);  // new max inside the first window
+  mark(m, h);
+  h.record(1ull << 50);
+  mark(m, h);
+  EXPECT_FALSE(m.repeats());
   h.record(200);  // strictly inside [min, max]: replayable
-  EXPECT_TRUE(Histogram::delta(c, h, d));
+  mark(m, h);
+  h.record(200);
+  mark(m, h);
+  EXPECT_TRUE(m.repeats());
 }
 
 }  // namespace

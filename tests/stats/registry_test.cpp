@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "stats/stats.hpp"
@@ -147,6 +150,135 @@ TEST(Registry, CachedHandlesReresolveWhenRegistryChanges) {
   ctr.get(p, [&] { return &p->counter(e2, "ops"); })->add(5);
   EXPECT_EQ(st2.counter_value(e2, "ops"), 5u);
   EXPECT_EQ(st1.counter_value(e1, "ops"), 1u);  // st1 untouched
+}
+
+// --- fast-forward contract (ff_mark / ff_repeats / ff_advance) ---
+
+/// One steady-state period of metric movement: counter and histogram
+/// deltas, a gauge re-set to its pinned value.
+void period(Registry& st) {
+  const EntityId e = st.entity(obs::Layer::kRftp, "stream0");
+  st.counter(e, "blocks").add(3);
+  st.gauge(e, "depth").set(5.0);
+  Histogram& h = st.histogram(e, "wait_ns");
+  h.record(100);
+  h.record(2000);
+  h.record(2000);
+  h.record(70000);
+}
+
+/// Marks `st` three times, one period() apart, after a warm-up period
+/// that sets every extremum.
+void mark_three(Registry& st) {
+  period(st);
+  st.ff_mark();
+  period(st);
+  st.ff_mark();
+  period(st);
+  st.ff_mark();
+}
+
+std::string json(const Registry& st) {
+  std::ostringstream os;
+  st.write_json(os);
+  return os.str();
+}
+
+TEST(Registry, FastForwardAdvanceEqualsEventExactRepetition) {
+  constexpr std::uint64_t kK = 1000003;
+  sim::Engine eng_ff, eng_exact;
+  Registry ff(eng_ff), exact(eng_exact);
+  mark_three(ff);
+  ASSERT_TRUE(ff.ff_repeats());
+  ff.ff_advance(kK);
+  for (std::uint64_t i = 0; i < 3 + kK; ++i) period(exact);
+
+  const EntityId e = ff.entity(obs::Layer::kRftp, "stream0");
+  EXPECT_EQ(ff.counter_value(e, "blocks"), 3 * (3 + kK));
+  const Histogram& h = *ff.find_histogram(e, "wait_ns");
+  const Histogram& x = *exact.find_histogram(e, "wait_ns");
+  EXPECT_EQ(h.count(), x.count());
+  EXPECT_EQ(h.sum(), x.sum());
+  for (std::size_t i = 0; i < Histogram::kSlots; ++i)
+    ASSERT_EQ(h.bucket_count(i), x.bucket_count(i)) << "bucket " << i;
+  EXPECT_EQ(ff.gauge(e, "depth").samples(), 3 + kK);
+  EXPECT_EQ(json(ff), json(exact));
+}
+
+TEST(Registry, FastForwardNeedsThreeMarks) {
+  sim::Engine eng;
+  Registry st(eng);
+  EXPECT_FALSE(st.ff_repeats());
+  period(st);
+  st.ff_mark();
+  period(st);
+  st.ff_mark();
+  EXPECT_FALSE(st.ff_repeats());
+  period(st);
+  st.ff_mark();
+  EXPECT_TRUE(st.ff_repeats());
+}
+
+TEST(Registry, FastForwardRefusesAMovedGauge) {
+  // Each gauge's last, min or max moves in the last interval only; the
+  // sample counts still repeat.
+  const std::pair<const char*, double> moves[] = {
+      {"last", 6.0}, {"min", -1.0}, {"max", 9.0}};
+  for (const auto& [what, v] : moves) {
+    SCOPED_TRACE(what);
+    sim::Engine eng;
+    Registry st(eng);
+    const EntityId e = st.entity(obs::Layer::kApp, "g");
+    Gauge& g = st.gauge(e, "depth");
+    g.set(0.0);
+    g.set(8.0);
+    g.set(5.0);
+    st.ff_mark();
+    g.set(5.0);
+    g.set(5.0);
+    st.ff_mark();
+    if (std::string_view(what) == "last") {
+      g.set(5.0);
+      g.set(v);
+    } else {
+      g.set(v);
+      g.set(5.0);
+    }
+    st.ff_mark();
+    EXPECT_FALSE(st.ff_repeats());
+  }
+}
+
+TEST(Registry, FastForwardRefusesAMetricMintedBetweenMarks) {
+  sim::Engine eng;
+  Registry st(eng);
+  period(st);
+  st.ff_mark();
+  period(st);
+  st.ff_mark();
+  period(st);
+  st.counter(st.entity(obs::Layer::kApp, "late"), "n").add(0);
+  st.ff_mark();
+  EXPECT_FALSE(st.ff_repeats());
+}
+
+TEST(Registry, FastForwardRefusesUnequalDeltas) {
+  sim::Engine eng;
+  Registry st(eng);
+  mark_three(st);
+  ASSERT_TRUE(st.ff_repeats());
+  const EntityId e = st.entity(obs::Layer::kRftp, "stream0");
+  period(st);
+  st.counter(e, "blocks").add(1);  // one more than a period
+  st.ff_mark();
+  EXPECT_FALSE(st.ff_repeats());
+  period(st);
+  st.ff_mark();
+  EXPECT_FALSE(st.ff_repeats());  // the previous interval still differs
+  period(st);
+  st.histogram(e, "wait_ns").record(100);  // same bucket, one more count
+  st.ff_mark();
+  EXPECT_FALSE(st.ff_repeats());
 }
 
 }  // namespace
