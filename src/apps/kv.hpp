@@ -69,8 +69,6 @@ class Zipf {
   /// The first rank whose CDF is >= u, for u in [0, 1).
   [[nodiscard]] std::uint64_t rank(double u) const noexcept;
 
-  [[nodiscard]] std::uint64_t n() const noexcept { return cdf_.size(); }
-
  private:
   std::vector<double> cdf_;
   std::vector<std::uint32_t> guide_;  // G + 1 entries
@@ -103,7 +101,6 @@ class KvStore {
   [[nodiscard]] Shard& shard(int s) noexcept {
     return shards_[static_cast<std::size_t>(s)];
   }
-  [[nodiscard]] std::uint64_t keys() const noexcept { return keys_; }
   [[nodiscard]] std::uint64_t value_bytes() const noexcept {
     return value_bytes_;
   }

@@ -49,11 +49,6 @@ File& FileSystem::create(const std::string& name, std::uint64_t size_hint) {
   return ref;
 }
 
-File* FileSystem::open(const std::string& name) {
-  auto it = files_.find(name);
-  return it == files_.end() ? nullptr : it->second.get();
-}
-
 sim::Task<> FileSystem::flusher_loop(numa::Thread& th) {
   for (;;) {
     auto item = co_await writeback_q_->recv();
@@ -173,12 +168,6 @@ sim::Task<std::uint64_t> FileSystem::write(numa::Thread& th, File& f,
   writeback_q_->send(WritebackItem{&f, offset, len, &pages});
   f.size = std::max(f.size, offset + len);
   co_return len;
-}
-
-sim::Task<> FileSystem::fsync(numa::Thread& th, File& f) {
-  co_await th.compute(host_.costs().fs_op_cycles,
-                      metrics::CpuCategory::kKernelProto);
-  if (cache_ != nullptr) co_await cache_->wait_clean(&f);
 }
 
 // --- XFS ---

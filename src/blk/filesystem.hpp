@@ -1,6 +1,6 @@
 // Filesystem layer over a block device.
 //
-// POSIX-shaped API (create/open, pread/pwrite, fsync) with two concrete
+// POSIX-shaped API (create, pread/pwrite) with two concrete
 // filesystems that differ where it mattered to the paper:
 //
 //  * XfsSim — allocation groups allow concurrent extent allocation from
@@ -48,7 +48,6 @@ class FileSystem {
 
   /// Creates a file with a contiguous region reservation of `size_hint`.
   File& create(const std::string& name, std::uint64_t size_hint);
-  [[nodiscard]] File* open(const std::string& name);
 
   /// pread: returns bytes read (0 past EOF). Buffered reads hit the page
   /// cache for the resident fraction.
@@ -62,15 +61,6 @@ class FileSystem {
                                  std::uint64_t offset, std::uint64_t len,
                                  const numa::Placement& buf, bool direct,
                                  metrics::CpuCategory cat);
-
-  /// Blocks until all dirty pages of `f` reach the device.
-  sim::Task<> fsync(numa::Thread& th, File& f);
-
-  [[nodiscard]] BlockDevice& device() noexcept { return dev_; }
-  [[nodiscard]] PageCache* cache() noexcept { return cache_; }
-  [[nodiscard]] std::size_t file_count() const noexcept {
-    return files_.size();
-  }
 
  protected:
   /// Allocates extents so the file covers offset+len; filesystem-specific

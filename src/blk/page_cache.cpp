@@ -41,18 +41,6 @@ void PageCache::complete_writeback(const void* file_key, std::uint64_t bytes) {
   fs.dirty -= done;
   dirty_ -= std::min(dirty_, done);
   writeback_event_.set();
-  if (fs.dirty == 0 && fs.fsync_waiter != nullptr) {
-    fs.fsync_waiter->set();
-    fs.fsync_waiter = nullptr;
-  }
-}
-
-sim::Task<> PageCache::wait_clean(const void* file_key) {
-  FileState& fs = files_[file_key];
-  if (fs.dirty == 0) co_return;
-  sim::ManualEvent ev(host_.engine());
-  fs.fsync_waiter = &ev;
-  co_await ev.wait();
 }
 
 }  // namespace e2e::blk

@@ -33,7 +33,6 @@ class PageCache {
   struct FileState {
     std::uint64_t resident = 0;  // cached bytes
     std::uint64_t dirty = 0;     // not yet written back
-    sim::ManualEvent* fsync_waiter = nullptr;
   };
 
   /// Kernel pages for this file, allocated near the accessing thread
@@ -60,15 +59,10 @@ class PageCache {
   /// Completes writeback of `bytes` for `file_key`.
   void complete_writeback(const void* file_key, std::uint64_t bytes);
 
-  /// Suspends until the file has no dirty bytes.
-  sim::Task<> wait_clean(const void* file_key);
-
   [[nodiscard]] std::uint64_t total_resident() const noexcept {
     return resident_;
   }
   [[nodiscard]] std::uint64_t total_dirty() const noexcept { return dirty_; }
-  [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] numa::Host& host() noexcept { return host_; }
 
  private:
   numa::Host& host_;

@@ -1,6 +1,5 @@
 #include "check/audit.hpp"
 
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -110,19 +109,6 @@ void Auditor::on_resource_service(const sim::Resource& r, sim::SimTime start,
   s.last_end = std::max(s.last_end, end);
   s.sum_busy += end - start;
   s.sum_units += units;
-}
-
-void Auditor::on_resource_replan(const sim::Resource& r,
-                                 sim::SimTime old_busy_until,
-                                 sim::SimTime new_busy_until) {
-  ResourceState& s = resource_state(r);
-  // Mirror set_rate()'s busy_ns_ adjustment exactly (same +=/-= sequence,
-  // so the equality check tracks even through unsigned wrap when the
-  // auditor installed mid-backlog).
-  const sim::SimTime now = eng_.now();
-  s.sum_busy += new_busy_until - now;
-  s.sum_busy -= old_busy_until - now;
-  s.last_end = new_busy_until;
 }
 
 void Auditor::reconcile_resource(const ResourceState& s) {

@@ -75,8 +75,6 @@ class Auditor final : public sim::Observer {
   // --- sim::Observer (called by sim::Resource and the engine) ---
   void on_resource_service(const sim::Resource& r, sim::SimTime start,
                            sim::SimTime end, double units) override;
-  void on_resource_replan(const sim::Resource& r, sim::SimTime old_busy_until,
-                          sim::SimTime new_busy_until) override;
   void on_resource_destroyed(const sim::Resource& r) override;
   /// Analytic service booked by Resource::ff_advance: fold the deltas
   /// into the running sums so the exact busy-time reconciliation holds on
@@ -228,8 +226,6 @@ class Auditor final : public sim::Observer {
   /// Violations print to stderr as they occur by default; canary tests that
   /// plant deliberate breaches turn this off.
   void set_log(bool on) noexcept { log_ = on; }
-
-  [[nodiscard]] sim::Engine& engine() noexcept { return eng_; }
 
  private:
   struct ResourceState {

@@ -55,7 +55,6 @@ class SanSection {
   sim::Task<> start();
 
   [[nodiscard]] numa::Host& target_host() noexcept { return *target_host_; }
-  [[nodiscard]] numa::Host& fe_host() noexcept { return fe_host_; }
   [[nodiscard]] const SanConfig& config() const noexcept { return cfg_; }
 
   /// Remote block device for one LUN (as seen from the front-end).
@@ -81,11 +80,6 @@ class SanSection {
 
   [[nodiscard]] metrics::CpuUsage target_usage() const {
     return target_host_->total_usage();
-  }
-  [[nodiscard]] std::vector<iscsi::Target*> targets() {
-    std::vector<iscsi::Target*> out;
-    for (auto& t : targets_) out.push_back(t.get());
-    return out;
   }
 
  private:

@@ -15,11 +15,26 @@ void Watchdog::arm(const Deadline& dl, std::function<void()> on_dead) {
   dead_ = false;
   suspicious_ = false;
   quiet_count_ = 0;
-  armed_at_ = eng_.now();
   last_kick_ = eng_.now();
   last_seen_kick_ = eng_.now();
+  schedule_check(sim::Engine::saturating_add(eng_.now(), dl_.quiet));
+}
+
+void Watchdog::skip(sim::SimDuration d) {
+  if (!armed_) return;  // armed: the check in check_slot_ is pending
+  // The event-exact run checks at every `quiet` in modeled time; after d
+  // more modeled time, those checks sit at next_check_ - d + n * quiet on
+  // the event clock.
+  eng_.retract(check_slot_);
+  sim::SimTime t = next_check_ - d % dl_.quiet;
+  if (t <= eng_.now()) t += dl_.quiet;
+  schedule_check(t);
+}
+
+void Watchdog::schedule_check(sim::SimTime t) {
+  next_check_ = t;
   const std::uint64_t gen = ++generation_;
-  eng_.schedule_after(dl_.quiet, [this, gen] { check(gen); });
+  check_slot_ = eng_.schedule_at(t, [this, gen] { check(gen); });
 }
 
 void Watchdog::check(std::uint64_t gen) {
@@ -52,7 +67,7 @@ void Watchdog::check(std::uint64_t gen) {
     if (on_dead_) on_dead_();
     return;
   }
-  eng_.schedule_after(dl_.quiet, [this, gen] { check(gen); });
+  schedule_check(sim::Engine::saturating_add(eng_.now(), dl_.quiet));
 }
 
 }  // namespace e2e::fault

@@ -69,6 +69,11 @@ class Watchdog {
   /// next check notices and counts the false suspicion).
   void kick() noexcept { last_kick_ = eng_.now(); }
   void disarm() noexcept { armed_ = false; ++generation_; }
+  /// A fast-forward collapsed `d` of modeled time (Engine::skip_time):
+  /// retracts the pending check and reschedules it on the modeled-time
+  /// phase the event-exact run keeps, so later checks, and the stale one
+  /// left after disarm(), fall at the same modeled times.
+  void skip(sim::SimDuration d);
 
   [[nodiscard]] bool armed() const noexcept { return armed_; }
   [[nodiscard]] bool declared_dead() const noexcept { return dead_; }
@@ -81,12 +86,14 @@ class Watchdog {
 
  private:
   void check(std::uint64_t gen);
+  void schedule_check(sim::SimTime t);
 
   sim::Engine& eng_;
   Deadline dl_{};
   std::function<void()> on_dead_;
   std::function<void()> on_false_suspect_;
-  sim::SimTime armed_at_ = 0;
+  sim::SimTime next_check_ = 0;  // event-clock time of the latest check
+  std::uint32_t check_slot_ = 0;  // its Engine::schedule_at slot
   sim::SimTime last_kick_ = 0;
   sim::SimTime last_seen_kick_ = 0;
   int quiet_count_ = 0;

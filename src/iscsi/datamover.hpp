@@ -35,16 +35,12 @@ class Datamover {
 
   /// Target data path, Data-In direction (serving a SCSI READ): moves
   /// `bytes` from the target staging buffer to the initiator buffer
-  /// advertised in `rkey`. iSER: RDMA Write.
-  virtual sim::Task<> put_data(numa::Thread& th, mem::Buffer& staging,
-                               std::uint64_t bytes, rdma::RemoteKey rkey,
-                               std::uint64_t offset) = 0;
-
-  /// Fire-and-forget Data-In: posts the transfer and returns after the
-  /// post; `on_complete` runs when the wire is done with `staging`
-  /// (completion-driven buffer recycling). Because the SCSI response is
-  /// posted on the same ordered QP after the data, the target may respond
-  /// immediately without waiting for the data completion.
+  /// advertised in `rkey` (iSER: RDMA Write). Fire-and-forget: posts the
+  /// transfer and returns after the post; `on_complete` runs when the
+  /// wire is done with `staging` (completion-driven buffer recycling).
+  /// Because the SCSI response is posted on the same ordered QP after the
+  /// data, the target may respond immediately without waiting for the
+  /// data completion.
   virtual sim::Task<> put_data_nowait(numa::Thread& th, mem::Buffer& staging,
                                       std::uint64_t bytes,
                                       rdma::RemoteKey rkey,

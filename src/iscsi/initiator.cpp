@@ -58,7 +58,6 @@ sim::Task<> Initiator::dispatch_loop(numa::Thread& th) {
   for (;;) {
     auto pdu = co_await dm_.recv_pdu(th);
     if (!pdu) co_return;  // session closed
-    if (pdu->type == PduType::kLogoutResponse) co_return;
     if (pdu->type != PduType::kScsiResponse) continue;  // NOPs etc.
     Pending* p = pending_.find(pdu->itt);
     if (p == nullptr || p->completed) continue;  // late dup after a retry
@@ -193,12 +192,4 @@ sim::Task<scsi::Status> Initiator::submit_write(numa::Thread& th,
   data.content_tag = fault::block_range_tag_cached(lba, blocks);
   return submit_io(th, scsi::OpCode::kWrite16, lun, lba, blocks, data);
 }
-
-sim::Task<> Initiator::logout(numa::Thread& th) {
-  Pdu req;
-  req.type = PduType::kLogoutRequest;
-  co_await dm_.send_pdu(th, req);
-  logged_in_ = false;
-}
-
 }  // namespace e2e::iscsi

@@ -72,9 +72,6 @@ class Initiator {
                                        std::uint64_t lba, std::uint32_t blocks,
                                        mem::Buffer& data);
 
-  /// Graceful logout (close of the session).
-  sim::Task<> logout(numa::Thread& th);
-
   [[nodiscard]] const LoginParams& negotiated() const noexcept {
     return negotiated_;
   }
@@ -94,7 +91,6 @@ class Initiator {
   [[nodiscard]] std::uint64_t digest_errors() const noexcept {
     return digest_errors_;
   }
-  [[nodiscard]] const RetryPolicy& policy() const noexcept { return policy_; }
   /// Rendezvous slots ever allocated (tests: recycling keeps this at the
   /// concurrency high-water mark, not the command count).
   [[nodiscard]] std::size_t pending_slots() const noexcept {

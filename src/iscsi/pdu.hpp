@@ -25,26 +25,7 @@ enum class PduType : std::uint8_t {
   kDataOut,   // (TCP binding only)
   kNopOut,
   kNopIn,
-  kLogoutRequest,
-  kLogoutResponse,
 };
-
-constexpr const char* to_string(PduType t) noexcept {
-  switch (t) {
-    case PduType::kLoginRequest: return "login-req";
-    case PduType::kLoginResponse: return "login-resp";
-    case PduType::kScsiCommand: return "scsi-cmd";
-    case PduType::kScsiResponse: return "scsi-resp";
-    case PduType::kR2T: return "r2t";
-    case PduType::kDataIn: return "data-in";
-    case PduType::kDataOut: return "data-out";
-    case PduType::kNopOut: return "nop-out";
-    case PduType::kNopIn: return "nop-in";
-    case PduType::kLogoutRequest: return "logout-req";
-    case PduType::kLogoutResponse: return "logout-resp";
-  }
-  return "?";
-}
 
 /// Negotiated session parameters (text keys of the login phase). Only the
 /// key the target negotiates is modelled; no other key changes the data

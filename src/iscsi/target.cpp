@@ -55,11 +55,6 @@ sim::Channel<Pdu>& Target::route(const Pdu& cmd) {
   return *node_requests_[cmd.itt % node_requests_.size()];
 }
 
-void Target::stop() {
-  requests_.close();
-  for (auto& q : node_requests_) q->close();
-}
-
 scsi::Lun* Target::find_lun(std::uint32_t id) {
   scsi::Lun* const* l = luns_.find(id);
   return l == nullptr ? nullptr : *l;
@@ -68,10 +63,7 @@ scsi::Lun* Target::find_lun(std::uint32_t id) {
 sim::Task<> Target::rx_loop(numa::Thread& th) {
   for (;;) {
     auto pdu = co_await dm_.recv_pdu(th);
-    if (!pdu) {
-      stop();
-      co_return;
-    }
+    if (!pdu) co_return;  // connection closed
     switch (pdu->type) {
       case PduType::kLoginRequest: {
         // Accept the proposal, clamping burst lengths to what the staging
@@ -104,13 +96,6 @@ sim::Task<> Target::rx_loop(numa::Thread& th) {
         }
         route(*pdu).send(*pdu);
         break;
-      }
-      case PduType::kLogoutRequest: {
-        Pdu resp;
-        resp.type = PduType::kLogoutResponse;
-        co_await dm_.send_pdu(th, resp);
-        stop();
-        co_return;
       }
       default:
         break;  // NOPs and TCP-binding PDUs: ignored by the iSER target

@@ -50,15 +50,11 @@ class Target {
   /// on its own process thread (spread across nodes under kNumaRouted).
   void start(int workers);
 
-  /// Stops accepting work (drains the request channel).
-  void stop();
-
   [[nodiscard]] std::uint64_t tasks_served() const noexcept {
     return tasks_served_;
   }
   [[nodiscard]] std::uint64_t bytes_in() const noexcept { return bytes_in_; }
   [[nodiscard]] std::uint64_t bytes_out() const noexcept { return bytes_out_; }
-  [[nodiscard]] numa::Process& process() noexcept { return proc_; }
 
  private:
   sim::Task<> rx_loop(numa::Thread& th);

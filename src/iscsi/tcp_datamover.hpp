@@ -42,9 +42,6 @@ class TcpDatamover final : public Datamover {
   // --- Datamover interface ---
   sim::Task<> send_pdu(numa::Thread& th, const Pdu& pdu) override;
   sim::Task<std::optional<Pdu>> recv_pdu(numa::Thread& th) override;
-  sim::Task<> put_data(numa::Thread& th, mem::Buffer& staging,
-                       std::uint64_t bytes, rdma::RemoteKey rkey,
-                       std::uint64_t offset) override;
   sim::Task<> put_data_nowait(numa::Thread& th, mem::Buffer& staging,
                               std::uint64_t bytes, rdma::RemoteKey rkey,
                               std::uint64_t offset,
@@ -58,6 +55,12 @@ class TcpDatamover final : public Datamover {
   }
 
  private:
+  /// Data-In that completes once the payload sits in socket buffers;
+  /// put_data_nowait wraps it.
+  sim::Task<> put_data(numa::Thread& th, mem::Buffer& staging,
+                       std::uint64_t bytes, rdma::RemoteKey rkey,
+                       std::uint64_t offset);
+
   struct Wire {
     enum class Kind { kControl, kDataIn, kDataOut, kR2T } kind = Kind::kControl;
     Pdu pdu;                       // kControl
@@ -114,7 +117,6 @@ class TcpSession {
     target_ep_.start(tgt_rx, tgt_tx);
   }
 
-  [[nodiscard]] tcp::Connection& connection() noexcept { return conn_; }
   [[nodiscard]] TcpDatamover& initiator_ep() noexcept {
     return initiator_ep_;
   }

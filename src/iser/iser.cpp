@@ -12,7 +12,7 @@ namespace e2e::iser {
 namespace {
 
 // A sent PDU is a trace-only "pdu:<type>" marker, indexed by PduType.
-constexpr obs::Incident pdu_sent(std::string_view event) {
+consteval obs::Incident pdu_sent(std::string_view event) {
   return {.event = event, .trace_counter = "iser/pdus_sent"};
 }
 constexpr obs::Incident kPduSent[] = {
@@ -20,11 +20,10 @@ constexpr obs::Incident kPduSent[] = {
     pdu_sent("pdu:scsi-cmd"),   pdu_sent("pdu:scsi-resp"),
     pdu_sent("pdu:r2t"),        pdu_sent("pdu:data-in"),
     pdu_sent("pdu:data-out"),   pdu_sent("pdu:nop-out"),
-    pdu_sent("pdu:nop-in"),     pdu_sent("pdu:logout-req"),
-    pdu_sent("pdu:logout-resp"),
+    pdu_sent("pdu:nop-in"),
 };
 static_assert(std::size(kPduSent) ==
-              static_cast<std::size_t>(iscsi::PduType::kLogoutResponse) + 1);
+              static_cast<std::size_t>(iscsi::PduType::kNopIn) + 1);
 constexpr obs::Incident kPduReceived{.trace_counter = "iser/pdus_received"};
 constexpr obs::Incident kDataBytes{.trace_counter = "iser/data_bytes"};
 constexpr obs::Incident kDataOps{.trace_counter = "iser/data_ops"};
@@ -206,20 +205,6 @@ void IserEndpoint::begin_data_op(sim::Engine& eng, const char* span_name,
   obs_.report(eng, kDataOps, data_ops_begun_);
 }
 
-sim::Task<> IserEndpoint::put_data(numa::Thread& th, mem::Buffer& staging,
-                                   std::uint64_t bytes, rdma::RemoteKey rkey,
-                                   std::uint64_t offset) {
-  (void)offset;  // remote offsets do not change simulated costs
-  rdma::SendWr wr;
-  wr.op = rdma::Opcode::kWrite;
-  wr.wr_id = next_wr_++;
-  wr.local = &staging;
-  wr.bytes = bytes;
-  wr.remote = rkey;
-  wr.content_tag = staging.content_tag;
-  co_await await_data_op(th, wr, "rdma-write");
-}
-
 sim::Task<> IserEndpoint::put_data_nowait(numa::Thread& th,
                                           mem::Buffer& staging,
                                           std::uint64_t bytes,
@@ -260,7 +245,5 @@ sim::Task<> IserEndpoint::get_data(numa::Thread& th, mem::Buffer& staging,
   // kRead adopts the remote buffer's tag into `staging` on completion.
   co_await await_data_op(th, wr, "rdma-read");
 }
-
-void IserEndpoint::close() { rx_pdus_.close(); }
 
 }  // namespace e2e::iser

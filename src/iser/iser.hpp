@@ -47,9 +47,6 @@ class IserEndpoint final : public iscsi::Datamover {
   // --- Datamover interface ---
   sim::Task<> send_pdu(numa::Thread& th, const iscsi::Pdu& pdu) override;
   sim::Task<std::optional<iscsi::Pdu>> recv_pdu(numa::Thread& th) override;
-  sim::Task<> put_data(numa::Thread& th, mem::Buffer& staging,
-                       std::uint64_t bytes, rdma::RemoteKey rkey,
-                       std::uint64_t offset) override;
   sim::Task<> put_data_nowait(numa::Thread& th, mem::Buffer& staging,
                               std::uint64_t bytes, rdma::RemoteKey rkey,
                               std::uint64_t offset,
@@ -58,10 +55,6 @@ class IserEndpoint final : public iscsi::Datamover {
                        std::uint64_t bytes, rdma::RemoteKey rkey,
                        std::uint64_t offset) override;
 
-  /// Stops delivering PDUs (recv_pdu returns nullopt).
-  void close();
-
-  [[nodiscard]] rdma::QueuePair& qp() noexcept { return qp_; }
   [[nodiscard]] std::uint64_t pdus_sent() const noexcept { return pdus_sent_; }
 
  private:
@@ -103,7 +96,8 @@ class IserEndpoint final : public iscsi::Datamover {
   // round-trip histogram plus retry/abort/loss counters and matching
   // flight records.
   obs::Actor obs_;
-  obs::Site pdu_sent_[11];  // by PduType
+  // One site per PduType, indexed by it.
+  obs::Site pdu_sent_[static_cast<std::size_t>(iscsi::PduType::kNopIn) + 1];
   obs::Site pdu_received_, data_bytes_, data_ops_begun_,
       data_loss_, write_end_, data_abort_, data_retry_, data_op_end_,
       data_op_done_;

@@ -116,11 +116,10 @@ class IserSession {
       }
       const int consecutive_failures = backoff.attempts();
       if (consecutive_failures > policy_.max_attempts) {
-        // Budget exhausted: close the session. Submitters drain with
-        // terminal errors through the initiator's own retry budget.
+        // Budget exhausted: give the session up. Posts on the dead QP
+        // flush, so submitters drain with terminal errors through the
+        // initiator's own retry budget.
         abandoned_ = true;
-        initiator_ep_.close();
-        target_ep_.close();
         // Terminal escalation: the fleet arc's "what happened just before
         // this endpoint gave up" case — the report dumps the flight window.
         obs_.report(eng, kAbandoned, abandoned_site_,

@@ -76,8 +76,6 @@ class BufferPool {
   [[nodiscard]] std::uint64_t buffer_bytes() const noexcept {
     return buffers_.empty() ? 0 : buffers_.front().bytes;
   }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] numa::Host& host() noexcept { return host_; }
 
   /// Marks every buffer registered (RDMA pinning bookkeeping).
   void mark_registered() {

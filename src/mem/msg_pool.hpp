@@ -66,7 +66,6 @@ static_assert(alignof(std::max_align_t) <= 16,
               "payload offset must satisfy max alignment");
 
 inline void* payload_of(MsgHeader* h) noexcept { return h + 1; }
-inline const void* payload_of(const MsgHeader* h) noexcept { return h + 1; }
 
 /// Thread-local size-bucketed freelists for message blocks.
 class MsgPool {
@@ -179,8 +178,6 @@ class MsgPool {
     FreeBlock* next = nullptr;
   };
   static_assert(sizeof(FreeBlock) <= sizeof(MsgHeader));
-
-  MsgPool() = default;
 
   static MsgPool& instance() noexcept {
     thread_local MsgPool pool;

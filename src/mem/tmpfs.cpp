@@ -6,7 +6,8 @@ namespace e2e::mem {
 
 TmpFile& Tmpfs::create(const std::string& name, std::uint64_t size,
                        numa::MemPolicy policy, numa::NodeId node) {
-  remove(name);  // truncate semantics: release any previous allocation
+  if (files_.contains(name))
+    throw std::invalid_argument("tmpfs file exists: " + name);
   auto f = std::make_unique<TmpFile>();
   f->name = name;
   f->size = size;
@@ -14,18 +15,6 @@ TmpFile& Tmpfs::create(const std::string& name, std::uint64_t size,
   TmpFile& ref = *f;
   files_[name] = std::move(f);
   return ref;
-}
-
-TmpFile* Tmpfs::find(const std::string& name) {
-  auto it = files_.find(name);
-  return it == files_.end() ? nullptr : it->second.get();
-}
-
-void Tmpfs::remove(const std::string& name) {
-  auto it = files_.find(name);
-  if (it == files_.end()) return;
-  host_.free(it->second->placement, it->second->size);
-  files_.erase(it);
 }
 
 void Tmpfs::check_range(const TmpFile& f, std::uint64_t offset,

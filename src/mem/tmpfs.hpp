@@ -50,13 +50,10 @@ class Tmpfs {
   Tmpfs(const Tmpfs&) = delete;
   Tmpfs& operator=(const Tmpfs&) = delete;
 
-  /// Creates (or truncates) a file of `size` bytes. `policy`/`node` mirror
-  /// the mpol mount option of the paper's setup.
+  /// Creates a file of `size` bytes (a name already in use is refused).
+  /// `policy`/`node` mirror the mpol mount option of the paper's setup.
   TmpFile& create(const std::string& name, std::uint64_t size,
                   numa::MemPolicy policy, numa::NodeId node);
-
-  [[nodiscard]] TmpFile* find(const std::string& name);
-  void remove(const std::string& name);
 
   /// Reads [offset, offset+len) into a staging buffer placed at `dst`.
   /// Executes as a memcpy by `th`, charged in category `cat`.
@@ -69,7 +66,6 @@ class Tmpfs {
                     std::uint64_t len, const numa::Placement& src,
                     metrics::CpuCategory cat);
 
-  [[nodiscard]] numa::Host& host() noexcept { return host_; }
   [[nodiscard]] std::size_t file_count() const noexcept {
     return files_.size();
   }

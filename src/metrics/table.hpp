@@ -30,7 +30,6 @@ class Table {
   /// numeric outputs; commas in cells are replaced by ';').
   [[nodiscard]] std::string to_csv() const;
 
-  [[nodiscard]] const std::string& title() const noexcept { return title_; }
   [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
 
   /// Formats a double with `prec` decimals.

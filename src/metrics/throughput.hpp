@@ -91,7 +91,6 @@ class ThroughputMeter {
   [[nodiscard]] sim::SimDuration bin_width() const noexcept {
     return bin_width_;
   }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
  private:
   struct Bin {

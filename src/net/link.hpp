@@ -93,7 +93,6 @@ class Link {
 
   /// Serialization resource for one direction (0: a->b, 1: b->a).
   [[nodiscard]] sim::Resource& dir(int d) { return *dir_[d]; }
-  [[nodiscard]] sim::Resource& dir(Direction d) { return *dir_[index(d)]; }
 
   /// Declares which physical endpoints sit on the link's two sides, so
   /// connections attached later transmit on the correct direction
@@ -132,7 +131,6 @@ class Link {
   [[nodiscard]] std::uint32_t mtu() const noexcept { return mtu_; }
   [[nodiscard]] double rate_gbps() const noexcept { return rate_gbps_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] sim::Engine& engine() noexcept { return *eng_[0]; }
 
   /// Wire bytes for `payload` given per-MTU transport headers.
   [[nodiscard]] double wire_bytes(double payload,

@@ -70,15 +70,6 @@ Placement Host::alloc(std::uint64_t bytes, MemPolicy policy, NodeId preferred,
   return p;
 }
 
-void Host::free(const Placement& p, std::uint64_t bytes) noexcept {
-  for (const auto& e : p.extents) {
-    auto& used = used_bytes_[static_cast<std::size_t>(e.node)];
-    const auto share =
-        static_cast<std::uint64_t>(static_cast<double>(bytes) * e.fraction);
-    used -= std::min(used, share);
-  }
-}
-
 sim::SimTime Host::charge_dma(const Placement& p, std::uint64_t bytes,
                               NodeId dev_node, bool to_device) {
   sim::SimTime done = eng_.now();

@@ -69,14 +69,7 @@ class Process {
   }
 
   [[nodiscard]] Host& host() noexcept { return host_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] const NumaBinding& binding() const noexcept {
-    return binding_;
-  }
   [[nodiscard]] metrics::CpuUsage& usage() noexcept { return usage_; }
-  [[nodiscard]] const metrics::CpuUsage& usage() const noexcept {
-    return usage_;
-  }
   [[nodiscard]] std::size_t thread_count() const noexcept {
     return threads_.size();
   }

@@ -50,7 +50,6 @@ class Thread {
   [[nodiscard]] NodeId node() const noexcept {
     return host_.core(core_).node;
   }
-  [[nodiscard]] Process* process() noexcept { return proc_; }
 
   /// Burns `cycles` of CPU in category `cat`.
   [[nodiscard]] sim::Delay compute(double cycles, metrics::CpuCategory cat);

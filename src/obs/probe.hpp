@@ -97,18 +97,14 @@ class Site {
   Cached<stats::Registry, stats::CodeId> code_;
 };
 
-/// One actor's level reading (a cwnd, a queue depth): a trace value series
-/// (when `series` is set) and the stats gauge `gauge`.
+/// One actor's level reading (a queue depth): the stats gauge `gauge`.
 class Gauge {
  public:
-  explicit Gauge(std::string_view gauge, std::string series = {})
-      : gauge_(gauge), series_(std::move(series)) {}
+  explicit Gauge(std::string_view gauge) : gauge_(gauge) {}
 
  private:
   friend class Actor;
   std::string_view gauge_;
-  std::string series_;
-  Cached<trace::Tracer, trace::NameId> series_id_;
   Cached<stats::Registry, stats::Gauge*> handle_;
 };
 
@@ -144,9 +140,6 @@ class Actor {
   }
   /// A level reading.
   void gauge(sim::Engine& eng, Gauge& g, double v) {
-    if (auto* tr = trace::of(eng); tr && !g.series_.empty())
-      tr->value_sample(
-          g.series_id_.get(tr, [&] { return tr->name_id(g.series_); }), v);
     if (auto* st = stats::of(eng))
       g.handle_.get(st, [&] { return &st->gauge(entity(st), g.gauge_); })
           ->set(v);

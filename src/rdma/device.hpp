@@ -30,14 +30,8 @@ class Device {
   Device& operator=(const Device&) = delete;
 
   [[nodiscard]] numa::Host& host() noexcept { return host_; }
-  [[nodiscard]] const model::NicProfile& profile() const noexcept {
-    return profile_;
-  }
   [[nodiscard]] numa::NodeId node() const noexcept {
     return profile_.numa_node;
-  }
-  [[nodiscard]] const std::string& name() const noexcept {
-    return profile_.name;
   }
 
   /// Books the host-side cost of a DMA and returns its completion time.

@@ -36,7 +36,7 @@ constexpr obs::Incident kCqCompletion{.trace_counter = "rdma/cq_completions"};
 
 // Per-opcode WR spans, indexed by Opcode: sender (latency histogram, bytes
 // posted) and receiver (bytes delivered). No flight records per WR.
-constexpr std::array<obs::Incident, 4> per_op(std::string_view hist,
+consteval std::array<obs::Incident, 4> per_op(std::string_view hist,
                                               std::string_view bytes) {
   std::array<obs::Incident, 4> out{};
   for (std::size_t i = 0; i < out.size(); ++i)
@@ -140,6 +140,13 @@ void QueuePair::validate_send(const SendWr& wr) const {
        wr.op == Opcode::kRead) &&
       wr.remote.buffer == nullptr)
     throw std::invalid_argument("one-sided WR without a remote key");
+  // A READ's responder half (remote DMA fetch, response wire time) runs on
+  // the requester's engine, so both ends must share one. Cross-shard QPs
+  // carry two-sided traffic only: kv sends every remote op through rpc.
+  if (wr.op == Opcode::kRead &&
+      &peer_->dev_.host().engine() != &dev_.host().engine())
+    throw std::logic_error("rdma READ to " + peer_->dev_.host().name() +
+                           " spans two shards");
 }
 
 void QueuePair::enqueue_send(const SendWr& wr) {
@@ -304,7 +311,6 @@ sim::Task<> QueuePair::sender_loop() {
       fail_send(*wr, fate.fail_delay, kWireFail, wire_fail_);
       continue;
     }
-    bytes_sent_ += wr->bytes;
     if (auto* au = check::of(eng))
       au->on_qp_tx(peer_, peer_->dev_.host().name(), wr->bytes);
     scq_.push({wr->op, wr->wr_id, wr->bytes, 0, true, nullptr});
@@ -433,7 +439,6 @@ sim::Task<> QueuePair::receiver_loop() {
 
 sim::Task<> QueuePair::serve_read(SendWr wr) {
   auto& eng = dev_.host().engine();
-  auto& resp_eng = peer_->dev_.host().engine();
   const auto& cm = dev_.host().costs();
   const sim::SimTime read_t0 = eng.now();
   // Reads overlap each other, so they trace as async spans keyed by wr_id.
@@ -441,62 +446,30 @@ sim::Task<> QueuePair::serve_read(SendWr wr) {
 
   // Read request travels to the responder...
   co_await link_->dir(dir_).acquire(64.0);
+  co_await sim::Delay{eng, link_->latency()};
 
-  net::TxFate fate;
-  std::uint64_t remote_tag = 0;
-  if (&resp_eng != &eng) {
-    // Cross-shard responder: hop onto its engine for the remote-side
-    // segment — the responder's DMA resources, the response-direction wire
-    // resource, and the responder shard's audit/fate state all live there.
-    // The hop rides the link's one-way latency, which is at least the
-    // cluster lookahead, so the resume lands past the window horizon.
-    co_await sim::Hop{eng, resp_eng,
-                      sim::Engine::saturating_add(eng.now(), link_->latency())};
-    if (auto* au = check::of(resp_eng))
-      au->on_dma_check(this, dev_.host().name(), wr.remote.buffer->registered,
-                       "read source region");
-    const sim::SimTime fetch_done = peer_->dev_.charge_dma(
-        wr.remote.buffer->placement, wr.bytes, /*to_wire=*/true);
-    co_await link_->dir(1 - dir_).acquire(
-        link_->wire_bytes(static_cast<double>(wr.bytes), header_per_mtu()) /
-        cm.rdma_read_efficiency);
-    co_await sim::until(resp_eng, fetch_done);
-    // Fate and content tag are responder-side state: sample them here,
-    // before hopping home (the requester's own error state is folded in
-    // back on its shard, below).
-    fate = link_->transmit_fate(
-        opposite(dir()),
-        link_->wire_bytes(static_cast<double>(wr.bytes), header_per_mtu()));
-    remote_tag = wr.remote.buffer->content_tag;
-    co_await sim::Hop{
-        resp_eng, eng,
-        sim::Engine::saturating_add(resp_eng.now(), link_->latency())};
-    if (state_ == QpState::kError) fate = net::TxFate{true, 0, 0};
-  } else {
-    co_await sim::Delay{eng, link_->latency()};
+  // ...whose NIC fetches the remote region with zero remote CPU and
+  // streams the response. RDMA Read sustains only `rdma_read_efficiency`
+  // of the line rate (request/response turnaround), per the paper's
+  // observation.
+  if (auto* au = check::of(eng))
+    au->on_dma_check(this, dev_.host().name(), wr.remote.buffer->registered,
+                     "read source region");
+  const sim::SimTime fetch_done = peer_->dev_.charge_dma(
+      wr.remote.buffer->placement, wr.bytes, /*to_wire=*/true);
+  co_await link_->dir(1 - dir_).acquire(
+      link_->wire_bytes(static_cast<double>(wr.bytes), header_per_mtu()) /
+      cm.rdma_read_efficiency);
+  co_await sim::until(eng, fetch_done);
+  co_await sim::Delay{eng, link_->latency()};
 
-    // ...whose NIC fetches the remote region with zero remote CPU and
-    // streams the response. RDMA Read sustains only `rdma_read_efficiency`
-    // of the line rate (request/response turnaround), per the paper's
-    // observation.
-    if (auto* au = check::of(eng))
-      au->on_dma_check(this, dev_.host().name(), wr.remote.buffer->registered,
-                       "read source region");
-    const sim::SimTime fetch_done = peer_->dev_.charge_dma(
-        wr.remote.buffer->placement, wr.bytes, /*to_wire=*/true);
-    co_await link_->dir(1 - dir_).acquire(
-        link_->wire_bytes(static_cast<double>(wr.bytes), header_per_mtu()) /
-        cm.rdma_read_efficiency);
-    co_await sim::until(eng, fetch_done);
-    co_await sim::Delay{eng, link_->latency()};
-
-    fate = state_ == QpState::kError
-               ? net::TxFate{true, 0, 0}
-               : link_->transmit_fate(
-                     opposite(dir()),
-                     link_->wire_bytes(static_cast<double>(wr.bytes),
-                                       header_per_mtu()));
-  }
+  const net::TxFate fate =
+      state_ == QpState::kError
+          ? net::TxFate{true, 0, 0}
+          : link_->transmit_fate(
+                opposite(dir()),
+                link_->wire_bytes(static_cast<double>(wr.bytes),
+                                  header_per_mtu()));
   if (fate.fail) {
     obs_.span_end(eng, kWrFailed[idx(Opcode::kRead)],
                   wr_failed_[idx(Opcode::kRead)], read_t0,
@@ -508,12 +481,8 @@ sim::Task<> QueuePair::serve_read(SendWr wr) {
   const sim::SimTime land_done =
       dev_.charge_dma(wr.local->placement, wr.bytes, /*to_wire=*/false);
   co_await sim::until(eng, land_done);
-  bytes_sent_ += wr.bytes;  // counted at the requester, as verbs does
   // The landed data is a copy of the remote region: adopt its content tag.
-  // Cross-shard reads use the tag sampled on the responder's engine at
-  // fetch time — the remote buffer must not be dereferenced from here.
-  wr.local->content_tag =
-      &resp_eng != &eng ? remote_tag : wr.remote.buffer->content_tag;
+  wr.local->content_tag = wr.remote.buffer->content_tag;
   scq_.push({Opcode::kRead, wr.wr_id, wr.bytes, 0, true, nullptr});
   obs_.span_end(eng, kReadDone, read_done_, read_t0, wr.wr_id,
                 {.n = wr.bytes});

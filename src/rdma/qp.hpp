@@ -37,10 +37,6 @@ namespace e2e::rdma {
 /// reset->init->RTR->RTS.
 enum class QpState : std::uint8_t { kRts, kError };
 
-constexpr const char* to_string(QpState s) noexcept {
-  return s == QpState::kRts ? "RTS" : "ERR";
-}
-
 class QueuePair {
  public:
   QueuePair(Device& dev, CompletionQueue& send_cq, CompletionQueue& recv_cq);
@@ -74,7 +70,6 @@ class QueuePair {
   [[nodiscard]] CompletionQueue& send_cq() noexcept { return scq_; }
   [[nodiscard]] CompletionQueue& recv_cq() noexcept { return rcq_; }
   [[nodiscard]] bool connected() const noexcept { return peer_ != nullptr; }
-  [[nodiscard]] net::Link* link() noexcept { return link_; }
 
   /// Transitions the QP to the error state (NIC/QP fault): queued and
   /// future sends flush with failed completions, inbound messages are
@@ -92,7 +87,6 @@ class QueuePair {
   /// recover(). Idempotent like kill().
   void crash();
 
-  [[nodiscard]] QpState state() const noexcept { return state_; }
   [[nodiscard]] bool alive() const noexcept {
     return state_ == QpState::kRts;
   }
@@ -106,10 +100,7 @@ class QueuePair {
     return ready_event_;
   }
 
-  // Payload counters (tests/metrics).
-  [[nodiscard]] std::uint64_t bytes_sent() const noexcept {
-    return bytes_sent_;
-  }
+  // Payload counter (tests).
   [[nodiscard]] std::uint64_t bytes_delivered() const noexcept {
     return bytes_delivered_;
   }
@@ -117,9 +108,6 @@ class QueuePair {
   // Fault/recovery observability counters (tests/metrics).
   [[nodiscard]] std::uint64_t sends_flushed() const noexcept {
     return sends_flushed_;
-  }
-  [[nodiscard]] std::uint64_t recoveries() const noexcept {
-    return recoveries_;
   }
 
  private:
@@ -175,7 +163,6 @@ class QueuePair {
   sim::Channel<RecvWr> recv_q_;
   sim::ManualEvent error_event_;
   sim::ManualEvent ready_event_;
-  std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t sends_flushed_ = 0;
   std::uint64_t recoveries_ = 0;

@@ -30,7 +30,7 @@ enum class Opcode : std::uint8_t {
   kRead,      // one-sided RDMA Read
 };
 
-constexpr const char* to_string(Opcode op) noexcept {
+consteval const char* to_string(Opcode op) noexcept {
   switch (op) {
     case Opcode::kSend: return "send";
     case Opcode::kWrite: return "write";
@@ -111,8 +111,6 @@ class CompletionQueue {
     while (ch_.try_recv().has_value()) {}
   }
 
-  [[nodiscard]] std::size_t depth() const noexcept { return ch_.size(); }
-
  private:
   sim::Channel<WorkCompletion> ch_;
 };
@@ -135,8 +133,6 @@ class ProtectionDomain {
     if (!buf.registered)
       throw std::logic_error("RDMA operation on unregistered buffer");
   }
-
-  [[nodiscard]] numa::Host& host() noexcept { return host_; }
 
  private:
   numa::Host& host_;

@@ -258,6 +258,7 @@ void FastForward::collapse() {
   const sim::SimDuration span =
       static_cast<sim::SimDuration>(k_done) * period_ns;
   eng_.skip_time(span);
+  sess_.watchdog_.skip(span);
   ++spans_;
   blocks_ += kr;
   skipped_ += span;

@@ -39,11 +39,12 @@
 // throughput-meter sample at the pattern time + c*P, auditor block ledger),
 // ff_advance(k) every ledger, fold D2 * k into the session scalars,
 // advance checkpoint bookkeeping analytically, and finally
-// Engine::skip_time(k*P). The event heap never moves: in-flight latency
-// measurements stay event-exact, and the live pipeline resumes at the same
-// event clock against the shifted work-point — exactly the state the
-// event-exact run reaches at t + k*P (modulo which block indices are in
-// flight, which no final metric observes).
+// Engine::skip_time(k*P), moving the session watchdog's pending check
+// with it (Watchdog::skip). Apart from that check the event heap never
+// moves: in-flight latency measurements stay event-exact, and the live
+// pipeline resumes at the same event clock against the shifted work-point
+// — exactly the state the event-exact run reaches at t + k*P (modulo which
+// block indices are in flight, which no final metric observes).
 //
 // Quiet guards (checked at arm and re-checked at collapse): no Cluster
 // shard, virtual time past cfg.ff_quiet_after (every scripted fault has

@@ -329,8 +329,8 @@ sim::Task<TransferResult> RftpSession::run(DataSource& src, DataSink& dst,
 
 void RftpSession::build_block_plan(DataSource& src) {
   const int nodes = sender_.proc->host().node_count();
-  block_queues_.resize(static_cast<std::size_t>(nodes) + 1);
-  for (auto& q : block_queues_) q.clear();
+  block_queues_ =
+      std::vector<sim::RunQueue>(static_cast<std::size_t>(nodes) + 1);
   streams_on_node_.assign(static_cast<std::size_t>(nodes), 0);
   for (const auto& s : streams_)
     ++streams_on_node_[static_cast<std::size_t>(s->pair->a().device().node())];

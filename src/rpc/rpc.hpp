@@ -201,7 +201,6 @@ class RpcClient {
   [[nodiscard]] std::uint64_t poll_cqes() const noexcept {
     return poll_cqes_;
   }
-  [[nodiscard]] rdma::QueuePair& qp() noexcept { return qp_; }
 
  private:
   sim::Task<> send_pump();
@@ -278,7 +277,6 @@ class RpcServer {
   [[nodiscard]] std::uint64_t poll_cqes() const noexcept {
     return poll_cqes_;
   }
-  [[nodiscard]] rdma::QueuePair& qp() noexcept { return qp_; }
 
  private:
   sim::Task<> send_pump();

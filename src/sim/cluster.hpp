@@ -89,13 +89,10 @@ class Cluster {
   /// in, with that window's cross-shard sends merged into their heaps.
   void run();
 
-  [[nodiscard]] int workers() const noexcept { return workers_; }
-  [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
   /// Static shard->worker pinning (rank % effective worker count).
   [[nodiscard]] int worker_of(int rank) const noexcept {
     return rank % effective_workers();
   }
-  [[nodiscard]] Engine& shard(int rank) noexcept { return *shards_[rank]; }
 
   /// Windows executed by run() so far (observability/tests).
   [[nodiscard]] std::uint64_t windows() const noexcept { return windows_; }

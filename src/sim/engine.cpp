@@ -78,8 +78,10 @@ void Engine::sift_down(std::size_t i) {
   heap_[i] = e;
 }
 
-void Engine::schedule_at(SimTime t, EventFn fn) {
-  push(t, (std::uint64_t{claim_slot(std::move(fn))} << 1) | kClosureTag);
+std::uint32_t Engine::schedule_at(SimTime t, EventFn fn) {
+  const std::uint32_t slot = claim_slot(std::move(fn));
+  push(t, (std::uint64_t{slot} << 1) | kClosureTag);
+  return slot;
 }
 
 void Engine::push(SimTime t, std::uint64_t payload) {
@@ -103,7 +105,6 @@ void Engine::push(SimTime t, std::uint64_t payload) {
 }
 
 void Engine::dispatch(Store s, Event top) {
-  now_ = top.t;
   if (s == Store::kNow) {
     now_lane_.pop_front();
   } else if (s == Store::kTail) {
@@ -115,8 +116,9 @@ void Engine::dispatch(Store s, Event top) {
   } else {
     heap_.pop_back();
   }
-  ++events_processed_;
   if ((top.payload & kClosureTag) == 0) {
+    now_ = top.t;
+    ++events_processed_;
     std::coroutine_handle<>::from_address(
         reinterpret_cast<void*>(static_cast<std::uintptr_t>(top.payload)))
         .resume();
@@ -126,6 +128,9 @@ void Engine::dispatch(Store s, Event top) {
   const auto slot = static_cast<std::uint32_t>(top.payload >> 1);
   EventFn fn = std::move(slots_[slot]);
   free_slots_.push_back(slot);
+  if (!fn) return;  // retracted
+  now_ = top.t;
+  ++events_processed_;
   ++closure_events_;
   fn();
 }

@@ -69,13 +69,6 @@ class Observer {
                                    SimTime end, double units) {
     (void)r, (void)start, (void)end, (void)units;
   }
-  /// `r` re-planned its queued backlog after a rate change: the drain time
-  /// moves from `old_busy_until` to `new_busy_until` (see
-  /// Resource::set_rate for the semantics).
-  virtual void on_resource_replan(const Resource& r, SimTime old_busy_until,
-                                  SimTime new_busy_until) {
-    (void)r, (void)old_busy_until, (void)new_busy_until;
-  }
   /// `r` is being destroyed; its counters are still readable. Observers
   /// drop per-resource state here so they never hold a dangling pointer.
   virtual void on_resource_destroyed(const Resource& r) { (void)r; }
@@ -93,13 +86,14 @@ class Observer {
   // The fast-forward contract, shared with sim::Resource and reached
   // through Engine::ff_mark/ff_repeats/ff_advance (rftp::FastForward).
   // Each ledger keeps its own conserved state private and folds its own
-  // period; an observer with nothing conserved keeps the defaults.
+  // period; an observer with nothing to mark or advance keeps those
+  // defaults, but must say whether it repeats.
   /// Records the conserved state at a steady-state boundary.
   virtual void ff_mark() {}
   /// True only when the last two marked intervals moved the ledger bitwise
   /// identically; false with fewer than three marks or when the ledger's
   /// population changed between them.
-  [[nodiscard]] virtual bool ff_repeats() const { return true; }
+  [[nodiscard]] virtual bool ff_repeats() const = 0;
   /// Applies the last marked interval's movement `k` more times.
   virtual void ff_advance(std::uint64_t k) { (void)k; }
 };
@@ -142,8 +136,15 @@ class Engine {
 
   /// Schedules `fn` to run at absolute simulated time `t` (>= now()).
   /// Events in the past are clamped to now() (and counted, see
-  /// clamped_schedules()).
-  void schedule_at(SimTime t, EventFn fn);
+  /// clamped_schedules()). Returns the closure's slot, for retract().
+  std::uint32_t schedule_at(SimTime t, EventFn fn);
+
+  /// Drops the closure in `slot` (returned by schedule_at) while its event
+  /// is still pending: the event drains without running, without moving
+  /// now() and without counting as processed. The slot is recycled once
+  /// the event drains, so a slot whose event already ran must not be
+  /// passed.
+  void retract(std::uint32_t slot) noexcept { slots_[slot] = EventFn{}; }
 
   /// Resumes the suspended coroutine `h` at absolute time `t`: the same
   /// clamp, sequence number and store as schedule_at(), but the key carries

@@ -11,13 +11,11 @@
 // thread_local pools are correct only because sim::Cluster pins shard k to
 // worker k % workers for the whole parallel run — a shard's coroutines
 // always allocate and free on the same worker, so each thread_local pool
-// is effectively a per-shard pool. Two asymmetries are deliberately safe:
-//   * frames allocated on the main thread during the single-threaded setup
-//     phase are freed on the owning shard's worker and simply migrate into
-//     that worker's freelist (blocks are plain operator-new storage with no
-//     thread affinity, and pools are leaky until trim());
-//   * a cross-shard read coroutine (sim::Hop) executes on two workers but
-//     its frame is allocated and destroyed on the spawning shard's worker.
+// is effectively a per-shard pool. One asymmetry is deliberately safe:
+// frames allocated on the main thread during the single-threaded setup
+// phase are freed on the owning shard's worker and simply migrate into
+// that worker's freelist (blocks are plain operator-new storage with no
+// thread affinity, and pools are leaky until trim()).
 // If shards ever migrate between workers mid-run, these pools must move
 // into the shard object; cluster_test.cpp pins the worker_of() contract.
 //

@@ -24,51 +24,19 @@ namespace e2e::sim {
 
 class Resource {
  public:
-  /// `units_per_second` must be > 0 (e.g. bytes/s for a link).
+  /// `units_per_second` must be > 0 (e.g. bytes/s for a link); the rate
+  /// is fixed for the resource's lifetime.
   Resource(Engine& eng, double units_per_second, std::string name = {})
-      : eng_(eng), name_(std::move(name)) {
-    set_rate(units_per_second);
+      : eng_(eng),
+        name_(std::move(name)),
+        rate_per_ns_(units_per_second / 1e9) {
+    if (units_per_second <= 0.0)
+      throw std::invalid_argument("Resource rate must be positive: " + name_);
     eng_.register_resource(this);
   }
   ~Resource() { eng_.deregister_resource(this); }
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
-
-  /// Changes the service rate.
-  ///
-  /// Semantics under queued work (e.g. a fault-injected rate flap while
-  /// acquirers are backed up): the un-drained backlog in [now, busy_until)
-  /// is re-planned at the new rate — the server now drains
-  /// `backlog * old_rate / new_rate` ns from now — and busy_time() is
-  /// adjusted by the same delta, so utilization accounting stays exact
-  /// through flaps. Completion events for already-issued acquires keep
-  /// their originally scheduled wakeup times (engine events are immutable
-  /// once posted); only the queue tail moves, which requests issued after
-  /// the call observe. Non-positive rates throw.
-  void set_rate(double units_per_second) {
-    if (units_per_second <= 0.0)
-      throw std::invalid_argument("Resource rate must be positive: " + name_);
-    const double new_rate = units_per_second / 1e9;
-    const SimTime now = eng_.now();
-    if (busy_until_ > now && new_rate != rate_per_ns_) {
-      const SimDuration backlog = busy_until_ - now;
-      const double scaled =
-          static_cast<double>(backlog) * (rate_per_ns_ / new_rate);
-      const SimDuration replanned =
-          scaled < 1.0 ? 1 : static_cast<SimDuration>(scaled);
-      const SimTime new_until = Engine::saturating_add(now, replanned);
-      const SimDuration drain = new_until - now;
-      // busy_ns_ already counts the backlog at the old rate; shift it to
-      // the re-planned drain time. backlog <= busy_ns_ by construction.
-      busy_ns_ += drain;
-      busy_ns_ -= backlog;
-      eng_.notify([&](Observer& o) {
-        o.on_resource_replan(*this, busy_until_, new_until);
-      });
-      busy_until_ = new_until;
-    }
-    rate_per_ns_ = new_rate;
-  }
 
   [[nodiscard]] double rate_per_second() const noexcept {
     return rate_per_ns_ * 1e9;
@@ -174,7 +142,7 @@ class Resource {
 
   Engine& eng_;
   std::string name_;
-  double rate_per_ns_ = 1.0;
+  const double rate_per_ns_;
   SimTime busy_until_ = 0;
   SimDuration busy_ns_ = 0;
   double units_served_ = 0.0;

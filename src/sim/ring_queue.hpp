@@ -25,21 +25,6 @@ class RingQueue {
   RingQueue() = default;
   RingQueue(const RingQueue&) = delete;
   RingQueue& operator=(const RingQueue&) = delete;
-  RingQueue(RingQueue&& o) noexcept
-      : buf_(std::move(o.buf_)), cap_(o.cap_), head_(o.head_), size_(o.size_) {
-    o.cap_ = o.head_ = o.size_ = 0;
-  }
-  RingQueue& operator=(RingQueue&& o) noexcept {
-    if (this != &o) {
-      clear();
-      buf_ = std::move(o.buf_);
-      cap_ = o.cap_;
-      head_ = o.head_;
-      size_ = o.size_;
-      o.cap_ = o.head_ = o.size_ = 0;
-    }
-    return *this;
-  }
   ~RingQueue() { clear(); }
 
   void push_back(T v) {

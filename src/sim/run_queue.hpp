@@ -63,12 +63,6 @@ class RunQueue {
     --size_;
   }
 
-  /// Drops every index; run storage capacity is retained.
-  void clear() noexcept {
-    runs_.clear();
-    size_ = 0;
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   /// Stored runs: the memory footprint, not the element count.

@@ -80,25 +80,6 @@ inline Delay until(Engine& eng, SimTime t) {
   return Delay{eng, t > eng.now() ? t - eng.now() : 0};
 }
 
-/// Moves the awaiting coroutine onto another engine: suspends on `from` and
-/// resumes on `to` at absolute time `t`. When both engines are shards of the
-/// same sim::Cluster the resume travels the deterministic cross-shard merge
-/// (so `t` must be at least one lookahead past `from.now()` — in practice,
-/// the latency of the net:: link being modelled); otherwise it degenerates
-/// to a plain schedule on `to`. After resumption every suspension and all
-/// touched state must belong to `to`'s shard until the coroutine hops back.
-struct Hop {
-  Engine& from;
-  Engine& to;
-  SimTime t;
-
-  bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    from.cross_post(to, t, [h] { h.resume(); });
-  }
-  void await_resume() const noexcept {}
-};
-
 /// Manual-reset event. wait() suspends until set() is called; once set,
 /// wait() completes immediately until reset().
 class ManualEvent {

@@ -27,8 +27,9 @@ class Task;
 
 namespace detail {
 
-struct FinalAwaiter {
-  bool await_ready() const noexcept { return false; }
+// Always suspends; await_suspend hands control onward (symmetric
+// transfer) or frees a detached frame.
+struct FinalAwaiter : std::suspend_always {
   template <typename Promise>
   std::coroutine_handle<> await_suspend(
       std::coroutine_handle<Promise> h) noexcept {
@@ -45,7 +46,6 @@ struct FinalAwaiter {
     }
     return p.continuation ? p.continuation : std::noop_coroutine();
   }
-  void await_resume() const noexcept {}
 };
 
 struct PromiseBase {
@@ -59,14 +59,12 @@ struct PromiseBase {
 
 #if E2E_SIM_FRAME_POOL
   // Coroutine frames route through the size-bucketed freelist: per-chunk
-  // tasks recycle their frames instead of hitting malloc. The sized delete
-  // is the one the coroutine machinery selects; the unsized form is the
-  // mandated fallback and simply forgoes recycling.
+  // tasks recycle their frames instead of hitting malloc. With only the
+  // sized delete declared, the coroutine machinery passes the frame size.
   static void* operator new(std::size_t n) { return FramePool::allocate(n); }
   static void operator delete(void* p, std::size_t n) noexcept {
     FramePool::deallocate(p, n);
   }
-  static void operator delete(void* p) noexcept { ::operator delete(p); }
 #endif
 };
 

@@ -19,7 +19,6 @@ inline constexpr SimDuration kNanosecond = 1;
 inline constexpr SimDuration kMicrosecond = 1'000ULL;
 inline constexpr SimDuration kMillisecond = 1'000'000ULL;
 inline constexpr SimDuration kSecond = 1'000'000'000ULL;
-inline constexpr SimDuration kMinute = 60 * kSecond;
 
 /// Largest representable time; used as "never".
 inline constexpr SimTime kTimeInfinity = ~SimTime{0};
@@ -34,19 +33,5 @@ constexpr SimDuration from_seconds(double seconds) noexcept {
   if (seconds <= 0.0) return 0;
   return static_cast<SimDuration>(seconds * 1e9);
 }
-
-namespace literals {
-constexpr SimDuration operator""_ns(unsigned long long v) { return v; }
-constexpr SimDuration operator""_us(unsigned long long v) {
-  return v * kMicrosecond;
-}
-constexpr SimDuration operator""_ms(unsigned long long v) {
-  return v * kMillisecond;
-}
-constexpr SimDuration operator""_s(unsigned long long v) { return v * kSecond; }
-constexpr SimDuration operator""_min(unsigned long long v) {
-  return v * kMinute;
-}
-}  // namespace literals
 
 }  // namespace e2e::sim

@@ -42,7 +42,7 @@ void put_hist_buckets(std::ostream& os, const Histogram& h) {
 
 void Registry::write_json(std::ostream& os) const {
   os << "{\n  \"schema\": \"e2e-stats-v1\",\n";
-  os << "  \"sim_time_ns\": " << eng_.now() << ",\n";
+  os << "  \"sim_time_ns\": " << eng_.virtual_now() << ",\n";
   os << "  \"entities\": " << entities_.size() << ",\n";
   os << "  \"dropped_entities\": " << dropped_entities_ << ",\n";
   os << "  \"flight_records\": " << flight_head_ << ",\n";
@@ -111,7 +111,7 @@ void Registry::write_merged_json(std::ostream& os,
 
 void Registry::write_csv(std::ostream& os) const {
   os << "metric,value\n";
-  os << "sim_time_ns," << eng_.now() << "\n";
+  os << "sim_time_ns," << eng_.virtual_now() << "\n";
   os << "entities," << entities_.size() << "\n";
   os << "dropped_entities," << dropped_entities_ << "\n";
   for (const Counter& c : counters_)

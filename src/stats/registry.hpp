@@ -80,9 +80,6 @@ class Gauge {
     }
     ++samples_;
   }
-  [[nodiscard]] double last() const noexcept { return last_; }
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
   [[nodiscard]] std::uint64_t samples() const noexcept { return samples_; }
 
  private:
@@ -127,8 +124,6 @@ class Registry final : public sim::Observer {
   void uninstall() noexcept {
     if (eng_.observer(kStats) == this) eng_.set_observer(kStats, nullptr);
   }
-
-  [[nodiscard]] sim::Engine& engine() noexcept { return eng_; }
 
   // --- entities -----------------------------------------------------------
   // An entity is one metered thing (a QP, a stream, a connection),

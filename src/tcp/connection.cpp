@@ -10,9 +10,6 @@ namespace e2e::tcp {
 
 namespace {
 
-constexpr obs::Incident kAck{
-    .name = "ack", .code = obs::kSkip, .trace_counter = "tcp/acks"};
-constexpr obs::Incident kLoss{.name = "loss", .counter = "losses"};
 constexpr obs::Incident kRetx{.name = "retransmit", .counter = "retransmits"};
 constexpr obs::Incident kSent{
     .name = "send", .code = obs::kSkip, .trace_counter = "tcp/bytes_sent"};
@@ -24,8 +21,8 @@ constexpr obs::Incident kReceived{.name = "recv",
 
 Connection::Connection(numa::Host& host_a, numa::NodeId node_a,
                        numa::Host& host_b, numa::NodeId node_b,
-                       net::Link& link, ConnectionOptions opts)
-    : link_(link), opts_(opts) {
+                       net::Link& link)
+    : link_(link) {
   // The TCP model runs both endpoints' stacks on one event engine (shared
   // channels, direct peer-state reads). Cross-shard TCP would need the
   // cross_post seam the RDMA path has; until then, refuse the topology
@@ -41,14 +38,7 @@ Connection::Connection(numa::Host& host_a, numa::NodeId node_a,
     ep.skb = numa::Placement::on(n);
     ep.obs = obs::Actor(obs::Layer::kTcp, {h.name() + "/tcp"},
                         {h.name() + "/tcp"});
-    ep.cwnd = obs::Gauge("cwnd_bytes", "tcp/cwnd/" + h.name());
     ep.inbound = std::make_unique<sim::Channel<Message>>(h.engine());
-    if (opts_.flow_controlled) {
-      ep.cubic = std::make_unique<Cubic>(static_cast<double>(link.mtu()),
-                                         opts_.max_window_bytes);
-      // Window bookkeeping lives in the wait loop; the semaphore slot is
-      // repurposed as a wake-up signal holder (see apply_window).
-    }
   };
   init(ep_[0], host_a, node_a);
   init(ep_[1], host_b, node_b);
@@ -64,49 +54,6 @@ sim::Task<> Connection::connect(numa::Thread& client) {
   co_await client.compute(client.host().costs().tcp_connect_cycles,
                           metrics::CpuCategory::kKernelProto);
   co_await sim::Delay{client.host().engine(), link_.rtt()};
-}
-
-sim::Task<> Connection::apply_window(Endpoint& ep, std::uint64_t bytes) {
-  if (!opts_.flow_controlled) co_return;
-  if (!ep.window)
-    ep.window = std::make_unique<sim::Semaphore>(ep.host->engine(), 0);
-  auto& eng = ep.host->engine();
-
-  // Wait for window space; a chunk larger than the whole window is
-  // admitted alone once the pipe drains (the kernel would segment it).
-  while (ep.in_flight > 0.0 &&
-         ep.in_flight + static_cast<double>(bytes) > ep.cubic->cwnd_bytes())
-    co_await ep.window->acquire();
-  ep.in_flight += static_cast<double>(bytes);
-
-  // Synthetic loss process (deterministic spacing), if configured.
-  if (opts_.loss_rate > 0.0) {
-    ep.loss_accum += static_cast<double>(bytes) * opts_.loss_rate;
-    if (ep.loss_accum >= 1.0) {
-      ep.loss_accum -= 1.0;
-      ep.cubic->on_loss();
-      ep.last_loss_time = eng.now();
-      const double cwnd = ep.cubic->cwnd_bytes();
-      ep.obs.report(eng, kLoss, ep.loss,
-                    {.arg = static_cast<std::uint64_t>(cwnd)});
-      ep.obs.gauge(eng, ep.cwnd, cwnd);
-    }
-  }
-
-  // ACK clock: one RTT after the data hits the wire the window re-opens.
-  Endpoint* pep = &ep;
-  const std::uint64_t acked = bytes;
-  eng.schedule_after(link_.rtt(), [this, pep, acked] {
-    pep->in_flight -= static_cast<double>(acked);
-    if (pep->in_flight < 0) pep->in_flight = 0;
-    const sim::SimTime since =
-        pep->host->engine().now() - pep->last_loss_time;
-    pep->cubic->on_ack(static_cast<double>(acked), since);
-    pep->window->release();
-    auto& peng = pep->host->engine();
-    pep->obs.report(peng, kAck, pep->ack);
-    pep->obs.gauge(peng, pep->cwnd, pep->cubic->cwnd_bytes());
-  });
 }
 
 sim::Task<> Connection::send(numa::Thread& th, const numa::Placement& user_src,
@@ -134,8 +81,6 @@ sim::Task<> Connection::send(numa::Thread& th, const numa::Placement& user_src,
   co_await th.compute(pkts * cm.tcp_kernel_cycles_per_packet * kern_penalty,
                       metrics::CpuCategory::kKernelProto);
 
-  co_await apply_window(ep, bytes);
-
   // Hand off to the NIC: send() returns once the data sits in the socket
   // buffer; DMA and wire serialization proceed asynchronously. Block only
   // while the device backlog exceeds the socket buffer (sndbuf pressure).
@@ -151,16 +96,14 @@ sim::Task<> Connection::send(numa::Thread& th, const numa::Placement& user_src,
 
   // Fault model: TCP is reliable, so a chunk the fabric eats is recovered
   // inside the transport — the kernel retransmits after an RTO (backing
-  // off while a fault window persists), re-serializing the chunk and
-  // shrinking the congestion window. The sender stalls meanwhile, which is
-  // exactly the goodput cost chaos benches measure.
+  // off while a fault window persists), re-serializing the chunk. The
+  // sender stalls meanwhile, which is exactly the goodput cost chaos
+  // benches measure.
   net::TxFate fate =
       link_.transmit_fate(static_cast<net::Direction>(dir), wire_payload);
   sim::SimDuration rto = 2 * link_.rtt();
   while (fate.fail) {
-    if (ep.cubic) ep.cubic->on_loss();
     ep.obs.report(eng, kRetx, ep.retx, {.arg = bytes});
-    if (ep.cubic) ep.obs.gauge(eng, ep.retx_cwnd, ep.cubic->cwnd_bytes());
     ++retransmits_;
     co_await sim::Delay{eng, fate.fail_delay + rto};
     rto = std::min(rto * 2, static_cast<sim::SimDuration>(60 * sim::kSecond));

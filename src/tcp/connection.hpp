@@ -13,9 +13,9 @@
 //
 // Flow control: send() completes when the data has been serialized onto
 // the wire (socket-buffer backpressure), which caps one connection at line
-// rate without RTT involvement on LANs. When `flow_controlled` is set
-// (WAN), in-flight bytes are additionally limited by a CUBIC window with
-// ACKs returning after one RTT.
+// rate without RTT involvement. The paper runs TCP on LAN testbeds only,
+// so there is no congestion window; a chunk the fabric drops is resent
+// after an RTO.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +30,7 @@
 #include "numa/thread.hpp"
 #include "obs/probe.hpp"
 #include "sim/channel.hpp"
-#include "sim/sync.hpp"
 #include "sim/task.hpp"
-#include "tcp/cubic.hpp"
 
 namespace e2e::tcp {
 
@@ -46,18 +44,11 @@ inline constexpr double kSndbufBytes = 4.0 * 1024 * 1024;
 /// the NIC's NUMA node (skbs and descriptor rings are NIC-local).
 inline constexpr double kRemoteStackPenalty = 1.45;
 
-struct ConnectionOptions {
-  bool flow_controlled = false;    // enable CUBIC window (WAN paths)
-  double max_window_bytes = 64.0 * 1024 * 1024;  // net.core.rmem_max-style
-  double loss_rate = 0.0;          // loss events per byte (0 on testbeds)
-};
-
 class Connection {
  public:
   /// `node_a`/`node_b`: NUMA node of the NIC each endpoint uses.
   Connection(numa::Host& host_a, numa::NodeId node_a, numa::Host& host_b,
-             numa::NodeId node_b, net::Link& link,
-             ConnectionOptions opts = {});
+             numa::NodeId node_b, net::Link& link);
 
   /// Three-way handshake cost + one RTT.
   sim::Task<> connect(numa::Thread& client);
@@ -108,7 +99,6 @@ class Connection {
   [[nodiscard]] std::uint64_t retransmits() const noexcept {
     return retransmits_;
   }
-  [[nodiscard]] net::Link& link() noexcept { return link_; }
 
   /// Endpoint index for a thread on `host` (0 for host_a, 1 for host_b).
   [[nodiscard]] int endpoint_of(const numa::Host& host) const;
@@ -121,28 +111,14 @@ class Connection {
     std::unique_ptr<sim::Channel<Message>> inbound;
     std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
-    // CUBIC state (flow_controlled connections only).
-    std::unique_ptr<Cubic> cubic;
-    std::unique_ptr<sim::Semaphore> window;  // wake-up for window waiters
-    double in_flight = 0.0;
-    double loss_accum = 0.0;
-    sim::SimTime last_loss_time = 0;
     sim::SimTime last_tx_done = 0;  // orders FIN behind queued data
-    // Observability: the endpoint's "<host>/tcp#n" track and entity, one
-    // Site per incident, and the CUBIC cwnd, which samples on every ACK and
-    // loss (handles resolve once per sink, so the per-ACK path never
-    // builds a name or hashes a lookup). A retransmit updates the stats
-    // gauge without a trace sample.
+    // Observability: the endpoint's "<host>/tcp" track and entity, and one
+    // Site per incident (handles resolve once per sink).
     obs::Actor obs;
-    obs::Site ack, loss, retx, sent, received;
-    obs::Gauge cwnd{"cwnd_bytes"};       // + trace series "tcp/cwnd/<host>"
-    obs::Gauge retx_cwnd{"cwnd_bytes"};  // stats only
+    obs::Site retx, sent, received;
   };
 
-  sim::Task<> apply_window(Endpoint& ep, std::uint64_t bytes);
-
   net::Link& link_;
-  ConnectionOptions opts_;
   Endpoint ep_[2];
   std::uint64_t retransmits_ = 0;
 };

@@ -2,4 +2,3 @@
 #pragma once
 
 #include "tcp/connection.hpp"
-#include "tcp/cubic.hpp"

@@ -98,7 +98,7 @@ void Tracer::write_chrome_events(std::ostream& os, int pid_base,
     os << '}';
   }
 
-  // Counter and value series as 'C' events under the base pid.
+  // Counter and utilization series as 'C' events under the base pid.
   for (const Sample& s : samples_) {
     sep();
     os << "{\"ph\":\"C\",\"pid\":" << pid_base << ",\"tid\":0,\"ts\":";

@@ -63,10 +63,6 @@ std::uint64_t Tracer::counter_value(std::string_view name) const {
   return it == counter_ids_.end() ? 0 : counters_[it->second].value();
 }
 
-void Tracer::value_sample(NameId series, double value) {
-  samples_.push_back({series, eng_.now(), value});
-}
-
 void Tracer::on_resource_service(const sim::Resource& r, sim::SimTime start,
                                  sim::SimTime end, double units) {
   if (end <= start) return;

@@ -68,8 +68,6 @@ class Tracer final : public sim::Observer {
     if (eng_.observer(kTrace) == this) eng_.set_observer(kTrace, nullptr);
   }
 
-  [[nodiscard]] sim::Engine& engine() noexcept { return eng_; }
-
   // --- tracks ------------------------------------------------------------
   // A track is one horizontal timeline in the viewer, identified by
   // (layer, actor). track() is idempotent per actor string; mint_track()
@@ -102,10 +100,6 @@ class Tracer final : public sim::Observer {
   /// Named monotonic counter, created on first use. Sampled into the
   /// counter timeline by the resource sampler and reported at exit.
   Counter& counter(std::string_view name);
-
-  /// Records one point of a free-form value series (e.g. a cwnd that can
-  /// shrink); rendered as a Perfetto counter track.
-  void value_sample(NameId series, double value);
 
   /// Interns `s` into the name table (idempotent). The returned id is valid
   /// for this tracer's lifetime.

@@ -38,8 +38,6 @@ struct FsRig : ::testing::Test {
 TEST_F(FsRig, CreateOpenAndReservation) {
   XfsSim fs(host, *dev, nullptr, {});
   File& f = fs.create("a", 1 << 20);
-  EXPECT_EQ(fs.open("a"), &f);
-  EXPECT_EQ(fs.open("b"), nullptr);
   EXPECT_EQ(f.size, 0u);
   EXPECT_GE(f.reserved, 1u << 20);
   EXPECT_THROW(fs.create("a", 1), std::invalid_argument);
@@ -107,20 +105,6 @@ TEST_F(FsRig, BufferedWriteGoesThroughCacheAndWritesBack) {
   eng.run();
   EXPECT_EQ(backing->bytes_written, 1u << 20);
   EXPECT_EQ(cache->total_dirty(), 0u);
-}
-
-TEST_F(FsRig, FsyncWaitsForWriteback) {
-  cache = std::make_unique<PageCache>(host, 32 << 20, 16 << 20);
-  XfsSim fs(host, *dev, cache.get(), kernel_pool(1));
-  File& f = fs.create("a", 4 << 20);
-  numa::Thread& th = app.spawn_thread();
-  exp::run_task(eng, [](FileSystem& xfs, numa::Thread& t, File& file)
-                         -> sim::Task<> {
-    co_await xfs.write(t, file, 0, 1 << 20, numa::Placement::on(0), false,
-                       CpuCategory::kOffload);
-    co_await xfs.fsync(t, file);
-  }(fs, th, f));
-  EXPECT_EQ(backing->bytes_written, 1u << 20);
 }
 
 TEST_F(FsRig, BufferedSequentialReadUsesReadahead) {

@@ -67,36 +67,6 @@ TEST_F(CacheRig, CompleteWritebackClampsToDirty) {
   EXPECT_EQ(pc.state(&f).dirty, 0u);
 }
 
-TEST_F(CacheRig, WaitCleanBlocksUntilWritebackDone) {
-  PageCache pc(host, 1 << 20, 1 << 20);
-  int f = 0;
-  exp::run_task(eng, pc.mark_dirty(&f, 2048));
-  bool clean = false;
-  sim::co_spawn([](PageCache& cache, int* file, bool* done) -> sim::Task<> {
-    co_await cache.wait_clean(file);
-    *done = true;
-  }(pc, &f, &clean));
-  eng.run();
-  EXPECT_FALSE(clean);
-  pc.complete_writeback(&f, 1024);
-  eng.run();
-  EXPECT_FALSE(clean);  // still half dirty
-  pc.complete_writeback(&f, 1024);
-  eng.run();
-  EXPECT_TRUE(clean);
-}
-
-TEST_F(CacheRig, WaitCleanOnCleanFileIsImmediate) {
-  PageCache pc(host, 1 << 20, 1 << 20);
-  int f = 0;
-  bool clean = false;
-  sim::co_spawn([](PageCache& cache, int* file, bool* done) -> sim::Task<> {
-    co_await cache.wait_clean(file);
-    *done = true;
-  }(pc, &f, &clean));
-  EXPECT_TRUE(clean);
-}
-
 TEST_F(CacheRig, PagePlacementIsThreadLocalNode) {
   PageCache pc(host, 1 << 20, 1 << 20);
   numa::Process p(host, "k", numa::NumaBinding::bound(1));

@@ -94,24 +94,6 @@ TEST(Auditor, CpuUnaccountedTimeDetected) {
   EXPECT_TRUE(has_rule(au, "cpu.unaccounted-time"));
 }
 
-TEST(Auditor, SetRateFlapKeepsResourceAccountingExact) {
-  sim::Engine eng;
-  Auditor au(eng);
-  sim::Resource r(eng, 1e9, "flappy");
-  r.charge(10'000);
-  eng.run_until(1'000);
-  r.set_rate(4e9);  // faster mid-drain
-  eng.run_until(2'000);
-  r.set_rate(5e8);  // slower again
-  eng.run();
-  au.finalize();
-  EXPECT_TRUE(au.ok()) << [&] {
-    std::ostringstream os;
-    au.report(os);
-    return os.str();
-  }();
-}
-
 // --- fast-forward contract (ff_mark / ff_repeats / ff_advance) ---
 
 /// One CPU period on `cycles` (2 cycles/ns): `ns` of service, of which

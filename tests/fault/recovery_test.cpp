@@ -153,6 +153,16 @@ TEST_F(IserRecoveryTest, ExhaustedRecoveryBudgetSurfacesTerminalError) {
   EXPECT_EQ(status, scsi::Status::kTransportError);
   EXPECT_TRUE(session->abandoned());
   EXPECT_EQ(luns[0]->writes_executed(), 0u);
+
+  // An abandoned session stays failed: a later command spends only its own
+  // retry budget and surfaces the same terminal error.
+  const sim::SimTime t0 = rig.eng.now();
+  const auto again =
+      exp::run_task(rig.eng, initiator->submit_write(*ith, 0, 0, 2048, buf));
+  EXPECT_EQ(again, scsi::Status::kTransportError);
+  EXPECT_LT(rig.eng.now() - t0, 10 * sim::kMillisecond);
+  EXPECT_EQ(initiator->command_failures(), 2u);
+  EXPECT_EQ(luns[0]->writes_executed(), 0u);
 }
 
 TEST_F(IserRecoveryTest, CappedCommandRetriesNeverHangWithoutRecovery) {

@@ -177,5 +177,38 @@ TEST_F(WatchdogTest, KickAfterSuspicionResetsQuietBudget) {
   EXPECT_EQ(wd.false_suspicions(), 1u);
 }
 
+// A fast-forward collapse at 3 ms absorbs 26 ms of modeled time: modeled
+// checks stay at 10, 20, 30 ms..., so the next one moves to event time
+// 4 ms (modeled 30 ms) and the one pending at 10 ms is retracted.
+
+TEST_F(WatchdogTest, SkipKeepsTheModeledCheckPhaseForTheStaleCheck) {
+  arm();
+  eng.schedule_at(3 * sim::kMillisecond, [this] {
+    wd.kick();
+    eng.skip_time(26 * sim::kMillisecond);
+    wd.skip(26 * sim::kMillisecond);
+  });
+  // Disarmed at modeled 29.5 ms: the run ends on the stale check at
+  // modeled 30 ms, as an event-exact run disarmed then does.
+  eng.schedule_at(3'500'000, [this] { wd.disarm(); });
+  eng.run();
+  EXPECT_EQ(eng.virtual_now(), 30 * sim::kMillisecond);
+  EXPECT_EQ(deaths, 0);
+  EXPECT_EQ(wd.suspicions(), 0u);
+}
+
+TEST_F(WatchdogTest, SkipKeepsTheModeledCheckPhaseForADeath) {
+  arm();
+  eng.schedule_at(3 * sim::kMillisecond, [this] {
+    wd.kick();
+    eng.skip_time(26 * sim::kMillisecond);
+    wd.skip(26 * sim::kMillisecond);
+  });
+  eng.run();  // 30 ms sees the kick; 40/50/60 ms stack to the budget
+  EXPECT_EQ(deaths, 1);
+  EXPECT_EQ(wd.suspicions(), 3u);
+  EXPECT_EQ(eng.virtual_now(), 60 * sim::kMillisecond);
+}
+
 }  // namespace
 }  // namespace e2e::fault

@@ -153,12 +153,6 @@ TEST_F(IserRig, ConcurrentTasksAllComplete) {
   EXPECT_EQ(target->tasks_served(), 30u);
 }
 
-TEST_F(IserRig, LogoutStopsSession) {
-  bring_up();
-  exp::run_task(rig.eng, initiator->logout(*ith));
-  EXPECT_FALSE(initiator->logged_in());
-}
-
 TEST_F(IserRig, TargetCountsControlPdus) {
   bring_up();
   auto buf = make_buffer(*rig.a, 4096, 0);

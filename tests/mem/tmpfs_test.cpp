@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "exp/runner.hpp"
 #include "numa/process.hpp"
 #include "testutil.hpp"
@@ -24,16 +26,6 @@ TEST_F(TmpfsRig, CreateBindsPlacement) {
   EXPECT_EQ(f.placement.extents[0].node, 1);
   EXPECT_EQ(host.used_bytes(1), 1u << 20);
   EXPECT_EQ(fs.file_count(), 1u);
-}
-
-TEST_F(TmpfsRig, FindAndRemove) {
-  fs.create("a", 4096, numa::MemPolicy::kBind, 0);
-  EXPECT_NE(fs.find("a"), nullptr);
-  EXPECT_EQ(fs.find("missing"), nullptr);
-  fs.remove("a");
-  EXPECT_EQ(fs.find("a"), nullptr);
-  EXPECT_EQ(host.used_bytes(0), 0u);
-  fs.remove("missing");  // no-op
 }
 
 TEST_F(TmpfsRig, ReadCountsBytesAndSharers) {
@@ -108,11 +100,12 @@ TEST_F(TmpfsRig, ReadsNeverPayCoherence) {
   EXPECT_EQ(shared_read, proc1.usage().get(CpuCategory::kLoad) - base2);
 }
 
-TEST_F(TmpfsRig, DuplicateCreateReplacesFile) {
+TEST_F(TmpfsRig, DuplicateCreateIsRefused) {
   fs.create("f", 4096, numa::MemPolicy::kBind, 0);
-  fs.create("f", 8192, numa::MemPolicy::kBind, 1);
-  EXPECT_EQ(fs.find("f")->size, 8192u);
+  EXPECT_THROW(fs.create("f", 8192, numa::MemPolicy::kBind, 1),
+               std::invalid_argument);
   EXPECT_EQ(fs.file_count(), 1u);
+  EXPECT_EQ(host.used_bytes(1), 0u);
 }
 
 }  // namespace

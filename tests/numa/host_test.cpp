@@ -66,15 +66,6 @@ TEST(Host, AllocInterleaveSplitsEvenly) {
   EXPECT_EQ(h.used_bytes(1), 500u);
 }
 
-TEST(Host, FreeReturnsBytes) {
-  sim::Engine eng;
-  Host h(eng, test::tiny_host("h"));
-  auto p = h.alloc(1000, MemPolicy::kInterleave, kAnyNode, 0);
-  h.free(p, 1000);
-  EXPECT_EQ(h.used_bytes(0), 0u);
-  EXPECT_EQ(h.used_bytes(1), 0u);
-}
-
 TEST(Host, PickCoreOsDefaultRoundRobinsAllCores) {
   sim::Engine eng;
   Host h(eng, test::tiny_host("h"));

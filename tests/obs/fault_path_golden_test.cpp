@@ -106,14 +106,17 @@ Hashes run_rftp_chaos() {
   return sinks.hash();
 }
 
+// Two loss bursts on the wire while 8 MiB crosses it: each dropped chunk
+// costs an RTO and a retransmit.
+constexpr const char* kTcpPlan = "loss@100us:n=2;loss@800us:n=1";
+
 Hashes run_tcp_lossy() {
   test::TinyRig rig;
   Sinks sinks(rig.eng);
-  tcp::ConnectionOptions opts;
-  opts.flow_controlled = true;
-  opts.max_window_bytes = 1 << 20;
-  opts.loss_rate = 1e-6;
-  tcp::Connection conn(*rig.a, 0, *rig.b, 0, *rig.link, opts);
+  tcp::Connection conn(*rig.a, 0, *rig.b, 0, *rig.link);
+  fault::FaultInjector inj(rig.eng, fault::FaultPlan::parse(kTcpPlan));
+  inj.attach(*rig.link);
+  inj.arm();
   numa::Thread& tx = rig.proc_a->spawn_thread();
   numa::Thread& rx = rig.proc_b->spawn_thread();
   auto sender = [](tcp::Connection& c, numa::Thread& th) -> sim::Task<> {
@@ -132,6 +135,7 @@ Hashes run_tcp_lossy() {
   };
   sim::co_spawn(sender(conn, tx));
   EXPECT_EQ(exp::run_task(rig.eng, receiver(conn, rx)), 32u * 256 * 1024);
+  EXPECT_GT(conn.retransmits(), 0u);
   return sinks.hash();
 }
 
@@ -215,8 +219,8 @@ TEST(FaultPathGolden, RftpCrashResumeFailover) {
 }
 
 TEST(FaultPathGolden, LossyTcp) {
-  expect_hashes(run_tcp_lossy(), {0x2736609f52e1974bull, 0x78e937fe09e3a7cdull,
-                                 0x0fd75de60adf3125ull});
+  expect_hashes(run_tcp_lossy(), {0x6d4ba0cd4122659full, 0xe594d2cf1fed20c2ull,
+                                 0x4109e38b2ca401bdull});
 }
 
 TEST(FaultPathGolden, FaultedIser) {

@@ -64,10 +64,9 @@ struct Outcome {
   // difference between the two runs), asserted separately.
   std::uint64_t ff_spans = 0;
   std::uint64_t ff_blocks = 0;
-  // The stats registry's write_json() without its sim_time_ns (the event
-  // clock, which a collapse does not advance) and flight_records (the
-  // flight ring is a trace, deliberately not advanced) lines, and each
-  // stream's credit_wait_ns sum. Compared separately: see expect_equivalent.
+  // The stats registry's write_json() without its flight_records line (the
+  // flight ring is a trace, deliberately not advanced), and each stream's
+  // credit_wait_ns sum. Compared separately: see expect_equivalent.
   std::vector<std::string> stats;
   std::vector<std::uint64_t> credit_wait_sums;
 
@@ -225,8 +224,7 @@ Outcome run_once(const Case& c, bool fast_forward) {
   reg.write_json(js);
   std::istringstream lines(js.str());
   for (std::string line; std::getline(lines, line);)
-    if (line.find("\"sim_time_ns\"") == std::string::npos &&
-        line.find("\"flight_records\"") == std::string::npos)
+    if (line.find("\"flight_records\"") == std::string::npos)
       o.stats.push_back(line);
   for (int i = 0; i < cfg.streams; ++i) {
     const stats::Histogram* h = reg.find_histogram(

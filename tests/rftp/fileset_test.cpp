@@ -95,11 +95,9 @@ TEST_F(FileSetRig, RftpTransfersAWholeDirectory) {
       exp::run_task(rig.eng, sess.run(src, dst, src_set.total_bytes()));
   EXPECT_EQ(r.bytes, 16u << 20);
   // Every destination file was fully written.
-  for (int i = 0; i < 8; ++i) {
-    blk::File* f = dst_fs->open("copy" + std::to_string(i));
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->size, 2u << 20);
-  }
+  const auto pieces = dst_set.map(0, dst_set.total_bytes());
+  ASSERT_EQ(pieces.size(), 8u);
+  for (const auto& p : pieces) EXPECT_EQ(p.file->size, 2u << 20);
 }
 
 struct OverheadResult {

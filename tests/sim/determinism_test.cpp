@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "exp/runner.hpp"
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 #include "iscsi/initiator.hpp"
 #include "iscsi/target.hpp"
 #include "iser/session.hpp"
@@ -98,20 +100,20 @@ TraceRun run_iser_scenario() {
   return TraceRun{fnv1a(s), rig.eng.events_processed(), s.size()};
 }
 
-/// Fixed TCP scenario: flow-controlled lossy connection, so the trace
-/// includes the per-ACK/per-loss cwnd samples and counters whose handles
-/// the hot path caches.
+/// Fixed TCP scenario: a connection whose link drops chunks through a
+/// fault plan, so the trace includes the retransmit incidents and the
+/// counters whose handles the hot path caches.
 TraceRun run_tcp_scenario() {
   test::TinyRig rig;
   trace::Tracer tracer(rig.eng);
   tracer.install();
   tracer.enable_resource_sampler(sim::kMillisecond);
 
-  tcp::ConnectionOptions opts;
-  opts.flow_controlled = true;
-  opts.max_window_bytes = 1 << 20;
-  opts.loss_rate = 1e-6;
-  tcp::Connection conn(*rig.a, 0, *rig.b, 0, *rig.link, opts);
+  tcp::Connection conn(*rig.a, 0, *rig.b, 0, *rig.link);
+  fault::FaultInjector inj(
+      rig.eng, fault::FaultPlan::parse("loss@100us:n=2;loss@800us:n=1"));
+  inj.attach(*rig.link);
+  inj.arm();
   numa::Thread& tx = rig.proc_a->spawn_thread();
   numa::Thread& rx = rig.proc_b->spawn_thread();
   const numa::Placement src = numa::Placement::on(0);
@@ -134,6 +136,7 @@ TraceRun run_tcp_scenario() {
   sim::co_spawn(sender(conn, tx, src));
   const std::uint64_t got = exp::run_task(rig.eng, receiver(conn, rx, dst));
   EXPECT_EQ(got, 32u * 256 * 1024);
+  EXPECT_GT(conn.retransmits(), 0u);
 
   tracer.sample_now();
   std::ostringstream os;
@@ -147,8 +150,8 @@ TraceRun run_tcp_scenario() {
 // The overhaul must not change a single trace byte.
 constexpr std::uint64_t kIserGoldenHash = 0xb395f731c87f013cull;
 constexpr std::uint64_t kIserGoldenEvents = 364;
-constexpr std::uint64_t kTcpGoldenHash = 0x2736609f52e1974bull;
-constexpr std::uint64_t kTcpGoldenEvents = 266;
+constexpr std::uint64_t kTcpGoldenHash = 0x6d4ba0cd4122659full;
+constexpr std::uint64_t kTcpGoldenEvents = 242;
 
 TEST(Determinism, IserScenarioMatchesRecordedGolden) {
   const TraceRun r = run_iser_scenario();

@@ -87,18 +87,10 @@ TEST(Resource, UtilizationAndUnitsServed) {
   EXPECT_EQ(r.busy_time(), 300u);
 }
 
-TEST(Resource, SetRateAffectsNewWork) {
-  Engine eng;
-  Resource r(eng, 1e9, "r");
-  r.set_rate(2e9);
-  EXPECT_EQ(r.service_time(1000), 500u);
-}
-
 TEST(Resource, RejectsNonPositiveRate) {
   Engine eng;
   EXPECT_THROW(Resource(eng, 0.0, "bad"), std::invalid_argument);
-  Resource r(eng, 1.0, "r");
-  EXPECT_THROW(r.set_rate(-1.0), std::invalid_argument);
+  EXPECT_THROW(Resource(eng, -1.0, "bad"), std::invalid_argument);
 }
 
 TEST(Resource, ZeroUnitsAcquireIsImmediate) {
@@ -108,31 +100,6 @@ TEST(Resource, ZeroUnitsAcquireIsImmediate) {
   SimTime done = kTimeInfinity;
   co_spawn(acquire_one(r, 0, &done, eng));
   EXPECT_EQ(done, 0u);  // did not queue
-}
-
-TEST(Resource, SetRateReplansBacklogAtNewRate) {
-  Engine eng;
-  Resource r(eng, 1e9, "r");  // 1 unit/ns
-  r.charge(1000);             // backlog drains at t=1000 under the old rate
-  EXPECT_EQ(r.busy_until(), 1000u);
-  r.set_rate(2e9);  // the queued 1000 units now take 500 ns
-  EXPECT_EQ(r.busy_until(), 500u);
-  // Halving the rate mid-drain stretches only the remaining backlog.
-  eng.run_until(100);
-  r.set_rate(1e9);
-  EXPECT_EQ(r.busy_until(), 100u + 800u);
-  // busy_time tracks the re-planned schedule, so utilization stays <= 1.
-  eng.run_until(2000);
-  EXPECT_EQ(r.busy_time(), 900u);
-  EXPECT_LE(r.utilization(), 1.0);
-}
-
-TEST(Resource, SetRateUnchangedBacklogKeepsPlan) {
-  Engine eng;
-  Resource r(eng, 1e9, "r");
-  r.charge(1000);
-  r.set_rate(1e9);  // same rate: nothing to re-plan
-  EXPECT_EQ(r.busy_until(), 1000u);
 }
 
 TEST(Resource, AggregateThroughputEqualsRateUnderLoad) {

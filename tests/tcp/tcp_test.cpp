@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/runner.hpp"
-#include "metrics/throughput.hpp"
 #include "numa/process.hpp"
-#include "tcp/cubic.hpp"
 #include "testutil.hpp"
 
 namespace e2e::tcp {
@@ -22,9 +20,8 @@ struct TcpRig : ::testing::Test {
   numa::Placement src = numa::Placement::on(0);
   numa::Placement dst = numa::Placement::on(0);
 
-  void make(ConnectionOptions opts = {}) {
-    conn = std::make_unique<Connection>(*rig.a, 0, *rig.b, 0, *rig.link,
-                                        opts);
+  void make() {
+    conn = std::make_unique<Connection>(*rig.a, 0, *rig.b, 0, *rig.link);
     tx = &rig.proc_a->spawn_thread();
     rx = &rig.proc_b->spawn_thread();
   }
@@ -124,85 +121,6 @@ TEST_F(TcpRig, EndpointOfRejectsForeignHost) {
   make();
   TinyRig other;
   EXPECT_THROW((void)conn->endpoint_of(*other.a), std::invalid_argument);
-}
-
-TEST_F(TcpRig, WanWindowLimitsInFlightToBdp) {
-  TinyRig rig2;
-  net::Link wan(rig2.eng, "wan", 40.0, 50 * sim::kMillisecond, 9000);
-  ConnectionOptions opts;
-  opts.flow_controlled = true;
-  opts.max_window_bytes = 8.0 * 1024 * 1024;
-  Connection c(*rig2.a, 0, *rig2.b, 0, wan, opts);
-  numa::Thread& tx2 = rig2.proc_a->spawn_thread();
-  numa::Thread& rx2 = rig2.proc_b->spawn_thread();
-  const int chunks = 256;
-  sim::co_spawn(send_n(c, tx2, numa::Placement::on(0), 1 << 20, chunks));
-  const auto got = exp::run_task(rig2.eng, recv_all(c, rx2,
-                                                    numa::Placement::on(0)));
-  EXPECT_EQ(got, 256u << 20);
-  const double gbps = metrics::gbps(got, rig2.eng.now());
-  // 8 MiB window / 100 ms RTT = ~0.67 Gbps << the 40G line rate.
-  EXPECT_LT(gbps, 1.2);
-  EXPECT_GT(gbps, 0.3);
-}
-
-// --- CUBIC window model ---
-
-TEST(Cubic, SlowStartDoublesRoughly) {
-  Cubic c(9000, 1e9);
-  const double w0 = c.cwnd_bytes();
-  c.on_ack(w0, sim::kSecond);
-  EXPECT_NEAR(c.cwnd_bytes(), 2 * w0, 1.0);
-  EXPECT_TRUE(c.in_slow_start());
-}
-
-TEST(Cubic, LossShrinksWindow) {
-  Cubic c(9000, 1e9);
-  for (int i = 0; i < 20; ++i) c.on_ack(c.cwnd_bytes(), sim::kSecond);
-  const double before = c.cwnd_bytes();
-  c.on_loss();
-  EXPECT_LT(c.cwnd_bytes(), before);
-  EXPECT_GE(c.cwnd_bytes(), 2 * 9000.0);
-  EXPECT_FALSE(c.in_slow_start());
-}
-
-TEST(Cubic, SlowStartExitWithoutLossSeedsPlateau) {
-  const double mss = 9000.0;
-  const double ssthresh = 100 * mss;
-  Cubic c(mss, 1e9, ssthresh);
-  // Drive slow start past ssthresh without a single loss.
-  sim::SimDuration t = 0;
-  while (c.in_slow_start()) {
-    t += 100 * sim::kMillisecond;
-    c.on_ack(c.cwnd_bytes(), t);
-  }
-  const double exit_w = c.cwnd_bytes();
-  EXPECT_GE(exit_w, ssthresh);
-  // One ack well past the plateau knee: the window must track the cubic
-  // curve anchored at Wmax = exit window, not a curve grown from Wmax = 0.
-  const double wmax_seg = exit_w / mss;
-  const double k = std::cbrt(wmax_seg * 0.3 / 0.4);
-  const double t_secs = 7.0;
-  const double expect_seg = 0.4 * std::pow(t_secs - k, 3.0) + wmax_seg;
-  c.on_ack(mss, static_cast<sim::SimDuration>(t_secs * 1e9));
-  EXPECT_NEAR(c.cwnd_bytes(), expect_seg * mss, 1.0);
-  EXPECT_GT(c.cwnd_bytes(), exit_w);
-}
-
-TEST(Cubic, RecoversTowardWmaxAfterLoss) {
-  Cubic c(9000, 1e9);
-  for (int i = 0; i < 20; ++i) c.on_ack(c.cwnd_bytes(), sim::kSecond);
-  const double wmax = c.cwnd_bytes();
-  c.on_loss();
-  for (int i = 1; i <= 200; ++i)
-    c.on_ack(100 * 9000, i * 100 * sim::kMillisecond);
-  EXPECT_GT(c.cwnd_bytes(), 0.8 * wmax);
-}
-
-TEST(Cubic, WindowNeverExceedsMax) {
-  Cubic c(9000, 5e6);
-  for (int i = 0; i < 100; ++i) c.on_ack(c.cwnd_bytes(), sim::kSecond);
-  EXPECT_LE(c.cwnd_bytes(), 5e6);
 }
 
 }  // namespace
