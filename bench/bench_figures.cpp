@@ -3,11 +3,11 @@
 //   bench_figures                      runs every row, in table order
 //   bench_figures fig09 crash_restart  runs the named rows
 //
-// A row runs its sweep on fresh testbeds (the exp runners of
-// exp/scenarios.hpp, and bench/scenarios.hpp) and prints
-// its paper-vs-measured tables on stdout; an unknown row name prints the
-// row names and exits 2. To trace or dump the stats of an end-to-end
-// transfer, run the CLI (`e2e_transfer_sim e2e --trace F --stats-out F`).
+// A row sweeps the exp runners (exp/scenarios.hpp, exp/kv_scenario.hpp),
+// each on fresh testbeds, and prints its paper-vs-measured tables on
+// stdout; an unknown row name prints the row names and exits 2. To trace
+// or dump the stats of an end-to-end transfer, run the CLI
+// (`e2e_transfer_sim e2e --trace F --stats-out F`).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -18,18 +18,11 @@
 #include <tuple>
 #include <vector>
 
-#include "apps/perftest.hpp"
 #include "bench_util.hpp"
-#include "exp/exp.hpp"
 #include "exp/kv_scenario.hpp"
-#include "exp/pair_fleet.hpp"
-#include "fault/injector.hpp"
+#include "exp/scenarios.hpp"
 #include "fault/plan.hpp"
 #include "metrics/table.hpp"
-#include "numa/stream.hpp"
-#include "rdma/cm.hpp"
-#include "rftp/rftp.hpp"
-#include "scenarios.hpp"
 
 namespace e2e::bench {
 namespace {
@@ -59,9 +52,10 @@ double proto_cpu(const exp::TransferRun& r, bool receiver) {
       .percent(CpuCategory::kUserProto, r.window);
 }
 
-exp::SanTestbed::FioReport fio_point(bool numa_tuned, bool write,
-                                     std::uint64_t block,
-                                     int threads_per_lun = 4) {
+using FioReport = decltype(exp::SanRun::fio);
+
+FioReport fio_point(bool numa_tuned, bool write, std::uint64_t block,
+                    int threads_per_lun = 4) {
   exp::SanParams p;
   p.san.numa_tuned = numa_tuned;
   p.fio.block_bytes = block;
@@ -76,13 +70,6 @@ exp::SanTestbed::FioReport fio_point(bool numa_tuned, bool write,
 // Paper numbers: Triad 50 GB/s; iperf 83.5 Gbps (default) -> 91.8 Gbps
 // (tuned), with the kernel copy routine at ~35% of overall CPU.
 void motivating() {
-  auto triad = [](bool numa_local) {
-    sim::Engine eng;
-    numa::Host host(eng, model::front_end_lan_host("fe"));
-    numa::StreamOptions opts;
-    opts.numa_local = numa_local;
-    return numa::run_stream_triad(eng, host, opts).triad_gBps;
-  };
   const auto iperf = exp::run_motivating({});
   const auto& dflt = iperf.stock;
   const auto& tuned = iperf.tuned;
@@ -90,8 +77,10 @@ void motivating() {
   print_comparison(
       "Sec 2.3 motivating experiment",
       {
-          {"STREAM triad (local)", 50.0, triad(true), "GB/s"},
-          {"STREAM triad (interleaved)", 0.0, triad(false), "GB/s"},
+          {"STREAM triad (local)", 50.0, exp::run_stream_triad(true),
+           "GB/s"},
+          {"STREAM triad (interleaved)", 0.0, exp::run_stream_triad(false),
+           "GB/s"},
           {"iperf bidir, default sched", 83.5, dflt.aggregate_gbps, "Gbps"},
           {"iperf bidir, NUMA tuned", 91.8, tuned.aggregate_gbps, "Gbps"},
           {"NUMA tuning gain", 9.9,
@@ -135,8 +124,7 @@ void table1() {
 //         0% kernel protocol (offloaded).
 //   TCP:  642% total — 311% kernel protocol, 213% copies, ~70% load.
 void fig04() {
-  const auto rftp = run_fig4_rftp();
-  const auto tcp = run_fig4_tcp();
+  const auto [rftp, tcp] = exp::run_fig4();
   const auto& ru = rftp.both_ends;
   const auto& tu = tcp.both_ends;
   const auto rw = rftp.window;
@@ -178,8 +166,7 @@ void fig04() {
 void fig07_08() {
   const std::uint64_t blocks[] = {256ull << 10, 1ull << 20, 4ull << 20,
                                   8ull << 20};
-  std::map<std::tuple<bool, bool, std::uint64_t>, exp::SanTestbed::FioReport>
-      pts;
+  std::map<std::tuple<bool, bool, std::uint64_t>, FioReport> pts;
   for (const bool tuned : {false, true})
     for (const bool write : {false, true})
       for (const auto block : blocks)
@@ -243,7 +230,7 @@ void fig09() {
   constexpr double kPathLimitGbps = 94.8;  // the paper's fio write limit
   const auto rftp = exp::run_transfer(
       {.rig = exp::Rig::kE2e, .bytes = 64ull << 30, .obs = {.stats = true}});
-  const auto grid = run_e2e_gridftp(16ull << 30);
+  const auto grid = exp::run_e2e_gridftp(16ull << 30);
   print_comparison(
       "Fig. 9 end-to-end throughput",
       {
@@ -284,7 +271,7 @@ void fig09() {
 void fig10() {
   const auto rftp =
       exp::run_transfer({.rig = exp::Rig::kE2e, .bytes = 32ull << 30});
-  const auto grid = run_e2e_gridftp(8ull << 30);
+  const auto grid = exp::run_e2e_gridftp(8ull << 30);
   print_cpu_breakdown("RFTP source host", rftp.src_usage, rftp.window);
   print_cpu_breakdown("RFTP destination host", rftp.dst_usage, rftp.window);
   print_cpu_breakdown("GridFTP source host", grid.src_usage, grid.window);
@@ -319,19 +306,27 @@ void fig10() {
 // of the ideal 2x due to back-end and memory contention); GridFTP gains
 // only ~33% because it is already CPU-saturated.
 void fig11() {
-  const auto rftp = run_e2e_rftp_bidir(24ull << 30);
-  const auto grid = run_e2e_gridftp_bidir(6ull << 30);
+  constexpr std::uint64_t kRftpBytes = 24ull << 30, kGridBytes = 6ull << 30;
+  const double rftp_uni =
+      exp::run_transfer({.rig = exp::Rig::kE2e, .bytes = kRftpBytes})
+          .transfer.goodput_gbps;
+  const auto rftp = exp::run_e2e_bidir(exp::App::kRftp, kRftpBytes);
+  const double grid_uni =
+      exp::run_e2e_gridftp(kGridBytes).transfer.goodput_gbps;
+  const auto grid = exp::run_e2e_bidir(exp::App::kGridFtp, kGridBytes);
   print_comparison(
       "Fig. 11 bi-directional end-to-end throughput",
       {
-          {"RFTP unidirectional", 91.0, rftp.unidirectional_gbps, "Gbps"},
+          {"RFTP unidirectional", 91.0, rftp_uni, "Gbps"},
           {"RFTP bidirectional aggregate", 166.0, rftp.aggregate_gbps,
            "Gbps"},
-          {"RFTP improvement", 83.0, 100.0 * rftp.improvement, "%"},
-          {"GridFTP unidirectional", 29.0, grid.unidirectional_gbps, "Gbps"},
+          {"RFTP improvement", 83.0,
+           100.0 * (rftp.aggregate_gbps / rftp_uni - 1.0), "%"},
+          {"GridFTP unidirectional", 29.0, grid_uni, "Gbps"},
           {"GridFTP bidirectional aggregate", 38.6, grid.aggregate_gbps,
            "Gbps"},
-          {"GridFTP improvement", 33.0, 100.0 * grid.improvement, "%"},
+          {"GridFTP improvement", 33.0,
+           100.0 * (grid.aggregate_gbps / grid_uni - 1.0), "%"},
       });
 }
 
@@ -340,8 +335,8 @@ void fig11() {
 // Paper shape: GridFTP's bidirectional CPU saturates (its scaling limit);
 // RFTP's CPU roughly doubles but stays far below saturation.
 void fig12() {
-  const auto rftp = run_e2e_rftp_bidir(16ull << 30);
-  const auto grid = run_e2e_gridftp_bidir(4ull << 30);
+  const auto rftp = exp::run_e2e_bidir(exp::App::kRftp, 16ull << 30);
+  const auto grid = exp::run_e2e_bidir(exp::App::kGridFtp, 4ull << 30);
   print_cpu_breakdown("RFTP host (bi-directional)", rftp.src_usage,
                       rftp.window);
   print_cpu_breakdown("GridFTP host (bi-directional)", grid.src_usage,
@@ -446,14 +441,6 @@ void fig14() {
 // ~99% of line rate, RDMA Read trails Write by the read-efficiency factor,
 // and small-message tests are message-rate / latency bound.
 void perftest() {
-  auto run = [](const apps::PerftestConfig& cfg, bool lat) {
-    sim::Engine eng;
-    exp::HostPair hp(eng, {"a", "b", "wire", "client", "server"},
-                     net::make_roce_lan);
-    rdma::ConnectedPair qp(hp.da, hp.db, *hp.link);
-    return lat ? apps::run_lat(eng, qp, hp.pa, hp.pb, cfg)
-               : apps::run_bw(eng, qp, hp.pa, hp.pb, cfg);
-  };
   const std::uint64_t sizes[] = {4096, 65536, 1ull << 20, 4ull << 20};
   const apps::PerftestOp ops[] = {apps::PerftestOp::kSend,
                                   apps::PerftestOp::kWrite,
@@ -465,12 +452,12 @@ void perftest() {
       cfg.op = op;
       cfg.msg_bytes = size;
       cfg.iterations = 2000;
-      gbps[{op, size}] = run(cfg, false).gbps;
+      gbps[{op, size}] = exp::run_perftest(cfg, false).gbps;
     }
   apps::PerftestConfig lat_cfg;
   lat_cfg.msg_bytes = 64;
   lat_cfg.iterations = 500;
-  const auto lat = run(lat_cfg, true);
+  const auto lat = exp::run_perftest(lat_cfg, true);
 
   Table t("perftest: single-QP bandwidth (Gbps), 40G RoCE");
   t.header({"message", "SEND", "RDMA WRITE", "RDMA READ"});
@@ -490,7 +477,7 @@ void perftest() {
 // beyond that from contention; this sweep regenerates that knee.
 void threads_per_lun() {
   const int threads[] = {1, 2, 4, 8, 16};
-  std::map<int, exp::SanTestbed::FioReport> rd, wr;
+  std::map<int, FioReport> rd, wr;
   for (const int thr : threads)
     for (const bool write : {false, true})
       (write ? wr : rd)[thr] = fio_point(true, write, 4ull << 20, thr);
@@ -549,71 +536,16 @@ void rftp() {
 // workload, chose XFS for its parallel-I/O behaviour, and blames part of
 // GridFTP's loss on buffered (non-direct) I/O. This row quantifies all
 // three choices on the front-end write path.
-enum class FsKind { kRaw, kExt4, kXfs, kXfsBuffered };
-
-double run_sink_variant(FsKind kind) {
-  exp::EndToEndTestbed tb(true, 16ull << 30);
-  tb.start();
-
-  // Replace the destination filesystem per variant.
-  std::unique_ptr<blk::FileSystem> fs;
-  auto kernel_pool = [&](int n) {
-    std::vector<numa::Thread*> pool;
-    for (int i = 0; i < n; ++i)
-      pool.push_back(&tb.dst_kernel->spawn_thread());
-    return pool;
-  };
-  bool direct = true;
-  switch (kind) {
-    case FsKind::kRaw:
-      // Raw block device: a filesystem with no cache and trivial
-      // allocation (pre-allocated file on XFS behaves identically; model
-      // raw as XFS with an allocation already covering the file).
-      fs = std::make_unique<blk::XfsSim>(*tb.dst_fe, tb.dst_san->striped(),
-                                         nullptr,
-                                         std::vector<numa::Thread*>{});
-      break;
-    case FsKind::kExt4:
-      fs = std::make_unique<blk::Ext4Sim>(*tb.dst_fe, tb.dst_san->striped(),
-                                          nullptr,
-                                          std::vector<numa::Thread*>{});
-      break;
-    case FsKind::kXfs:
-      fs = std::make_unique<blk::XfsSim>(*tb.dst_fe, tb.dst_san->striped(),
-                                         nullptr,
-                                         std::vector<numa::Thread*>{});
-      break;
-    case FsKind::kXfsBuffered:
-      fs = std::make_unique<blk::XfsSim>(*tb.dst_fe, tb.dst_san->striped(),
-                                         tb.dst_cache.get(), kernel_pool(8));
-      direct = false;
-      break;
-  }
-  blk::File& out = fs->create("sink", tb.dataset_bytes);
-  if (kind == FsKind::kRaw)
-    out.allocated = out.reserved;  // no allocation path at runtime
-
-  numa::Process sp(*tb.src_fe, "rftp-c", numa::NumaBinding::os_default());
-  numa::Process rp(*tb.dst_fe, "rftp-s", numa::NumaBinding::os_default());
-  rftp::RftpConfig cfg;
-  rftp::RftpSession sess({&sp, tb.src_roce()}, {&rp, tb.dst_roce()},
-                         tb.links(), cfg);
-  rftp::FileSource src(*tb.src_fs, *tb.src_file);
-  rftp::FileSink dst(*fs, out, direct);
-  const auto r = exp::run_task(tb.eng, sess.run(src, dst, tb.dataset_bytes));
-  return r.goodput_gbps;
-}
-
 void filesystems() {
   Table t("Ablation: destination filesystem (RFTP sink path)");
   t.header({"variant", "Gbps"});
-  const std::pair<FsKind, const char*> variants[] = {
-      {FsKind::kRaw, "raw device"},
-      {FsKind::kExt4, "ext4 (journal)"},
-      {FsKind::kXfs, "XFS (parallel AGs)"},
-      {FsKind::kXfsBuffered, "XFS buffered (no direct I/O)"}};
+  const std::pair<exp::SinkFs, const char*> variants[] = {
+      {exp::SinkFs::kRaw, "raw device"},
+      {exp::SinkFs::kExt4, "ext4 (journal)"},
+      {exp::SinkFs::kXfs, "XFS (parallel AGs)"},
+      {exp::SinkFs::kXfsBuffered, "XFS buffered (no direct I/O)"}};
   for (const auto& [kind, name] : variants)
-    t.row({name, Table::num(run_sink_variant(kind))});
+    t.row({name, Table::num(exp::run_sink_fs(kind))});
   std::fputs(t.to_string().c_str(), stdout);
   std::printf(
       "\npaper: raw/ext4/XFS comparable for streaming; direct I/O matters\n");
@@ -670,10 +602,10 @@ void iser_vs_tcp() {
             "copy CPU (both)"});
   for (const bool tcp : {false, true})
     for (const bool write : {false, true}) {
-      SanLinkOptions o;
+      exp::SanLinkOptions o;
       o.tcp = tcp;
       o.write = write;
-      const auto r = run_san_link(o);
+      const auto r = exp::run_san_link(o);
       t.row({tcp ? "iSCSI/TCP" : "iSER (RDMA)", write ? "write" : "read",
              Table::num(r.gbps), Table::num(r.initiator_cpu, 0) + "%",
              Table::num(r.target_cpu, 0) + "%",
@@ -700,14 +632,14 @@ void fault_recovery() {
   using Mix = fault::FaultPlan::RandomParams;
   const std::pair<const char*, std::optional<Mix>> levels[] = {
       {"clean", std::nullopt},
-      {"light", Mix{.horizon = kSanLinkWindow, .loss_bursts = 4, .flaps = 0,
-                    .spikes = 1, .holes = 0, .qp_kills = 0}},
-      {"heavy", Mix{.horizon = kSanLinkWindow, .loss_bursts = 16,
+      {"light", Mix{.horizon = exp::kSanLinkWindow, .loss_bursts = 4,
+                    .flaps = 0, .spikes = 1, .holes = 0, .qp_kills = 0}},
+      {"heavy", Mix{.horizon = exp::kSanLinkWindow, .loss_bursts = 16,
                     .flaps = 2, .spikes = 2, .holes = 2, .qp_kills = 0}},
       // One QP kill mid-run: iSER recovers the session.
-      {"storm", Mix{.horizon = kSanLinkWindow, .qps = 1, .loss_bursts = 48,
-                    .max_burst = 8, .flaps = 4, .spikes = 4, .holes = 4,
-                    .qp_kills = 1}},
+      {"storm", Mix{.horizon = exp::kSanLinkWindow, .qps = 1,
+                    .loss_bursts = 48, .max_burst = 8, .flaps = 4,
+                    .spikes = 4, .holes = 4, .qp_kills = 1}},
   };
 
   Table t(
@@ -718,7 +650,7 @@ void fault_recovery() {
   std::vector<std::pair<std::string, stats::Histogram>> hists;
   for (const auto& [name, mix] : levels)
     for (const bool tcp : {false, true}) {
-      SanLinkOptions o;
+      exp::SanLinkOptions o;
       o.tcp = tcp;
       // TCP's transport retransmits absorb wire faults, so its initiator
       // runs without a command timer; iSER sees failed completions and
@@ -728,7 +660,7 @@ void fault_recovery() {
       o.cmd_timer = tcp ? 0 : 25 * sim::kMillisecond;
       o.recovery = !tcp;
       if (mix) o.faults = fault::FaultPlan::random(7, *mix);
-      auto r = run_san_link(o);
+      auto r = exp::run_san_link(o);
       t.row({name, tcp ? "iSCSI/TCP" : "iSER (RDMA)", Table::num(r.gbps),
              std::to_string(r.faults), std::to_string(r.messages_failed),
              std::to_string(r.command_retries), std::to_string(r.recoveries),
@@ -763,55 +695,20 @@ void fault_recovery() {
 //    ledger disabled (restart from byte zero). Measures the rollback
 //    the ledger buys back: blocks re-sent because their acks were
 //    volatile when the receiver died.
-struct CrashPoint {
-  double gbps = 0.0;
-  std::uint64_t resumes = 0;
-  std::uint64_t rolled_back = 0;
-  std::uint64_t block_retx = 0;
-  std::uint64_t grant_retx = 0;
-  std::uint64_t checkpoints = 0;
-  bool ok = false;               // complete with integrity intact
-  stats::Histogram mttr;         // crash -> resume negotiated (ns)
-  stats::Histogram first_drain;  // resume -> first fresh drain (ns)
-};
+/// One 4 GiB transfer under `plan`, checkpointing every
+/// `checkpoint_blocks` fresh drains.
+exp::TransferRun crash_case(const char* plan, int checkpoint_blocks) {
+  return exp::run_transfer({.rig = exp::Rig::kWan,
+                            .bytes = 4ull << 30,
+                            .streams = 4,
+                            .checkpoint_blocks = checkpoint_blocks,
+                            .fault_plan = fault::FaultPlan::parse(plan),
+                            .obs = {.stats = true}});
+}
 
-/// One 4 GiB transfer under `plan`, attached to the session.
-CrashPoint run_crash_case(const std::string& plan, int checkpoint_blocks) {
-  constexpr std::uint64_t kDataset = 4ull << 30;
-  exp::WanTestbed tb;
-  stats::Registry reg(tb.eng);
-  reg.install();
-
-  rftp::RftpConfig cfg;
-  cfg.streams = 4;
-  cfg.block_bytes = 4ull << 20;
-  cfg.credits_per_stream = 16;
-  cfg.checkpoint_blocks = checkpoint_blocks;
-  rftp::RftpSession sess({tb.a_proc.get(), {tb.a_dev.get()}},
-                         {tb.b_proc.get(), {tb.b_dev.get()}},
-                         {tb.link.get()}, cfg);
-
-  fault::FaultInjector inj(tb.eng, fault::FaultPlan::parse(plan));
-  inj.attach(*tb.link);
-  sess.attach(inj);
-  inj.arm();
-
-  rftp::ZeroSource src(kDataset);
-  rftp::NullSink dst;
-  const auto res = exp::run_task(tb.eng, sess.run(src, dst, kDataset));
-  tb.eng.run();  // drain restart events scheduled past the transfer
-
-  CrashPoint p;
-  p.gbps = res.goodput_gbps;
-  p.resumes = res.resumes;
-  p.rolled_back = sess.rolled_back_blocks;
-  p.block_retx = sess.retransmissions;
-  p.grant_retx = sess.grant_retransmissions;
-  p.checkpoints = sess.checkpoints;
-  p.ok = res.complete && res.integrity_ok;
-  p.mttr = reg.merged_histogram("mttr_ns");
-  p.first_drain = reg.merged_histogram("resume_ns");
-  return p;
+/// Complete with integrity intact.
+bool crash_ok(const exp::TransferRun& r) {
+  return r.transfer.complete && r.transfer.integrity_ok;
 }
 
 void crash_restart() {
@@ -826,11 +723,11 @@ void crash_restart() {
        "crash@900ms:host=0,down=50ms; crash@1200ms:host=1,down=50ms"},
   };
   const int ckpt_blocks[] = {1, 8, 64, 0};  // 0 = ledger disabled
-  std::vector<CrashPoint> freq, ckpt;
+  std::vector<exp::TransferRun> freq, ckpt;
   for (const auto& [name, plan] : schedules)
-    freq.push_back(run_crash_case(plan, 8));
+    freq.push_back(crash_case(plan, 8));
   for (const int every : ckpt_blocks)
-    ckpt.push_back(run_crash_case("crash@760ms:host=1,down=20ms", every));
+    ckpt.push_back(crash_case("crash@760ms:host=1,down=20ms", every));
 
   Table t(
       "Ablation: crash frequency (4 GiB over the 95 ms WAN loop, 4 streams, "
@@ -839,12 +736,14 @@ void crash_restart() {
             "grant retx", "MTTR ms (mean)", "ok"});
   for (std::size_t i = 0; i < freq.size(); ++i) {
     const auto& p = freq[i];
-    t.row({schedules[i].first, Table::num(p.gbps), std::to_string(p.resumes),
-           std::to_string(p.rolled_back), std::to_string(p.block_retx),
-           std::to_string(p.grant_retx),
-           p.mttr.count() > 0 ? Table::num(p.mttr.mean() * 1e-6, 1)
-                              : std::string("-"),
-           p.ok ? "yes" : "NO"});
+    t.row({schedules[i].first, Table::num(p.transfer.goodput_gbps),
+           std::to_string(p.transfer.resumes),
+           std::to_string(p.rolled_back_blocks),
+           std::to_string(p.retransmissions),
+           std::to_string(p.grant_retransmissions),
+           p.mttr_hist.count() > 0 ? Table::num(p.mttr_hist.mean() * 1e-6, 1)
+                                   : std::string("-"),
+           crash_ok(p) ? "yes" : "NO"});
   }
   std::fputs(t.to_string().c_str(), stdout);
 
@@ -857,10 +756,10 @@ void crash_restart() {
     const auto& p = ckpt[i];
     c.row({ckpt_blocks[i] == 0 ? "ledger off"
                                : "every " + std::to_string(ckpt_blocks[i]),
-           Table::num(p.gbps), std::to_string(p.checkpoints),
-           std::to_string(p.rolled_back),
-           std::to_string(p.rolled_back * 4),  // 4 MiB blocks
-           p.ok ? "yes" : "NO"});
+           Table::num(p.transfer.goodput_gbps), std::to_string(p.checkpoints),
+           std::to_string(p.rolled_back_blocks),
+           std::to_string(p.rolled_back_blocks * 4),  // 4 MiB blocks
+           crash_ok(p) ? "yes" : "NO"});
   }
   std::fputs(c.to_string().c_str(), stdout);
 
@@ -869,9 +768,10 @@ void crash_restart() {
   // credit pipeline.
   std::vector<std::pair<std::string, const stats::Histogram*>> hists;
   for (std::size_t i = 1; i < freq.size(); ++i) {
-    hists.push_back({std::string(schedules[i].first) + " MTTR", &freq[i].mttr});
+    hists.push_back(
+        {std::string(schedules[i].first) + " MTTR", &freq[i].mttr_hist});
     hists.push_back({std::string(schedules[i].first) + " first-drain",
-                     &freq[i].first_drain});
+                     &freq[i].resume_hist});
   }
   print_hist_percentiles("Crash recovery latency (ms)", hists, 1e-6, 1);
   std::printf(

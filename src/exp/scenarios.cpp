@@ -6,12 +6,20 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
+#include "apps/apps.hpp"
 #include "check/audit.hpp"
 #include "exp/pair_fleet.hpp"
 #include "fault/injector.hpp"
+#include "iscsi/initiator.hpp"
+#include "iscsi/target.hpp"
+#include "iscsi/tcp_datamover.hpp"
+#include "iser/session.hpp"
 #include "metrics/throughput.hpp"
+#include "numa/stream.hpp"
+#include "rdma/cm.hpp"
 #include "rftp/rftp.hpp"
 #include "stats/registry.hpp"
 #include "trace/tracer.hpp"
@@ -87,6 +95,13 @@ class Observe {
   std::unique_ptr<trace::Tracer> tracer_;
 };
 
+/// Where a block at `off` of a SAN-backed file lives on the front end.
+rftp::FileSource::LocalityFn san_locality(const SanSection* san) {
+  return [san](std::uint64_t off, std::uint64_t) {
+    return san->fe_node_of(off);
+  };
+}
+
 /// The shared RFTP path over a built rig (which owns everything the
 /// arguments point at): session, e2e's per-second meter, observers, fault
 /// plan, the run of `bytes` from `source` into `sink`, and the result fold.
@@ -140,12 +155,16 @@ TransferRun drive(const TransferParams& p, const rftp::EndpointConfig& src,
     out.messages_failed = inj->messages_failed();
   }
   out.retransmissions = sess.retransmissions;
+  out.grant_retransmissions = sess.grant_retransmissions;
   out.failovers = sess.failovers;
   out.checkpoints = sess.checkpoints;
   out.rolled_back_blocks = sess.rolled_back_blocks;
   out.false_suspicions = sess.watchdog().false_suspicions();
-  if (const stats::Registry* reg = obs.registry())
+  if (const stats::Registry* reg = obs.registry()) {
     out.drain_hist = reg->merged_histogram("drain_ns");
+    out.mttr_hist = reg->merged_histogram("mttr_ns");
+    out.resume_hist = reg->merged_histogram("resume_ns");
+  }
   obs.finish(out.transfer.complete && out.transfer.integrity_ok, out);
   return out;
 }
@@ -173,10 +192,7 @@ TransferRun run_transfer(const TransferParams& p) {
       tb.start();
       numa::Process sp(*tb.src_fe, "client", numa::NumaBinding::os_default());
       numa::Process rp(*tb.dst_fe, "server", numa::NumaBinding::os_default());
-      const SanSection* san = tb.src_san.get();
-      auto locality = [san](std::uint64_t off, std::uint64_t) {
-        return san->fe_node_of(off);
-      };
+      const auto locality = san_locality(tb.src_san.get());
       // One file, or the dataset split into `files` (the source volume
       // keeps its single dataset file either way).
       rftp::FileSet sset(*tb.src_fs), dset(*tb.dst_fs);
@@ -235,6 +251,326 @@ MotivatingRun run_motivating(const Observers& o) {
     obs.finish(true, out);
   }
   return out;
+}
+
+double run_stream_triad(bool numa_local) {
+  sim::Engine eng;
+  numa::Host host(eng, model::front_end_lan_host("fe"));
+  numa::StreamOptions opts;
+  opts.numa_local = numa_local;
+  return numa::run_stream_triad(eng, host, opts).triad_gBps;
+}
+
+Fig4Run run_fig4(std::uint64_t bytes, sim::SimDuration tcp_duration) {
+  Fig4Run out;
+  {
+    FrontEndPair pair;
+    numa::Process sp(*pair.a, "rftp-s", numa::NumaBinding::bound(0));
+    numa::Process rp(*pair.b, "rftp-r", numa::NumaBinding::bound(0));
+    rftp::RftpConfig cfg;
+    cfg.streams = 1;
+    cfg.block_bytes = 1 << 20;
+    rftp::RftpSession sess({&sp, {pair.a_roce[0].get()}},
+                           {&rp, {pair.b_roce[0].get()}},
+                           {pair.links[0].get()}, cfg);
+    rftp::ZeroSource src(bytes);
+    rftp::NullSink dst;
+    const sim::SimTime t0 = pair.eng.now();
+    out.rftp.gbps = run_task(pair.eng, sess.run(src, dst, bytes)).goodput_gbps;
+    out.rftp.window = pair.eng.now() - t0;
+    out.rftp.both_ends = pair.a->total_usage();
+    out.rftp.both_ends.merge(pair.b->total_usage());
+  }
+  FrontEndPair pair;
+  apps::IperfConfig cfg;
+  cfg.numa_tuned = true;
+  cfg.streams_per_link = 4;
+  cfg.chunk_bytes = 1 << 20;
+  cfg.sender_buffer_bytes = 256ull << 20;
+  cfg.duration = tcp_duration;
+  const std::vector<apps::IperfLink> one = {pair.iperf_links()[0]};
+  const auto r = apps::run_iperf(pair.eng, *pair.a, *pair.b, one, cfg);
+  out.tcp.gbps = r.aggregate_gbps;
+  out.tcp.window = tcp_duration;
+  out.tcp.both_ends = r.usage_a;
+  out.tcp.both_ends.merge(r.usage_b);
+  return out;
+}
+
+apps::PerftestResult run_perftest(const apps::PerftestConfig& cfg,
+                                  bool latency) {
+  sim::Engine eng;
+  HostPair hp(eng, {"a", "b", "wire", "client", "server"},
+              &net::make_roce_lan);
+  rdma::ConnectedPair qp(hp.da, hp.db, *hp.link);
+  return latency ? apps::run_lat(eng, qp, hp.pa, hp.pb, cfg)
+                 : apps::run_bw(eng, qp, hp.pa, hp.pb, cfg);
+}
+
+namespace {
+
+/// GridFTP from `tb`'s source to its destination over the three RoCE
+/// links, or back in `reverse` between the reverse files.
+sim::Task<rftp::TransferResult> gridftp(const EndToEndTestbed& tb,
+                                        bool reverse, std::uint64_t bytes,
+                                        metrics::ThroughputMeter* meter) {
+  std::vector<apps::GridFtpLink> links;
+  for (std::size_t i = 0; i < 3; ++i) {
+    const numa::NodeId s = tb.src_devs[i]->node();
+    const numa::NodeId d = tb.dst_devs[i]->node();
+    links.push_back({tb.roce_links[i].get(), reverse ? d : s, reverse ? s : d});
+  }
+  const apps::GridFtpEndpoint a{tb.src_fe.get(), tb.src_fs.get(),
+                                reverse ? tb.rev_dst_file : tb.src_file};
+  const apps::GridFtpEndpoint b{tb.dst_fe.get(), tb.dst_fs.get(),
+                                reverse ? tb.rev_src_file : tb.dst_file};
+  co_return co_await apps::gridftp_transfer(reverse ? b : a, reverse ? a : b,
+                                            links, bytes,
+                                            apps::GridFtpConfig{}, meter);
+}
+
+/// One RFTP direction of a bidirectional run.
+struct RftpDirection {
+  RftpDirection(EndToEndTestbed& tb, bool reverse)
+      : sp(reverse ? *tb.dst_fe : *tb.src_fe, "rftp-c"),
+        rp(reverse ? *tb.src_fe : *tb.dst_fe, "rftp-s"),
+        sess({&sp, reverse ? tb.dst_roce() : tb.src_roce()},
+             {&rp, reverse ? tb.src_roce() : tb.dst_roce()}, tb.links(),
+             rftp::RftpConfig{}),
+        src(reverse ? *tb.dst_fs : *tb.src_fs,
+            reverse ? *tb.rev_src_file : *tb.src_file, true,
+            san_locality(reverse ? tb.dst_san.get() : tb.src_san.get())),
+        dst(reverse ? *tb.src_fs : *tb.dst_fs,
+            reverse ? *tb.rev_dst_file : *tb.dst_file) {}
+
+  numa::Process sp, rp;
+  rftp::RftpSession sess;
+  rftp::FileSource src;
+  rftp::FileSink dst;
+};
+
+/// Builds one direction of `app` over `tb`; the returned task runs it. An
+/// RFTP direction lives in `rftp` past its transfer: the session's
+/// detached coroutines stay suspended on the engine until teardown.
+sim::Task<rftp::TransferResult> launch(App app, EndToEndTestbed& tb,
+                                       bool reverse, std::uint64_t bytes,
+                                       std::unique_ptr<RftpDirection>& rftp) {
+  if (app == App::kGridFtp) return gridftp(tb, reverse, bytes, nullptr);
+  rftp = std::make_unique<RftpDirection>(tb, reverse);
+  return rftp->sess.run(rftp->src, rftp->dst, bytes);
+}
+
+sim::Task<> run_then_done(sim::Task<rftp::TransferResult> run,
+                          sim::WaitGroup* wg) {
+  (void)co_await std::move(run);
+  wg->done();
+}
+
+}  // namespace
+
+TransferRun run_e2e_gridftp(std::uint64_t bytes) {
+  EndToEndTestbed tb(true, bytes);
+  tb.start();
+  metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
+  const sim::SimTime t0 = tb.eng.now();
+  TransferRun out;
+  out.transfer = run_task(tb.eng, gridftp(tb, false, bytes, &meter));
+  out.end = tb.eng.now();
+  out.window = out.end - t0;
+  out.series_gbps = meter.series_gbps();
+  out.src_usage = tb.src_fe->total_usage();
+  out.dst_usage = tb.dst_fe->total_usage();
+  return out;
+}
+
+BidirRun run_e2e_bidir(App app, std::uint64_t bytes) {
+  EndToEndTestbed tb(true, bytes);
+  tb.add_reverse_files();
+  tb.start();
+  std::unique_ptr<RftpDirection> rftp_fwd, rftp_rev;
+  auto fwd = launch(app, tb, false, bytes, rftp_fwd);
+  auto rev = launch(app, tb, true, bytes, rftp_rev);
+
+  const sim::SimTime t0 = tb.eng.now();
+  sim::WaitGroup wg(tb.eng);
+  wg.add(2);
+  sim::co_spawn(run_then_done(std::move(fwd), &wg));
+  sim::co_spawn(run_then_done(std::move(rev), &wg));
+  // Both directions done: the engine then drains idle watchdog ticks,
+  // which are not transfer time.
+  const sim::SimTime end = run_task(
+      tb.eng,
+      [](sim::WaitGroup& w, sim::Engine& eng) -> sim::Task<sim::SimTime> {
+        co_await w.wait();
+        co_return eng.now();
+      }(wg, tb.eng));
+
+  BidirRun out;
+  out.window = end - t0;
+  out.aggregate_gbps = static_cast<double>(2 * bytes) * 8.0 /
+                       static_cast<double>(out.window);
+  out.src_usage = tb.src_fe->total_usage();
+  return out;
+}
+
+double run_sink_fs(SinkFs kind) {
+  EndToEndTestbed tb(true, 16ull << 30);
+  tb.start();
+
+  // A fresh destination filesystem on the striped volume. Raw is XFS with
+  // the file's allocation already covering it (no allocation path at
+  // runtime); only the buffered variant goes through the page cache.
+  std::unique_ptr<blk::FileSystem> fs;
+  if (kind == SinkFs::kExt4) {
+    fs = std::make_unique<blk::Ext4Sim>(*tb.dst_fe, tb.dst_san->striped(),
+                                        nullptr, std::vector<numa::Thread*>{});
+  } else if (kind == SinkFs::kXfsBuffered) {
+    std::vector<numa::Thread*> pool;
+    for (int i = 0; i < 8; ++i) pool.push_back(&tb.dst_kernel->spawn_thread());
+    fs = std::make_unique<blk::XfsSim>(*tb.dst_fe, tb.dst_san->striped(),
+                                       tb.dst_cache.get(), pool);
+  } else {
+    fs = std::make_unique<blk::XfsSim>(*tb.dst_fe, tb.dst_san->striped(),
+                                       nullptr, std::vector<numa::Thread*>{});
+  }
+  blk::File& out = fs->create("sink", tb.dataset_bytes);
+  if (kind == SinkFs::kRaw) out.allocated = out.reserved;
+
+  numa::Process sp(*tb.src_fe, "rftp-c", numa::NumaBinding::os_default());
+  numa::Process rp(*tb.dst_fe, "rftp-s", numa::NumaBinding::os_default());
+  rftp::RftpSession sess({&sp, tb.src_roce()}, {&rp, tb.dst_roce()},
+                         tb.links(), rftp::RftpConfig{});
+  rftp::FileSource src(*tb.src_fs, *tb.src_file);
+  rftp::FileSink dst(*fs, out, kind != SinkFs::kXfsBuffered);
+  return run_task(tb.eng, sess.run(src, dst, tb.dataset_bytes)).goodput_gbps;
+}
+
+namespace {
+
+constexpr std::uint64_t kSanIoBytes = 4ull << 20;
+constexpr int kSanJobs = 8;
+constexpr std::uint64_t kSanLunBytes = 4ull << 30;
+
+/// Loops 4 MiB I/Os over its 1/kSanJobs slice of the LUN until `deadline`;
+/// a failed command is terminal for the job.
+sim::Task<> san_io_job(iscsi::Initiator& init, numa::Thread& th,
+                       mem::Buffer* buf, bool write, std::uint64_t region_off,
+                       sim::SimTime deadline, std::uint64_t* bytes) {
+  auto& eng = th.host().engine();
+  std::uint64_t off = region_off;
+  const auto blocks = static_cast<std::uint32_t>(kSanIoBytes / 512);
+  while (eng.now() < deadline) {
+    const auto s =
+        write ? co_await init.submit_write(th, 0, off / 512, blocks, *buf)
+              : co_await init.submit_read(th, 0, off / 512, blocks, *buf);
+    if (s != scsi::Status::kGood) co_return;
+    if (eng.now() <= deadline) *bytes += kSanIoBytes;
+    off += kSanIoBytes;
+    if (off + kSanIoBytes > region_off + kSanLunBytes / kSanJobs)
+      off = region_off;
+  }
+}
+
+}  // namespace
+
+SanLinkResult run_san_link(const SanLinkOptions& o) {
+  sim::Engine eng;
+  stats::Registry reg(eng);  // command-latency percentiles ride on it
+  reg.install();
+  numa::Host fe(eng, model::front_end_lan_host("fe"));
+  numa::Host be(eng, model::back_end_lan_host("be"));
+  auto link = net::make_ib_lan(eng, "ib");
+  link->bind_endpoints(&fe, &be);
+  numa::Process iproc(fe, "initiator", numa::NumaBinding::bound(0));
+  numa::Process tproc(be, "tgtd", numa::NumaBinding::bound(0));
+
+  mem::Tmpfs store(be);
+  auto& file = store.create("lun0", kSanLunBytes, numa::MemPolicy::kBind, 0);
+  scsi::Lun lun(0, store, file);
+  mem::BufferPool staging(be, "staging", 32, 8ull << 20,
+                          numa::MemPolicy::kBind, 0);
+  staging.mark_registered();
+
+  std::unique_ptr<rdma::Device> fe_dev, be_dev;
+  std::unique_ptr<iser::IserSession> rdma_sess;
+  std::unique_ptr<iscsi::TcpSession> tcp_sess;
+  iscsi::Datamover* init_dm = nullptr;
+  iscsi::Datamover* tgt_dm = nullptr;
+
+  numa::Thread& irx = iproc.spawn_thread();
+  numa::Thread& itx = iproc.spawn_thread();
+  numa::Thread& trx = tproc.spawn_thread();
+  numa::Thread& ttx = tproc.spawn_thread();
+  if (o.tcp) {
+    tcp_sess = std::make_unique<iscsi::TcpSession>(fe, 0, be, 0, *link,
+                                                   iproc, tproc);
+    run_task(eng, tcp_sess->start(irx, itx, trx, ttx));
+    init_dm = &tcp_sess->initiator_ep();
+    tgt_dm = &tcp_sess->target_ep();
+  } else {
+    fe_dev = std::make_unique<rdma::Device>(
+        fe, model::NicProfile{"ib0", model::LinkType::kInfiniBand, 56.0,
+                              65520, 0, 63.0});
+    be_dev = std::make_unique<rdma::Device>(be, be.profile().nics[0]);
+    rdma_sess = std::make_unique<iser::IserSession>(*fe_dev, *be_dev, *link,
+                                                    iproc, tproc);
+    run_task(eng, rdma_sess->start(irx, trx));
+    init_dm = &rdma_sess->initiator_ep();
+    tgt_dm = &rdma_sess->target_ep();
+  }
+
+  iscsi::Target target(tproc, *tgt_dm, {&lun}, staging);
+  target.start(8);
+  iscsi::Initiator initiator(iproc, *init_dm, o.cmd_timer);
+  iscsi::LoginParams params;
+  if (!run_task(eng, initiator.login(irx, params)))
+    throw std::runtime_error("login failed");
+  initiator.start_dispatcher(irx);
+  if (o.recovery) {
+    iser::SessionRecoveryPolicy rp;
+    rp.mr_bytes_initiator = kSanIoBytes;
+    rp.mr_bytes_target = 8ull << 20;
+    rdma_sess->enable_recovery(irx, trx, rp);
+  }
+
+  fault::FaultInjector inj(eng, o.faults);
+  inj.attach(*link);
+  if (o.recovery)
+    inj.set_qp_kill_handler([&rdma_sess](int) { rdma_sess->kill(); });
+  inj.arm();
+
+  const sim::SimTime deadline = eng.now() + kSanLinkWindow;
+  const sim::SimTime t0 = eng.now();
+  auto bytes = std::make_unique<std::uint64_t>(0);
+  std::vector<std::unique_ptr<mem::Buffer>> bufs;
+  for (int j = 0; j < kSanJobs; ++j) {
+    bufs.push_back(std::make_unique<mem::Buffer>());
+    bufs.back()->bytes = kSanIoBytes;
+    bufs.back()->placement = iproc.alloc(kSanIoBytes);
+    bufs.back()->registered = true;
+    sim::co_spawn(san_io_job(initiator, iproc.spawn_thread(),
+                             bufs.back().get(), o.write,
+                             j * (kSanLunBytes / kSanJobs), deadline,
+                             bytes.get()));
+  }
+  eng.run_until(deadline);
+  const sim::SimDuration w = eng.now() - t0;
+
+  using metrics::CpuCategory;
+  SanLinkResult r;
+  r.gbps = static_cast<double>(*bytes) * 8.0 / static_cast<double>(w);
+  r.initiator_cpu = fe.total_usage().total_percent(w);
+  r.target_cpu = be.total_usage().total_percent(w);
+  r.copy_cpu = fe.total_usage().percent(CpuCategory::kCopy, w) +
+               be.total_usage().percent(CpuCategory::kCopy, w);
+  r.faults = inj.faults_injected();
+  r.messages_failed = inj.messages_failed();
+  r.command_retries = initiator.command_retries();
+  r.command_failures = initiator.command_failures();
+  if (rdma_sess) r.recoveries = rdma_sess->recoveries();
+  r.cmd_hist = reg.merged_histogram("cmd_ns");
+  eng.run();
+  return r;
 }
 
 }  // namespace e2e::exp

@@ -1,7 +1,10 @@
-// Single-engine paper scenarios, one runner each, shared by the CLI
-// (tools/e2e_transfer_sim), the bench_figures rows and the examples:
-// run_transfer (an RFTP transfer on the quick, e2e or wan rig), run_san
-// (the Figs. 7/8 fio run) and run_motivating (the §2.3 iperf study).
+// Single-engine paper experiments, one runner each, shared by the CLI
+// (tools/e2e_transfer_sim), the bench_figures rows, the paper-shape tests
+// and the examples: run_transfer (an RFTP transfer on the quick, e2e or
+// wan rig), run_san (the Figs. 7/8 fio run) and run_motivating (the §2.3
+// iperf study) take observers; the runners below them (Fig. 4, perftest,
+// GridFTP, the bidirectional runs, the filesystem and SAN-link ablations)
+// report modeled numbers only.
 //
 // Like run_fleet/run_kv, a runner takes params and returns the modeled
 // numbers with the observer outputs (a trace streams into the caller's
@@ -17,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/perftest.hpp"
 #include "exp/testbeds.hpp"
 #include "fault/plan.hpp"
 #include "metrics/cpu_usage.hpp"
@@ -79,12 +83,15 @@ struct TransferRun : Observed {
   metrics::CpuUsage dst_usage;      // receiving host, likewise
   sim::SimDuration window = 0;      // the transfer run alone
   sim::SimTime end = 0;             // engine clock after it
-  stats::Histogram drain_hist;      // Observers::stats: block drain latency
+  // Observers::stats: block drain latency, crash -> negotiated resume
+  // (MTTR) and resume -> first fresh drain.
+  stats::Histogram drain_hist, mttr_hist, resume_hist;
   // The fault plan as armed (empty without one) and what it did.
   std::string fault_plan;
   std::uint64_t faults_injected = 0;
   std::uint64_t messages_failed = 0;
   std::uint64_t retransmissions = 0;
+  std::uint64_t grant_retransmissions = 0;
   std::uint64_t failovers = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t rolled_back_blocks = 0;
@@ -118,5 +125,83 @@ struct MotivatingRun : Observed {
 };
 
 MotivatingRun run_motivating(const Observers& obs);
+
+/// §2.3 STREAM triad on one front-end host (GB/s): node-local, or
+/// interleaved across both nodes.
+double run_stream_triad(bool numa_local);
+
+// --- Fig. 4 cost breakdown: /dev/zero -> one 40G RoCE link -> /dev/null ---
+
+struct CostBreakdown {
+  double gbps = 0.0;
+  metrics::CpuUsage both_ends;  // sender + receiver
+  sim::SimDuration window = 0;
+};
+
+struct Fig4Run {
+  CostBreakdown rftp, tcp;
+};
+
+/// RFTP moves `bytes` (one stream, 1 MiB blocks, both ends bound to node
+/// 0); NUMA-tuned iperf runs four TCP streams for `tcp_duration`. Each on
+/// its own FrontEndPair.
+Fig4Run run_fig4(std::uint64_t bytes = 12ull << 30,
+                 sim::SimDuration tcp_duration = 3 * sim::kSecond);
+
+/// One verbs perftest (bandwidth, or `latency` ping-pong) on the quick
+/// rig's 40G RoCE HostPair.
+apps::PerftestResult run_perftest(const apps::PerftestConfig& cfg,
+                                  bool latency);
+
+// --- Figs. 9-12 on EndToEndTestbed (RFTP unidirectional: run_transfer) ---
+
+/// GridFTP (four processes, buffered I/O) over the tuned e2e rig.
+TransferRun run_e2e_gridftp(std::uint64_t bytes);
+
+enum class App { kRftp, kGridFtp };
+
+struct BidirRun {
+  double aggregate_gbps = 0.0;  // both directions' bytes over `window`
+  metrics::CpuUsage src_usage;  // the forward source host
+  sim::SimDuration window = 0;  // until the later direction completes
+};
+
+/// `bytes` each way at once over one tuned e2e rig with reverse files.
+BidirRun run_e2e_bidir(App app, std::uint64_t bytes);
+
+// --- Ablations ---
+
+enum class SinkFs { kRaw, kExt4, kXfs, kXfsBuffered };
+
+/// §4.3: Gbps of a 16 GiB RFTP e2e transfer (the tuned rig, no source
+/// locality) into a fresh destination filesystem of kind `fs`.
+double run_sink_fs(SinkFs fs);
+
+/// iSER vs iSCSI/TCP: one LUN over one 56G IB link.
+inline constexpr sim::SimDuration kSanLinkWindow = 2 * sim::kSecond;
+
+struct SanLinkOptions {
+  bool tcp = false;  // iSCSI over TCP instead of iSER
+  bool write = true;
+  sim::SimDuration cmd_timer = 0;  // iSCSI command timer, 0 = none
+  bool recovery = false;           // iSER session recovery (QP kills)
+  fault::FaultPlan faults;  // armed against the link as the window opens
+};
+
+struct SanLinkResult {
+  double gbps = 0.0;
+  double initiator_cpu = 0.0;
+  double target_cpu = 0.0;
+  double copy_cpu = 0.0;  // both hosts
+  std::uint64_t faults = 0;
+  std::uint64_t messages_failed = 0;
+  std::uint64_t command_retries = 0;
+  std::uint64_t recoveries = 0;
+  std::uint64_t command_failures = 0;
+  stats::Histogram cmd_hist;  // iSCSI command round-trip latency
+};
+
+/// 8 jobs of 4 MiB I/Os against one 4 GiB tmpfs LUN for kSanLinkWindow.
+SanLinkResult run_san_link(const SanLinkOptions& opts);
 
 }  // namespace e2e::exp

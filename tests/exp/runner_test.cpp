@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "exp/scenarios.hpp"
 #include "sim/sim.hpp"
 
 #if defined(__has_feature)
@@ -74,6 +75,20 @@ TEST(Runner, NestedRunTasksCompose) {
   const int w = run_task(eng, value_after(eng, 5, 2));
   EXPECT_EQ(v + w, 3);
   EXPECT_EQ(eng.now(), 10u);
+}
+
+// A scripted receiver crash on the WAN rig goes through run_transfer's
+// session attach: one negotiated resume, one MTTR sample, the data intact.
+TEST(Runner, WanCrashPlanResumesOnce) {
+  const auto r = run_transfer(
+      {.rig = Rig::kWan,
+       .bytes = 2ull << 30,
+       .fault_plan = fault::FaultPlan::parse("crash@300ms:host=1,down=50ms"),
+       .obs = {.stats = true}});
+  EXPECT_TRUE(r.transfer.complete);
+  EXPECT_TRUE(r.transfer.integrity_ok);
+  EXPECT_EQ(r.transfer.resumes, 1u);
+  EXPECT_EQ(r.mttr_hist.count(), 1u);
 }
 
 }  // namespace
