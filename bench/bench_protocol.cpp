@@ -6,7 +6,8 @@
 //     + RDMA send/completion bookkeeping + pooled message payloads),
 //   * numa::Thread cost bookings (cached cost plans vs per-call resolve),
 //   * sim::Channel throughput (ring-buffered item queue vs deque churn),
-//   * RDMA QP post/complete cycles.
+//   * RDMA QP post/complete cycles,
+//   * RFTP block tags, per block against per drained run.
 //
 // Every benchmark here uses only APIs that are stable across the overhaul,
 // so the same file builds against the pre-overhaul tree for honest
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "exp/runner.hpp"
+#include "fault/integrity.hpp"
 #include "iscsi/initiator.hpp"
 #include "iscsi/target.hpp"
 #include "iser/session.hpp"
@@ -192,6 +194,51 @@ void BM_ThreadBookCopy(benchmark::State& state) {
   state.SetItemsProcessed(ops);
 }
 BENCHMARK(BM_ThreadBookCopy);
+
+// ---------------------------------------------------------------------------
+// RFTP block tags over a drained run of 2^20 blocks of 4 MiB: the per-block
+// XOR loop (the specification) against fault::rftp_range_tag, which the
+// end-of-run integrity pass, the fast-forward collapse and the auditor use.
+// The per_block counter is the layer cost of one block's tag, in seconds.
+
+constexpr std::uint64_t kTagBlocks = 1ull << 20;
+constexpr std::uint64_t kTagBlockBytes = 4ull << 20;
+
+void tag_counters(benchmark::State& state) {
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    kTagBlocks));
+  state.counters["per_block"] = benchmark::Counter(
+      static_cast<double>(kTagBlocks),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+void BM_RftpBlockTagLoop(benchmark::State& state) {
+  std::uint64_t bytes = kTagBlockBytes;
+  benchmark::DoNotOptimize(bytes);  // a run-time size, as in the session
+  std::uint64_t lo = 0;
+  for (auto _ : state) {
+    std::uint64_t t = 0;
+    for (std::uint64_t i = lo; i < lo + kTagBlocks; ++i)
+      t ^= fault::rftp_block_tag(i, bytes);
+    benchmark::DoNotOptimize(t);
+    lo += kTagBlocks;
+  }
+  tag_counters(state);
+}
+BENCHMARK(BM_RftpBlockTagLoop);
+
+void BM_RftpRangeTag(benchmark::State& state) {
+  std::uint64_t bytes = kTagBlockBytes;
+  benchmark::DoNotOptimize(bytes);
+  std::uint64_t lo = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fault::rftp_range_tag(lo, lo + kTagBlocks, bytes));
+    lo += kTagBlocks;
+  }
+  tag_counters(state);
+}
+BENCHMARK(BM_RftpRangeTag);
 
 // ---------------------------------------------------------------------------
 // sim::Channel queue throughput: fill/drain cycles sized to straddle a

@@ -647,9 +647,12 @@ void Auditor::rftp_end(const void* sess, bool complete,
               a->tag + ": transfer completed with " +
                   std::to_string(a->delivered) + " of " +
                   std::to_string(a->total_bytes) + " bytes delivered");
-    // Analytic end-to-end digest: XOR of every block's coordinate tag.
-    std::uint64_t expect = 0;
-    for (std::uint64_t i = 0; i < a->block_count; ++i)
+    // Analytic end-to-end digest: XOR of every block's coordinate tag, the
+    // full blocks as one range.
+    const std::uint64_t full =
+        std::min(a->block_count, a->total_bytes / a->block_bytes);
+    std::uint64_t expect = fault::rftp_range_tag(0, full, a->block_bytes);
+    for (std::uint64_t i = full; i < a->block_count; ++i)
       expect ^= fault::rftp_block_tag(
           i, std::min<std::uint64_t>(a->block_bytes,
                                      a->total_bytes - i * a->block_bytes));

@@ -172,6 +172,12 @@ void FastForward::collapse() {
   std::vector<std::uint64_t> popped;
   applied.reserve(period_);
   popped.reserve(period_);
+  // The sink digest folds once per run of consecutively popped indices,
+  // not once per block. Every pop lands in exactly one run, so a popped
+  // index that drained_ already holds still XORs its own tag and a double
+  // drain still fails the session's integrity check.
+  std::uint64_t run_lo = 0;
+  std::uint64_t run_hi = 0;
   std::uint64_t k_done = 0;
   for (std::uint64_t c = 1; c <= k; ++c) {
     applied.clear();
@@ -211,7 +217,11 @@ void FastForward::collapse() {
       // Pending until the boundary check below; past checkpoint_blocks
       // the span crosses a boundary and publishes in full instead.
       if (sess_.unledgered_.size() < cb) sess_.unledgered_.push_back(idx);
-      sess_.sink_digest_ ^= fault::rftp_block_tag(idx, bb);
+      if (idx != run_hi) {
+        sess_.sink_digest_ ^= fault::rftp_range_tag(run_lo, run_hi, bb);
+        run_lo = idx;
+      }
+      run_hi = idx + 1;
       if (sess_.meter_ != nullptr)
         sess_.meter_->record_at(
             when[j] + static_cast<sim::SimDuration>(c) * period_ns, bb);
@@ -223,6 +233,7 @@ void FastForward::collapse() {
       au->rftp_fast_forward_drains(&sess_, popped.data(), popped.size(), bb);
     ++k_done;
   }
+  sess_.sink_digest_ ^= fault::rftp_range_tag(run_lo, run_hi, bb);
   if (k_done == 0) {
     disarm();
     cooldown_until_ = n_drains_ + period_;

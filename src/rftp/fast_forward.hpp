@@ -35,9 +35,12 @@
 // each of k periods re-run the recorded claim pattern through the *real*
 // decide_claim policy (verifying each verdict; a mismatch or a partial
 // final block undoes the period and truncates k), apply each popped block's
-// drain in closed form (ledger bit, XOR digest, delivered bytes, WaitGroup,
-// throughput-meter sample at the pattern time + c*P, auditor block ledger),
-// ff_advance(k) every ledger, fold D2 * k into the session scalars,
+// drain in closed form (drained-set insert, throughput-meter sample at the
+// pattern time + c*P, auditor block ledger; delivered bytes and the
+// WaitGroup once per period), fold the XOR sink digest once per run of
+// consecutively popped indices (fault::rftp_range_tag, so every pop still
+// XORs its own tag, a duplicate included), ff_advance(k) every ledger,
+// fold D2 * k into the session scalars,
 // advance checkpoint bookkeeping analytically, and finally
 // Engine::skip_time(k*P), moving the session watchdog's pending check
 // with it (Watchdog::skip). Apart from that check the event heap never

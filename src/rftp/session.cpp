@@ -300,15 +300,18 @@ sim::Task<TransferResult> RftpSession::run(DataSource& src, DataSink& dst,
           : 0.0;
   r.complete = !transfer_failed_ && blocks_done_ == total_blocks_;
   // End-to-end verification: XOR of the checksums the sink accepted must
-  // equal the analytic digest of the blocks it claims to have drained.
+  // equal the analytic digest of the blocks it claims to have drained,
+  // hashed one drained run at a time; only a partial final block has a
+  // size of its own.
+  const std::uint64_t full_blocks = total_bytes_ / cfg_.block_bytes;
   std::uint64_t expect = 0;
-  for (const sim::RunSet::Run& run : drained_)
-    for (std::uint64_t idx = run.lo; idx < run.hi; ++idx) {
-      const std::uint64_t offset = idx * cfg_.block_bytes;
+  for (const sim::RunSet::Run& run : drained_) {
+    expect ^= fault::rftp_range_tag(
+        run.lo, std::min(run.hi, full_blocks), cfg_.block_bytes);
+    if (run.hi > full_blocks)
       expect ^= fault::rftp_block_tag(
-          idx, std::min<std::uint64_t>(cfg_.block_bytes,
-                                       total_bytes_ - offset));
-    }
+          full_blocks, total_bytes_ - full_blocks * cfg_.block_bytes);
+  }
   r.integrity_ok = sink_digest_ == expect && checksum_failures == 0;
   r.crashes = host_crashes;
   r.resumes = resumes;
