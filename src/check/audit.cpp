@@ -588,17 +588,20 @@ void Auditor::rftp_resume(const void* sess) {
                 " with only " + std::to_string(a->crashes) + " crash(es)");
 }
 
-void Auditor::rftp_fast_forward_drains(const void* sess,
-                                       const std::uint64_t* idx,
-                                       std::size_t n, std::uint64_t bytes) {
+void Auditor::rftp_fast_forward_drains(const void* sess, std::uint64_t lo,
+                                       std::uint64_t hi,
+                                       std::uint64_t bytes) {
   RftpAudit* a = rftp_find(sess, "fast-forward-drain");
   if (a == nullptr) return;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t block_idx = idx[i];
+  // The digest folds the whole run at once; a block skipped for a
+  // violation XORs its tag back out.
+  a->digest ^= fault::rftp_range_tag(lo, hi, bytes);
+  for (std::uint64_t block_idx = lo; block_idx < hi; ++block_idx) {
     if (block_idx >= a->block_count) {
       violate("rftp.block-out-of-range",
               a->tag + ": fast-forwarded block " + std::to_string(block_idx) +
                   " of " + std::to_string(a->block_count));
+      a->digest ^= fault::rftp_block_tag(block_idx, bytes);
       continue;
     }
     BlockAudit& b = a->blocks[block_idx];
@@ -606,6 +609,7 @@ void Auditor::rftp_fast_forward_drains(const void* sess,
       violate("rftp.double-drain",
               a->tag + ": block " + std::to_string(block_idx) +
                   " fast-forwarded but already drained");
+      a->digest ^= fault::rftp_block_tag(block_idx, bytes);
       continue;
     }
     if (b.fills == 0) b.fills = 1;
@@ -613,7 +617,6 @@ void Auditor::rftp_fast_forward_drains(const void* sess,
     b.drained = true;
     ++a->fresh_drains;
     a->delivered += bytes;
-    a->digest ^= fault::rftp_block_tag(block_idx, bytes);
   }
 }
 

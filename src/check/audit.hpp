@@ -177,18 +177,18 @@ class Auditor final : public sim::Observer {
   void rftp_stream_revived(const void* sess, int stream);
   /// The restart completed: the session resumed the transfer.
   void rftp_resume(const void* sess);
-  /// One collapsed period's blocks (`n` indices at `idx`), each advanced
-  /// fill-to-drain in closed form by the fast-forward replay
-  /// (rftp::FastForward). Equivalent to a fill + fresh drain of the
-  /// analytic tag: the block ledger, delivered-byte total, XOR digest and
+  /// One run of collapsed blocks, [lo, hi), each advanced fill-to-drain
+  /// in closed form by a fast-forward span (rftp::FastForward).
+  /// Equivalent to a fill + fresh drain of the analytic tag per block:
+  /// the block ledger, delivered-byte total, XOR digest and
   /// fresh-drain count advance exactly as an event-exact pass would leave
   /// them. Credit/token counters are deliberately untouched — no grant or
   /// credit message is modeled inside a collapsed span (the in-rotation
   /// tokens keep cycling through the event-exact tail), and all credit
   /// invariants are inequalities that stay valid. The session lookup
-  /// happens once per call, not per block.
-  void rftp_fast_forward_drains(const void* sess, const std::uint64_t* idx,
-                                std::size_t n, std::uint64_t bytes);
+  /// and the digest fold (fault::rftp_range_tag) happen once per run.
+  void rftp_fast_forward_drains(const void* sess, std::uint64_t lo,
+                                std::uint64_t hi, std::uint64_t bytes);
   /// The transfer finished. `delivered_bytes`/`sink_digest` are the
   /// session's own tallies; the auditor reconciles them against its
   /// independently accumulated ledger and the analytic digest.

@@ -41,8 +41,8 @@ class ThroughputMeter {
   void record(std::uint64_t bytes) { record_at(eng_.virtual_now(), bytes); }
 
   /// Records `bytes` delivered at explicit modeled time `t` (must be
-  /// non-decreasing across calls). The fast-forward replay uses this to
-  /// place each collapsed block's bytes at its analytically known delivery
+  /// non-decreasing across calls). A fast-forward collapse uses this to
+  /// place each bin's collapsed bytes at their analytically known delivery
   /// time.
   void record_at(sim::SimTime t, std::uint64_t bytes) {
     const std::uint64_t bin = t / bin_width_;

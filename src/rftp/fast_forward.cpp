@@ -1,12 +1,86 @@
 #include "rftp/fast_forward.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 
 #include "check/audit.hpp"
 #include "fault/integrity.hpp"
 #include "numa/host.hpp"
 
 namespace e2e::rftp {
+
+namespace {
+
+// floor(a / b) and ceil(a / b), b != 0.
+std::int64_t floor_div(std::int64_t a, std::int64_t b) {
+  const std::int64_t q = a / b;
+  return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q;
+}
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  const std::int64_t q = a / b;
+  return (a % b != 0 && (a < 0) == (b < 0)) ? q + 1 : q;
+}
+
+}  // namespace
+
+std::uint64_t matching_periods(const std::vector<std::uint64_t>& sizes,
+                               const std::vector<PatternClaim>& pattern,
+                               std::uint64_t k,
+                               const std::optional<GuardBlock>& guard) {
+  const std::size_t nq = sizes.size();
+  std::vector<std::int64_t> per(nq, 0);    // T_q
+  std::vector<std::int64_t> front(nq, 0);  // of which from the front
+  for (const PatternClaim& pc : pattern) {
+    ++per[pc.d.queue];
+    if (!pc.d.from_back) ++front[pc.d.queue];
+  }
+  std::uint64_t done = k;
+  if (guard) {
+    // Period c's front pops take positions [(c-1)F, cF) from the front,
+    // its back pops [(c-1)B, cB) from the back.
+    const std::size_t q = guard->queue;
+    const auto f = static_cast<std::uint64_t>(front[q]);
+    const auto b = static_cast<std::uint64_t>(per[q] - front[q]);
+    if (f > 0) done = std::min(done, guard->pos / f);
+    if (b > 0) done = std::min(done, (sizes[q] - 1 - guard->pos) / b);
+  }
+  // Before the current claim of period c, queue q holds a[q] - c * per[q].
+  std::vector<std::int64_t> a(nq);
+  for (std::size_t q = 0; q < nq; ++q)
+    a[q] = static_cast<std::int64_t>(sizes[q]) + per[q];
+  std::vector<std::int64_t> at(nq);
+  std::vector<std::uint64_t> checks;
+  for (const PatternClaim& pc : pattern) {
+    if (done == 0) break;
+    const auto node = static_cast<std::size_t>(pc.node);
+    // A comparison x(c) > y(c) changes truth only where the affine
+    // difference d0 - d1 * c crosses zero.
+    const auto crossings = [&](std::int64_t d0, std::int64_t d1) {
+      if (d1 == 0) return;
+      for (const std::int64_t c : {ceil_div(d0, d1), floor_div(d0, d1) + 1})
+        if (c > 1 && static_cast<std::uint64_t>(c) <= done)
+          checks.push_back(static_cast<std::uint64_t>(c));
+    };
+    checks.assign(1, 1);
+    for (std::size_t x = 0; x < nq; ++x) {
+      crossings(a[x], per[x]);                             // x > 0
+      crossings(a[x] - a[node] - 4, per[x] - per[node]);   // x > own + 4
+      for (std::size_t y = x + 1; y < nq; ++y)             // x > y, y > x
+        crossings(a[x] - a[y], per[x] - per[y]);
+    }
+    for (const std::uint64_t c : checks) {
+      if (c > done) continue;
+      for (std::size_t q = 0; q < nq; ++q)
+        at[q] = a[q] - static_cast<std::int64_t>(c) * per[q];
+      if (decide_claim(nq, node, [&at](std::size_t q) { return at[q]; }) !=
+          pc.d)
+        done = c - 1;
+    }
+    --a[pc.d.queue];  // the next claim sees this one's pop
+  }
+  return done;
+}
 
 FastForward::FastForward(RftpSession& sess) : sess_(sess), eng_(sess.eng_) {
   period_ = static_cast<std::size_t>(sess.cfg_.streams) *
@@ -22,9 +96,8 @@ FastForward::FastForward(RftpSession& sess) : sess_(sess), eng_(sess.eng_) {
     hosts_.push_back(&sess.receiver_.proc->host());
 }
 
-void FastForward::on_claim(numa::NodeId node,
-                           const RftpSession::ClaimDecision& d) {
-  claims_[n_claims_ % cap_] = ClaimRec{node, d};
+void FastForward::on_claim(numa::NodeId node, const ClaimDecision& d) {
+  claims_[n_claims_ % cap_] = PatternClaim{node, d};
   ++n_claims_;
 }
 
@@ -102,11 +175,10 @@ bool FastForward::repeats() const {
 
 std::uint64_t FastForward::pick_k() const {
   // Upper bound only: the largest k for which no queue can underfill
-  // mid-period. No safety margin is needed — the replay re-runs the real
-  // claim policy per block and undoes the period on the first verdict that
-  // deviates from the steady-state pattern, so an optimistic k truncates
-  // itself exactly where the endgame begins. The bound just caps the
-  // wasted replay work to at most one period.
+  // mid-period. No safety margin is needed — matching_periods checks the
+  // real claim policy across the whole span and truncates k to the
+  // periods before the first verdict that deviates from the steady-state
+  // pattern, exactly where the endgame begins.
   std::uint64_t k = ~0ull;
   bool any = false;
   for (std::size_t q = 0; q < c_.qsize.size(); ++q) {
@@ -118,34 +190,14 @@ std::uint64_t FastForward::pick_k() const {
   return any ? k : 0;
 }
 
-void FastForward::undo_claim(const RftpSession::ClaimDecision& d,
-                             std::uint64_t idx) {
-  auto& q = sess_.block_queues_[d.queue];
-  if (d.from_back)
-    q.push_back(idx);
-  else
-    q.push_front(idx);
-  switch (d.kind) {
-    case RftpSession::ClaimDecision::Kind::kStolen:
-      --sess_.stolen_claims;
-      break;
-    case RftpSession::ClaimDecision::Kind::kLocal:
-      --sess_.local_claims;
-      break;
-    case RftpSession::ClaimDecision::Kind::kShared:
-    case RftpSession::ClaimDecision::Kind::kFallback:
-      break;
-  }
-}
-
 void FastForward::collapse() {
   if (!quiet_ok() || !repeats()) {
     disarm();
     cooldown_until_ = n_drains_ + period_;
     return;
   }
-  const std::uint64_t k = pick_k();
-  if (k == 0) {
+  const std::uint64_t k_max = pick_k();
+  if (k_max == 0) {
     disarm();
     cooldown_until_ = n_drains_ + period_;
     return;
@@ -160,114 +212,131 @@ void FastForward::collapse() {
           : 0;
 
   // Window-2 claim pattern and drain-record times, in order.
-  std::vector<ClaimRec> pattern(period_);
+  std::vector<PatternClaim> pattern(period_);
   for (std::size_t j = 0; j < period_; ++j)
     pattern[j] = claims_[(b_.claims_seen + j) % cap_];
   std::vector<sim::SimTime> when(period_);
   for (std::size_t j = 0; j < period_; ++j)
     when[j] = drains_[(n - period_ + 1 + j) % cap_].at;
 
-  auto* au = check::of(eng_);
-  std::vector<RftpSession::ClaimDecision> applied;
-  std::vector<std::uint64_t> popped;
-  applied.reserve(period_);
-  popped.reserve(period_);
-  // The sink digest folds once per run of consecutively popped indices,
-  // not once per block. Every pop lands in exactly one run, so a popped
-  // index that drained_ already holds still XORs its own tag and a double
-  // drain still fails the session's integrity check.
-  std::uint64_t run_lo = 0;
-  std::uint64_t run_hi = 0;
-  std::uint64_t k_done = 0;
-  for (std::uint64_t c = 1; c <= k; ++c) {
-    applied.clear();
-    popped.clear();
-    bool ok = true;
-    for (const ClaimRec& cr : pattern) {
-      // Re-run the real claim policy and require the steady-state verdict.
-      const auto d = sess_.decide_claim(cr.node);
-      if (!d || !(*d == cr.d)) {
-        ok = false;
-        break;
-      }
-      const std::uint64_t idx = sess_.apply_claim(*d);
-      applied.push_back(*d);
-      popped.push_back(idx);
-      if (idx * bb + bb > sess_.total_bytes_) {  // partial final block
-        ok = false;
-        break;
-      }
+  // Check the span in closed form. The partial final block, if still
+  // queued, must be claimed event-exactly.
+  auto& queues = sess_.block_queues_;
+  std::vector<std::uint64_t> sizes;
+  sizes.reserve(queues.size());
+  for (const auto& q : queues) sizes.push_back(q.size());
+  std::optional<GuardBlock> guard;
+  if (sess_.total_bytes_ % bb != 0) {
+    for (std::size_t q = 0; q < queues.size() && !guard; ++q) {
+      const std::uint64_t pos = queues[q].position(sess_.total_blocks_ - 1);
+      if (pos < queues[q].size()) guard = GuardBlock{q, pos};
     }
-    if (!ok) {
-      // Undo this period's pops (reverse order restores the exact queue
-      // layout) and truncate the collapse to the completed periods.
-      for (std::size_t i = applied.size(); i-- > 0;)
-        undo_claim(applied[i], popped[i]);
-      break;
-    }
-    // Apply the period's R fresh drains in closed form. Which popped block
-    // lands in which drain slot is unobservable by any final metric (the
-    // digest is an XOR, bytes are uniform, drained_ is unordered), so the
-    // pairing is by pattern order. Uniform per-block updates are hoisted to
-    // one bulk update per period — the per-block loop is the whole wall
-    // clock of a collapsed TB-scale run.
-    for (std::size_t j = 0; j < period_; ++j) {
-      const std::uint64_t idx = popped[j];
-      sess_.drained_.insert(idx);
-      // Pending until the boundary check below; past checkpoint_blocks
-      // the span crosses a boundary and publishes in full instead.
-      if (sess_.unledgered_.size() < cb) sess_.unledgered_.push_back(idx);
-      if (idx != run_hi) {
-        sess_.sink_digest_ ^= fault::rftp_range_tag(run_lo, run_hi, bb);
-        run_lo = idx;
-      }
-      run_hi = idx + 1;
-      if (sess_.meter_ != nullptr)
-        sess_.meter_->record_at(
-            when[j] + static_cast<sim::SimDuration>(c) * period_ns, bb);
-    }
-    sess_.delivered_bytes_ += bb * period_;
-    sess_.blocks_done_ += period_;
-    sess_.done_->done(static_cast<std::int64_t>(period_));
-    if (au != nullptr)
-      au->rftp_fast_forward_drains(&sess_, popped.data(), popped.size(), bb);
-    ++k_done;
   }
-  sess_.sink_digest_ ^= fault::rftp_range_tag(run_lo, run_hi, bb);
-  if (k_done == 0) {
+  const std::uint64_t k = matching_periods(sizes, pattern, k_max, guard);
+  if (k == 0) {
     disarm();
     cooldown_until_ = n_drains_ + period_;
     return;
   }
-  const std::uint64_t kr = k_done * period_;
+  const std::uint64_t kr = k * period_;
+
   // Checkpoint bookkeeping advances analytically: `boundaries` checkpoints
-  // fired inside the span; one full ledger publication at the last of them
-  // covers every replayed block (the auditor only requires ledgered ⊆
+  // fire inside the span; one full ledger publication at the last of them
+  // covers every collapsed block (the auditor only requires ledgered ⊆
   // drained, and the post-span cadence continues on the same phase). A
-  // span that crosses no boundary leaves its blocks pending, already
-  // appended to unledgered_ by the replay loop above.
+  // span that crosses no boundary leaves its blocks pending.
+  std::uint64_t boundaries = 0;
   if (cb > 0) {
     const auto pre = static_cast<std::uint64_t>(sess_.drains_since_ckpt_);
-    const std::uint64_t boundaries = (pre + kr) / cb;
+    boundaries = (pre + kr) / cb;
     sess_.drains_since_ckpt_ = static_cast<int>((pre + kr) % cb);
-    if (boundaries > 0) {
-      sess_.checkpoints += boundaries;
-      sess_.ledger_ = sess_.drained_;
-      sess_.unledgered_.clear();
-      if (au != nullptr) au->rftp_checkpoint(&sess_, sess_.ledger_);
+  }
+
+  // Apply the span's drains in closed form, one popped run at a time.
+  // Which block lands in which drain slot is unobservable by any final
+  // metric (the digest is an XOR, bytes are uniform, drained_ is
+  // unordered), so only the popped set matters: each queue's first k * F
+  // and last k * B indices. Every popped index XORs its own tag, one
+  // drained_ already holds included, so a double drain still fails the
+  // session's integrity check.
+  auto* au = check::of(eng_);
+  const auto drain_run = [&](std::uint64_t lo, std::uint64_t hi) {
+    sess_.drained_.insert_run(lo, hi);
+    sess_.sink_digest_ ^= fault::rftp_range_tag(lo, hi, bb);
+    if (au != nullptr) au->rftp_fast_forward_drains(&sess_, lo, hi, bb);
+    if (cb > 0 && boundaries == 0)
+      for (std::uint64_t idx = lo; idx < hi; ++idx)
+        sess_.unledgered_.push_back(idx);
+  };
+  std::vector<std::uint64_t> front(queues.size(), 0);
+  std::vector<std::uint64_t> back(queues.size(), 0);
+  for (const PatternClaim& pc : pattern) {
+    ++(pc.d.from_back ? back : front)[pc.d.queue];
+    switch (pc.d.kind) {
+      case ClaimDecision::Kind::kStolen:
+        sess_.stolen_claims += k;
+        break;
+      case ClaimDecision::Kind::kLocal:
+        sess_.local_claims += k;
+        break;
+      case ClaimDecision::Kind::kShared:
+      case ClaimDecision::Kind::kFallback:
+        break;
     }
   }
-  // Fold the verified per-period delta, k_done times, into every ledger the
+  for (std::size_t q = 0; q < queues.size(); ++q) {
+    queues[q].pop_front_n(k * front[q], drain_run);
+    queues[q].pop_back_n(k * back[q], drain_run);
+  }
+  if (sess_.meter_ != nullptr) {
+    // One meter update per bin the span touches, landing at the bin's last
+    // drain time: the bins, total and last time the per-drain records
+    // record_at(when[j] + c * P) would leave (the meter recorded the
+    // verified windows' drains, so its first time is already set). Drain i
+    // of the span is slot i % R of period i / R + 1; times never decrease
+    // in i, so the drains before a bin's end x are a prefix. Slot j has
+    // clamp(floor((e - o_j) / P), 0, k) of them, where e = x - 1 - when[0]
+    // and o_j = when[j] - when[0] lies in [0, P]: with e = q * P + r, that
+    // is q for the m slots with o_j <= r and q - 1 for the rest.
+    const sim::SimDuration width = sess_.meter_->bin_width();
+    for (std::uint64_t i = 0; i < kr;) {
+      const sim::SimTime t = when[i % period_] + (i / period_ + 1) * period_ns;
+      const std::uint64_t e = (t / width + 1) * width - 1 - when[0];
+      const std::uint64_t q = e / period_ns;  // >= 1: t >= when[0] + P
+      std::uint64_t next = kr;
+      if (q <= k) {
+        const auto m = static_cast<std::uint64_t>(
+            std::upper_bound(when.begin(), when.end(),
+                             when[0] + e % period_ns) -
+            when.begin());
+        next = m * q + (period_ - m) * (q - 1);
+      }
+      const std::uint64_t last = next - 1;
+      sess_.meter_->record_at(
+          when[last % period_] + (last / period_ + 1) * period_ns,
+          (next - i) * bb);
+      i = next;
+    }
+  }
+  sess_.delivered_bytes_ += bb * kr;
+  sess_.blocks_done_ += kr;
+  sess_.done_->done(static_cast<std::int64_t>(kr));
+  if (boundaries > 0) {
+    sess_.checkpoints += boundaries;
+    sess_.ledger_ = sess_.drained_;
+    sess_.unledgered_.clear();
+    if (au != nullptr) au->rftp_checkpoint(&sess_, sess_.ledger_);
+  }
+  // Fold the verified per-period delta, k times, into every ledger the
   // event-exact span would have advanced.
-  eng_.ff_advance(k_done);
-  for (numa::Host* h : hosts_) h->ff_advance(k_done);
-  sess_.control_msgs_ += (c_.control_msgs - b_.control_msgs) * k_done;
-  sess_.grant_seq_ += (c_.grant_seq - b_.grant_seq) * k_done;
+  eng_.ff_advance(k);
+  for (numa::Host* h : hosts_) h->ff_advance(k);
+  sess_.control_msgs_ += (c_.control_msgs - b_.control_msgs) * k;
+  sess_.grant_seq_ += (c_.grant_seq - b_.grant_seq) * k;
   for (std::size_t i = 0; i < sess_.streams_.size(); ++i)
-    sess_.streams_[i]->next_wr += (c_.next_wr[i] - b_.next_wr[i]) * k_done;
+    sess_.streams_[i]->next_wr += (c_.next_wr[i] - b_.next_wr[i]) * k;
 
-  const sim::SimDuration span =
-      static_cast<sim::SimDuration>(k_done) * period_ns;
+  const sim::SimDuration span = static_cast<sim::SimDuration>(k) * period_ns;
   eng_.skip_time(span);
   sess_.watchdog_.skip(span);
   ++spans_;

@@ -31,23 +31,30 @@
 //      patterns in both windows, and the quiet guards below. Anything off →
 //      drop back to event-exact.
 //
-// Collapse: pick k so every NUMA queue keeps a generous margin, then for
-// each of k periods re-run the recorded claim pattern through the *real*
-// decide_claim policy (verifying each verdict; a mismatch or a partial
-// final block undoes the period and truncates k), apply each popped block's
-// drain in closed form (drained-set insert, throughput-meter sample at the
-// pattern time + c*P, auditor block ledger; delivered bytes and the
-// WaitGroup once per period), fold the XOR sink digest once per run of
-// consecutively popped indices (fault::rftp_range_tag, so every pop still
-// XORs its own tag, a duplicate included), ff_advance(k) every ledger,
-// fold D2 * k into the session scalars,
-// advance checkpoint bookkeeping analytically, and finally
-// Engine::skip_time(k*P), moving the session watchdog's pending check
-// with it (Watchdog::skip). Apart from that check the event heap never
-// moves: in-flight latency measurements stay event-exact, and the live
-// pipeline resumes at the same event clock against the shifted work-point
-// — exactly the state the event-exact run reaches at t + k*P (modulo which
-// block indices are in flight, which no final metric observes).
+// Collapse: pick k so no NUMA queue can underfill, then check the recorded
+// claim pattern against the *real* decide_claim policy in closed form
+// (matching_periods): inside a span every queue size is affine in the
+// period number, so each comparison the policy makes flips at most once,
+// and checking the verdicts at c = 1 and at every flip finds the first
+// period whose verdict deviates (or whose pops would reach the partial
+// final block) without replaying a claim. k truncates to the periods
+// before it. The span's pops are then whole runs: each queue loses its
+// first k * F and last k * B indices (RunQueue::pop_front_n/pop_back_n),
+// and each popped run lands in the drained set (RunSet::insert_run), the
+// auditor's block ledger and the XOR sink digest (fault::rftp_range_tag,
+// so every pop still XORs its own tag, a duplicate included) once.
+// Claim counters, delivered bytes and the WaitGroup advance once per span,
+// the throughput meter once per bin the span's drain times (the pattern
+// times + c*P) touch. Then ff_advance(k) every ledger, fold D2 * k into
+// the session scalars, advance checkpoint bookkeeping analytically, and
+// finally Engine::skip_time(k*P), moving the session watchdog's pending
+// check with it (Watchdog::skip). Apart from that check the event heap
+// never moves: in-flight latency measurements stay event-exact, and the
+// live pipeline resumes at the same event clock against the shifted
+// work-point — exactly the state the event-exact run reaches at t + k*P
+// (modulo which block indices are in flight, which no final metric
+// observes). The collapse costs O(pattern + runs popped + meter bins
+// touched), not O(k).
 //
 // Quiet guards (checked at arm and re-checked at collapse): no Cluster
 // shard, virtual time past cfg.ff_quiet_after (every scripted fault has
@@ -58,13 +65,43 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "rftp/claim_policy.hpp"
 #include "rftp/session.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
 namespace e2e::rftp {
+
+/// One claim of a steady-state period: the filler's node and its verdict.
+struct PatternClaim {
+  numa::NodeId node = 0;
+  ClaimDecision d;
+  bool operator==(const PatternClaim&) const = default;
+};
+
+/// A queued block no collapsed pop may take (the transfer's partial final
+/// block): position `pos` from the front of queue `queue`.
+struct GuardBlock {
+  std::size_t queue = 0;
+  std::uint64_t pos = 0;
+};
+
+/// Whole periods of `pattern`, at most `k`, that decide_claim repeats
+/// verdict for verdict from queue sizes `sizes`, with no pop reaching
+/// `guard`: exactly the periods a claim-by-claim replay completes before
+/// its first deviating verdict. Before claim j of period c, queue q holds
+/// sizes[q] - (c-1) * T_q - p_jq (T_q: the pattern's pops from q per
+/// period; p_jq: those before claim j). That is affine in c, so each
+/// comparison the policy makes changes truth at most once on [1, k]; the
+/// verdict is checked at c = 1 and at each change. O(pattern * queues^3),
+/// independent of k.
+[[nodiscard]] std::uint64_t matching_periods(
+    const std::vector<std::uint64_t>& sizes,
+    const std::vector<PatternClaim>& pattern, std::uint64_t k,
+    const std::optional<GuardBlock>& guard);
 
 class FastForward {
  public:
@@ -74,8 +111,8 @@ class FastForward {
 
   /// Called by RftpSession::claim_block with the verdict it is about to
   /// apply; the detector records the pattern for window comparison and
-  /// replay.
-  void on_claim(numa::NodeId node, const RftpSession::ClaimDecision& d);
+  /// the span check.
+  void on_claim(numa::NodeId node, const ClaimDecision& d);
 
   /// Called by the drainer after every fresh drain's side effects have
   /// landed (the only safe collapse point). Runs the prefilter, advances
@@ -110,12 +147,6 @@ class FastForward {
              queue_depth == o.queue_depth;
     }
   };
-  struct ClaimRec {
-    numa::NodeId node = 0;
-    RftpSession::ClaimDecision d;
-    bool operator==(const ClaimRec&) const = default;
-  };
-
   /// The session's own state at a fresh-drain boundary; every other
   /// ledger keeps its marks itself.
   struct Snap {
@@ -136,14 +167,13 @@ class FastForward {
   /// Periods safely collapsible given the post-C queue sizes; 0 = bail.
   [[nodiscard]] std::uint64_t pick_k() const;
   void collapse();
-  void undo_claim(const RftpSession::ClaimDecision& d, std::uint64_t idx);
 
   RftpSession& sess_;
   sim::Engine& eng_;
   std::size_t period_ = 1;  // R: fresh drains per steady-state period
   std::size_t cap_ = 0;     // ring capacity (> 4R)
   std::vector<DrainRec> drains_;   // ring, indexed by n_drains_ % cap_
-  std::vector<ClaimRec> claims_;   // ring, indexed by n_claims_ % cap_
+  std::vector<PatternClaim> claims_;  // ring, indexed by n_claims_ % cap_
   std::vector<numa::Host*> hosts_;  // both endpoints' hosts, deduplicated
   std::uint64_t n_drains_ = 0;
   std::uint64_t n_claims_ = 0;

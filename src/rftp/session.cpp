@@ -353,15 +353,32 @@ void RftpSession::build_block_plan(DataSource& src) {
   }
 }
 
-// decide_claim/apply_claim live inline in session.hpp: they are the
-// per-block body of the fast-forward replay loop as well as this file's
-// filler hot path.
-
 std::optional<std::uint64_t> RftpSession::claim_block(numa::NodeId node) {
-  const auto d = decide_claim(node);
+  const auto d =
+      decide_claim(block_queues_.size(), static_cast<std::size_t>(node),
+                   [this](std::size_t q) { return block_queues_[q].size(); });
   if (!d) return std::nullopt;
   if (ff_) ff_->on_claim(node, *d);
-  return apply_claim(*d);
+  auto& q = block_queues_[d->queue];
+  const std::uint64_t idx = d->from_back ? q.back() : q.front();
+  if (d->from_back)
+    q.pop_back();
+  else
+    q.pop_front();
+  switch (d->kind) {
+    case ClaimDecision::Kind::kStolen:
+      ++stolen_claims;
+      obs_.report(eng_, kStolenClaim, stolen_claim_);
+      break;
+    case ClaimDecision::Kind::kLocal:
+      ++local_claims;
+      obs_.report(eng_, kLocalClaim, local_claim_);
+      break;
+    case ClaimDecision::Kind::kShared:
+    case ClaimDecision::Kind::kFallback:
+      break;
+  }
+  return idx;
 }
 
 sim::Task<> RftpSession::filler(Stream& s, numa::Thread& th,

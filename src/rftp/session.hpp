@@ -37,6 +37,7 @@
 #include "numa/process.hpp"
 #include "obs/probe.hpp"
 #include "rdma/cm.hpp"
+#include "rftp/claim_policy.hpp"
 #include "rftp/config.hpp"
 #include "rftp/source_sink.hpp"
 #include "sim/channel.hpp"
@@ -236,25 +237,9 @@ class RftpSession {
   std::vector<std::unique_ptr<Stream>> streams_;
   sim::Engine& eng_;
 
-  /// One claim-policy verdict, split from its side effects so the
-  /// fast-forward replay can re-run the policy per collapsed block and
-  /// verify it still matches the recorded steady-state pattern.
-  struct ClaimDecision {
-    enum class Kind : std::uint8_t { kStolen, kLocal, kShared, kFallback };
-    std::size_t queue = 0;   // index into block_queues_
-    Kind kind = Kind::kLocal;
-    bool from_back = false;  // steal/fallback pop the back, others the front
-    bool operator==(const ClaimDecision&) const = default;
-  };
-  [[nodiscard]] std::optional<ClaimDecision> decide_claim(
-      numa::NodeId node) const;
-  /// Pops the decided block and bumps the claim counters; the inverse (for
-  /// a fast-forward undo) is RunQueue::push_front/push_back plus counter
-  /// decrements in rftp::FastForward.
-  std::uint64_t apply_claim(const ClaimDecision& d);
-
-  /// Claims the next block for a filler on `node`: same-node blocks first,
-  /// then unclassified ones, then stealing from other nodes' queues.
+  /// Claims the next block for a filler on `node` by the claim policy
+  /// (rftp::decide_claim over the live queue sizes): pops it and bumps
+  /// the claim counters.
   std::optional<std::uint64_t> claim_block(numa::NodeId node);
   void build_block_plan(DataSource& src);
 
@@ -362,67 +347,5 @@ class RftpSession {
   // failed while the host was down); expiry turns it into a no-op.
   std::shared_ptr<char> alive_token_;
 };
-
-// decide_claim/apply_claim are defined inline: they are the per-block body
-// of both the filler hot path and the fast-forward replay loop, where an
-// out-of-line call per collapsed block would be most of the wall clock of
-// a TB-scale collapsed run.
-
-inline std::optional<RftpSession::ClaimDecision> RftpSession::decide_claim(
-    numa::NodeId node) const {
-  // Locality-preferring, load-balancing claim: serve the local queue, but
-  // when another node's backlog has grown well past ours (its links or
-  // storage path are the slower side), help drain it — continuous work
-  // stealing keeps every queue finishing together without giving up
-  // locality for the bulk of the data. The verdict depends only on pairwise
-  // queue-size differences, which a steady-state period shifts uniformly —
-  // the property the fast-forward replay verifies per collapsed block.
-  const auto& own = block_queues_[static_cast<std::size_t>(node)];
-  std::size_t victim = block_queues_.size();
-  std::size_t victim_size = own.size() + 4;
-  for (std::size_t n = 0; n + 1 < block_queues_.size(); ++n) {
-    if (n == static_cast<std::size_t>(node)) continue;
-    if (block_queues_[n].size() > victim_size) {
-      victim = n;
-      victim_size = block_queues_[n].size();
-    }
-  }
-  if (victim < block_queues_.size())
-    return ClaimDecision{victim, ClaimDecision::Kind::kStolen, true};
-  if (!own.empty())
-    return ClaimDecision{static_cast<std::size_t>(node),
-                         ClaimDecision::Kind::kLocal, false};
-  if (!block_queues_.back().empty())
-    return ClaimDecision{block_queues_.size() - 1,
-                         ClaimDecision::Kind::kShared, false};
-  // Drain whatever remains anywhere.
-  for (std::size_t q = 0; q < block_queues_.size(); ++q)
-    if (!block_queues_[q].empty())
-      return ClaimDecision{q, ClaimDecision::Kind::kFallback, true};
-  return std::nullopt;
-}
-
-inline std::uint64_t RftpSession::apply_claim(const ClaimDecision& d) {
-  auto& q = block_queues_[d.queue];
-  const std::uint64_t idx = d.from_back ? q.back() : q.front();
-  if (d.from_back)
-    q.pop_back();
-  else
-    q.pop_front();
-  switch (d.kind) {
-    case ClaimDecision::Kind::kStolen:
-      ++stolen_claims;
-      obs_.report(eng_, kStolenClaim, stolen_claim_);
-      break;
-    case ClaimDecision::Kind::kLocal:
-      ++local_claims;
-      obs_.report(eng_, kLocalClaim, local_claim_);
-      break;
-    case ClaimDecision::Kind::kShared:
-    case ClaimDecision::Kind::kFallback:
-      break;
-  }
-  return idx;
-}
 
 }  // namespace e2e::rftp

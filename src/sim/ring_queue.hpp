@@ -33,16 +33,6 @@ class RingQueue {
     ++size_;
   }
 
-  /// Re-inserts at the head (undo of a pop_front). Same growth policy as
-  /// push_back; used by the fast-forward replay to restore a partially
-  /// consumed claim period when verification fails mid-period.
-  void push_front(T v) {
-    if (size_ == cap_) grow();
-    head_ = (head_ + cap_ - 1) & (cap_ - 1);
-    ::new (slot(head_)) T(std::move(v));
-    ++size_;
-  }
-
   [[nodiscard]] T& front() noexcept { return *slot(head_); }
   [[nodiscard]] const T& front() const noexcept { return *slot(head_); }
 
@@ -77,6 +67,11 @@ class RingQueue {
     std::size_t c = cap_ == 0 ? 16 : cap_;
     while (c < n) c *= 2;
     regrow(c);
+  }
+
+  /// The `i`-th element from the front (i < size()).
+  [[nodiscard]] const T& operator[](std::size_t i) const noexcept {
+    return *slot((head_ + i) & (cap_ - 1));
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }

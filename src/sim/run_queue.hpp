@@ -3,11 +3,13 @@
 // Holds the same sequence a RingQueue<std::uint64_t> would after the same
 // push/pop calls, but stores it as ascending [lo, hi) runs: a contiguous
 // plan of N indices costs one run, not N slots. Pushing the successor of
-// the back (or the predecessor of the front) extends the end run; anything
-// else opens a new run, so arbitrary orders still round-trip exactly. Used for RFTP's per-node block plan, where a TB-scale transfer
+// the back extends the back run; anything else opens a new run, so
+// arbitrary orders still round-trip exactly. Bulk pops take whole runs at
+// a time. Used for RFTP's per-node block plan, where a TB-scale transfer
 // is a handful of runs. Values must be below UINT64_MAX.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -36,15 +38,6 @@ class RunQueue {
     size_ += hi - lo;
   }
 
-  /// Re-inserts at the head (undo of a pop_front).
-  void push_front(std::uint64_t v) {
-    if (!runs_.empty() && runs_.front().lo == v + 1)
-      runs_.front().lo = v;
-    else
-      runs_.push_front(Run{v, v + 1});
-    ++size_;
-  }
-
   [[nodiscard]] std::uint64_t front() const noexcept {
     return runs_.front().lo;
   }
@@ -63,8 +56,50 @@ class RunQueue {
     --size_;
   }
 
+  /// Pops the first `n` indices (n <= size()): the same queue as `n`
+  /// calls to pop_front. Calls `f(lo, hi)` once per popped [lo, hi) run,
+  /// front to back. O(runs touched).
+  template <typename F>
+  void pop_front_n(std::uint64_t n, F&& f) {
+    size_ -= n;
+    while (n > 0) {
+      Run& r = runs_.front();
+      const std::uint64_t take = std::min(n, r.hi - r.lo);
+      f(r.lo, r.lo + take);
+      r.lo += take;
+      n -= take;
+      if (r.lo == r.hi) runs_.pop_front();
+    }
+  }
+  /// Pops the last `n` indices (n <= size()): the same queue as `n` calls
+  /// to pop_back. Calls `f(lo, hi)` once per popped [lo, hi) run, back to
+  /// front. O(runs touched).
+  template <typename F>
+  void pop_back_n(std::uint64_t n, F&& f) {
+    size_ -= n;
+    while (n > 0) {
+      Run& r = runs_.back();
+      const std::uint64_t take = std::min(n, r.hi - r.lo);
+      f(r.hi - take, r.hi);
+      r.hi -= take;
+      n -= take;
+      if (r.lo == r.hi) runs_.pop_back();
+    }
+  }
+
+  /// Position of the first `v` from the front, or size() if absent.
+  /// O(runs).
+  [[nodiscard]] std::uint64_t position(std::uint64_t v) const noexcept {
+    std::uint64_t pos = 0;
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+      const Run& r = runs_[i];
+      if (r.lo <= v && v < r.hi) return pos + (v - r.lo);
+      pos += r.hi - r.lo;
+    }
+    return size_;
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   /// Stored runs: the memory footprint, not the element count.
   [[nodiscard]] std::size_t runs() const noexcept { return runs_.size(); }
 

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 namespace e2e::sim {
@@ -49,6 +50,38 @@ class RunSet {
     }
     ++size_;
     return true;
+  }
+
+  /// Adds lo, lo + 1, ..., hi - 1: the same set as `hi - lo` calls to
+  /// insert. Appending at or past the end of the back run is O(1);
+  /// anything else binary-searches and merges every run it overlaps or
+  /// abuts.
+  void insert_run(std::uint64_t lo, std::uint64_t hi) {
+    if (lo >= hi) return;
+    if (runs_.empty() || lo > runs_.back().hi) {
+      runs_.push_back(Run{lo, hi});
+      size_ += hi - lo;
+      return;
+    }
+    if (lo == runs_.back().hi) {
+      runs_.back().hi = hi;
+      size_ += hi - lo;
+      return;
+    }
+    const auto first = first_ending_at_or_after(lo);  // never end()
+    auto last = first;  // one past the last run starting at or before hi
+    std::uint64_t covered = 0;
+    for (; last != runs_.end() && last->lo <= hi; ++last)
+      covered += std::max(lo, std::min(hi, last->hi)) -
+                 std::max(lo, std::min(hi, last->lo));
+    size_ += (hi - lo) - covered;
+    if (first == last) {
+      runs_.insert(first, Run{lo, hi});
+      return;
+    }
+    first->lo = std::min(first->lo, lo);
+    first->hi = std::max(std::prev(last)->hi, hi);
+    runs_.erase(first + 1, last);
   }
 
   /// Removes `v`; returns false if it was absent.

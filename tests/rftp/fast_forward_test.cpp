@@ -26,6 +26,7 @@
 #include "exp/testbeds.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "metrics/throughput.hpp"
 #include "rftp/rftp.hpp"
 #include "stats/registry.hpp"
 #include "trace/tracer.hpp"
@@ -69,6 +70,10 @@ struct Outcome {
   // credit_wait_ns sum. Compared separately: see expect_equivalent.
   std::vector<std::string> stats;
   std::vector<std::uint64_t> credit_wait_sums;
+  // The attached ThroughputMeter, if any (empty/zero otherwise).
+  std::vector<double> meter_series;
+  std::uint64_t meter_bytes = 0;
+  double meter_active_gbps = 0.0;
 
   bool operator==(const Outcome& o) const {
     return bytes == o.bytes && blocks == o.blocks &&
@@ -87,7 +92,9 @@ struct Outcome {
            host_crashes == o.host_crashes &&
            checkpoints == o.checkpoints &&
            rolled_back_blocks == o.rolled_back_blocks &&
-           cpu_ns == o.cpu_ns && audit_ok == o.audit_ok;
+           cpu_ns == o.cpu_ns && audit_ok == o.audit_ok &&
+           meter_series == o.meter_series && meter_bytes == o.meter_bytes &&
+           meter_active_gbps == o.meter_active_gbps;
   }
 };
 
@@ -108,7 +115,9 @@ std::ostream& operator<<(std::ostream& os, const Outcome& o) {
      << " ckpts=" << o.checkpoints
      << " rolled_back=" << o.rolled_back_blocks
      << " audit_ok=" << o.audit_ok << " ff_spans=" << o.ff_spans
-     << " ff_blocks=" << o.ff_blocks << " cpu_ns=";
+     << " ff_blocks=" << o.ff_blocks << " meter_bytes=" << o.meter_bytes
+     << " meter_bins=" << o.meter_series.size()
+     << " meter_active=" << o.meter_active_gbps << " cpu_ns=";
   for (const sim::SimDuration ns : o.cpu_ns) os << ns << ' ';
   return os;
 }
@@ -124,6 +133,35 @@ struct Case {
   bool wan = false;
   // Installs a trace::Tracer on both runs.
   bool tracer = false;
+  // Block homes: none (every block in the shared queue), all on node 0
+  // (the fillers' node: local claims), or the first half on node 0 and
+  // the rest on node 1 (local claims plus steady stealing).
+  enum class Homes : std::uint8_t { kNone, kNode0, kSplit };
+  Homes homes = Homes::kNone;
+  // != 0: a ThroughputMeter with this bin width records both runs.
+  sim::SimDuration meter_bin = 0;
+};
+
+/// MemorySource's data path with per-node homes: bytes below `split` are
+/// homed on node 0, the rest on node 1.
+class HomedSource final : public DataSource {
+ public:
+  HomedSource(std::uint64_t total, std::uint64_t split)
+      : mem_(total, numa::Placement::on(0)), split_(split) {}
+  sim::Task<std::uint64_t> fill(numa::Thread& th, mem::Buffer& buf,
+                                std::uint64_t offset,
+                                std::uint64_t len) override {
+    return mem_.fill(th, buf, offset, len);
+  }
+  Home home(std::uint64_t offset, std::uint64_t len) const override {
+    (void)len;
+    if (offset < split_) return Home{0, split_};
+    return Home{1, UINT64_MAX};
+  }
+
+ private:
+  MemorySource mem_;
+  std::uint64_t split_;
 };
 
 std::optional<fault::FaultPlan> make_plan(const Case& c, int streams) {
@@ -188,9 +226,24 @@ Outcome run_once(const Case& c, bool fast_forward) {
     sess.attach(*inj);
     inj->arm();
   }
-  MemorySource src(c.total_bytes, numa::Placement::on(0));
+  std::unique_ptr<DataSource> src;
+  switch (c.homes) {
+    case Case::Homes::kNone:
+      src = std::make_unique<MemorySource>(c.total_bytes,
+                                           numa::Placement::on(0));
+      break;
+    case Case::Homes::kNode0:
+      src = std::make_unique<HomedSource>(c.total_bytes, c.total_bytes);
+      break;
+    case Case::Homes::kSplit:
+      src = std::make_unique<HomedSource>(c.total_bytes, c.total_bytes / 2);
+      break;
+  }
   MemorySink dst;
-  const auto r = exp::run_task(*eng, sess.run(src, dst, c.total_bytes));
+  std::optional<metrics::ThroughputMeter> meter;
+  if (c.meter_bin != 0) meter.emplace(*eng, c.meter_bin);
+  const auto r = exp::run_task(
+      *eng, sess.run(*src, dst, c.total_bytes, meter ? &*meter : nullptr));
 
   Outcome o;
   o.bytes = r.bytes;
@@ -231,6 +284,11 @@ Outcome run_once(const Case& c, bool fast_forward) {
         reg.entity(obs::Layer::kRftp, "stream" + std::to_string(i)),
         "credit_wait_ns");
     o.credit_wait_sums.push_back(h != nullptr ? h->sum() : 0);
+  }
+  if (meter) {
+    o.meter_series = meter->series_gbps();
+    o.meter_bytes = meter->total_bytes();
+    o.meter_active_gbps = meter->active_gbps();
   }
   aud.finalize();
   o.audit_ok = aud.ok();
@@ -366,6 +424,43 @@ TEST(FastForwardGolden, CrashResumeWithNonDividingLedgerIntervalMatches) {
 TEST(FastForwardGolden, SeededChaosMatchesAcrossSeeds) {
   for (const std::uint64_t seed : {11ull, 22ull, 33ull, 44ull})
     expect_equivalent({kMedium, "", seed}, /*require_engagement=*/false);
+}
+
+TEST(FastForwardGolden, NodeHomedBlocksCollapseLocalClaims) {
+  // Every block homed on the fillers' node: the span is all local claims
+  // from queue 0, not the shared queue every other case collapses.
+  Case c{kMedium, "", 0};
+  c.homes = Case::Homes::kNode0;
+  const Outcome o = expect_equivalent(c, /*require_engagement=*/true);
+  EXPECT_EQ(o.local_claims, kMedium / (256 * 1024));
+  EXPECT_EQ(o.stolen_claims, 0u);
+}
+
+TEST(FastForwardGolden, SteadyStealingCollapses) {
+  // Half the blocks homed on node 1, where no filler runs: the fillers
+  // alternate local claims with steals from the back of queue 1, so the
+  // span holds both verdicts on two queues, and the endgame ends in
+  // fallback claims.
+  Case c{kLarge, "", 0};
+  c.homes = Case::Homes::kSplit;
+  const Outcome o = expect_equivalent(c, /*require_engagement=*/true);
+  EXPECT_GT(o.local_claims, 0u);
+  EXPECT_GT(o.stolen_claims, 0u);
+}
+
+TEST(FastForwardGolden, ThroughputMeterMatches) {
+  // Bins wider than a period (many drains per bin), about a third of one,
+  // and narrower than one block's drain gap (sparse bins between drains).
+  for (const sim::SimDuration bin :
+       {sim::kMillisecond, 333 * sim::kMicrosecond, 20 * sim::kMicrosecond,
+        7 * sim::kMicrosecond}) {
+    SCOPED_TRACE(::testing::Message() << "bin=" << bin);
+    Case c{kMedium + 12345, "", 0};
+    c.meter_bin = bin;
+    const Outcome o = expect_equivalent(c, /*require_engagement=*/true);
+    EXPECT_EQ(o.meter_bytes, kMedium + 12345);
+    EXPECT_GT(o.meter_series.size(), 1u);
+  }
 }
 
 // The WAN rig: 64 GiB over the 95 ms loop, ~16k blocks of 4 MiB.

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "sim/ring_queue.hpp"
 #include "sim/rng.hpp"
@@ -14,7 +16,6 @@ namespace {
 
 void expect_same(const RunQueue& rq, const RingQueue<std::uint64_t>& ref) {
   ASSERT_EQ(rq.size(), ref.size());
-  ASSERT_EQ(rq.empty(), ref.empty());
   if (ref.empty()) return;
   ASSERT_EQ(rq.front(), ref.front());
   ASSERT_EQ(rq.back(), ref.back());
@@ -22,8 +23,8 @@ void expect_same(const RunQueue& rq, const RingQueue<std::uint64_t>& ref) {
 
 /// Drives both queues with one seeded op sequence. Pushed values follow
 /// three shapes: the successor of the back (a contiguous plan), a value
-/// just below the front (a fast-forward undo re-inserting what it
-/// popped), and a gapped jump (a failover requeue of a stray block).
+/// just below the front and a gapped jump (failover requeues of stray
+/// blocks).
 void differential(std::uint64_t seed, int ops) {
   Rng rng(seed);
   RunQueue rq;
@@ -40,13 +41,10 @@ void differential(std::uint64_t seed, int ops) {
       v = next + rng.uniform_u64(2, 40);
     else if (shape == 3 && !ref.empty())
       v = ref.back() + 1;
-    if (op < 4) {
+    if (op < 6) {
       rq.push_back(v);
       ref.push_back(v);
       next = v + 1;
-    } else if (op < 6) {
-      rq.push_front(v);
-      ref.push_front(v);
     } else if (!ref.empty() && op < 8) {
       rq.pop_front();
       ref.pop_front();
@@ -69,7 +67,7 @@ void differential(std::uint64_t seed, int ops) {
       ref.pop_back();
     }
   }
-  EXPECT_TRUE(rq.empty());
+  EXPECT_EQ(rq.size(), 0u);
   EXPECT_EQ(rq.runs(), 0u);
 }
 
@@ -91,38 +89,91 @@ TEST(RunQueue, ContiguousPlanIsOneRun) {
   EXPECT_EQ(q.back(), kBlocks - 1);
 }
 
-TEST(RunQueue, UndoRestoresTheRunLayout) {
-  // Pop one index off each end, then undo in reverse order, as the
-  // fast-forward replay does when a period fails verification.
-  RunQueue q;
-  for (std::uint64_t i = 0; i < 100; ++i) q.push_back(i);
-  q.push_back(500);  // a requeued straggler opens a second run
-  ASSERT_EQ(q.runs(), 2u);
-  const std::uint64_t a = q.front();
-  q.pop_front();
-  const std::uint64_t b = q.back();
-  q.pop_back();
-  EXPECT_EQ(q.runs(), 1u);
-  q.push_back(b);
-  q.push_front(a);
-  EXPECT_EQ(q.runs(), 2u);
-  EXPECT_EQ(q.size(), 101u);
-  EXPECT_EQ(q.front(), 0u);
-  EXPECT_EQ(q.back(), 500u);
-}
-
 TEST(RunQueue, NonAdjacentPushesKeepTheirOrder) {
   RunQueue q;
   q.push_back(7);
   q.push_back(3);  // not the successor of 7: a new run, not a merge
-  q.push_front(8);  // not the predecessor of 7
+  q.push_back(8);  // not the successor of 3
   EXPECT_EQ(q.runs(), 3u);
-  EXPECT_EQ(q.front(), 8u);
-  q.pop_front();
   EXPECT_EQ(q.front(), 7u);
   q.pop_front();
   EXPECT_EQ(q.front(), 3u);
-  EXPECT_EQ(q.back(), 3u);
+  q.pop_front();
+  EXPECT_EQ(q.front(), 8u);
+  EXPECT_EQ(q.back(), 8u);
+}
+
+TEST(RunQueue, PopNMatchesPerIndexPops) {
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    RunQueue bulk, single;
+    std::uint64_t next = 0;
+    for (int i = 0; i < 300; ++i) {
+      if (rng.uniform_u64(0, 2) != 0) {
+        // Abutting, gapped and out-of-order runs.
+        std::uint64_t lo = next + rng.uniform_u64(0, 2) * 7;
+        if (rng.uniform_u64(0, 5) == 0) lo = rng.uniform_u64(0, next);
+        const std::uint64_t hi = lo + rng.uniform_u64(1, 30);
+        bulk.push_back_run(lo, hi);
+        for (std::uint64_t v = lo; v < hi; ++v) single.push_back(v);
+        next = std::max(next, hi);
+        continue;
+      }
+      const bool from_back = rng.uniform_u64(0, 1) == 1;
+      const std::uint64_t n = rng.uniform_u64(0, single.size());
+      std::vector<std::uint64_t> want;
+      for (std::uint64_t j = 0; j < n; ++j) {
+        want.push_back(from_back ? single.back() : single.front());
+        if (from_back)
+          single.pop_back();
+        else
+          single.pop_front();
+      }
+      // Each call covers one run, in pop order; expanded in pop order it
+      // is the per-index sequence.
+      std::vector<std::uint64_t> got;
+      std::size_t calls = 0;
+      const std::size_t runs_before = bulk.runs();
+      const auto collect = [&](std::uint64_t lo, std::uint64_t hi) {
+        ASSERT_LT(lo, hi);
+        ++calls;
+        if (from_back)
+          for (std::uint64_t v = hi; v-- > lo;) got.push_back(v);
+        else
+          for (std::uint64_t v = lo; v < hi; ++v) got.push_back(v);
+      };
+      if (from_back)
+        bulk.pop_back_n(n, collect);
+      else
+        bulk.pop_front_n(n, collect);
+      ASSERT_EQ(got, want);
+      ASSERT_LE(calls, runs_before);
+      ASSERT_LE(runs_before - bulk.runs(), calls);
+      ASSERT_EQ(bulk.size(), single.size());
+      ASSERT_EQ(bulk.runs(), single.runs());
+      if (single.size() > 0) {
+        ASSERT_EQ(bulk.front(), single.front());
+        ASSERT_EQ(bulk.back(), single.back());
+      }
+    }
+  }
+}
+
+TEST(RunQueue, PositionCountsFromTheFront) {
+  RunQueue q;
+  q.push_back_run(10, 20);
+  q.push_back_run(5, 8);
+  q.push_back_run(30, 31);
+  EXPECT_EQ(q.position(10), 0u);
+  EXPECT_EQ(q.position(19), 9u);
+  EXPECT_EQ(q.position(6), 11u);
+  EXPECT_EQ(q.position(30), 13u);
+  EXPECT_EQ(q.position(8), q.size());   // between runs: absent
+  EXPECT_EQ(q.position(99), q.size());
+  q.pop_front_n(12, [](std::uint64_t, std::uint64_t) {});
+  EXPECT_EQ(q.position(7), 0u);
+  EXPECT_EQ(q.position(10), q.size());  // popped
 }
 
 TEST(RunQueue, PushBackRunMatchesPerIndexPushes) {
@@ -138,20 +189,20 @@ TEST(RunQueue, PushBackRunMatchesPerIndexPushes) {
       bulk.push_back_run(lo, hi);
       for (std::uint64_t v = lo; v < hi; ++v) single.push_back(v);
       next = hi;
-      if (rng.uniform_u64(0, 3) == 0 && !single.empty()) {
+      if (rng.uniform_u64(0, 3) == 0 && single.size() > 0) {
         bulk.pop_front();
         single.pop_front();
       }
       ASSERT_EQ(bulk.size(), single.size());
       ASSERT_EQ(bulk.runs(), single.runs());
     }
-    while (!single.empty()) {
+    while (single.size() > 0) {
       ASSERT_EQ(bulk.front(), single.front());
       ASSERT_EQ(bulk.back(), single.back());
       bulk.pop_front();
       single.pop_front();
     }
-    EXPECT_TRUE(bulk.empty());
+    EXPECT_EQ(bulk.size(), 0u);
   }
 }
 

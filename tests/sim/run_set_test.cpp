@@ -80,6 +80,35 @@ TEST(RunSet, MatchesFlagArrayOnSeededOpSequences) {
   }
 }
 
+TEST(RunSet, InsertRunMatchesPerIndexInserts) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    RunSet bulk;
+    std::vector<char> ref(kUniverse, 0);
+    for (int i = 0; i < 200; ++i) {
+      // Runs appended at or past the back, and runs anywhere that overlap,
+      // nest in, abut or bridge the runs already present.
+      std::uint64_t lo = rng.uniform_u64(0, kUniverse - 1);
+      if (rng.uniform_u64(0, 2) == 0 && !bulk.empty())
+        lo = std::min(kUniverse - 1,
+                      std::prev(bulk.end())->hi + rng.uniform_u64(0, 2));
+      const std::uint64_t hi =
+          std::min(kUniverse, lo + rng.uniform_u64(0, 24));
+      bulk.insert_run(lo, hi);
+      for (std::uint64_t v = lo; v < hi; ++v) ref[v] = 1;
+      expect_same(bulk, ref);
+      if (HasFatalFailure()) return;
+      // Occasional erases reopen gaps for later runs to fill.
+      if (rng.uniform_u64(0, 3) == 0) {
+        const std::uint64_t v = rng.uniform_u64(0, kUniverse - 1);
+        ASSERT_EQ(bulk.erase(v), ref[v] != 0);
+        ref[v] = 0;
+      }
+    }
+  }
+}
+
 TEST(RunSet, DifferenceMatchesFlagArrays) {
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);

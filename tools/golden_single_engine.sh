@@ -33,6 +33,7 @@ run quick --gib 1 --audit 1 --trace T --stats-out S.json
 run quick --gib 1 --audit 0 --fault-plan 'crash@100ms:host=1,down=0'
 run e2e --gib 1 --files 3 --audit 0 --stats-out S.csv
 run wan --gib 64 --fast-forward 1 --audit 0
+run wan --gib 65536 --fast-forward 1 --audit 0 --stats-out S.json
 run wan --gib 4 --fault-seed 3 --audit 0
 run san --duration 0.05 --write --audit 1
 run motivating --audit 0 --trace T

@@ -74,6 +74,9 @@ def cli_matrix():
         # pinning the run to event-exact.
         (["quick", "--gib", "16", "--fast-forward", "1", "--audit", "1"], 0),
         (["quick", "--gib", "16", "--fast-forward", "1", "--trace", "T"], 0),
+        # Fast-forward short of a partial final block (3 MiB blocks).
+        (["quick", "--gib", "16", "--block", "3m", "--fast-forward", "1",
+          "--audit", "0"], 0),
     ]
     return cases
 
