@@ -141,10 +141,10 @@ TransferRun drive(const TransferParams& p, const rftp::EndpointConfig& src,
     inj->arm();
   }
 
-  const sim::SimTime t0 = eng.now();
+  const sim::SimTime t0 = eng.virtual_now();
   out.transfer =
       run_task(eng, sess.run(source, sink, bytes, meter ? &*meter : nullptr));
-  out.end = eng.now();
+  out.end = eng.virtual_now();
   out.window = out.end - t0;
   if (meter) out.series_gbps = meter->series_gbps();
   out.sink_digest = sess.sink_digest();
@@ -275,9 +275,9 @@ Fig4Run run_fig4(std::uint64_t bytes, sim::SimDuration tcp_duration) {
                            {pair.links[0].get()}, cfg);
     rftp::ZeroSource src(bytes);
     rftp::NullSink dst;
-    const sim::SimTime t0 = pair.eng.now();
+    const sim::SimTime t0 = pair.eng.virtual_now();
     out.rftp.gbps = run_task(pair.eng, sess.run(src, dst, bytes)).goodput_gbps;
-    out.rftp.window = pair.eng.now() - t0;
+    out.rftp.window = pair.eng.virtual_now() - t0;
     out.rftp.both_ends = pair.a->total_usage();
     out.rftp.both_ends.merge(pair.b->total_usage());
   }
@@ -372,10 +372,10 @@ TransferRun run_e2e_gridftp(std::uint64_t bytes) {
   EndToEndTestbed tb(true, bytes);
   tb.start();
   metrics::ThroughputMeter meter(tb.eng, sim::kSecond);
-  const sim::SimTime t0 = tb.eng.now();
+  const sim::SimTime t0 = tb.eng.virtual_now();
   TransferRun out;
   out.transfer = run_task(tb.eng, gridftp(tb, false, bytes, &meter));
-  out.end = tb.eng.now();
+  out.end = tb.eng.virtual_now();
   out.window = out.end - t0;
   out.series_gbps = meter.series_gbps();
   out.src_usage = tb.src_fe->total_usage();
@@ -391,7 +391,7 @@ BidirRun run_e2e_bidir(App app, std::uint64_t bytes) {
   auto fwd = launch(app, tb, false, bytes, rftp_fwd);
   auto rev = launch(app, tb, true, bytes, rftp_rev);
 
-  const sim::SimTime t0 = tb.eng.now();
+  const sim::SimTime t0 = tb.eng.virtual_now();
   sim::WaitGroup wg(tb.eng);
   wg.add(2);
   sim::co_spawn(run_then_done(std::move(fwd), &wg));
@@ -402,7 +402,7 @@ BidirRun run_e2e_bidir(App app, std::uint64_t bytes) {
       tb.eng,
       [](sim::WaitGroup& w, sim::Engine& eng) -> sim::Task<sim::SimTime> {
         co_await w.wait();
-        co_return eng.now();
+        co_return eng.virtual_now();
       }(wg, tb.eng));
 
   BidirRun out;

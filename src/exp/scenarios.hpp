@@ -81,8 +81,10 @@ struct TransferRun : Observed {
   std::vector<double> series_gbps;  // e2e only: 1-second bins
   metrics::CpuUsage src_usage;      // sending host, since engine start
   metrics::CpuUsage dst_usage;      // receiving host, likewise
+  // On the modeled clock (Engine::virtual_now), so a fast-forwarded run
+  // reads the same as its event-exact twin.
   sim::SimDuration window = 0;      // the transfer run alone
-  sim::SimTime end = 0;             // engine clock after it
+  sim::SimTime end = 0;             // modeled time after it
   // Observers::stats: block drain latency, crash -> negotiated resume
   // (MTTR) and resume -> first fresh drain.
   stats::Histogram drain_hist, mttr_hist, resume_hist;

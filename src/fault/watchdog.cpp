@@ -57,9 +57,7 @@ void Watchdog::check(std::uint64_t gen) {
     ++quiet_count_;
     obs_.report(eng_, kVerdict, verdict_, {.event = "quiet-period"});
   }
-  const bool hard_blown =
-      dl_.hard > 0 && eng_.now() - last_kick_ >= dl_.hard;
-  if (quiet_count_ >= dl_.max_quiet || hard_blown) {
+  if (quiet_count_ >= dl_.max_quiet) {
     dead_ = true;
     armed_ = false;
     ++generation_;

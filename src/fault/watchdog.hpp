@@ -1,23 +1,17 @@
-// Unified watchdog/deadline hierarchy shared by iser, iscsi and rftp.
+// Liveness and retry-delay math for the fault-recovery paths.
 //
-// Before this module every layer invented its own timeout math: iSER's
-// session supervisor multiplied-and-capped a backoff inline, the iSCSI
-// initiator grew a per-command timer, and RFTP had no liveness check at
-// all (a crashed peer hung the transfer forever).
-// This header centralises three pieces:
-//
-//   * Deadline — a policy struct (quiet period, quiet budget, hard cap)
-//     that callers embed in their configs. One vocabulary for "how long
-//     until we suspect, how long until we declare dead".
-//   * Watchdog — a quiet-period stall detector driven by kick(). It
-//     distinguishes *crash* from *slow*: a suspicion that clears when
-//     progress resumes is counted as a false suspicion (visible in
-//     stats as the `false-suspect` code), while `max_quiet` consecutive
-//     quiet periods (or the hard deadline) declare the peer dead and run
-//     the caller's on_dead callback exactly once.
-//   * Backoff — the retry-delay schedule (exponential growth, cap,
-//     bounded jitter) extracted from the iSER supervisor so it can be
-//     unit-tested and reused. Same seed => same schedule.
+//   * Deadline and Watchdog — RFTP's liveness check (rftp::RftpConfig::
+//     watchdog over fresh block drains). Watchdog is a quiet-period
+//     stall detector driven by kick(). It distinguishes *crash* from
+//     *slow*: a suspicion that clears when progress resumes is counted
+//     as a false suspicion (visible in stats as the `false-suspect`
+//     code), while `max_quiet` consecutive quiet periods declare the
+//     peer dead and run the caller's on_dead callback exactly once.
+//   * Backoff — the iSER session supervisor's re-establishment delay
+//     schedule (exponential growth, cap, bounded jitter). Same seed =>
+//     same schedule.
+//   * grow — one step of capped exponential growth: the iSCSI
+//     per-command timeout and iSER's data-retry delay.
 #pragma once
 
 #include <algorithm>
@@ -31,17 +25,12 @@
 
 namespace e2e::fault {
 
-/// Timeout policy: embedded by layer configs (rftp::RftpConfig,
-/// iser::SessionRecoveryPolicy, iscsi::RetryPolicy) so every layer tunes
-/// liveness with the same three knobs.
+/// Watchdog timeout policy (rftp::RftpConfig::watchdog).
 struct Deadline {
   /// Quiet period: no progress for this long raises a suspicion.
   sim::SimDuration quiet = 500 * sim::kMillisecond;
   /// Consecutive quiet periods before the peer is declared dead.
   int max_quiet = 4;
-  /// Absolute cap on total stall (0 = disabled): declared dead once
-  /// `hard` elapses without progress regardless of quiet accounting.
-  sim::SimDuration hard = 0;
 };
 
 /// Quiet-period stall detector. arm() starts a self-rescheduling check
@@ -149,8 +138,8 @@ class Backoff {
 };
 
 /// One step of capped exponential growth (cap = 0 means uncapped) — the
-/// iSCSI per-command timeout law, shared so the growth rule lives in one
-/// place.
+/// iSCSI per-command timeout law and iSER's data-retry delay, shared so
+/// the growth rule lives in one place.
 [[nodiscard]] inline sim::SimDuration grow(sim::SimDuration v,
                                            double multiplier,
                                            sim::SimDuration cap) noexcept {

@@ -1,10 +1,10 @@
 #include "iser/iser.hpp"
 
-#include <algorithm>
 #include <iterator>
 #include <stdexcept>
 
 #include "check/audit.hpp"
+#include "fault/watchdog.hpp"
 #include "mem/msg_pool.hpp"
 
 namespace e2e::iser {
@@ -188,7 +188,7 @@ sim::Task<> IserEndpoint::await_data_op(numa::Thread& th, rdma::SendWr wr,
       co_await qp_.ready_event().wait();
     } else {
       co_await sim::Delay{eng, backoff};
-      backoff = std::min(backoff * 2, kBackoffCap);
+      backoff = fault::grow(backoff, 2.0, kBackoffCap);
     }
     wr.wr_id = next_wr_++;  // fresh id: the old completion is consumed
   }

@@ -91,5 +91,18 @@ TEST(Runner, WanCrashPlanResumesOnce) {
   EXPECT_EQ(r.mttr_hist.count(), 1u);
 }
 
+// A fast-forwarded run's window spans the modeled time it skipped: the
+// CPU percentages over it read the same as the event-exact run's.
+TEST(Runner, FastForwardWindowMatchesExact) {
+  const TransferParams exact{.rig = Rig::kWan, .bytes = 64ull << 30};
+  TransferParams ff = exact;
+  ff.fast_forward = true;
+  const auto e = run_transfer(exact);
+  const auto f = run_transfer(ff);
+  ASSERT_GT(f.transfer.ff_spans, 0u);
+  EXPECT_EQ(f.window, e.window);
+  EXPECT_EQ(f.end, e.end);
+}
+
 }  // namespace
 }  // namespace e2e::exp

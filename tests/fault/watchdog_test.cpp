@@ -95,7 +95,7 @@ struct WatchdogTest : ::testing::Test {
   sim::Engine eng;
   Watchdog wd{eng};
   int deaths = 0;
-  Deadline dl{10 * sim::kMillisecond, 3, 0};
+  Deadline dl{10 * sim::kMillisecond, 3};
 
   void arm() {
     wd.arm(dl, [this] { ++deaths; });
@@ -137,17 +137,6 @@ TEST_F(WatchdogTest, SlowPeerIsAFalseSuspicionNotADeath) {
   EXPECT_EQ(wd.suspicions(), 1u);
   EXPECT_EQ(wd.false_suspicions(), 1u);
   EXPECT_EQ(false_suspects, 1);
-}
-
-TEST_F(WatchdogTest, HardDeadlineOverridesQuietBudget) {
-  dl.max_quiet = 1000;  // quiet accounting alone would never fire
-  dl.hard = 35 * sim::kMillisecond;
-  arm();
-  eng.run();
-  EXPECT_EQ(deaths, 1);
-  EXPECT_TRUE(wd.declared_dead());
-  // First check at/after the hard cap: 40 ms.
-  EXPECT_EQ(eng.now(), 40 * sim::kMillisecond);
 }
 
 TEST_F(WatchdogTest, DisarmStopsChecksAndRearmStartsFresh) {

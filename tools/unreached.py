@@ -43,8 +43,8 @@ REASONS = ["violation report", "recovery path",
            "invariant checked by a canary", "input validation", "test seam",
            "benchmark driver"]
 
-# CLI cases beyond tools/golden_single_engine.sh's (which run as they are):
-# (arguments, expected exit code).
+# CLI cases beyond the golden ledger's (tests/golden/cli/, which run as
+# recorded): (arguments, expected exit code).
 CHAOS_PLAN = ("loss@500ms:n=5;flap@1s:dur=20ms;qpkill@1500ms:qp=0;"
               "crash@1s:host=1,down=50ms")
 
@@ -78,6 +78,17 @@ def cli_matrix():
         (["quick", "--gib", "16", "--block", "3m", "--fast-forward", "1",
           "--audit", "0"], 0),
     ]
+    return cases
+
+
+def ledger_cases():
+    """The golden ledger's CLI cases: a transcript's first two lines are
+    `== <arguments>` and `exit: <code>` (tools/golden.sh)."""
+    cases = []
+    for f in sorted((ROOT / "tests" / "golden" / "cli").glob("*.txt")):
+        head, code = f.read_text().split("\n")[:2]
+        cases.append((head.removeprefix("== ").split(),
+                      int(code.removeprefix("exit: "))))
     return cases
 
 
@@ -140,9 +151,8 @@ def run_matrix():
     work = BUILD / "reach-runs"
     jobs_list = [([bench, row], 0) for row in bench_rows(bench)]
     jobs_list += [([BUILD / "examples" / e], 0) for e in EXAMPLES]
-    jobs_list.append((["sh", ROOT / "tools" / "golden_single_engine.sh",
-                       cli], None))
-    jobs_list += [([cli, *args], rc) for args, rc in cli_matrix()]
+    jobs_list += [([cli, *args], rc)
+                  for args, rc in ledger_cases() + cli_matrix()]
     with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
         futs = [pool.submit(run_case, a, rc, work / str(i))
                 for i, (a, rc) in enumerate(jobs_list)]
