@@ -396,8 +396,8 @@ BidirRun run_e2e_bidir(App app, std::uint64_t bytes) {
   wg.add(2);
   sim::co_spawn(run_then_done(std::move(fwd), &wg));
   sim::co_spawn(run_then_done(std::move(rev), &wg));
-  // Both directions done: the engine then drains idle watchdog ticks,
-  // which are not transfer time.
+  // The window closes when both directions complete, not when the engine
+  // drains: a GridFTP direction's drain trails its completion by 90-133 ms.
   const sim::SimTime end = run_task(
       tb.eng,
       [](sim::WaitGroup& w, sim::Engine& eng) -> sim::Task<sim::SimTime> {

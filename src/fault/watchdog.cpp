@@ -9,6 +9,7 @@ constexpr obs::Incident kVerdict{};  // instant named per verdict
 }  // namespace
 
 void Watchdog::arm(const Deadline& dl, std::function<void()> on_dead) {
+  disarm();
   dl_ = dl;
   on_dead_ = std::move(on_dead);
   armed_ = true;
@@ -17,28 +18,16 @@ void Watchdog::arm(const Deadline& dl, std::function<void()> on_dead) {
   quiet_count_ = 0;
   last_kick_ = eng_.now();
   last_seen_kick_ = eng_.now();
-  schedule_check(sim::Engine::saturating_add(eng_.now(), dl_.quiet));
+  schedule_check();
 }
 
-void Watchdog::skip(sim::SimDuration d) {
-  if (!armed_) return;  // armed: the check in check_slot_ is pending
-  // The event-exact run checks at every `quiet` in modeled time; after d
-  // more modeled time, those checks sit at next_check_ - d + n * quiet on
-  // the event clock.
-  eng_.retract(check_slot_);
-  sim::SimTime t = next_check_ - d % dl_.quiet;
-  if (t <= eng_.now()) t += dl_.quiet;
-  schedule_check(t);
+void Watchdog::schedule_check() {
+  check_slot_ =
+      eng_.schedule_at(sim::Engine::saturating_add(eng_.now(), dl_.quiet),
+                       [this] { check(); });
 }
 
-void Watchdog::schedule_check(sim::SimTime t) {
-  next_check_ = t;
-  const std::uint64_t gen = ++generation_;
-  check_slot_ = eng_.schedule_at(t, [this, gen] { check(gen); });
-}
-
-void Watchdog::check(std::uint64_t gen) {
-  if (!armed_ || gen != generation_) return;  // stale timer after disarm
+void Watchdog::check() {
   const bool progressed = last_kick_ > last_seen_kick_;
   last_seen_kick_ = last_kick_;
   if (progressed) {
@@ -60,12 +49,11 @@ void Watchdog::check(std::uint64_t gen) {
   if (quiet_count_ >= dl_.max_quiet) {
     dead_ = true;
     armed_ = false;
-    ++generation_;
     obs_.report(eng_, kVerdict, verdict_, {.event = "declared-dead"});
     if (on_dead_) on_dead_();
     return;
   }
-  schedule_check(sim::Engine::saturating_add(eng_.now(), dl_.quiet));
+  schedule_check();
 }
 
 }  // namespace e2e::fault

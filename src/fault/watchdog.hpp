@@ -37,10 +37,14 @@ struct Deadline {
 /// every `deadline.quiet`; callers kick() on every unit of forward
 /// progress (block drained, command completed, byte acked). Suspicions
 /// that clear are false suspicions (slow peer, not dead); suspicions
-/// that stack to `max_quiet` fire on_dead once and disarm. disarm() is
-/// idempotent and must be called before the owner is destroyed — a
-/// pending check holds only a generation counter, so stale timer events
-/// after disarm are no-ops (the engine still drains them).
+/// that stack to `max_quiet` fire on_dead once and disarm.
+///
+/// Armed exactly when one check is pending: disarm() retracts it
+/// (Engine::retract), so a disarmed watchdog leaves nothing queued and an
+/// engine drains when its last real event runs. arm() on an armed
+/// watchdog replaces its check. disarm() is idempotent and must be called
+/// before the owner is destroyed; the false-suspect handler, which runs
+/// inside a check, must not call it.
 class Watchdog {
  public:
   explicit Watchdog(sim::Engine& eng) : eng_(eng) {}
@@ -57,12 +61,10 @@ class Watchdog {
   /// Records forward progress; clears an in-flight suspicion lazily (the
   /// next check notices and counts the false suspicion).
   void kick() noexcept { last_kick_ = eng_.now(); }
-  void disarm() noexcept { armed_ = false; ++generation_; }
-  /// A fast-forward collapsed `d` of modeled time (Engine::skip_time):
-  /// retracts the pending check and reschedules it on the modeled-time
-  /// phase the event-exact run keeps, so later checks, and the stale one
-  /// left after disarm(), fall at the same modeled times.
-  void skip(sim::SimDuration d);
+  void disarm() noexcept {
+    if (armed_) eng_.retract(check_slot_);
+    armed_ = false;
+  }
 
   [[nodiscard]] bool armed() const noexcept { return armed_; }
   [[nodiscard]] bool declared_dead() const noexcept { return dead_; }
@@ -74,22 +76,20 @@ class Watchdog {
   }
 
  private:
-  void check(std::uint64_t gen);
-  void schedule_check(sim::SimTime t);
+  void check();
+  void schedule_check();
 
   sim::Engine& eng_;
   Deadline dl_{};
   std::function<void()> on_dead_;
   std::function<void()> on_false_suspect_;
-  sim::SimTime next_check_ = 0;  // event-clock time of the latest check
-  std::uint32_t check_slot_ = 0;  // its Engine::schedule_at slot
+  std::uint32_t check_slot_ = 0;  // the pending check's schedule_at slot
   sim::SimTime last_kick_ = 0;
   sim::SimTime last_seen_kick_ = 0;
   int quiet_count_ = 0;
   bool suspicious_ = false;
   bool armed_ = false;
   bool dead_ = false;
-  std::uint64_t generation_ = 0;
   std::uint64_t suspicions_ = 0;
   std::uint64_t false_suspicions_ = 0;
   // Verdicts trace as instants on the shared "fault/watchdog" track.

@@ -29,8 +29,8 @@ class ThroughputMeter {
         name_(std::move(name)) {}
 
   /// Records `bytes` delivered at the current *modeled* time
-  /// (Engine::virtual_now — identical to now() except on fast-forwarded
-  /// runs, where bins must land where the collapsed span modeled them).
+  /// (Engine::virtual_now — identical to now() unless a fast-forward
+  /// skipped time, which a metered RFTP session never does).
   ///
   /// Bins are stored sparsely (one entry per bin that saw traffic), so a
   /// record arriving after a long idle gap appends one entry instead of
@@ -38,13 +38,8 @@ class ThroughputMeter {
   /// 1 ms bins would otherwise allocate gigabytes. Engine time is
   /// non-decreasing, so the append-or-accumulate-at-tail fast path covers
   /// every call.
-  void record(std::uint64_t bytes) { record_at(eng_.virtual_now(), bytes); }
-
-  /// Records `bytes` delivered at explicit modeled time `t` (must be
-  /// non-decreasing across calls). A fast-forward collapse uses this to
-  /// place each bin's collapsed bytes at their analytically known delivery
-  /// time.
-  void record_at(sim::SimTime t, std::uint64_t bytes) {
+  void record(std::uint64_t bytes) {
+    const sim::SimTime t = eng_.virtual_now();
     const std::uint64_t bin = t / bin_width_;
     if (!bins_.empty() && bins_.back().index == bin) {
       bins_.back().bytes += bytes;

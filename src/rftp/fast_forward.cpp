@@ -104,8 +104,10 @@ void FastForward::on_claim(numa::NodeId node, const ClaimDecision& d) {
 bool FastForward::quiet_ok() const noexcept {
   // No perturbation in flight: scripted faults settled, no crash or
   // failover pending, no grant-retry pacing delay waiting to fire against
-  // a collapsed-away work-point.
-  return eng_.virtual_now() >= sess_.cfg_.ff_quiet_after && !sess_.crashed_ &&
+  // a collapsed-away work-point. A throughput meter records every drain,
+  // so a metered run stays event-exact, as a traced one does.
+  return sess_.meter_ == nullptr &&
+         eng_.virtual_now() >= sess_.cfg_.ff_quiet_after && !sess_.crashed_ &&
          !sess_.resume_pending_ && !sess_.transfer_failed_ &&
          sess_.alive_streams_ == sess_.cfg_.streams &&
          sess_.ff_grant_retries_pending_ == 0;
@@ -211,13 +213,10 @@ void FastForward::collapse() {
           ? static_cast<std::uint64_t>(sess_.cfg_.checkpoint_blocks)
           : 0;
 
-  // Window-2 claim pattern and drain-record times, in order.
+  // Window-2 claim pattern, in order.
   std::vector<PatternClaim> pattern(period_);
   for (std::size_t j = 0; j < period_; ++j)
     pattern[j] = claims_[(b_.claims_seen + j) % cap_];
-  std::vector<sim::SimTime> when(period_);
-  for (std::size_t j = 0; j < period_; ++j)
-    when[j] = drains_[(n - period_ + 1 + j) % cap_].at;
 
   // Check the span in closed form. The partial final block, if still
   // queued, must be claimed event-exactly.
@@ -288,36 +287,6 @@ void FastForward::collapse() {
     queues[q].pop_front_n(k * front[q], drain_run);
     queues[q].pop_back_n(k * back[q], drain_run);
   }
-  if (sess_.meter_ != nullptr) {
-    // One meter update per bin the span touches, landing at the bin's last
-    // drain time: the bins, total and last time the per-drain records
-    // record_at(when[j] + c * P) would leave (the meter recorded the
-    // verified windows' drains, so its first time is already set). Drain i
-    // of the span is slot i % R of period i / R + 1; times never decrease
-    // in i, so the drains before a bin's end x are a prefix. Slot j has
-    // clamp(floor((e - o_j) / P), 0, k) of them, where e = x - 1 - when[0]
-    // and o_j = when[j] - when[0] lies in [0, P]: with e = q * P + r, that
-    // is q for the m slots with o_j <= r and q - 1 for the rest.
-    const sim::SimDuration width = sess_.meter_->bin_width();
-    for (std::uint64_t i = 0; i < kr;) {
-      const sim::SimTime t = when[i % period_] + (i / period_ + 1) * period_ns;
-      const std::uint64_t e = (t / width + 1) * width - 1 - when[0];
-      const std::uint64_t q = e / period_ns;  // >= 1: t >= when[0] + P
-      std::uint64_t next = kr;
-      if (q <= k) {
-        const auto m = static_cast<std::uint64_t>(
-            std::upper_bound(when.begin(), when.end(),
-                             when[0] + e % period_ns) -
-            when.begin());
-        next = m * q + (period_ - m) * (q - 1);
-      }
-      const std::uint64_t last = next - 1;
-      sess_.meter_->record_at(
-          when[last % period_] + (last / period_ + 1) * period_ns,
-          (next - i) * bb);
-      i = next;
-    }
-  }
   sess_.delivered_bytes_ += bb * kr;
   sess_.blocks_done_ += kr;
   sess_.done_->done(static_cast<std::int64_t>(kr));
@@ -338,7 +307,6 @@ void FastForward::collapse() {
 
   const sim::SimDuration span = static_cast<sim::SimDuration>(k) * period_ns;
   eng_.skip_time(span);
-  sess_.watchdog_.skip(span);
   ++spans_;
   blocks_ += kr;
   skipped_ += span;

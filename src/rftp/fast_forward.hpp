@@ -43,24 +43,25 @@
 // and each popped run lands in the drained set (RunSet::insert_run), the
 // auditor's block ledger and the XOR sink digest (fault::rftp_range_tag,
 // so every pop still XORs its own tag, a duplicate included) once.
-// Claim counters, delivered bytes and the WaitGroup advance once per span,
-// the throughput meter once per bin the span's drain times (the pattern
-// times + c*P) touch. Then ff_advance(k) every ledger, fold D2 * k into
-// the session scalars, advance checkpoint bookkeeping analytically, and
-// finally Engine::skip_time(k*P), moving the session watchdog's pending
-// check with it (Watchdog::skip). Apart from that check the event heap
-// never moves: in-flight latency measurements stay event-exact, and the
-// live pipeline resumes at the same event clock against the shifted
-// work-point — exactly the state the event-exact run reaches at t + k*P
-// (modulo which block indices are in flight, which no final metric
-// observes). The collapse costs O(pattern + runs popped + meter bins
-// touched), not O(k).
+// Claim counters, delivered bytes and the WaitGroup advance once per span.
+// Then ff_advance(k) every ledger, fold D2 * k into the session scalars,
+// advance checkpoint bookkeeping analytically, and finally
+// Engine::skip_time(k*P). The event heap never moves: in-flight latency
+// measurements stay event-exact, and the live pipeline resumes at the same
+// event clock against the shifted work-point — exactly the state the
+// event-exact run reaches at t + k*P (modulo which block indices are in
+// flight, which no final metric observes). The session watchdog's pending
+// check stays on the event clock too: past the quiet horizon every check
+// sees progress, so none reports a verdict, and disarm() retracts the last
+// one when the transfer ends. The collapse costs O(pattern + runs popped),
+// not O(k).
 //
 // Quiet guards (checked at arm and re-checked at collapse): no Cluster
 // shard, virtual time past cfg.ff_quiet_after (every scripted fault has
-// fired and settled), no crash/resume/failover in progress, and no
-// grant-retry pacing delay pending. An installed tracer refuses through its
-// own ff_repeats(): traces are exempt from equivalence and would diverge.
+// fired and settled), no crash/resume/failover in progress, no
+// grant-retry pacing delay pending, and no ThroughputMeter attached (it
+// records every drain). An installed tracer refuses through its own
+// ff_repeats(): traces are exempt from equivalence and would diverge.
 #pragma once
 
 #include <cstddef>

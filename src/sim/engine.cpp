@@ -128,7 +128,10 @@ void Engine::dispatch(Store s, Event top) {
   const auto slot = static_cast<std::uint32_t>(top.payload >> 1);
   EventFn fn = std::move(slots_[slot]);
   free_slots_.push_back(slot);
-  if (!fn) return;  // retracted
+  if (!fn) {  // retracted
+    --retracted_;
+    return;
+  }
   now_ = top.t;
   ++events_processed_;
   ++closure_events_;

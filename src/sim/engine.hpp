@@ -141,10 +141,14 @@ class Engine {
 
   /// Drops the closure in `slot` (returned by schedule_at) while its event
   /// is still pending: the event drains without running, without moving
-  /// now() and without counting as processed. The slot is recycled once
-  /// the event drains, so a slot whose event already ran must not be
-  /// passed.
-  void retract(std::uint32_t slot) noexcept { slots_[slot] = EventFn{}; }
+  /// now() and without counting as processed, and idle() already ignores
+  /// it. The slot is recycled once the event drains, so a slot whose event
+  /// already ran, or was already retracted, must not be passed.
+  void retract(std::uint32_t slot) noexcept {
+    assert(slots_[slot] && "retracting an event that ran or was retracted");
+    slots_[slot] = EventFn{};
+    ++retracted_;
+  }
 
   /// Resumes the suspended coroutine `h` at absolute time `t`: the same
   /// clamp, sequence number and store as schedule_at(), but the key carries
@@ -200,12 +204,14 @@ class Engine {
     return heap_pushes_;
   }
 
-  /// True when no events are pending.
+  /// True when no events are pending but retracted ones, which drain
+  /// without running.
   [[nodiscard]] bool idle() const noexcept {
-    return now_lane_.empty() && tail_.empty() && heap_.empty();
+    return queue_depth() == retracted_;
   }
 
-  /// Timestamp of the next pending event, or kTimeInfinity when idle.
+  /// Timestamp of the next pending event, a retracted one included, or
+  /// kTimeInfinity when none is pending.
   [[nodiscard]] SimTime next_event_time() const noexcept {
     SimTime t = kTimeInfinity;
     if (!now_lane_.empty()) t = now_lane_.front().t;
@@ -384,6 +390,7 @@ class Engine {
   std::uint64_t clamped_schedules_ = 0;
   std::uint64_t heap_pushes_ = 0;
   std::uint64_t closure_events_ = 0;
+  std::size_t retracted_ = 0;  // retracted events still pending
   bool stopped_ = false;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 #include "exp/scenarios.hpp"
@@ -102,6 +103,23 @@ TEST(Runner, FastForwardWindowMatchesExact) {
   ASSERT_GT(f.transfer.ff_spans, 0u);
   EXPECT_EQ(f.window, e.window);
   EXPECT_EQ(f.end, e.end);
+}
+
+// A finished session leaves no watchdog check queued, so the window, which
+// also holds the connection set-up, ends when the transfer does. A traced
+// run's resource sampler stops within one 10 ms period of it.
+TEST(Runner, TransferWindowEndsAtCompletion) {
+  TransferParams p{.rig = Rig::kQuick, .bytes = 1ull << 30};
+  const auto plain = run_transfer(p);
+  ASSERT_TRUE(plain.transfer.complete);
+  EXPECT_LT(sim::to_seconds(plain.window) - plain.transfer.elapsed_s, 0.005);
+
+  std::ostream discard(nullptr);
+  p.obs.trace = &discard;
+  const auto traced = run_transfer(p);
+  ASSERT_TRUE(traced.transfer.complete);
+  EXPECT_GE(traced.window, plain.window);
+  EXPECT_LE(traced.window, plain.window + 10 * sim::kMillisecond);
 }
 
 }  // namespace

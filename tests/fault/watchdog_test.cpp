@@ -149,9 +149,14 @@ TEST_F(WatchdogTest, DisarmStopsChecksAndRearmStartsFresh) {
   // Re-arm after a disarm: full quiet budget again.
   arm();
   EXPECT_TRUE(wd.armed());
+  // Arming while armed replaces the pending check: the budget restarts at
+  // 20 ms, and one check stacks 30/40/50 ms to it.
+  eng.schedule_at(20 * sim::kMillisecond, [this] { arm(); });
   eng.run();
   EXPECT_EQ(deaths, 1);
   EXPECT_TRUE(wd.declared_dead());
+  EXPECT_EQ(wd.suspicions(), 4u);  // the first arm's 10 ms check, then 3
+  EXPECT_EQ(eng.now(), 50 * sim::kMillisecond);
 }
 
 TEST_F(WatchdogTest, KickAfterSuspicionResetsQuietBudget) {
@@ -166,37 +171,14 @@ TEST_F(WatchdogTest, KickAfterSuspicionResetsQuietBudget) {
   EXPECT_EQ(wd.false_suspicions(), 1u);
 }
 
-// A fast-forward collapse at 3 ms absorbs 26 ms of modeled time: modeled
-// checks stay at 10, 20, 30 ms..., so the next one moves to event time
-// 4 ms (modeled 30 ms) and the one pending at 10 ms is retracted.
-
-TEST_F(WatchdogTest, SkipKeepsTheModeledCheckPhaseForTheStaleCheck) {
+TEST_F(WatchdogTest, DisarmEndsTheRunAtTheDisarm) {
+  // The check pending at 20 ms is retracted, not left to drain.
   arm();
-  eng.schedule_at(3 * sim::kMillisecond, [this] {
-    wd.kick();
-    eng.skip_time(26 * sim::kMillisecond);
-    wd.skip(26 * sim::kMillisecond);
-  });
-  // Disarmed at modeled 29.5 ms: the run ends on the stale check at
-  // modeled 30 ms, as an event-exact run disarmed then does.
-  eng.schedule_at(3'500'000, [this] { wd.disarm(); });
+  eng.schedule_after(15 * sim::kMillisecond, [this] { wd.disarm(); });
   eng.run();
-  EXPECT_EQ(eng.virtual_now(), 30 * sim::kMillisecond);
-  EXPECT_EQ(deaths, 0);
-  EXPECT_EQ(wd.suspicions(), 0u);
-}
-
-TEST_F(WatchdogTest, SkipKeepsTheModeledCheckPhaseForADeath) {
-  arm();
-  eng.schedule_at(3 * sim::kMillisecond, [this] {
-    wd.kick();
-    eng.skip_time(26 * sim::kMillisecond);
-    wd.skip(26 * sim::kMillisecond);
-  });
-  eng.run();  // 30 ms sees the kick; 40/50/60 ms stack to the budget
-  EXPECT_EQ(deaths, 1);
-  EXPECT_EQ(wd.suspicions(), 3u);
-  EXPECT_EQ(eng.virtual_now(), 60 * sim::kMillisecond);
+  EXPECT_EQ(eng.now(), 15 * sim::kMillisecond);
+  EXPECT_TRUE(eng.idle());
+  EXPECT_EQ(wd.suspicions(), 1u);  // the 10 ms check
 }
 
 }  // namespace

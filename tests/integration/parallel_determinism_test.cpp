@@ -22,16 +22,16 @@ namespace {
 // the outputs across commits.
 constexpr const char* kTinyFleet4Digest =
     "fleet-v1 pairs=4 bytes=8388608 seed=0 complete=1 integrity=1"
-    " audit_viol=0 ring=32 events=1920 windows=38 cross=32"
-    " t=[502187343,502187343,502187343,502187343]"
+    " audit_viol=0 ring=32 events=1916 windows=38 cross=32"
+    " t=[4556705,4556705,4556705,4556705]"
     " gbps=[29.4171071,29.4171071,29.4171071,29.4171071]"
-    " stats_fnv=2173652279729502726 trace_fnv=18256530538551028774";
+    " stats_fnv=9832241002305947942 trace_fnv=18256530538551028774";
 constexpr const char* kTinyFleet4ChaosDigest =
     "fleet-v1 pairs=4 bytes=33554432 seed=20260809 complete=1"
-    " integrity=1 audit_viol=0 ring=32 events=4584 windows=366"
-    " cross=32 t=[2256226967,2281068313,2432627113,2173214803]"
+    " integrity=1 audit_viol=0 ring=32 events=4580 windows=366"
+    " cross=32 t=[1764164728,1789850338,1940564874,1931924572]"
     " gbps=[34.1969674,30.8761214,34.1969674,27.5338749]"
-    " stats_fnv=9974140575125026399 trace_fnv=9111714202280270616";
+    " stats_fnv=5162691850025446337 trace_fnv=9111714202280270616";
 
 exp::FleetParams tiny_fleet(int pairs, int shards) {
   exp::FleetParams p;

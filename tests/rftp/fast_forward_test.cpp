@@ -448,19 +448,15 @@ TEST(FastForwardGolden, SteadyStealingCollapses) {
   EXPECT_GT(o.stolen_claims, 0u);
 }
 
-TEST(FastForwardGolden, ThroughputMeterMatches) {
-  // Bins wider than a period (many drains per bin), about a third of one,
-  // and narrower than one block's drain gap (sparse bins between drains).
-  for (const sim::SimDuration bin :
-       {sim::kMillisecond, 333 * sim::kMicrosecond, 20 * sim::kMicrosecond,
-        7 * sim::kMicrosecond}) {
-    SCOPED_TRACE(::testing::Message() << "bin=" << bin);
-    Case c{kMedium + 12345, "", 0};
-    c.meter_bin = bin;
-    const Outcome o = expect_equivalent(c, /*require_engagement=*/true);
-    EXPECT_EQ(o.meter_bytes, kMedium + 12345);
-    EXPECT_GT(o.meter_series.size(), 1u);
-  }
+TEST(FastForwardGolden, ThroughputMeterPinsTheRunToEventExact) {
+  // A meter records every drain, so an attached one refuses every
+  // collapse, as a tracer does, and reads what the exact run's reads.
+  Case c{kMedium + 12345, "", 0};
+  c.meter_bin = 333 * sim::kMicrosecond;
+  const Outcome o = expect_equivalent(c, /*require_engagement=*/false);
+  EXPECT_EQ(o.ff_spans, 0u);
+  EXPECT_EQ(o.meter_bytes, kMedium + 12345);
+  EXPECT_GT(o.meter_series.size(), 1u);
 }
 
 // The WAN rig: 64 GiB over the 95 ms loop, ~16k blocks of 4 MiB.

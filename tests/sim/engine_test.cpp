@@ -122,6 +122,19 @@ TEST(Engine, RetractedEventDrainsWithoutRunningOrMovingTheClock) {
   EXPECT_EQ(eng.now(), 40u);
 }
 
+TEST(Engine, IdleIgnoresRetractedEvents) {
+  Engine eng;
+  eng.schedule_at(10, [] {});
+  eng.retract(eng.schedule_at(30, [] {}));
+  EXPECT_FALSE(eng.idle());
+  eng.run_until(10);
+  EXPECT_TRUE(eng.idle());  // only the retracted event is pending
+  EXPECT_EQ(eng.queue_depth(), 1u);
+  eng.run();
+  EXPECT_TRUE(eng.idle());
+  EXPECT_EQ(eng.now(), 10u);
+}
+
 TEST(Engine, SaturatingAddCapsAtInfinity) {
   EXPECT_EQ(Engine::saturating_add(kTimeInfinity, 1), kTimeInfinity);
   EXPECT_EQ(Engine::saturating_add(kTimeInfinity - 5, 10), kTimeInfinity);
