@@ -204,11 +204,11 @@ BENCHMARK(BM_ThreadBookCopy);
 constexpr std::uint64_t kTagBlocks = 1ull << 20;
 constexpr std::uint64_t kTagBlockBytes = 4ull << 20;
 
-void tag_counters(benchmark::State& state) {
+void tag_counters(benchmark::State& state, std::uint64_t blocks) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
-                                                    kTagBlocks));
+                                                    blocks));
   state.counters["per_block"] = benchmark::Counter(
-      static_cast<double>(kTagBlocks),
+      static_cast<double>(blocks),
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
 }
@@ -224,7 +224,7 @@ void BM_RftpBlockTagLoop(benchmark::State& state) {
     benchmark::DoNotOptimize(t);
     lo += kTagBlocks;
   }
-  tag_counters(state);
+  tag_counters(state, kTagBlocks);
 }
 BENCHMARK(BM_RftpBlockTagLoop);
 
@@ -236,9 +236,46 @@ void BM_RftpRangeTag(benchmark::State& state) {
     benchmark::DoNotOptimize(fault::rftp_range_tag(lo, lo + kTagBlocks, bytes));
     lo += kTagBlocks;
   }
-  tag_counters(state);
+  tag_counters(state, kTagBlocks);
 }
 BENCHMARK(BM_RftpRangeTag);
+
+// ---------------------------------------------------------------------------
+// SCSI block tags of 4 MiB commands (8,192 LBAs) walking a 128 GiB LUN, as
+// perfbench e2e-san issues them: the per-LBA XOR loop that block_range_tag
+// replaced (eight seeded FNV rounds per block) against block_range_tag,
+// which the initiator, the target and the LUN's write ledger call once per
+// command each. per_block is one LBA's tag, in seconds.
+
+constexpr std::uint32_t kCmdBlocks = 8192;
+constexpr std::uint64_t kLunBlocks = 1ull << 28;
+
+void BM_BlockTagLoop(benchmark::State& state) {
+  std::uint32_t blocks = kCmdBlocks;
+  benchmark::DoNotOptimize(blocks);  // a run-time size, as in a command
+  std::uint64_t lba = 0;
+  for (auto _ : state) {
+    std::uint64_t t = 0;
+    for (std::uint32_t i = 0; i < blocks; ++i)
+      t ^= fault::fnv64_seeded(fault::detail::kBlockTagSeed, lba + i);
+    benchmark::DoNotOptimize(t);
+    lba = (lba + blocks) % kLunBlocks;
+  }
+  tag_counters(state, kCmdBlocks);
+}
+BENCHMARK(BM_BlockTagLoop);
+
+void BM_BlockRangeTag(benchmark::State& state) {
+  std::uint32_t blocks = kCmdBlocks;
+  benchmark::DoNotOptimize(blocks);
+  std::uint64_t lba = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fault::block_range_tag(lba, blocks));
+    lba = (lba + blocks) % kLunBlocks;
+  }
+  tag_counters(state, kCmdBlocks);
+}
+BENCHMARK(BM_BlockRangeTag);
 
 // ---------------------------------------------------------------------------
 // sim::Channel queue throughput: fill/drain cycles sized to straddle a

@@ -10,18 +10,15 @@
 // (rdma::SendWr::content_tag, rftp::DataHeader::checksum) and sinks verify
 // them against the analytically-known expected value.
 //
-// Tag math is on the per-command hot path (a 1 MiB WRITE tags 2048 blocks,
-// at several protocol layers), so the FNV prefixes over domain-separation
-// constants are folded into precomputed seeds — same values, half the
-// rounds. block_range_tag_cached memoizes a command's range tag for the
-// layers that recompute it, where its slot index lets it hit.
-//
-// RFTP tags are hashed per run as well as per block: the end-of-run
-// integrity pass, the fast-forward collapse and the auditor's analytic
-// digest each XOR the tags of whole index runs (a TB-scale transfer has
-// millions of blocks), so rftp_range_tag computes that XOR bit for bit
-// with the index's fixed high bytes and the constant block size compiled
-// once into a few folded FNV steps.
+// Tags are hashed by range, not block by block: a 4 MiB SCSI command
+// covers 8,192 LBAs and is tagged at several protocol layers, and the
+// RFTP end-of-run integrity pass, fast-forward collapse and auditor digest
+// each XOR the tags of whole index runs (a TB-scale transfer has millions
+// of blocks). The FNV prefix over each domain constant is folded into a
+// precomputed seed, and one chunk walker (detail::xor_chunks) compiles an
+// index's fixed high bytes once per 256 indices, so block_range_tag and
+// rftp_range_tag equal the XOR of their per-block tags bit for bit at a
+// fraction of the multiplies.
 #pragma once
 
 #include <algorithm>
@@ -59,68 +56,17 @@ namespace detail {
 /// its 8 rounds are folded into this seed at compile time.
 inline constexpr std::uint64_t kBlockTagSeed =
     fnv64_seeded(kFnvOffset, 0x5C51B10CULL);  // "scsi block"
-}  // namespace detail
 
-/// Tag of one 512-byte logical block at `lba`. Domain-separated from raw
-/// fnv64 so LBA tags never collide with offset-derived tags.
-[[nodiscard]] constexpr std::uint64_t block_tag(std::uint64_t lba) noexcept {
-  return fnv64_seeded(detail::kBlockTagSeed, lba);
-}
-
-/// XOR-composed tag of `blocks` consecutive logical blocks starting at
-/// `lba`. block_range_tag(l, m) ^ block_range_tag(l + m, n) ==
-/// block_range_tag(l, m + n), so any chunking of an I/O composes.
-[[nodiscard]] constexpr std::uint64_t block_range_tag(
-    std::uint64_t lba, std::uint32_t blocks) noexcept {
-  std::uint64_t t = 0;
-  for (std::uint32_t i = 0; i < blocks; ++i) t ^= block_tag(lba + i);
-  return t;
-}
-
-/// block_range_tag through a thread-local memo table. One command's range
-/// tag is needed at every layer it crosses (initiator content tag, target
-/// staging tag, LUN write ledger); a layer hits the memo only when the
-/// command's slot still holds it. The slot is (lba ^ blocks) & 63, which is
-/// 0 for every 64-block-aligned command of a multiple of 64 blocks (any
-/// 4 MiB command), so such commands share one slot and mostly miss.
-/// Values are identical to block_range_tag — the cache only
-/// short-circuits recomputation, so determinism is unaffected.
-[[nodiscard]] inline std::uint64_t block_range_tag_cached(
-    std::uint64_t lba, std::uint32_t blocks) noexcept {
-  struct Entry {
-    std::uint64_t lba = ~0ULL;
-    std::uint32_t blocks = 0;
-    std::uint64_t tag = 0;
-  };
-  // Direct-mapped, sized for the handful of commands in flight at once.
-  static thread_local Entry cache[64];
-  Entry& e = cache[(lba ^ blocks) & 63];
-  if (e.lba != lba || e.blocks != blocks) {
-    e.lba = lba;
-    e.blocks = blocks;
-    e.tag = block_range_tag(lba, blocks);
-  }
-  return e.tag;
-}
-
-/// Tag of one RFTP block: `bytes` of payload at byte `offset` of the
-/// transfer, carried in rftp::DataHeader::checksum and XOR-accumulated into
-/// the sink digest.
-[[nodiscard]] constexpr std::uint64_t rftp_block_tag(
-    std::uint64_t offset, std::uint64_t bytes) noexcept {
-  return mix64(0x2F7BULL ^ fnv64(offset), bytes);  // "rftp"
-}
-
-namespace detail {
-/// FNV-1a state after one byte from the offset basis: kFnvLowByte[b] ==
-/// (kFnvOffset ^ b) * kFnvPrime. Both hashes inside rftp_block_tag start
-/// from the basis, so this table replaces the first round of each. Built
-/// by an immediate (consteval) lambda: no code for it exists at run time.
-inline constexpr std::array<std::uint64_t, 256> kFnvLowByte = []() consteval {
+/// FNV-1a state after one byte from `seed`: t[b] == (seed ^ b) * kFnvPrime.
+/// Immediate (consteval): no code for it exists at run time.
+consteval std::array<std::uint64_t, 256> first_round(std::uint64_t seed) {
   std::array<std::uint64_t, 256> t{};
-  for (std::uint64_t b = 0; b < 256; ++b) t[b] = (kFnvOffset ^ b) * kFnvPrime;
+  for (std::uint64_t b = 0; b < 256; ++b) t[b] = (seed ^ b) * kFnvPrime;
   return t;
-}();
+}
+/// Both hashes inside rftp_block_tag start from the offset basis.
+inline constexpr auto kFnvLowByte = first_round(kFnvOffset);
+inline constexpr auto kBlockLowByte = first_round(kBlockTagSeed);
 
 /// FNV-1a rounds over fixed bytes, compiled into h = (h ^ c) * m steps: a
 /// zero byte's round is a bare multiply, so each run of zero bytes folds
@@ -151,35 +97,73 @@ class FnvRounds {
   std::uint64_t mul_[8] = {};
   int n_ = 0;
 };
+
+/// XOR of per(rounds, b) over the `n` indices from `lo`, modulo 2^64, so a
+/// run may wrap past UINT64_MAX to 0. The walk goes by 256-aligned chunks:
+/// inside one, an index's bytes 1-7 are fixed, so `rounds` is their FNV
+/// rounds compiled once per chunk and `b` is the index's byte 0. Every byte
+/// carry is a chunk boundary, crossed here and nowhere else.
+template <class PerIndex>
+[[nodiscard]] constexpr std::uint64_t xor_chunks(std::uint64_t lo,
+                                                 std::uint64_t n,
+                                                 PerIndex per) noexcept {
+  std::uint64_t t = 0;
+  while (n != 0) {
+    // The chunk ends at index lo | 0xFF. Count to it rather than forming
+    // (lo | 0xFF) + 1, which wraps past UINT64_MAX.
+    const std::uint64_t first = lo & 0xFF;
+    const std::uint64_t span = std::min(n, 256 - first);
+    const FnvRounds rounds(lo, 1);
+    for (std::uint64_t b = first; b < first + span; ++b) t ^= per(rounds, b);
+    lo += span;
+    n -= span;
+  }
+  return t;
+}
 }  // namespace detail
 
+/// XOR of the tags of `blocks` consecutive 512-byte logical blocks from
+/// `lba` (modulo 2^64). One block's tag is fnv64_seeded(kBlockTagSeed,
+/// lba), domain-separated from raw fnv64 so LBA tags never collide with
+/// offset-derived tags. block_range_tag(l, m) ^ block_range_tag(l + m, n)
+/// == block_range_tag(l, m + n), so any chunking of an I/O composes. The
+/// first round is a table lookup and the LBA's bytes 1-7 compile once per
+/// 256-block chunk: two or three multiplies per block instead of eight.
+[[nodiscard]] constexpr std::uint64_t block_range_tag(
+    std::uint64_t lba, std::uint32_t blocks) noexcept {
+  return detail::xor_chunks(
+      lba, blocks, [](const detail::FnvRounds& rounds, std::uint64_t b) {
+        return rounds.apply(detail::kBlockLowByte[b]);
+      });
+}
+
+/// Tag of one RFTP block: `bytes` of payload at byte `offset` of the
+/// transfer, carried in rftp::DataHeader::checksum and XOR-accumulated into
+/// the sink digest.
+[[nodiscard]] constexpr std::uint64_t rftp_block_tag(
+    std::uint64_t offset, std::uint64_t bytes) noexcept {
+  return mix64(0x2F7BULL ^ fnv64(offset), bytes);  // "rftp"
+}
+
 /// XOR of rftp_block_tag(idx, bytes) over idx in [lo, hi); 0 when the
-/// range is empty. Bit-identical to the per-block loop: within each
-/// 256-aligned chunk the index's bytes 1-7 are fixed, so fnv64(idx) is a
-/// table lookup plus that chunk's compiled rounds, and the `bytes` rounds
+/// range is empty. Bit-identical to the per-block loop: fnv64(idx) is a
+/// table lookup plus the chunk's compiled rounds, and the `bytes` rounds
 /// are compiled once per call (two steps for 4 MiB instead of eight).
 [[nodiscard]] constexpr std::uint64_t rftp_range_tag(
     std::uint64_t lo, std::uint64_t hi, std::uint64_t bytes) noexcept {
   const detail::FnvRounds size_rounds(bytes, 0);
-  std::uint64_t t = 0;
-  while (lo < hi) {
-    // The chunk's last index, without forming (lo | 0xFF) + 1, which wraps
-    // past UINT64_MAX.
-    const std::uint64_t last = std::min(hi - 1, lo | 0xFF);
-    const detail::FnvRounds idx_rounds(lo, 1);
-    for (std::uint64_t b = lo & 0xFF; b <= (last & 0xFF); ++b) {
-      const std::uint64_t a =
-          0x2F7BULL ^ idx_rounds.apply(detail::kFnvLowByte[b]);
-      std::uint64_t h = detail::kFnvLowByte[a & 0xFF];
-      for (int i = 1; i < 8; ++i) {  // mix64's rounds over a's bytes 1-7
-        h ^= (a >> (8 * i)) & 0xFF;
-        h *= kFnvPrime;
-      }
-      t ^= size_rounds.apply(h);
-    }
-    lo = last + 1;
-  }
-  return t;
+  return detail::xor_chunks(
+      lo, hi > lo ? hi - lo : 0,
+      [&](const detail::FnvRounds& idx_rounds, std::uint64_t b) {
+        const std::uint64_t a =
+            0x2F7BULL ^ idx_rounds.apply(detail::kFnvLowByte[b]);
+        std::uint64_t h = detail::kFnvLowByte[a & 0xFF];
+        for (int i = 1; i < 8; ++i) {  // mix64's rounds over a's bytes 1-7
+          h ^= (a >> (8 * i)) & 0xFF;
+          h *= kFnvPrime;
+        }
+        return size_rounds.apply(h);
+      });
 }
 
 }  // namespace e2e::fault

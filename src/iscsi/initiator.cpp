@@ -164,7 +164,7 @@ sim::Task<scsi::Status> Initiator::submit_read(numa::Thread& th,
   // range tag. A lost Data-In delivery leaves the tag short even when the
   // control path replays a GOOD response, so mismatches re-drive the whole
   // I/O under a fresh task tag (a fresh ITT defeats the replay cache).
-  const std::uint64_t expected = fault::block_range_tag_cached(lba, blocks);
+  const std::uint64_t expected = fault::block_range_tag(lba, blocks);
   auto& eng = th.host().engine();
   for (int attempt = 0;; ++attempt) {
     data.content_tag = 0;
@@ -189,7 +189,7 @@ sim::Task<scsi::Status> Initiator::submit_write(numa::Thread& th,
                                                 mem::Buffer& data) {
   // Stamp the source buffer's identity so one-sided pulls propagate it;
   // write-path integrity is verified against the LUN's written digest.
-  data.content_tag = fault::block_range_tag_cached(lba, blocks);
+  data.content_tag = fault::block_range_tag(lba, blocks);
   return submit_io(th, scsi::OpCode::kWrite16, lun, lba, blocks, data);
 }
 }  // namespace e2e::iscsi

@@ -94,7 +94,7 @@ class Lun {
     co_await fs_.write(th, backing_, lba * Cdb::kBlockSize,
                        std::uint64_t{blocks} * Cdb::kBlockSize, src,
                        metrics::CpuCategory::kOffload);
-    written_digest_ ^= fault::block_range_tag_cached(lba, blocks);
+    written_digest_ ^= fault::block_range_tag(lba, blocks);
     ++writes_executed_;
     co_return Status::kGood;
   }
