@@ -29,8 +29,8 @@ namespace e2e::exp {
 namespace {
 
 /// The observers of one run, installed in a fixed order (registry, auditor,
-/// tracer) so entity ids and event sequence numbers never depend on which
-/// are on. Without any, nothing is installed (the zero-cost path).
+/// tracer) so entity ids never depend on which are on; none schedules an
+/// event. Without any, nothing is installed (the zero-cost path).
 class Observe {
  public:
   Observe(sim::Engine& eng, const Observers& o) : o_(o) {
@@ -110,9 +110,7 @@ TransferRun drive(const TransferParams& p, const rftp::EndpointConfig& src,
                   const std::vector<net::Link*>& links,
                   rftp::DataSource& source, rftp::DataSink& sink,
                   std::uint64_t bytes) {
-  numa::Host& src_host = src.proc->host();
-  numa::Host& dst_host = dst.proc->host();
-  sim::Engine& eng = src_host.engine();
+  sim::Engine& eng = src.proc->host().engine();
   rftp::RftpConfig cfg;
   cfg.streams = p.streams_or_default();
   cfg.block_bytes = p.block_bytes;
@@ -141,15 +139,14 @@ TransferRun drive(const TransferParams& p, const rftp::EndpointConfig& src,
     inj->arm();
   }
 
-  const sim::SimTime t0 = eng.virtual_now();
   out.transfer =
       run_task(eng, sess.run(source, sink, bytes, meter ? &*meter : nullptr));
   out.end = eng.virtual_now();
-  out.window = out.end - t0;
+  out.window = out.transfer.end - out.transfer.start;
   if (meter) out.series_gbps = meter->series_gbps();
   out.sink_digest = sess.sink_digest();
-  out.src_usage = src_host.total_usage();
-  out.dst_usage = dst_host.total_usage();
+  out.src_usage = out.transfer.sender_usage;
+  out.dst_usage = out.transfer.receiver_usage;
   if (inj) {
     out.faults_injected = inj->faults_injected();
     out.messages_failed = inj->messages_failed();
@@ -275,11 +272,11 @@ Fig4Run run_fig4(std::uint64_t bytes, sim::SimDuration tcp_duration) {
                            {pair.links[0].get()}, cfg);
     rftp::ZeroSource src(bytes);
     rftp::NullSink dst;
-    const sim::SimTime t0 = pair.eng.virtual_now();
-    out.rftp.gbps = run_task(pair.eng, sess.run(src, dst, bytes)).goodput_gbps;
-    out.rftp.window = pair.eng.virtual_now() - t0;
-    out.rftp.both_ends = pair.a->total_usage();
-    out.rftp.both_ends.merge(pair.b->total_usage());
+    const auto r = run_task(pair.eng, sess.run(src, dst, bytes));
+    out.rftp.gbps = r.goodput_gbps;
+    out.rftp.window = r.end - r.start;
+    out.rftp.both_ends = r.sender_usage;
+    out.rftp.both_ends.merge(r.receiver_usage);
   }
   FrontEndPair pair;
   apps::IperfConfig cfg;

@@ -9,9 +9,9 @@
 // Like run_fleet/run_kv, a runner takes params and returns the modeled
 // numbers with the observer outputs (a trace streams into the caller's
 // ostream). It builds its rig, then installs the observers (registry,
-// auditor, tracer: after any setup-phase run, so the trace sampler arms
-// for the measured run only), then arms the fault plan, in that order:
-// entity ids and event sequence numbers follow construction order.
+// auditor, tracer: after any setup-phase run, so the trace sampler covers
+// the measured run only), then arms the fault plan, in that order: entity
+// ids follow construction order; no observer schedules an event.
 #pragma once
 
 #include <cstdint>
@@ -79,12 +79,15 @@ struct TransferRun : Observed {
   rftp::TransferResult transfer;
   std::uint64_t sink_digest = 0;
   std::vector<double> series_gbps;  // e2e only: 1-second bins
-  metrics::CpuUsage src_usage;      // sending host, since engine start
+  metrics::CpuUsage src_usage;      // sending host's CPU, see below
   metrics::CpuUsage dst_usage;      // receiving host, likewise
   // On the modeled clock (Engine::virtual_now), so a fast-forwarded run
-  // reads the same as its event-exact twin.
+  // reads the same as its event-exact twin. RFTP's window is
+  // transfer.start..end and its usages are transfer.sender/receiver_usage:
+  // the streams' set-up is in neither. GridFTP's usages run from engine
+  // start.
   sim::SimDuration window = 0;      // the transfer run alone
-  sim::SimTime end = 0;             // modeled time after it
+  sim::SimTime end = 0;             // modeled time once the engine drained
   // Observers::stats: block drain latency, crash -> negotiated resume
   // (MTTR) and resume -> first fresh drain.
   stats::Histogram drain_hist, mttr_hist, resume_hist;

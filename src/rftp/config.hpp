@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "fault/watchdog.hpp"
+#include "metrics/cpu_usage.hpp"
 #include "sim/time.hpp"
 
 namespace e2e::rftp {
@@ -51,6 +52,14 @@ struct RftpConfig {
 struct TransferResult {
   std::uint64_t bytes = 0;
   std::uint64_t blocks = 0;
+  /// Modeled times (Engine::virtual_now) the timed transfer started, after
+  /// every stream's set-up, and completed; `elapsed_s` lies between them.
+  sim::SimTime start = 0;
+  sim::SimTime end = 0;
+  /// Each host's CPU booked from `start` to `end` (numa::Host::total_usage
+  /// at both): the span a CPU figure divides by `end - start`.
+  metrics::CpuUsage sender_usage;
+  metrics::CpuUsage receiver_usage;
   double elapsed_s = 0.0;
   double goodput_gbps = 0.0;
   /// False when every stream died before the transfer drained: `bytes` and

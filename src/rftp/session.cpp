@@ -257,6 +257,8 @@ sim::Task<TransferResult> RftpSession::run(DataSource& src, DataSink& dst,
 
   for (auto& s : streams_) co_await setup_stream(*s);
   const sim::SimTime vt0 = eng_.virtual_now();
+  const metrics::CpuUsage src_cpu0 = sender_.proc->host().total_usage();
+  const metrics::CpuUsage dst_cpu0 = receiver_.proc->host().total_usage();
 
   for (auto& s : streams_) {
     // cq_spawned: a crash landed inside the setup loop above and the
@@ -293,7 +295,11 @@ sim::Task<TransferResult> RftpSession::run(DataSource& src, DataSink& dst,
   // Modeled (virtual) elapsed time: event-exact runs read the event clock;
   // fast-forwarded runs add the spans absorbed by Engine::skip_time, so the
   // reported elapsed/goodput is identical either way.
-  r.elapsed_s = sim::to_seconds(eng_.virtual_now() - vt0);
+  r.start = vt0;
+  r.end = eng_.virtual_now();
+  r.elapsed_s = sim::to_seconds(r.end - r.start);
+  r.sender_usage = sender_.proc->host().total_usage().since(src_cpu0);
+  r.receiver_usage = receiver_.proc->host().total_usage().since(dst_cpu0);
   r.goodput_gbps =
       r.elapsed_s > 0
           ? static_cast<double>(r.bytes) * 8.0 / r.elapsed_s / 1e9

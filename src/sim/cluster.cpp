@@ -81,7 +81,7 @@ void Cluster::run_sequential() {
     Engine* next = nullptr;
     SimTime next_t = kTimeInfinity;
     for (Engine* e : shards_) {  // earliest (t, rank) wins; rank = add order
-      if (e == nullptr || e->idle()) continue;
+      if (e == nullptr || e->queue_depth() == 0) continue;
       const SimTime t = e->next_event_time();
       if (next == nullptr || t < next_t) {
         next = e;

@@ -116,6 +116,9 @@ void Engine::dispatch(Store s, Event top) {
   } else {
     heap_.pop_back();
   }
+  if (top.t > sample_at_ &&
+      ((top.payload & kClosureTag) == 0 || slots_[top.payload >> 1]))
+    sample_until(top.t);  // a retracted closure never moves the clock
   if ((top.payload & kClosureTag) == 0) {
     now_ = top.t;
     ++events_processed_;
@@ -128,14 +131,21 @@ void Engine::dispatch(Store s, Event top) {
   const auto slot = static_cast<std::uint32_t>(top.payload >> 1);
   EventFn fn = std::move(slots_[slot]);
   free_slots_.push_back(slot);
-  if (!fn) {  // retracted
-    --retracted_;
-    return;
-  }
+  if (!fn) return;  // retracted
   now_ = top.t;
   ++events_processed_;
   ++closure_events_;
   fn();
+}
+
+void Engine::sample_until(SimTime t) {
+  Observer* tracer = observers_[Observer::kTrace];
+  if (tracer == nullptr) {  // uninstalled: its sampling ends with it
+    sample_at_ = kTimeInfinity;
+    return;
+  }
+  for (; sample_at_ < t; sample_at_ += sample_period_)
+    tracer->on_sample(sample_at_);
 }
 
 void Engine::run() {

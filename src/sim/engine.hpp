@@ -82,6 +82,10 @@ class Observer {
   /// The engine's virtual clock skipped `d` nanoseconds of modeled time
   /// without dispatching events (Engine::skip_time).
   virtual void on_time_skip(SimDuration d) { (void)d; }
+  /// Sampler boundary `at` passed (Engine::set_sample_period): record the
+  /// state as of `at`, after every event at t <= `at` and before any later.
+  /// Only the kTrace slot receives it.
+  virtual void on_sample(SimTime at) { (void)at; }
 
   // The fast-forward contract, shared with sim::Resource and reached
   // through Engine::ff_mark/ff_repeats/ff_advance (rftp::FastForward).
@@ -141,13 +145,12 @@ class Engine {
 
   /// Drops the closure in `slot` (returned by schedule_at) while its event
   /// is still pending: the event drains without running, without moving
-  /// now() and without counting as processed, and idle() already ignores
-  /// it. The slot is recycled once the event drains, so a slot whose event
-  /// already ran, or was already retracted, must not be passed.
+  /// now() and without counting as processed. The slot is recycled once the
+  /// event drains, so a slot whose event already ran, or was already
+  /// retracted, must not be passed.
   void retract(std::uint32_t slot) noexcept {
     assert(slots_[slot] && "retracting an event that ran or was retracted");
     slots_[slot] = EventFn{};
-    ++retracted_;
   }
 
   /// Resumes the suspended coroutine `h` at absolute time `t`: the same
@@ -202,12 +205,6 @@ class Engine {
   /// neither lane could take the event; every other call rode a lane.
   [[nodiscard]] std::uint64_t heap_pushes() const noexcept {
     return heap_pushes_;
-  }
-
-  /// True when no events are pending but retracted ones, which drain
-  /// without running.
-  [[nodiscard]] bool idle() const noexcept {
-    return queue_depth() == retracted_;
   }
 
   /// Timestamp of the next pending event, a retracted one included, or
@@ -273,6 +270,13 @@ class Engine {
   }
   void set_observer(Observer::Kind k, Observer* o) noexcept {
     observers_[k] = o;
+  }
+  /// Calls the kTrace observer's on_sample(b) for each b = now() + k·period
+  /// as dispatch first passes it: samples add no event. A zero period
+  /// disarms, and so does an uninstalled tracer.
+  void set_sample_period(SimDuration period) noexcept {
+    sample_period_ = period;
+    sample_at_ = period > 0 ? saturating_add(now_, period) : kTimeInfinity;
   }
   /// Calls `f(o)` for every installed observer, in Kind order.
   template <typename F>
@@ -361,7 +365,9 @@ class Engine {
   void sift_down(std::size_t i);
   /// Pops `top`, the front of store `s`, and runs it.
   void dispatch(Store s, Event top);
-  /// Runs the least pending event; the engine must not be idle.
+  // Samples every boundary before `t`; kept out of the dispatch loop.
+  [[gnu::cold, gnu::noinline]] void sample_until(SimTime t);
+  /// Runs the least pending event; one must be pending.
   void dispatch_one() {
     const Next n = peek();
     dispatch(n.store, *n.event);
@@ -390,7 +396,8 @@ class Engine {
   std::uint64_t clamped_schedules_ = 0;
   std::uint64_t heap_pushes_ = 0;
   std::uint64_t closure_events_ = 0;
-  std::size_t retracted_ = 0;  // retracted events still pending
+  SimTime sample_at_ = kTimeInfinity;  // next boundary; infinite if none
+  SimDuration sample_period_ = 0;
   bool stopped_ = false;
 };
 

@@ -84,8 +84,7 @@ void Tracer::on_resource_service(const sim::Resource& r, sim::SimTime start,
   push({Event::Type::kComplete, t, intern("service"), start, end - start, 0});
 }
 
-void Tracer::sample_now() {
-  const sim::SimTime now = eng_.now();
+void Tracer::on_sample(sim::SimTime at) {
   std::size_t idx = 0;
   for (const sim::Resource* r : eng_.resources()) {
     ResourceState& st = res_state_[r];
@@ -105,30 +104,11 @@ void Tracer::sample_now() {
             ? (busy - st.last_busy_ns) / static_cast<double>(sampler_period_)
             : r->utilization();
     st.last_busy_ns = busy;
-    samples_.push_back({st.series, now, util});
+    samples_.push_back({st.series, at, util});
     ++idx;
   }
   for (const Counter& c : counters_)
-    samples_.push_back({intern(c.name()), now, static_cast<double>(c.value())});
-}
-
-void Tracer::enable_resource_sampler(sim::SimDuration period) {
-  sampler_period_ = period ? period : sim::kMillisecond;
-  if (sampler_armed_) return;
-  sampler_armed_ = true;
-  eng_.schedule_after(sampler_period_, [this] { sampler_tick(); });
-}
-
-void Tracer::sampler_tick() {
-  sample_now();
-  // Re-arm only while other work is pending: once the rest of the event
-  // queue drains the run is over, and a self-perpetuating tick would keep
-  // Engine::run() from ever returning.
-  if (eng_.idle()) {
-    sampler_armed_ = false;
-    return;
-  }
-  eng_.schedule_after(sampler_period_, [this] { sampler_tick(); });
+    samples_.push_back({intern(c.name()), at, static_cast<double>(c.value())});
 }
 
 }  // namespace e2e::trace

@@ -108,13 +108,16 @@ class Tracer final : public sim::Observer {
   // --- resource sampler ---------------------------------------------------
 
   /// Starts snapshotting every Resource registered with the engine (and
-  /// every Counter) each `period` of simulated time. A tick re-arms itself
-  /// only while other events are pending, so the sampler never keeps the
-  /// run alive by itself. Call after any setup-phase engine runs.
-  void enable_resource_sampler(sim::SimDuration period);
+  /// every Counter) at each boundary now() + k·period that dispatch passes
+  /// (sim::Engine::set_sample_period). Call after install() and after any
+  /// setup-phase engine runs.
+  void enable_resource_sampler(sim::SimDuration period) {
+    sampler_period_ = period ? period : sim::kMillisecond;
+    eng_.set_sample_period(sampler_period_);
+  }
 
   /// One immediate snapshot of all resources and counters.
-  void sample_now();
+  void sample_now() { on_sample(eng_.now()); }
 
   // --- export -------------------------------------------------------------
 
@@ -152,6 +155,8 @@ class Tracer final : public sim::Observer {
   // layer.
   void on_resource_service(const sim::Resource& r, sim::SimTime start,
                            sim::SimTime end, double units) override;
+  /// One snapshot stamped `at`.
+  void on_sample(sim::SimTime at) override;
   /// A trace records every event, so no period of it can be folded:
   /// traces are exempt from fast-forward equivalence and an installed
   /// tracer pins the run to event-exact.
@@ -178,7 +183,6 @@ class Tracer final : public sim::Observer {
   };
 
   NameId intern(std::string_view s);
-  void sampler_tick();
   void push(Event e) { events_.push_back(e); }
 
   sim::Engine& eng_;
@@ -208,8 +212,6 @@ class Tracer final : public sim::Observer {
   std::unordered_map<const sim::Resource*, ResourceState> res_state_;
   std::unordered_map<const sim::Resource*, TrackId> res_tracks_;
   sim::SimDuration sampler_period_ = 0;
-  bool sampler_armed_ = false;
-
 };
 
 /// The tracer installed on `eng`, or null when tracing is disabled.

@@ -105,21 +105,23 @@ TEST(Runner, FastForwardWindowMatchesExact) {
   EXPECT_EQ(f.end, e.end);
 }
 
-// A finished session leaves no watchdog check queued, so the window, which
-// also holds the connection set-up, ends when the transfer does. A traced
-// run's resource sampler stops within one 10 ms period of it.
+// The window runs from the session's timed start to its completion, so it
+// is the transfer's elapsed time exactly. The tracer's sampler adds no
+// event, so a traced run ends at the same time with the same stats.
 TEST(Runner, TransferWindowEndsAtCompletion) {
   TransferParams p{.rig = Rig::kQuick, .bytes = 1ull << 30};
+  p.obs.stats = true;
   const auto plain = run_transfer(p);
   ASSERT_TRUE(plain.transfer.complete);
-  EXPECT_LT(sim::to_seconds(plain.window) - plain.transfer.elapsed_s, 0.005);
+  EXPECT_EQ(sim::to_seconds(plain.window), plain.transfer.elapsed_s);
 
   std::ostream discard(nullptr);
   p.obs.trace = &discard;
   const auto traced = run_transfer(p);
   ASSERT_TRUE(traced.transfer.complete);
-  EXPECT_GE(traced.window, plain.window);
-  EXPECT_LE(traced.window, plain.window + 10 * sim::kMillisecond);
+  EXPECT_EQ(traced.end, plain.end);
+  EXPECT_EQ(traced.window, plain.window);
+  EXPECT_EQ(traced.stats_dump, plain.stats_dump);
 }
 
 }  // namespace

@@ -16,7 +16,11 @@
 // behind one probe call per incident; any byte a refactor moves fails here.
 // The RFTP leg's trace and stats hashes were re-recorded once, when a
 // disarmed watchdog stopped leaving its check queued: the run, its sampler
-// and its sim_time_ns now end with the transfer.
+// and its sim_time_ns now end with the transfer. Every leg's trace and
+// stats hashes were re-recorded once more when the sampler stopped being an
+// event: no final tick moves sim_time_ns, and in the iSER leg no tick holds
+// a set-up phase's run_task open to 1 ms, so the faults meet the workload
+// 0.4 ms further along (its flight hash moved too).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -217,18 +221,18 @@ void expect_hashes(const Hashes& got, const Hashes& want) {
 }
 
 TEST(FaultPathGolden, RftpCrashResumeFailover) {
-  expect_hashes(run_rftp_chaos(), {0x0ba28abbb3f4ee9cull, 0x9beb33fb9d6e4da9ull,
+  expect_hashes(run_rftp_chaos(), {0x53e4ffb9944210ffull, 0x25d7686899be3065ull,
                                   0x974f4b550e9d7c3dull});
 }
 
 TEST(FaultPathGolden, LossyTcp) {
-  expect_hashes(run_tcp_lossy(), {0x6d4ba0cd4122659full, 0xe594d2cf1fed20c2ull,
+  expect_hashes(run_tcp_lossy(), {0x884acf1775286a83ull, 0xf18e34f401df8066ull,
                                  0x4109e38b2ca401bdull});
 }
 
 TEST(FaultPathGolden, FaultedIser) {
-  expect_hashes(run_iser_faulted(), {0x517fb35c76f0a389ull, 0xd85a08b341cef289ull,
-                                    0x967ee300472df7afull});
+  expect_hashes(run_iser_faulted(), {0xeb6e3a4d981848ebull, 0x28929546a853f4adull,
+                                    0x0b7a054c885b3690ull});
 }
 
 }  // namespace

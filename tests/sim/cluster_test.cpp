@@ -225,7 +225,7 @@ TEST(ClusterTest, ShardFailureStopsAfterItsWindowAndRethrowsLowestRank) {
     EXPECT_EQ(c.cross_posts(), 2u);
     EXPECT_EQ(e0.queue_depth(), 3u);  // e0@30 + from1 + from2
     EXPECT_EQ(e1.queue_depth(), 1u);
-    EXPECT_TRUE(e2.idle());
+    EXPECT_EQ(e2.queue_depth(), 0u);
     // The merged posts are live events in (t, seq) order.
     e0.run();
     EXPECT_EQ(ran, (std::vector<std::string>{"e0@0", "e0@10", "e0@25",

@@ -17,7 +17,7 @@ namespace {
 TEST(Engine, StartsAtTimeZero) {
   Engine eng;
   EXPECT_EQ(eng.now(), 0u);
-  EXPECT_TRUE(eng.idle());
+  EXPECT_EQ(eng.queue_depth(), 0u);
   EXPECT_EQ(eng.events_processed(), 0u);
 }
 
@@ -124,15 +124,43 @@ TEST(Engine, RetractedEventDrainsWithoutRunningOrMovingTheClock) {
 
 TEST(Engine, IdleIgnoresRetractedEvents) {
   Engine eng;
-  eng.schedule_at(10, [] {});
-  eng.retract(eng.schedule_at(30, [] {}));
-  EXPECT_FALSE(eng.idle());
+  int fired = 0;
+  eng.schedule_at(10, [&] { ++fired; });
+  eng.retract(eng.schedule_at(30, [&] { ++fired; }));
   eng.run_until(10);
-  EXPECT_TRUE(eng.idle());  // only the retracted event is pending
-  EXPECT_EQ(eng.queue_depth(), 1u);
-  eng.run();
-  EXPECT_TRUE(eng.idle());
+  EXPECT_EQ(eng.queue_depth(), 1u);  // only the retracted event is pending
+  eng.run();  // drains it without running, moving the clock or counting
+  EXPECT_EQ(eng.queue_depth(), 0u);
+  EXPECT_EQ(fired, 1);
   EXPECT_EQ(eng.now(), 10u);
+  EXPECT_EQ(eng.events_processed(), 1u);
+}
+
+/// Records the sample boundaries the engine hands it.
+class SampleProbe final : public Observer {
+ public:
+  void on_sample(SimTime at) override { stamps.push_back(at); }
+  [[nodiscard]] bool ff_repeats() const override { return true; }
+  std::vector<SimTime> stamps;
+};
+
+TEST(Engine, SamplesReachOnlyTheTraceSlot) {
+  Engine eng;
+  SampleProbe trace, stats;
+  eng.set_observer(Observer::kTrace, &trace);
+  eng.set_observer(Observer::kStats, &stats);
+  eng.set_sample_period(10);
+  eng.retract(eng.schedule_at(45, [] {}));  // drains without sampling
+  eng.schedule_at(35, [] {});
+  eng.run();
+  EXPECT_EQ(trace.stamps, (std::vector<SimTime>{10, 20, 30}));
+  EXPECT_TRUE(stats.stamps.empty());
+  EXPECT_EQ(eng.events_processed(), 1u);
+  eng.set_observer(Observer::kTrace, nullptr);  // sampling ends with it
+  eng.schedule_at(100, [] {});
+  eng.run();
+  EXPECT_EQ(trace.stamps.size(), 3u);
+  EXPECT_TRUE(stats.stamps.empty());
 }
 
 TEST(Engine, SaturatingAddCapsAtInfinity) {
@@ -286,7 +314,6 @@ class RefEngine {
     return events_ - n0;
   }
   void stop() { stopped_ = true; }
-  [[nodiscard]] bool idle() const { return q_.empty(); }
   [[nodiscard]] SimTime next_event_time() const {
     return q_.empty() ? kTimeInfinity : q_.top().t;
   }
@@ -367,11 +394,11 @@ class Script {
   std::vector<Step> play() {
     std::uint64_t r = splitmix(seed_);
     for (int i = 0; i < 8; ++i) spawn(r = splitmix(r));
-    for (int round = 0; round < 4000 && (!sim_.idle() || ids_ < kBudget);
+    for (int round = 0; round < 4000 && (!idle() || ids_ < kBudget);
          ++round) {
       r = splitmix(r);
       const SimTime next = sim_.next_event_time();
-      const SimTime at = sim_.idle() ? sim_.now() + 50 : next;
+      const SimTime at = idle() ? sim_.now() + 50 : next;
       std::uint64_t ran = 0;
       switch (r % 8) {
         case 0:  // horizon exactly on a pending timestamp, or just past it
@@ -407,9 +434,11 @@ class Script {
  private:
   static constexpr std::uint64_t kBudget = 3000;
 
+  [[nodiscard]] bool idle() const { return sim_.queue_depth() == 0; }
+
   void log(std::int64_t id, std::uint64_t ran) {
     steps_.push_back(Step{id, ran, sim_.now(), sim_.next_event_time(),
-                          sim_.queue_depth(), sim_.idle()});
+                          sim_.queue_depth(), idle()});
   }
 
   // One new event at a time chosen by `r`: a zero-delay hop, one of two
@@ -428,7 +457,7 @@ class Script {
       case 3: t = now + ((r >> 8) % 30) * 10; break;
       case 4: t = now - std::min<SimTime>(now, (r >> 8) % 100); break;
       default:
-        t = sim_.idle() ? now + 10 : sim_.next_event_time();
+        t = idle() ? now + 10 : sim_.next_event_time();
         break;
     }
     const auto id = static_cast<std::int64_t>(ids_++);
@@ -488,7 +517,7 @@ TEST(Engine, MatchesPriorityQueueReferenceOnRandomSchedules) {
       ASSERT_EQ(got[i], want[i]) << "seed " << seed << " step " << i
                                  << " id " << got[i].id;
     EXPECT_EQ(eng.clamped_schedules(), ref.clamped_schedules());
-    EXPECT_TRUE(eng.idle());
+    EXPECT_EQ(eng.queue_depth(), 0u);
     // Every resume key dispatched as a direct resume, every other event
     // through its closure slot.
     EXPECT_EQ(eng.events_processed() - eng.closure_events(), script.resumes())

@@ -4,6 +4,8 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exp/runner.hpp"
 #include "model/host_profile.hpp"
@@ -108,12 +110,57 @@ TEST(Tracer, ResourceSamplerRecordsUtilization) {
 
 TEST(Tracer, SamplerDoesNotKeepEngineAlive) {
   sim::Engine eng;
+  sim::Resource res(eng, 1e9, "wire");
   Tracer t(eng);
   t.install();
   t.enable_resource_sampler(sim::kMicrosecond);
   eng.schedule_at(5 * sim::kMicrosecond, [] {});
-  eng.run();  // must return: the sampler stops re-arming once idle
-  EXPECT_LE(eng.now(), 7 * sim::kMicrosecond);
+  eng.run();  // the samples ride on dispatch: no event of their own
+  EXPECT_EQ(eng.now(), 5 * sim::kMicrosecond);
+  EXPECT_EQ(eng.events_processed(), 1u);
+  std::vector<sim::SimTime> stamps;
+  for (const auto& s : t.samples()) stamps.push_back(s.ts);
+  // Boundaries 1..4 us, each stamped with its boundary; 5 us is not past.
+  EXPECT_EQ(stamps, (std::vector<sim::SimTime>{1000, 2000, 3000, 4000}));
+}
+
+TEST(Tracer, UninstallStopsTheSampler) {
+  sim::Engine eng;
+  sim::Resource res(eng, 1e9, "wire");
+  {
+    Tracer t(eng);
+    t.install();
+    t.enable_resource_sampler(sim::kMicrosecond);
+    t.uninstall();
+    eng.schedule_at(5 * sim::kMicrosecond, [] {});
+    eng.run();
+    EXPECT_TRUE(t.samples().empty());
+    t.install();
+    t.enable_resource_sampler(sim::kMicrosecond);
+  }
+  // Destruction uninstalls the tracer, so no sample reaches it after.
+  eng.schedule_at(10 * sim::kMicrosecond, [] {});
+  eng.run();
+  EXPECT_EQ(eng.events_processed(), 2u);
+}
+
+TEST(Tracer, SampleAtABoundarySeesEveryEventAtIt) {
+  sim::Engine eng;
+  sim::Resource res(eng, 1e9, "wire");  // 1 unit/ns
+  Tracer t(eng);
+  t.install();
+  t.enable_resource_sampler(10 * sim::kMicrosecond);
+  // 5 us of service booked exactly at the 10 us boundary, by an event
+  // scheduled after the sampler was armed: the 10 us sample still sees it.
+  eng.schedule_at(10 * sim::kMicrosecond, [&res] { res.charge(5.0 * 1e3); });
+  eng.schedule_at(25 * sim::kMicrosecond, [] {});
+  eng.run();
+  std::vector<std::pair<sim::SimTime, double>> util;
+  for (const auto& s : t.samples())
+    if (t.name_of(s.series) == "util/wire") util.emplace_back(s.ts, s.value);
+  EXPECT_EQ(util, (std::vector<std::pair<sim::SimTime, double>>{
+                      {10 * sim::kMicrosecond, 0.5},
+                      {20 * sim::kMicrosecond, 0.0}}));
 }
 
 // Minimal JSON well-formedness scan: balanced structure outside strings,
